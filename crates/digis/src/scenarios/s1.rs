@@ -9,7 +9,7 @@
 
 use dspace_apiserver::ObjectRef;
 use dspace_core::graph::MountMode;
-use dspace_core::Space;
+use dspace_core::{Space, SpaceConfig};
 use dspace_devices::{GeeniLamp, HueLamp, LifxLamp};
 use dspace_simnet::millis;
 
@@ -33,7 +33,12 @@ pub struct S1 {
 impl S1 {
     /// Builds the scenario: devices, digis, composition, initial intent.
     pub fn build() -> S1 {
-        let mut space = crate::new_space();
+        Self::build_with(SpaceConfig::default())
+    }
+
+    /// Builds the scenario on a space with a custom configuration.
+    pub fn build_with(config: SpaceConfig) -> S1 {
+        let mut space = crate::new_space_with(config);
         // Leaf digis with their simulated devices.
         let l1 = space
             .create_digi("GeeniLamp", "l1", lamps::geeni_driver())

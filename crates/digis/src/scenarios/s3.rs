@@ -6,6 +6,7 @@
 //! observations through the replica.
 
 use dspace_apiserver::ObjectRef;
+use dspace_core::SpaceConfig;
 use dspace_devices::RingMotionSensor;
 use dspace_simnet::Time;
 
@@ -26,7 +27,12 @@ pub struct S3 {
 impl S3 {
     /// Builds the scenario with scripted motion times.
     pub fn build(motion_times: Vec<Time>) -> S3 {
-        let mut inner = S1::build();
+        Self::build_with(SpaceConfig::default(), motion_times)
+    }
+
+    /// Builds the scenario on a space with a custom configuration.
+    pub fn build_with(config: SpaceConfig, motion_times: Vec<Time>) -> S3 {
+        let mut inner = S1::build_with(config);
         let motion = inner
             .space
             .create_digi("RingMotion", "motion1", sensors::motion_driver())

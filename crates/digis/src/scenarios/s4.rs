@@ -5,7 +5,7 @@
 //! vacation mode … causes each 'room' to enter a power-down mode."
 
 use dspace_apiserver::ObjectRef;
-use dspace_core::Space;
+use dspace_core::{Space, SpaceConfig};
 use dspace_devices::{GeeniLamp, LifxLamp};
 use dspace_simnet::millis;
 
@@ -27,7 +27,12 @@ pub struct S4 {
 impl S4 {
     /// Builds the scenario.
     pub fn build() -> S4 {
-        let mut space = crate::new_space();
+        Self::build_with(SpaceConfig::default())
+    }
+
+    /// Builds the scenario on a space with a custom configuration.
+    pub fn build_with(config: SpaceConfig) -> S4 {
+        let mut space = crate::new_space_with(config);
         // Living room: GEENI lamp behind a UniLamp.
         let l1 = space
             .create_digi("GeeniLamp", "l1", lamps::geeni_driver())

@@ -7,6 +7,7 @@
 //! ACTIVE and IDLE.
 
 use dspace_apiserver::ObjectRef;
+use dspace_core::SpaceConfig;
 
 use crate::power;
 use crate::scenarios::s1::S1;
@@ -25,7 +26,12 @@ pub struct S9 {
 impl S9 {
     /// Builds the scenario.
     pub fn build() -> S9 {
-        let mut inner = S1::build();
+        Self::build_with(SpaceConfig::default())
+    }
+
+    /// Builds the scenario on a space with a custom configuration.
+    pub fn build_with(config: SpaceConfig) -> S9 {
+        let mut inner = S1::build_with(config);
         let pc = inner
             .space
             .create_digi("PowerController", "pc", power::power_driver())
