@@ -13,7 +13,7 @@ use crate::object::{Object, ObjectRef};
 use crate::query::Query;
 use crate::rbac::Verb;
 use crate::server::ApiServer;
-use crate::store::{CoalescedEvent, StoreSnapshot, WatchEvent, WatchId, WatchSelector};
+use crate::store::{CoalescedEvent, StoreSnapshot, WatchEvent, WatchId};
 
 /// A client handle bound to one subject. Borrow the server mutably, pick a
 /// namespace, issue verbs, and drop it; the borrow is as short as a direct
@@ -94,14 +94,6 @@ impl NamespacedClient<'_> {
             .get_path(&self.subject, &self.oref(kind, name), path)
     }
 
-    /// Lists objects of a kind in this namespace.
-    #[deprecated(note = "use `NamespacedClient::query` with a `Query`")]
-    #[allow(deprecated)]
-    pub fn list(&self, kind: &str) -> Result<Vec<Object>, ApiError> {
-        self.api
-            .list_namespaced(&self.subject, kind, &self.namespace)
-    }
-
     /// Runs a [`Query`] pinned to this handle's namespace (whatever
     /// namespace the query carried is overridden).
     pub fn query(&mut self, q: &Query) -> Result<Vec<Object>, ApiError> {
@@ -157,25 +149,6 @@ impl NamespacedClient<'_> {
     pub fn watch(&mut self, q: &Query) -> Result<WatchId, ApiError> {
         let q = q.clone().in_ns(self.namespace.as_str());
         self.api.watch_query(&self.subject, &q)
-    }
-
-    /// Opens a watch over one kind *in this namespace*.
-    #[deprecated(note = "use `NamespacedClient::watch` with a `Query`")]
-    #[allow(deprecated)]
-    pub fn watch_kind(&mut self, kind: &str) -> Result<WatchId, ApiError> {
-        let selector = WatchSelector::KindInNamespace {
-            kind: kind.to_string(),
-            namespace: self.namespace.clone(),
-        };
-        self.api.watch_selector(&self.subject, selector)
-    }
-
-    /// Opens a watch scoped to exactly one object.
-    #[deprecated(note = "use `NamespacedClient::watch` with a named `Query`")]
-    #[allow(deprecated)]
-    pub fn watch_object(&mut self, kind: &str, name: &str) -> Result<WatchId, ApiError> {
-        let oref = self.oref(kind, name);
-        self.api.watch_object(&self.subject, &oref)
     }
 
     /// Drains pending events for a watch subscription.
@@ -290,26 +263,6 @@ impl NamespacedReadClient<'_> {
         Ok(obj.model.get_path(path).cloned().unwrap_or(Value::Null))
     }
 
-    /// Lists objects of a kind in this namespace (as of the snapshot).
-    #[deprecated(note = "use `NamespacedReadClient::query` with a `Query`")]
-    pub fn list(&self, kind: &str) -> Result<Vec<Object>, ApiError> {
-        let probe = ObjectRef::new(kind, self.namespace.clone(), "*");
-        self.authorize(Verb::List, &probe)
-            .map_err(|_| ApiError::Forbidden {
-                subject: self.subject.clone(),
-                reason: format!(
-                    "List on kind {kind} in namespace {} not permitted",
-                    self.namespace
-                ),
-            })?;
-        Ok(self
-            .snap
-            .scan_in(kind, &self.namespace)
-            .into_iter()
-            .cloned()
-            .collect())
-    }
-
     /// Runs a [`Query`] pinned to this handle's namespace, served from the
     /// snapshot. Snapshots carry no indexes, so this is always a filtered
     /// scan — consistent, contention-free, and off the write coordinator.
@@ -342,9 +295,6 @@ impl NamespacedReadClient<'_> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shims (`list`/`watch_kind`/`watch_object`) stay covered
-    // here until they are removed.
-    #![allow(deprecated)]
 
     use super::*;
     use dspace_value::{AttrType, KindSchema};
@@ -377,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn list_is_namespace_scoped() {
+    fn query_is_namespace_scoped() {
         let mut api = api_with_lamp();
         for ns in ["bedroom", "kitchen"] {
             let model = api.schema("Lamp").unwrap().new_model("l1", ns);
@@ -386,14 +336,17 @@ mod tests {
                 .create("Lamp", "l1", model)
                 .unwrap();
         }
-        let c = api.client(ApiServer::ADMIN).namespace("bedroom");
-        let objs = c.list("Lamp").unwrap();
+        let objs = api
+            .client(ApiServer::ADMIN)
+            .namespace("bedroom")
+            .query(&Query::kind("Lamp"))
+            .unwrap();
         assert_eq!(objs.len(), 1);
         assert_eq!(objs[0].oref.namespace, "bedroom");
     }
 
     #[test]
-    fn watch_kind_is_shard_scoped() {
+    fn watch_is_shard_scoped() {
         let mut api = api_with_lamp();
         for ns in ["bedroom", "kitchen"] {
             let model = api.schema("Lamp").unwrap().new_model("l1", ns);
@@ -405,7 +358,7 @@ mod tests {
         let w = api
             .client(ApiServer::ADMIN)
             .namespace("bedroom")
-            .watch_kind("Lamp")
+            .watch(&Query::kind("Lamp"))
             .unwrap();
         api.client(ApiServer::ADMIN)
             .namespace("kitchen")

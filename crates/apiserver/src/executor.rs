@@ -117,9 +117,6 @@ pub struct ShardExecutor {
     /// Lazily created on the first multi-lane batch; parked between
     /// batches; dropped (joining its threads) on resize and on drop.
     pool: Option<WorkerPool>,
-    /// Benchmarking baseline: when set, multi-lane batches spawn scoped
-    /// threads per batch (the pre-pool behavior) instead of using the pool.
-    spawn_per_batch: bool,
 }
 
 impl Default for ShardExecutor {
@@ -135,7 +132,6 @@ impl ShardExecutor {
         ShardExecutor {
             threads: threads.max(1),
             pool: None,
-            spawn_per_batch: false,
         }
     }
 
@@ -174,16 +170,6 @@ impl ShardExecutor {
             .unwrap_or(0)
     }
 
-    /// Benchmarking baseline knob: `true` restores the pre-pool behavior of
-    /// spawning scoped threads for every multi-lane batch. Results are
-    /// bit-identical either way; only wall-clock differs.
-    pub fn set_spawn_per_batch(&mut self, spawn: bool) {
-        self.spawn_per_batch = spawn;
-        if spawn {
-            self.pool = None;
-        }
-    }
-
     /// Runs `work` over every item, returning results in item order.
     ///
     /// Items are distributed round-robin over `min(threads, items)` lanes;
@@ -202,9 +188,6 @@ impl ShardExecutor {
         let mut lanes: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, item) in items.into_iter().enumerate() {
             lanes[i % workers].push((i, item));
-        }
-        if self.spawn_per_batch {
-            return run_scoped(lanes, work);
         }
         let pool = self.pool.get_or_insert_with(WorkerPool::new);
         pool.ensure(workers - 1);
@@ -240,37 +223,6 @@ impl ShardExecutor {
     fn liveness_handle(&mut self) -> Arc<AtomicUsize> {
         Arc::clone(&self.pool.get_or_insert_with(WorkerPool::new).live)
     }
-}
-
-/// The pre-pool execution strategy: scoped threads spawned per batch. Kept
-/// as a measurable baseline for the pump-throughput bench.
-fn run_scoped<T, R, F>(mut lanes: Vec<Vec<(usize, T)>>, work: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let mut indexed: Vec<(usize, R)> = Vec::new();
-    let work = &work;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut rest = lanes.drain(1..).collect::<Vec<_>>();
-        for lane in rest.drain(..) {
-            handles.push(scope.spawn(move || {
-                lane.into_iter()
-                    .map(|(i, item)| (i, work(item)))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for (i, item) in lanes.remove(0) {
-            indexed.push((i, work(item)));
-        }
-        for h in handles {
-            indexed.extend(h.join().expect("shard worker panicked"));
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The machine's available parallelism (1 if unknown).
@@ -324,19 +276,6 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(v, &vec![i as u64, i as u64 * 10]);
         }
-    }
-
-    #[test]
-    fn scoped_baseline_matches_pooled_results() {
-        let mut pooled = ShardExecutor::new(4);
-        let mut scoped = ShardExecutor::new(4);
-        scoped.set_spawn_per_batch(true);
-        let items: Vec<usize> = (0..23).collect();
-        assert_eq!(
-            pooled.run(items.clone(), |i| i * 3),
-            scoped.run(items, |i| i * 3)
-        );
-        assert_eq!(scoped.pooled_workers(), 0, "scoped mode never pools");
     }
 
     /// Runs a batch and records which thread served each item.

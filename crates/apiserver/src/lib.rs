@@ -60,7 +60,7 @@ pub use executor::{ShardExecutor, SHARD_THREADS_ENV};
 pub use object::{Object, ObjectRef};
 pub use query::{IndexKey, Plan, PredicateSelector, Query, QueryError, QueryPred};
 pub use rbac::{Role, RoleBinding, Rule, Verb};
-pub use server::{ApiServer, BatchOp, SnapshotView};
+pub use server::{ApiServer, BatchOp};
 pub use store::{
     stamp_gen, CoalescedEvent, StoreOp, StoreSnapshot, WatchEvent, WatchEventKind, WatchId,
     WatchSelector, WatchStats,

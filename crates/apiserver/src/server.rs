@@ -28,9 +28,7 @@ type Review = (usize, Verb, ObjectRef, Option<Value>, Option<Value>);
 /// store commit → webhook `observe` notifications.
 pub struct ApiServer {
     store: Store,
-    /// Shared copy-on-write: plan-phase [`SnapshotView`]s hold an `Arc`
-    /// clone, so role edits mid-flight copy rather than race.
-    rbac: std::sync::Arc<Rbac>,
+    rbac: Rbac,
     schemas: std::collections::BTreeMap<String, KindSchema>,
     webhooks: Vec<Box<dyn AdmissionWebhook>>,
     /// When `false`, schema validation is skipped for unregistered kinds
@@ -55,7 +53,7 @@ impl ApiServer {
         rbac.bind(Self::ADMIN, "cluster-admin");
         ApiServer {
             store: Store::new(),
-            rbac: std::sync::Arc::new(rbac),
+            rbac,
             schemas: Default::default(),
             webhooks: Vec::new(),
             strict_kinds: false,
@@ -100,41 +98,13 @@ impl ApiServer {
     }
 
     /// Mutable access to the RBAC authorizer (role/binding management).
-    ///
-    /// Copy-on-write: if a plan-phase [`SnapshotView`] still holds the
-    /// current table, this clones it first, so in-flight plan jobs keep
-    /// authorizing against their wake-time view.
     pub fn rbac_mut(&mut self) -> &mut Rbac {
-        std::sync::Arc::make_mut(&mut self.rbac)
+        &mut self.rbac
     }
 
     /// Read access to the RBAC authorizer.
     pub fn rbac(&self) -> &Rbac {
         &self.rbac
-    }
-
-    /// An RBAC-checked read view over a wake-time store snapshot, detached
-    /// from the server's borrow (see [`SnapshotView`]).
-    pub fn snapshot_view(&self) -> SnapshotView {
-        SnapshotView {
-            snapshot: self.store.snapshot(),
-            rbac: std::sync::Arc::clone(&self.rbac),
-        }
-    }
-
-    /// Runs `work` over `items` on the store's shard worker pool (the
-    /// coordinator thread doubles as lane 0), returning results in item
-    /// order. This is the plan-phase fan-out entry point: the worker cap
-    /// and pool are shared with batch commits, so parked lanes do double
-    /// duty. At a cap of 1 (or a single item) everything runs inline on
-    /// the caller's thread.
-    pub fn run_pooled<T, R, F>(&mut self, items: Vec<T>, work: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        self.store.run_pooled(items, work)
     }
 
     /// Current global store revision.
@@ -444,40 +414,6 @@ impl ApiServer {
         Ok(obj.model.get_path(path).cloned().unwrap_or(Value::Null))
     }
 
-    /// Lists objects of a kind.
-    #[deprecated(note = "use `ApiServer::query` with a `Query`")]
-    pub fn list(&self, subject: &str, kind: &str) -> Result<Vec<Object>, ApiError> {
-        let probe = ObjectRef::new(kind, "*", "*");
-        self.authorize(subject, Verb::List, &probe)
-            .map_err(|_| ApiError::Forbidden {
-                subject: subject.to_string(),
-                reason: format!("List on kind {kind} not permitted"),
-            })?;
-        Ok(self.store.scan(kind).into_iter().cloned().collect())
-    }
-
-    /// Lists objects of a kind within one namespace.
-    #[deprecated(note = "use `ApiServer::query` with a `Query`")]
-    pub fn list_namespaced(
-        &self,
-        subject: &str,
-        kind: &str,
-        namespace: &str,
-    ) -> Result<Vec<Object>, ApiError> {
-        let probe = ObjectRef::new(kind, namespace, "*");
-        self.authorize(subject, Verb::List, &probe)
-            .map_err(|_| ApiError::Forbidden {
-                subject: subject.to_string(),
-                reason: format!("List on kind {kind} in namespace {namespace} not permitted"),
-            })?;
-        Ok(self
-            .store
-            .scan_in(kind, namespace)
-            .into_iter()
-            .cloned()
-            .collect())
-    }
-
     /// Authorizes `List` against the narrowest ref a query covers.
     fn authorize_query(&self, subject: &str, q: &Query) -> Result<(), ApiError> {
         let probe = ObjectRef::new(
@@ -693,26 +629,6 @@ impl ApiServer {
         self.store.fast_forward(oref, rv)
     }
 
-    /// Opens a watch over `kind` (or everything when `None`).
-    #[deprecated(note = "use `ApiServer::watch_query` with a `Query`")]
-    pub fn watch(&mut self, subject: &str, kind: Option<&str>) -> Result<WatchId, ApiError> {
-        let selector = match kind {
-            None => WatchSelector::All,
-            Some(k) => WatchSelector::Kind(k.to_string()),
-        };
-        self.authorize_watch(subject, &selector)?;
-        Ok(self.store.open_watch(vec![selector]))
-    }
-
-    /// Opens a watch scoped to exactly one object. This is what digi
-    /// drivers use: they only ever need their own model's events.
-    #[deprecated(note = "use `ApiServer::watch_query` with a `Query`")]
-    pub fn watch_object(&mut self, subject: &str, oref: &ObjectRef) -> Result<WatchId, ApiError> {
-        let selector = WatchSelector::Object(oref.clone());
-        self.authorize_watch(subject, &selector)?;
-        Ok(self.store.open_watch(vec![selector]))
-    }
-
     /// Authorizes a watch by probing the narrowest ref the selector
     /// covers, so a subject allowed to watch only its own object can
     /// still hold an `Object` subscription. Predicate selectors probe
@@ -734,48 +650,6 @@ impl ApiServer {
                 subject: subject.to_string(),
                 reason: format!("Watch on {probe} not permitted"),
             })
-        }
-    }
-
-    /// Opens a watch with an explicit selector.
-    #[deprecated(note = "use `ApiServer::watch_query` with a `Query`")]
-    pub fn watch_selector(
-        &mut self,
-        subject: &str,
-        selector: WatchSelector,
-    ) -> Result<WatchId, ApiError> {
-        self.authorize_watch(subject, &selector)?;
-        Ok(self.store.open_watch(vec![selector]))
-    }
-
-    /// Opens one watch subscription over the union of `selectors`. An
-    /// event matching several of them is still delivered once.
-    #[deprecated(note = "use `ApiServer::watch_queries` with `Query` values")]
-    pub fn watch_selectors(
-        &mut self,
-        subject: &str,
-        selectors: Vec<WatchSelector>,
-    ) -> Result<WatchId, ApiError> {
-        for selector in &selectors {
-            self.authorize_watch(subject, selector)?;
-        }
-        Ok(self.store.open_watch(selectors))
-    }
-
-    /// Widens an existing subscription with another selector (only future
-    /// events of the newly covered scope are delivered).
-    #[deprecated(note = "use `ApiServer::extend_watch` with a `Query`")]
-    pub fn add_watch_selector(
-        &mut self,
-        subject: &str,
-        id: WatchId,
-        selector: WatchSelector,
-    ) -> Result<(), ApiError> {
-        self.authorize_watch(subject, &selector)?;
-        if self.store.attach_selector(id, selector) {
-            Ok(())
-        } else {
-            Err(ApiError::UnknownWatch(id))
         }
     }
 
@@ -968,12 +842,6 @@ impl ApiServer {
     pub fn pooled_workers(&self) -> usize {
         self.store.pooled_workers()
     }
-
-    /// Benchmarking baseline knob: spawn scoped threads per batch instead
-    /// of using the persistent pool. Bit-identical results.
-    pub fn set_executor_spawn_per_batch(&mut self, spawn: bool) {
-        self.store.set_executor_spawn_per_batch(spawn)
-    }
 }
 
 /// One mutation of an [`ApiServer::apply_batch`] call, phrased in the same
@@ -1071,66 +939,8 @@ fn batch_to_store_op(op: BatchOp) -> Result<StoreOp, ApiError> {
     })
 }
 
-/// An RBAC-checked read view over a [`StoreSnapshot`]: serves
-/// [`ApiServer::get`]-equivalent reads — same authorization, same error
-/// shapes — without borrowing the server, so plan-phase jobs can read the
-/// wake-time state from worker threads while the coordinator moves on.
-///
-/// Both halves are immutable captures: the snapshot is batch-boundary
-/// exact and the RBAC table is a copy-on-write `Arc` (see
-/// [`ApiServer::rbac_mut`]), so a view's answers never change after it is
-/// taken.
-#[derive(Debug, Clone)]
-pub struct SnapshotView {
-    snapshot: StoreSnapshot,
-    rbac: std::sync::Arc<Rbac>,
-}
-
-// Plan jobs move views onto shard workers; keep that statically true.
-#[allow(dead_code)]
-fn assert_snapshot_view_send_sync(v: SnapshotView) -> impl Send + Sync {
-    v
-}
-
-impl SnapshotView {
-    /// Reads an object, mirroring [`ApiServer::get`] exactly: RBAC denial
-    /// is `Forbidden` with the server's reason text, a missing object is
-    /// `NotFound`.
-    pub fn get(&self, subject: &str, oref: &ObjectRef) -> Result<Object, ApiError> {
-        self.authorize(subject, Verb::Get, oref)?;
-        self.snapshot
-            .get(oref)
-            .cloned()
-            .ok_or_else(|| ApiError::NotFound(oref.clone()))
-    }
-
-    /// Checks `subject` against the captured RBAC table.
-    pub fn authorized(&self, subject: &str, verb: Verb, oref: &ObjectRef) -> bool {
-        self.rbac.authorize(subject, verb, oref)
-    }
-
-    /// The captured store revision.
-    pub fn revision(&self) -> u64 {
-        self.snapshot.revision()
-    }
-
-    fn authorize(&self, subject: &str, verb: Verb, oref: &ObjectRef) -> Result<(), ApiError> {
-        if self.rbac.authorize(subject, verb, oref) {
-            Ok(())
-        } else {
-            Err(ApiError::Forbidden {
-                subject: subject.to_string(),
-                reason: format!("{verb:?} on {oref} not permitted"),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated verbs (`list`/`watch`/`watch_selector`/…) stay covered
-    // here until they are removed.
-    #![allow(deprecated)]
 
     use super::*;
     use crate::admission::testing::RejectForbiddenFlag;
@@ -1254,7 +1064,9 @@ mod tests {
     #[test]
     fn watch_streams_patches() {
         let (mut api, oref) = server_with_plug();
-        let w = api.watch(ApiServer::ADMIN, Some("Plug")).unwrap();
+        let w = api
+            .watch_query(ApiServer::ADMIN, &Query::kind("Plug"))
+            .unwrap();
         api.patch_path(
             ApiServer::ADMIN,
             &oref,
@@ -1288,13 +1100,21 @@ mod tests {
     }
 
     #[test]
-    fn list_by_kind() {
+    fn query_by_kind() {
         let (mut api, _) = server_with_plug();
         let p2 = ObjectRef::default_ns("Plug", "p2");
         let model = api.schema("Plug").unwrap().new_model("p2", "default");
         api.create(ApiServer::ADMIN, &p2, model).unwrap();
-        assert_eq!(api.list(ApiServer::ADMIN, "Plug").unwrap().len(), 2);
-        assert!(api.list(ApiServer::ADMIN, "Room").unwrap().is_empty());
+        assert_eq!(
+            api.query(ApiServer::ADMIN, &Query::kind("Plug"))
+                .unwrap()
+                .len(),
+            2
+        );
+        assert!(api
+            .query(ApiServer::ADMIN, &Query::kind("Room"))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -1101,24 +1101,6 @@ impl Store {
         self.executor.pooled_workers()
     }
 
-    /// Benchmarking baseline knob: `true` restores spawn-per-batch scoped
-    /// threads instead of the persistent pool. Bit-identical results.
-    pub fn set_executor_spawn_per_batch(&mut self, spawn: bool) {
-        self.executor.set_spawn_per_batch(spawn);
-    }
-
-    /// Runs `work` over `items` on the shard worker pool, returning
-    /// results in item order (see [`ShardExecutor::run`]). Lets the plan
-    /// phase borrow the same parked lanes batch commits use.
-    pub fn run_pooled<T, R, F>(&mut self, items: Vec<T>, work: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        self.executor.run(items, work)
-    }
-
     /// Takes a consistent, immutable snapshot of every object in the
     /// store, detached from the store's borrow: O(shards) `Arc` clones,
     /// no model copies.
@@ -1162,50 +1144,6 @@ impl Store {
     pub fn get(&self, oref: &ObjectRef) -> Option<&Object> {
         self.direct_reads.set(self.direct_reads.get() + 1);
         self.shards.get(&oref.namespace)?.objects.get(oref)
-    }
-
-    /// Lists objects of `kind` across namespaces (sorted by namespace/name).
-    #[deprecated(note = "use `Store::query` with a `Query`")]
-    pub fn list(&self, kind: &str) -> Vec<&Object> {
-        self.scan(kind)
-    }
-
-    pub(crate) fn scan(&self, kind: &str) -> Vec<&Object> {
-        self.direct_reads.set(self.direct_reads.get() + 1);
-        self.shards
-            .values()
-            .flat_map(|s| {
-                s.objects
-                    .iter()
-                    .filter(move |(r, _)| r.kind == kind)
-                    .map(|(_, o)| o)
-            })
-            .collect()
-    }
-
-    /// Lists objects of `kind` within one namespace (sorted by name).
-    #[deprecated(note = "use `Store::query` with a `Query`")]
-    pub fn list_in(&self, kind: &str, namespace: &str) -> Vec<&Object> {
-        self.scan_in(kind, namespace)
-    }
-
-    pub(crate) fn scan_in(&self, kind: &str, namespace: &str) -> Vec<&Object> {
-        self.direct_reads.set(self.direct_reads.get() + 1);
-        let Some(shard) = self.shards.get(namespace) else {
-            return Vec::new();
-        };
-        shard
-            .objects
-            .iter()
-            .filter(|(r, _)| r.kind == kind)
-            .map(|(_, o)| o)
-            .collect()
-    }
-
-    /// Lists every object (sorted by kind/namespace/name).
-    #[deprecated(note = "use `Store::query` with a `Query`")]
-    pub fn list_all(&self) -> Vec<&Object> {
-        self.scan_all()
     }
 
     pub(crate) fn scan_all(&self) -> Vec<&Object> {
@@ -1601,35 +1539,6 @@ impl Store {
             debug_assert!(known, "freshly inserted watcher");
         }
         id
-    }
-
-    /// Opens a watch over the union of `selectors`.
-    #[deprecated(note = "use `Store::watch_queries` with `Query` values")]
-    pub fn watch_selectors(&mut self, selectors: Vec<WatchSelector>) -> WatchId {
-        self.open_watch(selectors)
-    }
-
-    /// Opens a watch over one selector.
-    #[deprecated(note = "use `Store::watch_query` with a `Query`")]
-    pub fn watch_selector(&mut self, selector: WatchSelector) -> WatchId {
-        self.open_watch(vec![selector])
-    }
-
-    /// Opens a watch by kind. `kind = None` watches everything.
-    #[deprecated(note = "use `Store::watch_query` with a `Query`")]
-    pub fn watch(&mut self, kind: Option<&str>) -> WatchId {
-        self.open_watch(vec![match kind {
-            None => WatchSelector::All,
-            Some(k) => WatchSelector::Kind(k.to_string()),
-        }])
-    }
-
-    /// Widens an existing subscription with another selector. Only future
-    /// events of the newly covered scope are delivered. Returns `false`
-    /// when the watch id is unknown (e.g. already cancelled).
-    #[deprecated(note = "use `Store::extend_watch` with a `Query`")]
-    pub fn add_selector(&mut self, id: WatchId, selector: WatchSelector) -> bool {
-        self.attach_selector(id, selector)
     }
 
     pub(crate) fn attach_selector(&mut self, id: WatchId, selector: WatchSelector) -> bool {
@@ -2615,58 +2524,6 @@ impl StoreSnapshot {
         self.shards.get(&oref.namespace)?.get(oref)
     }
 
-    /// Lists objects of `kind` across namespaces (sorted by
-    /// namespace/name), as of the snapshot.
-    #[deprecated(note = "use `StoreSnapshot::query` with a `Query`")]
-    pub fn list(&self, kind: &str) -> Vec<&Object> {
-        self.scan(kind)
-    }
-
-    pub(crate) fn scan(&self, kind: &str) -> Vec<&Object> {
-        self.count_read();
-        self.shards
-            .values()
-            .flat_map(|s| {
-                s.iter()
-                    .filter(move |(r, _)| r.kind == kind)
-                    .map(|(_, o)| o)
-            })
-            .collect()
-    }
-
-    /// Lists objects of `kind` within one namespace (sorted by name), as
-    /// of the snapshot.
-    #[deprecated(note = "use `StoreSnapshot::query` with a `Query`")]
-    pub fn list_in(&self, kind: &str, namespace: &str) -> Vec<&Object> {
-        self.scan_in(kind, namespace)
-    }
-
-    pub(crate) fn scan_in(&self, kind: &str, namespace: &str) -> Vec<&Object> {
-        self.count_read();
-        let Some(shard) = self.shards.get(namespace) else {
-            return Vec::new();
-        };
-        shard
-            .iter()
-            .filter(|(r, _)| r.kind == kind)
-            .map(|(_, o)| o)
-            .collect()
-    }
-
-    /// Lists every object (sorted by kind/namespace/name), as of the
-    /// snapshot.
-    #[deprecated(note = "use `StoreSnapshot::query` with a `Query`")]
-    pub fn list_all(&self) -> Vec<&Object> {
-        self.scan_all()
-    }
-
-    pub(crate) fn scan_all(&self) -> Vec<&Object> {
-        self.count_read();
-        let mut out: Vec<&Object> = self.shards.values().flat_map(|s| s.values()).collect();
-        out.sort_by(|a, b| a.oref.cmp(&b.oref));
-        out
-    }
-
     /// Runs a [`Query`] against the snapshot. Snapshots are frozen views
     /// without index state, so filters evaluate brute-force over the
     /// matching kind/namespace slice — byte-for-byte the semantics the
@@ -3485,9 +3342,6 @@ fn fast_set(doc: &mut Value, path: &Path, value: Value) -> i64 {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shims (`list`/`watch`/`add_selector`/…) stay covered
-    // here until they are removed.
-    #![allow(deprecated)]
     use super::*;
     use dspace_value::json;
 
@@ -3504,6 +3358,13 @@ mod tests {
 
     fn lamp_ref() -> ObjectRef {
         ObjectRef::default_ns("Lamp", "l1")
+    }
+
+    /// The query watching exactly one object.
+    fn object_query(r: &ObjectRef) -> Query {
+        Query::kind(r.kind.as_str())
+            .in_ns(r.namespace.as_str())
+            .named(r.name.as_str())
     }
 
     #[test]
@@ -3576,7 +3437,7 @@ mod tests {
     fn delete_event_orders_after_preceding_modify() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w = s.watch(Some("Lamp"));
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap(); // rv 2
         s.delete(&lamp_ref()).unwrap(); // rv 3
         let evs = s.poll(w);
@@ -3599,7 +3460,7 @@ mod tests {
     fn watch_only_sees_future_events() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w = s.watch(None);
+        let w = s.watch_query(&Query::all()).unwrap();
         assert!(s.poll(w).is_empty());
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         let evs = s.poll(w);
@@ -3613,7 +3474,7 @@ mod tests {
     #[test]
     fn watch_kind_filter() {
         let mut s = Store::new();
-        let w = s.watch(Some("Room"));
+        let w = s.watch_query(&Query::kind("Room")).unwrap();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         s.create(ObjectRef::default_ns("Room", "r1"), model("Room", "r1"))
             .unwrap();
@@ -3629,7 +3490,7 @@ mod tests {
         let l2 = ObjectRef::default_ns("Lamp", "l2");
         s.create(l1.clone(), model("Lamp", "l1")).unwrap();
         s.create(l2.clone(), model("Lamp", "l2")).unwrap();
-        let w = s.watch_selector(WatchSelector::Object(l1.clone()));
+        let w = s.watch_query(&object_query(&l1.clone())).unwrap();
         s.update(&l2, model("Lamp", "l2"), None).unwrap();
         assert!(
             !s.has_pending(w),
@@ -3647,7 +3508,7 @@ mod tests {
         // The §3.5 guarantee: a watcher sees every version in order.
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w = s.watch(Some("Lamp"));
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         for _ in 0..50 {
             s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         }
@@ -3660,9 +3521,9 @@ mod tests {
     fn multiple_watchers_independent_cursors() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w1 = s.watch(None);
+        let w1 = s.watch_query(&Query::all()).unwrap();
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
-        let w2 = s.watch(None);
+        let w2 = s.watch_query(&Query::all()).unwrap();
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         assert_eq!(s.poll(w1).len(), 2);
         assert_eq!(s.poll(w2).len(), 1);
@@ -3671,7 +3532,7 @@ mod tests {
     #[test]
     fn cancelled_watch_returns_nothing() {
         let mut s = Store::new();
-        let w = s.watch(None);
+        let w = s.watch_query(&Query::all()).unwrap();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         s.cancel_watch(w);
         assert!(s.poll(w).is_empty());
@@ -3681,7 +3542,7 @@ mod tests {
     #[test]
     fn pending_bytes_tracks_serialized_payloads() {
         let mut s = Store::new();
-        let w = s.watch(Some("Lamp"));
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         assert_eq!(s.pending_bytes(w), 0);
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let one = s.pending_bytes(w);
@@ -3692,7 +3553,7 @@ mod tests {
         s.poll(w);
         assert_eq!(s.pending_bytes(w), 0, "poll drains the byte counter");
         // An uninterested watcher is never charged.
-        let other = s.watch(Some("Room"));
+        let other = s.watch_query(&Query::kind("Room")).unwrap();
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         assert_eq!(s.pending_bytes(other), 0);
     }
@@ -3702,7 +3563,7 @@ mod tests {
         const BIG: u64 = (1 << 53) + 7;
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w = s.watch(Some("Lamp"));
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         assert_eq!(s.fast_forward(&lamp_ref(), BIG).unwrap(), BIG);
         let obj = s.get(&lamp_ref()).unwrap();
         assert_eq!(obj.resource_version, BIG);
@@ -3726,7 +3587,7 @@ mod tests {
     #[test]
     fn has_pending_respects_filter() {
         let mut s = Store::new();
-        let w = s.watch(Some("Room"));
+        let w = s.watch_query(&Query::kind("Room")).unwrap();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         assert!(!s.has_pending(w));
         s.create(ObjectRef::default_ns("Room", "r1"), model("Room", "r1"))
@@ -3738,8 +3599,8 @@ mod tests {
     fn log_is_compacted_to_watcher_lag() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let fast = s.watch(Some("Lamp"));
-        let slow = s.watch(Some("Lamp"));
+        let fast = s.watch_query(&Query::kind("Lamp")).unwrap();
+        let slow = s.watch_query(&Query::kind("Lamp")).unwrap();
         for i in 0..100 {
             s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
             // The fast watcher drains every 10 events; the slow one lags.
@@ -3770,7 +3631,7 @@ mod tests {
     fn cancel_releases_compaction_hold() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let laggard = s.watch(Some("Lamp"));
+        let laggard = s.watch_query(&Query::kind("Lamp")).unwrap();
         for _ in 0..30 {
             s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         }
@@ -3783,8 +3644,8 @@ mod tests {
     fn delivery_shares_snapshots_across_watchers() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w1 = s.watch(Some("Lamp"));
-        let w2 = s.watch(Some("Lamp"));
+        let w1 = s.watch_query(&Query::kind("Lamp")).unwrap();
+        let w2 = s.watch_query(&Query::kind("Lamp")).unwrap();
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         let e1 = s.poll(w1);
         let e2 = s.poll(w2);
@@ -3803,10 +3664,7 @@ mod tests {
         let b = ObjectRef::new("Lamp", "ns-b", "l1");
         s.create(a.clone(), model_in("Lamp", "ns-a", "l1")).unwrap();
         s.create(b.clone(), model_in("Lamp", "ns-b", "l1")).unwrap();
-        let wa = s.watch_selector(WatchSelector::KindInNamespace {
-            kind: "Lamp".into(),
-            namespace: "ns-a".into(),
-        });
+        let wa = s.watch_query(&Query::kind("Lamp").in_ns("ns-a")).unwrap();
         // A burst entirely inside ns-b never touches the ns-a watcher.
         for _ in 0..100 {
             s.update(&b, model_in("Lamp", "ns-b", "l1"), None).unwrap();
@@ -3826,7 +3684,7 @@ mod tests {
         let b = ObjectRef::new("Lamp", "ns-b", "l1");
         s.create(a.clone(), model_in("Lamp", "ns-a", "l1")).unwrap();
         s.create(b.clone(), model_in("Lamp", "ns-b", "l1")).unwrap();
-        let w = s.watch(Some("Lamp")); // global: joined to both shards
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap(); // global: joined to both shards
         for _ in 0..5 {
             s.update(&a, model_in("Lamp", "ns-a", "l1"), None).unwrap();
             s.update(&b, model_in("Lamp", "ns-b", "l1"), None).unwrap();
@@ -3850,7 +3708,7 @@ mod tests {
     #[test]
     fn global_watcher_joins_future_shards() {
         let mut s = Store::new();
-        let w = s.watch(None);
+        let w = s.watch_query(&Query::all()).unwrap();
         let late = ObjectRef::new("Lamp", "born-later", "l1");
         s.create(late.clone(), model_in("Lamp", "born-later", "l1"))
             .unwrap();
@@ -3868,10 +3726,7 @@ mod tests {
         let b = ObjectRef::new("Lamp", "ns-b", "l1");
         s.create(a.clone(), model_in("Lamp", "ns-a", "l1")).unwrap();
         s.create(b.clone(), model_in("Lamp", "ns-b", "l1")).unwrap();
-        let _laggard = s.watch_selector(WatchSelector::KindInNamespace {
-            kind: "Lamp".into(),
-            namespace: "ns-a".into(),
-        });
+        let _laggard = s.watch_query(&Query::kind("Lamp").in_ns("ns-a")).unwrap();
         for _ in 0..20 {
             s.update(&a, model_in("Lamp", "ns-a", "l1"), None).unwrap();
             s.update(&b, model_in("Lamp", "ns-b", "l1"), None).unwrap();
@@ -3886,10 +3741,9 @@ mod tests {
         let l1 = lamp_ref();
         s.create(l1.clone(), model("Lamp", "l1")).unwrap();
         // Kind and Object selectors both match l1's events.
-        let w = s.watch_selectors(vec![
-            WatchSelector::Kind("Lamp".into()),
-            WatchSelector::Object(l1.clone()),
-        ]);
+        let w = s
+            .watch_queries(&[Query::kind("Lamp"), object_query(&l1)])
+            .unwrap();
         s.update(&l1, model("Lamp", "l1"), None).unwrap();
         let evs = s.poll(w);
         assert_eq!(evs.len(), 1, "overlapping selectors must not duplicate");
@@ -3897,23 +3751,19 @@ mod tests {
     }
 
     #[test]
-    fn add_selector_widens_subscription() {
+    fn extend_watch_widens_subscription() {
         let mut s = Store::new();
-        let w = s.watch_selectors(vec![]);
+        let w = s.watch_queries(&[]).unwrap();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         assert!(!s.has_pending(w), "empty subscription never fires");
-        assert!(s.add_selector(
-            w,
-            WatchSelector::KindInNamespace {
-                kind: "Lamp".into(),
-                namespace: "default".into(),
-            }
-        ));
+        assert!(s
+            .extend_watch(w, &Query::kind("Lamp").in_ns("default"))
+            .unwrap());
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         let evs = s.poll(w);
         assert_eq!(evs.len(), 1);
         // Unknown ids are reported, not panicked on.
-        assert!(!s.add_selector(WatchId(999), WatchSelector::All));
+        assert!(!s.extend_watch(WatchId(999), &Query::all()).unwrap());
     }
 
     // ----- Coalescing ----------------------------------------------------
@@ -3922,7 +3772,7 @@ mod tests {
     fn coalesced_poll_collapses_burst_to_newest_snapshot() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w = s.watch_selector(WatchSelector::Object(lamp_ref()));
+        let w = s.watch_query(&object_query(&lamp_ref())).unwrap();
         for _ in 0..100 {
             s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         }
@@ -3947,7 +3797,7 @@ mod tests {
         let l2 = ObjectRef::default_ns("Lamp", "l2");
         s.create(l1.clone(), model("Lamp", "l1")).unwrap();
         s.create(l2.clone(), model("Lamp", "l2")).unwrap();
-        let w = s.watch(Some("Lamp"));
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         s.update(&l2, model("Lamp", "l2"), None).unwrap();
         s.update(&l1, model("Lamp", "l1"), None).unwrap();
         s.update(&l2, model("Lamp", "l2"), None).unwrap();
@@ -3964,7 +3814,7 @@ mod tests {
     fn coalesced_poll_absorbs_delete_as_newest_state() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let w = s.watch(Some("Lamp"));
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
         s.delete(&lamp_ref()).unwrap();
         let evs = s.poll_coalesced(w);
@@ -3985,11 +3835,8 @@ mod tests {
             .unwrap();
         // A scoped watcher homed in the retiring namespace plus a global
         // one: cancellation exercises both deregistration paths.
-        let scoped = s.watch_selector(WatchSelector::KindInNamespace {
-            kind: "Lamp".into(),
-            namespace: "room".into(),
-        });
-        let global = s.watch(None);
+        let scoped = s.watch_query(&Query::kind("Lamp").in_ns("room")).unwrap();
+        let global = s.watch_query(&Query::all()).unwrap();
         s.update(&oref, model_in("Lamp", "room", "l1"), None)
             .unwrap();
         assert!(s.pending_bytes(scoped) > 0);
@@ -4031,14 +3878,9 @@ mod tests {
             .unwrap();
         // One watcher, two selectors: global Kind plus a scoped duplicate
         // homed in "room" (refcount 2 in that shard).
-        let w = s.watch(Some("Lamp"));
-        s.add_selector(
-            w,
-            WatchSelector::KindInNamespace {
-                kind: "Lamp".into(),
-                namespace: "room".into(),
-            },
-        );
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
+        s.extend_watch(w, &Query::kind("Lamp").in_ns("room"))
+            .unwrap();
         s.update(&room, model_in("Lamp", "room", "l1"), None)
             .unwrap();
         s.update(&hall, model_in("Lamp", "hall", "l2"), None)
@@ -4078,7 +3920,7 @@ mod tests {
         ))
         .unwrap();
         s.create(lamp_ref(), big).unwrap();
-        let w = s.watch(Some("Lamp"));
+        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         // Touch it so the enc_cache holds the big length, then delete with
         // no poll in between (the watcher-free eviction path in
         // shard_delete is the one under test for serial deletes too).
@@ -4118,7 +3960,7 @@ mod tests {
         s.create(oref.clone(), big).unwrap();
         s.delete_namespace("room");
         assert_eq!(s.shard_count(), 0, "shard dropped with no watchers");
-        let w = s.watch(None);
+        let w = s.watch_query(&Query::all()).unwrap();
         s.create(oref.clone(), model_in("Lamp", "room", "l1"))
             .unwrap();
         let small = s.pending_bytes(w);

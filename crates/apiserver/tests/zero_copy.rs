@@ -7,14 +7,12 @@
 //! arbitrary create/put/merge/set-path/delete(+recreate) scripts with
 //! watchers joining, polling, and leaving mid-stream — at one shard
 //! worker thread and at the machine's maximum — auditing the size
-//! bookkeeping against freshly computed truth after every step, and
-//! pins the `#[deprecated]` list/watch shims byte-identical to their
-//! `Query`-builder replacements.
+//! bookkeeping against freshly computed truth after every step.
 
 use proptest::prelude::*;
 
 use dspace_apiserver::store::Store;
-use dspace_apiserver::{Object, ObjectRef, Query, StoreOp, WatchEvent, WatchId, WatchSelector};
+use dspace_apiserver::{ObjectRef, Query, StoreOp, WatchId};
 use dspace_value::{json, Value};
 
 const NAMESPACES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -443,175 +441,5 @@ fn steady_state_writes_never_deep_clone() {
             "write {i} deep-cloned a watched model"
         );
     }
-    store.audit_sizes().unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Regression: deprecated list/watch shims ≡ Query builder, byte for byte
-// ---------------------------------------------------------------------------
-
-fn line(o: &Object) -> String {
-    format!(
-        "{} rv={} {}",
-        o.oref,
-        o.resource_version,
-        json::to_string(&o.model)
-    )
-}
-
-fn event_line(e: &WatchEvent) -> String {
-    format!(
-        "r{} {:?} {} rv={} {}",
-        e.revision,
-        e.kind,
-        e.oref,
-        e.resource_version,
-        json::to_string(&e.model)
-    )
-}
-
-fn churn(store: &mut Store) {
-    for (kind, ns, obj) in [(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 2, 2), (0, 2, 0)] {
-        let (o, m) = (oref(kind, ns, obj), model(kind, ns, obj, 30, false));
-        if store.get(&o).is_some() {
-            store.update(&o, m, None).unwrap();
-        } else {
-            store.create(o, m).unwrap();
-        }
-    }
-    let bright: dspace_value::Path = BRIGHTNESS.parse().unwrap();
-    store
-        .update_via_set(&oref(0, 0, 0), &bright, &Value::from(77.0))
-        .unwrap();
-    store
-        .update_via_merge(
-            &oref(1, 1, 0),
-            &json::parse(r#"{"control": {"power": {"intent": "on"}}}"#).unwrap(),
-        )
-        .unwrap();
-    store.delete(&oref(0, 1, 1)).unwrap();
-    store
-        .create(oref(0, 1, 1), model(0, 1, 1, 99, true))
-        .unwrap();
-}
-
-/// `list` / `list_in` / `list_all` (store and snapshot) must return
-/// byte-for-byte what the `Query` builder returns for the equivalent
-/// scope — the shims are thin renames, not a second read path.
-#[test]
-#[allow(deprecated)]
-fn deprecated_list_shims_match_query_builder() {
-    let mut store = Store::new();
-    churn(&mut store);
-
-    let via_shim: Vec<String> = store.list("Lamp").into_iter().map(line).collect();
-    let via_query: Vec<String> = store.query(&Query::kind("Lamp")).iter().map(line).collect();
-    assert_eq!(via_shim, via_query);
-
-    let via_shim: Vec<String> = store
-        .list_in("Plug", "beta")
-        .into_iter()
-        .map(line)
-        .collect();
-    let via_query: Vec<String> = store
-        .query(&Query::kind("Plug").in_ns("beta"))
-        .iter()
-        .map(line)
-        .collect();
-    assert_eq!(via_shim, via_query);
-
-    let via_shim: Vec<String> = store.list_all().into_iter().map(line).collect();
-    let via_query: Vec<String> = store.query(&Query::all()).iter().map(line).collect();
-    assert_eq!(via_shim, via_query);
-
-    let snap = store.snapshot();
-    let via_shim: Vec<String> = snap.list("Lamp").into_iter().map(line).collect();
-    let via_query: Vec<String> = snap
-        .query(&Query::kind("Lamp"))
-        .into_iter()
-        .map(line)
-        .collect();
-    assert_eq!(via_shim, via_query);
-    let via_shim: Vec<String> = snap
-        .list_in("Lamp", "alpha")
-        .into_iter()
-        .map(line)
-        .collect();
-    let via_query: Vec<String> = snap
-        .query(&Query::kind("Lamp").in_ns("alpha"))
-        .into_iter()
-        .map(line)
-        .collect();
-    assert_eq!(via_shim, via_query);
-    let via_shim: Vec<String> = snap.list_all().into_iter().map(line).collect();
-    let via_query: Vec<String> = snap.query(&Query::all()).into_iter().map(line).collect();
-    assert_eq!(via_shim, via_query);
-}
-
-/// The deprecated watch entry points (`watch`, `watch_selector`,
-/// `watch_selectors`, `add_selector`) must produce event streams
-/// byte-identical to `watch_query`/`watch_queries`/`extend_watch` over
-/// the same churn, including shared-snapshot deliveries and byte
-/// accounting.
-#[test]
-#[allow(deprecated)]
-fn deprecated_watch_shims_match_query_builder() {
-    let mut store = Store::new();
-    store.set_verify_sizes(true);
-
-    let shim_all = store.watch(None);
-    let query_all = store.watch_query(&Query::all()).unwrap();
-    let shim_kind = store.watch(Some("Lamp"));
-    let query_kind = store.watch_query(&Query::kind("Lamp")).unwrap();
-    let shim_obj = store.watch_selector(WatchSelector::Object(oref(1, 1, 0)));
-    let query_obj = store
-        .watch_query(&Query::kind("Plug").in_ns("beta").named("plug0"))
-        .unwrap();
-    let shim_union = store.watch_selectors(vec![
-        WatchSelector::KindInNamespace {
-            kind: "Lamp".into(),
-            namespace: "alpha".into(),
-        },
-        WatchSelector::Kind("Plug".into()),
-    ]);
-    let query_union = store
-        .watch_queries(&[Query::kind("Lamp").in_ns("alpha"), Query::kind("Plug")])
-        .unwrap();
-
-    churn(&mut store);
-
-    // Same pending byte totals before delivery...
-    for (shim, query) in [
-        (shim_all, query_all),
-        (shim_kind, query_kind),
-        (shim_obj, query_obj),
-        (shim_union, query_union),
-    ] {
-        assert_eq!(store.pending_totals(shim), store.pending_totals(query));
-        // ...and the same events, byte for byte.
-        let shim_events: Vec<String> = store.poll(shim).iter().map(event_line).collect();
-        let query_events: Vec<String> = store.poll(query).iter().map(event_line).collect();
-        assert!(!shim_events.is_empty());
-        assert_eq!(shim_events, query_events);
-        store.cancel_watch(shim);
-        store.cancel_watch(query);
-    }
-
-    // Widening a shim watch via `add_selector` tracks `extend_watch`.
-    let shim = store.watch_selector(WatchSelector::KindInNamespace {
-        kind: "Lamp".into(),
-        namespace: "alpha".into(),
-    });
-    let query = store
-        .watch_query(&Query::kind("Lamp").in_ns("alpha"))
-        .unwrap();
-    assert!(store.add_selector(shim, WatchSelector::Kind("Plug".into())));
-    assert!(store.extend_watch(query, &Query::kind("Plug")).unwrap());
-    churn(&mut store);
-    assert_eq!(store.pending_totals(shim), store.pending_totals(query));
-    let shim_events: Vec<String> = store.poll(shim).iter().map(event_line).collect();
-    let query_events: Vec<String> = store.poll(query).iter().map(event_line).collect();
-    assert!(!shim_events.is_empty());
-    assert_eq!(shim_events, query_events);
     store.audit_sizes().unwrap();
 }

@@ -626,265 +626,6 @@ fn parallel_shards_sweep(smoke: bool) {
     println!();
 }
 
-/// Controller pump throughput: a stream of small cross-shard scene
-/// broadcasts over 8 namespaces feeding a mounter, per-op vs batched
-/// controller writes, spawn-per-batch vs persistent-pool executor, with
-/// and without a reader chewing on the space between cycles. Emits
-/// `BENCH_pump_throughput.json` at the repo root; in full mode asserts
-/// the batched+pooled pump is >=1.5x the per-op + spawn-per-batch
-/// baseline, and that batched controller writes pay at most one
-/// compaction pass per shard per pump cycle.
-fn pump_throughput_sweep(smoke: bool) {
-    use dspace_core::mounter::{Mounter, SUBJECT};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    const NAMESPACES: usize = 8;
-    const THREADS: usize = 8;
-    let lamps_per_ns: usize = if smoke { 2 } else { 4 };
-    let cycles: usize = if smoke { 2 } else { 12 };
-    // Scene broadcasts per cycle: each is one *small cross-shard*
-    // `apply_batch` (one lamp slot patched across every room). This is
-    // the pump shape the pool exists for — thousands of little
-    // multi-namespace batches — where spawn-per-batch pays a full
-    // thread spawn+join per lane per call and the warm pool pays a
-    // channel send.
-    let scene_steps: usize = if smoke { 4 } else { 128 };
-    let reads_per_cycle: usize = 256;
-
-    let lamp_ref = |ns: usize, i: usize| ObjectRef::new("Lamp", format!("ns{ns}"), format!("l{i}"));
-    let room_ref = |ns: usize| ObjectRef::new("Room", format!("ns{ns}"), "room");
-
-    // Builds the space: one room per namespace with `lamps_per_ns` lamps
-    // mounted, the digi-graph to match, and a warmed-up mounter.
-    let build = |batched: bool, spawn_per_batch: bool| {
-        let mut api = ApiServer::new();
-        api.set_executor_threads(THREADS);
-        api.set_executor_spawn_per_batch(spawn_per_batch);
-        api.rbac_mut().add_role(dspace_apiserver::Role::new(
-            "controller",
-            vec![dspace_apiserver::Rule::allow_all()],
-        ));
-        api.rbac_mut().bind(SUBJECT, "controller");
-        let graph = Rc::new(RefCell::new(dspace_core::DigiGraph::new()));
-        for ns in 0..NAMESPACES {
-            let mut replicas = Vec::new();
-            for i in 0..lamps_per_ns {
-                api.create(
-                    ApiServer::ADMIN,
-                    &lamp_ref(ns, i),
-                    model_in(&format!("ns{ns}"), &format!("l{i}")),
-                )
-                .unwrap();
-                graph
-                    .borrow_mut()
-                    .mount(
-                        &lamp_ref(ns, i),
-                        &room_ref(ns),
-                        dspace_core::graph::MountMode::Hide,
-                    )
-                    .unwrap();
-                replicas.push(format!(r#""l{i}": {{"gen": 0}}"#));
-            }
-            let room = json::parse(&format!(
-                r#"{{"meta": {{"kind": "Room", "name": "room", "namespace": "ns{ns}"}},
-                     "control": {{"brightness": {{"intent": null, "status": null}}}},
-                     "mount": {{"Lamp": {{{}}}}}}}"#,
-                replicas.join(",")
-            ))
-            .unwrap();
-            api.create(ApiServer::ADMIN, &room_ref(ns), room).unwrap();
-        }
-        let mut mounter = Mounter::new();
-        mounter.set_batched(batched);
-        let w = api.watch_query(ApiServer::ADMIN, &Query::all()).unwrap();
-        (api, graph, mounter, w)
-    };
-
-    // One pump cycle: `scene_steps` scene broadcasts (each one small
-    // cross-shard `apply_batch` patching a single lamp slot's replica
-    // intent in every room), then the mounter drains the stream and
-    // re-syncs every affected edge — northbound replica refreshes plus
-    // southbound intent patches whenever the version gate is open.
-    let cycle = |api: &mut ApiServer,
-                 graph: &RefCell<dspace_core::DigiGraph>,
-                 mounter: &mut Mounter,
-                 w: dspace_apiserver::WatchId,
-                 trace: &mut dspace_core::Trace,
-                 round: usize| {
-        for step in 0..scene_steps {
-            let slot = step % lamps_per_ns;
-            let ops: Vec<dspace_apiserver::BatchOp> = (0..NAMESPACES)
-                .map(|ns| dspace_apiserver::BatchOp::PatchPath {
-                    oref: room_ref(ns),
-                    path: format!(".mount.Lamp.l{slot}.control.brightness.intent"),
-                    value: ((round * scene_steps + step) as f64 / 10_000.0).into(),
-                })
-                .collect();
-            for r in api.apply_batch(ApiServer::ADMIN, ops) {
-                r.unwrap();
-            }
-        }
-        let events = api.poll(w);
-        mounter.process(
-            api,
-            graph,
-            &events,
-            trace,
-            dspace_simnet::millis(round as u64),
-        );
-    };
-
-    println!();
-    let configs = [
-        (false, true, false), // the PR-4 shape: per-op writes, spawn-per-batch
-        (false, false, false),
-        (true, true, false),
-        (true, false, false), // this PR's default shape
-        (true, false, true),  // ...with a snapshot reader alongside
-    ];
-    // Each trial times every configuration once, with the configs
-    // interleaved inside the trial so machine-load drift lands on all of
-    // them equally. The table and JSON report each config's fastest
-    // trial; the asserted speedup is the median of the *per-trial*
-    // baseline/pooled ratios — the pair runs back-to-back inside a
-    // trial, so drift cancels out of the quotient, and the median
-    // discards a single loaded trial.
-    let trials: usize = if smoke { 1 } else { 3 };
-    println!(
-        "pump throughput sweep: {NAMESPACES} ns x {lamps_per_ns} mounted lamps, \
-         {cycles} pump cycles x {scene_steps} scene broadcasts, {THREADS} shard workers, \
-         best of {trials} (interleaved)"
-    );
-    let mut best = [f64::INFINITY; 5];
-    let mut trial_ratios: Vec<f64> = Vec::new();
-    let mut ctl: Vec<(usize, u64)> = Vec::new();
-    for trial in 0..trials {
-        let mut trial_ms = [0.0f64; 5];
-        let mut dumps: Vec<Vec<String>> = Vec::new();
-        for (ci, &(batched, spawn_per_batch, readers)) in configs.iter().enumerate() {
-            let (mut api, graph, mut mounter, w) = build(batched, spawn_per_batch);
-            let mut trace = dspace_core::Trace::new();
-            // Warm-up cycle: populates replicas (and the worker pool when
-            // pooling) so the measured phase is steady-state.
-            cycle(&mut api, &graph, &mut mounter, w, &mut trace, 999);
-            let stats0 = api.watch_stats();
-            let rev0 = api.revision();
-            let start = std::time::Instant::now();
-            for round in 0..cycles {
-                cycle(&mut api, &graph, &mut mounter, w, &mut trace, round);
-                if readers {
-                    // Readers ride snapshots: zero store reads, zero locks.
-                    let snap = api.snapshot();
-                    for r in 0..reads_per_cycle {
-                        let ns = r % NAMESPACES;
-                        std::hint::black_box(snap.get(&lamp_ref(ns, r % lamps_per_ns)));
-                    }
-                }
-            }
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            let ctl_writes = (api.revision() - rev0) as usize - cycles * scene_steps * NAMESPACES;
-            let passes = api.watch_stats().batch_compaction_passes - stats0.batch_compaction_passes;
-            // Every scene broadcast pays exactly one compaction pass per
-            // touched shard; what remains is the controller's.
-            let ctl_passes = passes.saturating_sub((cycles * scene_steps * NAMESPACES) as u64);
-            if batched {
-                // The mounter commits once per pump cycle, costing at most
-                // one compaction pass per touched shard.
-                assert!(
-                    ctl_passes <= (cycles * NAMESPACES) as u64,
-                    "batched controllers must pay <=1 compaction pass per shard \
-                     per pump cycle: {ctl_passes} passes over {cycles} cycles"
-                );
-            }
-            best[ci] = best[ci].min(ms);
-            trial_ms[ci] = ms;
-            if trial == 0 {
-                ctl.push((ctl_writes, ctl_passes));
-            }
-            dumps.push(
-                api.dump()
-                    .into_iter()
-                    .map(|o| {
-                        format!(
-                            "{} rv={} {}",
-                            o.oref,
-                            o.resource_version,
-                            json::to_string(&o.model)
-                        )
-                    })
-                    .collect(),
-            );
-        }
-        for d in &dumps[1..] {
-            assert_eq!(
-                d, &dumps[0],
-                "every writes/pool/readers configuration must leave a bit-identical store"
-            );
-        }
-        // Index 0 is the per-op + spawn baseline, index 3 the batched +
-        // pooled default shape.
-        trial_ratios.push(trial_ms[0] / trial_ms[3]);
-    }
-    println!(
-        "{:>9} {:>8} {:>9} {:>10} {:>10} {:>12}",
-        "writes", "pool", "readers", "ms", "ms/cycle", "ctl-writes"
-    );
-    let mut rows = Vec::new();
-    for (&(batched, spawn_per_batch, readers), (&ms, &(ctl_writes, ctl_passes))) in
-        configs.iter().zip(best.iter().zip(ctl.iter()))
-    {
-        println!(
-            "{:>9} {:>8} {:>9} {:>10.2} {:>10.2} {:>12}",
-            if batched { "batched" } else { "per-op" },
-            if spawn_per_batch { "spawn" } else { "pooled" },
-            if readers { "snapshot" } else { "off" },
-            ms,
-            ms / cycles as f64,
-            ctl_writes,
-        );
-        rows.push(format!(
-            r#"    {{"writes": "{}", "pool": "{}", "readers": "{}", "ms": {ms:.3}, "ms_per_cycle": {:.3}, "controller_writes": {ctl_writes}, "controller_compaction_passes": {ctl_passes}}}"#,
-            if batched { "batched" } else { "per-op" },
-            if spawn_per_batch { "spawn" } else { "pooled" },
-            if readers { "snapshot" } else { "off" },
-            ms / cycles as f64,
-        ));
-    }
-    trial_ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let speedup = trial_ratios[trial_ratios.len() / 2];
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "batched+pooled vs per-op+spawn: {speedup:.2}x \
-         (median of {trials} paired trials, {cores} cores)"
-    );
-    if !smoke {
-        // The pooled executor's structural win needs real parallelism:
-        // with >=2 cores the warm pool overlaps shard lanes and must
-        // clear 1.5x. On a single-core host the lanes timeslice and the
-        // only remaining edge is spawn-vs-channel-send overhead, so the
-        // floor drops to catching the pool losing outright.
-        let floor = if cores >= 2 { 1.5 } else { 1.1 };
-        assert!(
-            speedup >= floor,
-            "the batched + pooled pump must be >={floor}x the per-op + \
-             spawn-per-batch baseline at {NAMESPACES} namespaces / {THREADS} \
-             threads on {cores} cores, got {speedup:.2}x"
-        );
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"pump_throughput\",\n  \"namespaces\": {NAMESPACES},\n  \"threads\": {THREADS},\n  \"lamps_per_ns\": {lamps_per_ns},\n  \"cycles\": {cycles},\n  \"scene_steps\": {scene_steps},\n  \"smoke\": {smoke},\n  \"trials\": {trials},\n  \"cores\": {cores},\n  \"speedup_batched_pooled_vs_per_op_spawn\": {speedup:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_pump_throughput.json"
-    );
-    std::fs::write(path, json).expect("write BENCH_pump_throughput.json");
-    println!("wrote {path}");
-    println!();
-}
-
 /// A Lamp model padded with an opaque observation blob so its encoded
 /// size hits a target bracket (0 B pad ≈ the base ~200 B model, up to
 /// 64 KiB).
@@ -1025,11 +766,7 @@ fn main() {
     // `cargo bench -- --test` (the CI smoke) shrinks the sweeps and skips
     // the speedup floor; a full `cargo bench` enforces it.
     let smoke = std::env::args().any(|a| a == "--test");
-    // Focused runs while tuning one sweep: DSPACE_BENCH_ONLY=pump.
-    if std::env::var("DSPACE_BENCH_ONLY").as_deref() == Ok("pump") {
-        pump_throughput_sweep(smoke);
-        return;
-    }
+    // Focused runs while tuning one sweep: DSPACE_BENCH_ONLY=zero_copy.
     if std::env::var("DSPACE_BENCH_ONLY").as_deref() == Ok("zero_copy") {
         zero_copy_sweep(smoke);
         return;
@@ -1041,6 +778,5 @@ fn main() {
     coalesce_demo();
     mounter_dedup_sweep();
     parallel_shards_sweep(smoke);
-    pump_throughput_sweep(smoke);
     busy_burst_sweep();
 }

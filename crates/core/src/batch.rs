@@ -1,10 +1,12 @@
 //! Write batching for controllers.
 //!
-//! A [`WriteBatch`] lets a controller accumulate every write of one pump
-//! cycle and commit them in a single [`ApiServer::apply_batch`] call —
+//! A [`WriteBatch`] is the write surface of one controller cycle. An
+//! inline cycle (zero latency) issues each write per-op, as it is
+//! decided. A deferred cycle accumulates every write and lands them in a
+//! single [`ApiServer::apply_batch`] call after its simulated delays —
 //! one RBAC/validation/admission pass per op but one store commit (and
-//! one parallel shard fan-out, one compaction pass per shard) for the
-//! whole cycle, instead of a full serial verb round-trip per write.
+//! one shard fan-out, one compaction pass per shard) for the whole cycle.
+//! The call site picks the mode.
 //!
 //! **Decision parity.** A controller must make byte-identical decisions
 //! whether its writes are batched or issued per-op. Per-op, a write is
@@ -18,7 +20,7 @@
 //! same-cycle reads. The dSpace controllers only issue writes that pass
 //! the topology webhook (it validates mount-topology changes, which
 //! controllers never make), so in practice the overlay and the committed
-//! state agree — and the cross-mode determinism tests assert it.
+//! state agree — and the inline-vs-deferred determinism tests assert it.
 //!
 //! **Deferred effects.** Controller side-effects that were gated on a
 //! write's success (a trace entry, a dedup-cache insert) cannot happen
@@ -30,106 +32,12 @@
 
 use std::collections::BTreeMap;
 
-use dspace_apiserver::{stamp_gen, ApiError, ApiServer, BatchOp, ObjectRef, SnapshotView, Verb};
+use dspace_apiserver::{stamp_gen, ApiError, ApiServer, BatchOp, ObjectRef, Verb};
 use dspace_value::{Path, Shared, Value};
 
 /// The result of one queued write: the committed resource version on
 /// success, mirroring the serial verbs.
 pub type WriteResult = Result<u64, ApiError>;
-
-/// The read/write surface a [`WriteBatch`] accumulates against: the live
-/// [`ApiServer`] for inline controller cycles, or a detached
-/// [`SnapshotView`] for plan jobs running off the coordinator thread.
-/// Semantics — RBAC checks, error shapes, read-your-writes — are
-/// identical across backends, which is what keeps parallel planning
-/// bit-identical to the serial planner.
-pub trait BatchBackend {
-    /// RBAC-checked read of `(model, resource_version)`, mirroring
-    /// [`ApiServer::get`] exactly (same `Forbidden` reason text, same
-    /// `NotFound`).
-    fn read(&self, subject: &str, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError>;
-
-    /// Whether `subject` may `Get` the object — the overlay hit's RBAC
-    /// gate, which must agree with [`read`](Self::read)'s check.
-    fn authorized_get(&self, subject: &str, oref: &ObjectRef) -> bool;
-
-    /// Unauthenticated raw read backing
-    /// [`WriteBatch::read_for_write`]'s first-read snapshot.
-    fn read_admin(&self, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError>;
-
-    /// Immediate deep-merge patch — the legacy per-op (non-batched)
-    /// path. Plan jobs never take it: deferred cycles force batching.
-    fn patch_now(&mut self, subject: &str, oref: &ObjectRef, patch: Value) -> WriteResult;
-
-    /// Immediate path set — the legacy per-op (non-batched) path.
-    fn patch_path_now(
-        &mut self,
-        subject: &str,
-        oref: &ObjectRef,
-        path: &str,
-        value: Value,
-    ) -> WriteResult;
-}
-
-impl BatchBackend for ApiServer {
-    fn read(&self, subject: &str, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(subject, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn authorized_get(&self, subject: &str, oref: &ObjectRef) -> bool {
-        self.rbac().authorize(subject, Verb::Get, oref)
-    }
-
-    fn read_admin(&self, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(ApiServer::ADMIN, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn patch_now(&mut self, subject: &str, oref: &ObjectRef, patch: Value) -> WriteResult {
-        self.patch(subject, oref, patch)
-    }
-
-    fn patch_path_now(
-        &mut self,
-        subject: &str,
-        oref: &ObjectRef,
-        path: &str,
-        value: Value,
-    ) -> WriteResult {
-        self.patch_path(subject, oref, path, value)
-    }
-}
-
-impl BatchBackend for SnapshotView {
-    fn read(&self, subject: &str, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(subject, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn authorized_get(&self, subject: &str, oref: &ObjectRef) -> bool {
-        self.authorized(subject, Verb::Get, oref)
-    }
-
-    fn read_admin(&self, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(ApiServer::ADMIN, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn patch_now(&mut self, _subject: &str, _oref: &ObjectRef, _patch: Value) -> WriteResult {
-        unreachable!("snapshot-backed batches always run in batched mode")
-    }
-
-    fn patch_path_now(
-        &mut self,
-        _subject: &str,
-        _oref: &ObjectRef,
-        _path: &str,
-        _value: Value,
-    ) -> WriteResult {
-        unreachable!("snapshot-backed batches always run in batched mode")
-    }
-}
 
 /// How a ticket resolves at commit time.
 enum Pending {
@@ -161,9 +69,9 @@ pub struct WriteBatch {
 
 impl WriteBatch {
     /// Starts an empty batch acting as `subject`. With `batched = false`
-    /// every write executes immediately (the legacy per-op behavior);
-    /// tickets still resolve through [`commit`](Self::commit) so the
-    /// calling code is mode-agnostic.
+    /// every write executes immediately (an inline cycle); tickets still
+    /// resolve through [`commit`](Self::commit) so the calling code is
+    /// mode-agnostic.
     pub fn new(subject: impl Into<String>, batched: bool) -> Self {
         WriteBatch {
             subject: subject.into(),
@@ -201,14 +109,10 @@ impl WriteBatch {
     /// Reads an object's `(model, resource_version)` as the controller
     /// must see it mid-cycle: through the overlay when batched, straight
     /// from the server otherwise. RBAC is enforced either way.
-    pub fn get<B: BatchBackend>(
-        &self,
-        api: &B,
-        oref: &ObjectRef,
-    ) -> Result<(Shared<Value>, u64), ApiError> {
+    pub fn get(&self, api: &ApiServer, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
         if self.batched {
             if let Some((model, rv)) = self.overlay.get(oref) {
-                if !api.authorized_get(&self.subject, oref) {
+                if !api.rbac().authorize(&self.subject, Verb::Get, oref) {
                     return Err(ApiError::Forbidden {
                         subject: self.subject.clone(),
                         reason: format!("{:?} on {oref} not permitted", Verb::Get),
@@ -217,14 +121,15 @@ impl WriteBatch {
                 return Ok((Shared::clone(model), *rv));
             }
         }
-        api.read(&self.subject, oref)
+        let obj = api.get(&self.subject, oref)?;
+        Ok((obj.model, obj.resource_version))
     }
 
     /// Reads one attribute (see [`get`](Self::get)); missing paths read
     /// as `Null`, like the serial `get_path` verb.
-    pub fn get_path<B: BatchBackend>(
+    pub fn get_path(
         &self,
-        api: &B,
+        api: &ApiServer,
         oref: &ObjectRef,
         path: &str,
     ) -> Result<Value, ApiError> {
@@ -234,9 +139,9 @@ impl WriteBatch {
 
     /// Deep-merges a patch into an object's model. Returns the ticket to
     /// look up in [`commit`](Self::commit)'s results.
-    pub fn patch<B: BatchBackend>(&mut self, api: &mut B, oref: &ObjectRef, patch: Value) -> usize {
+    pub fn patch(&mut self, api: &mut ApiServer, oref: &ObjectRef, patch: Value) -> usize {
         if !self.batched {
-            let result = api.patch_now(&self.subject, oref, patch);
+            let result = api.patch(&self.subject, oref, patch);
             return self.push(Pending::Done(result));
         }
         match self.read_for_write(api, oref) {
@@ -256,15 +161,15 @@ impl WriteBatch {
 
     /// Sets one attribute path. Returns the ticket to look up in
     /// [`commit`](Self::commit)'s results.
-    pub fn patch_path<B: BatchBackend>(
+    pub fn patch_path(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         oref: &ObjectRef,
         path: &str,
         value: Value,
     ) -> usize {
         if !self.batched {
-            let result = api.patch_path_now(&self.subject, oref, path, value);
+            let result = api.patch_path(&self.subject, oref, path, value);
             return self.push(Pending::Done(result));
         }
         let parsed: Path = match path.parse() {
@@ -293,39 +198,21 @@ impl WriteBatch {
         }
     }
 
-    /// Commits queued ops (one `apply_batch` call) and resolves every
-    /// ticket, in issue order.
-    pub fn commit(self, api: &mut ApiServer) -> Vec<WriteResult> {
-        let server = if self.ops.is_empty() {
-            Vec::new()
-        } else {
-            api.apply_batch(&self.subject, self.ops)
-        };
-        let mut server = server.into_iter().map(Some).collect::<Vec<_>>();
-        self.pending
-            .into_iter()
-            .map(|p| match p {
-                Pending::Failed(e) => Err(e),
-                Pending::Done(r) => r,
-                Pending::Queued(i) => server[i].take().expect("one result per queued op"),
-            })
-            .collect()
-    }
-
-    /// Commits like [`commit`](Self::commit), but first re-validates every
-    /// written object against the resource version its plan-time read
-    /// observed (the `base` map). When a batch lands after a delay — an
-    /// async controller cycle whose writes traveled a link — the store may
-    /// have moved on; ops against a moved (or vanished) object resolve
+    /// Commits the queued ops as one `apply_batch` call and resolves every
+    /// ticket, in issue order. Every written object is first re-validated
+    /// against the resource version its plan-time read observed (the
+    /// `base` map): when a batch lands after a delay — a deferred
+    /// controller cycle whose writes traveled a link — the store may have
+    /// moved on; ops against a moved (or vanished) object resolve
     /// `Err(Conflict)` / `Err(NotFound)` without reaching the server,
-    /// exactly like a driver's OCC `update`. The remaining ops commit as
-    /// one batch. Returns the per-ticket results and the number of objects
-    /// whose validation failed.
+    /// exactly like a driver's OCC `update`. Returns the per-ticket
+    /// results and the number of objects whose validation failed. A
+    /// per-op batch queues nothing, so this only resolves its tickets.
     ///
     /// Convergence is preserved because a failed validation implies a
     /// newer committed event on that object, which retriggers the watcher
     /// that planned this batch.
-    pub fn commit_occ(self, api: &mut ApiServer) -> (Vec<WriteResult>, u64) {
+    pub fn commit(self, api: &mut ApiServer) -> (Vec<WriteResult>, u64) {
         let mut stale: BTreeMap<ObjectRef, ApiError> = BTreeMap::new();
         for (oref, &expected) in &self.base {
             match api.get(ApiServer::ADMIN, oref) {
@@ -384,9 +271,9 @@ impl WriteBatch {
     /// written this cycle, otherwise the committed object. Mirrors the
     /// `current` input of the server's own batch-overlay preparation —
     /// NotFound here is NotFound at commit.
-    fn read_for_write<B: BatchBackend>(
+    fn read_for_write(
         &mut self,
-        api: &B,
+        api: &ApiServer,
         oref: &ObjectRef,
     ) -> Result<(Shared<Value>, u64), ApiError> {
         if let Some((model, rv)) = self.overlay.get(oref) {
@@ -394,9 +281,10 @@ impl WriteBatch {
         }
         // Unauthenticated raw read: RBAC for the write itself is checked
         // by apply_batch at commit, exactly like the serial verb would.
-        let (model, rv) = api
-            .read_admin(oref)
+        let obj = api
+            .get(ApiServer::ADMIN, oref)
             .map_err(|_| ApiError::NotFound(oref.clone()))?;
+        let (model, rv) = (obj.model, obj.resource_version);
         // First store read for this object: the OCC base of every write
         // the batch queues against it.
         self.base.insert(oref.clone(), rv);
@@ -467,7 +355,7 @@ mod tests {
                     )]),
                 )]),
             );
-            let results = b.commit(&mut api);
+            let (results, _) = b.commit(&mut api);
             assert_eq!(results.len(), 2);
             assert_eq!(*results[0].as_ref().unwrap(), 2);
             assert_eq!(*results[1].as_ref().unwrap(), 3);
@@ -524,7 +412,7 @@ mod tests {
         let mut b = WriteBatch::new(ApiServer::ADMIN, true);
         let t = b.patch_path(&mut api, &ghost, ".control.power.intent", "on".into());
         let rev_before = api.snapshot().revision();
-        let results = b.commit(&mut api);
+        let (results, _) = b.commit(&mut api);
         assert!(matches!(results[t], Err(ApiError::NotFound(_))));
         assert_eq!(
             api.snapshot().revision(),

@@ -138,11 +138,9 @@ impl<'a> ReconcileCtx<'a> {
     }
 }
 
-/// A handler body: native Rust or a compiled reflex policy. Bodies are
-/// `Send`: a driver's reconcile pass may run as a plan job on a shard
-/// worker thread, so handlers must not capture thread-pinned state.
+/// A handler body: native Rust or a compiled reflex policy.
 enum Body {
-    Native(Box<dyn FnMut(&mut ReconcileCtx<'_>) + Send>),
+    Native(Box<dyn FnMut(&mut ReconcileCtx<'_>)>),
     Reflex(Program),
 }
 
@@ -216,7 +214,7 @@ impl Driver {
         filter: Filter,
         priority: i64,
         name: impl Into<String>,
-        f: impl FnMut(&mut ReconcileCtx<'_>) + Send + 'static,
+        f: impl FnMut(&mut ReconcileCtx<'_>) + 'static,
     ) -> &mut Self {
         self.upsert(Handler {
             name: name.into(),

@@ -145,14 +145,6 @@ impl DigiGraph {
         DigiGraph::default()
     }
 
-    /// An immutable edge snapshot for plan jobs: a clone of the whole
-    /// graph behind an `Arc`, cheap to move across threads and safe to
-    /// read while the coordinator's live graph keeps mutating. Taken once
-    /// per wake (graphs are small — edges only, no models).
-    pub fn frozen(&self) -> std::sync::Arc<DigiGraph> {
-        std::sync::Arc::new(self.clone())
-    }
-
     /// Returns all mount edges (sorted by parent then child).
     pub fn edges(&self) -> Vec<MountEdge> {
         let mut out = Vec::new();
@@ -504,33 +496,6 @@ impl DigiGraph {
             None => Ok(()),
             Some((p, c, _, _)) => Err((p.clone(), c.clone())),
         }
-    }
-}
-
-/// Read access to the digi-graph for controller planning passes.
-///
-/// Two implementors, one per planning venue:
-/// - [`DigiGraph`] itself — plan jobs on shard worker lanes read the
-///   immutable [`DigiGraph::frozen`] `Arc` snapshot captured at wake;
-/// - `RefCell<DigiGraph>` — inline (coordinator) passes read the live
-///   cell, borrowing **per call**, never across the pass. That matters in
-///   legacy per-op write mode, where planning commits each write
-///   immediately and the admission chain's topology webhook re-borrows
-///   the same cell mutably mid-plan.
-pub trait GraphRead {
-    /// Every mount edge touching `node` (see [`DigiGraph::adjacent_edges`]).
-    fn adjacent_edges(&self, node: &ObjectRef) -> Vec<MountEdge>;
-}
-
-impl GraphRead for DigiGraph {
-    fn adjacent_edges(&self, node: &ObjectRef) -> Vec<MountEdge> {
-        DigiGraph::adjacent_edges(self, node)
-    }
-}
-
-impl GraphRead for std::cell::RefCell<DigiGraph> {
-    fn adjacent_edges(&self, node: &ObjectRef) -> Vec<MountEdge> {
-        self.borrow().adjacent_edges(node)
     }
 }
 

@@ -20,14 +20,15 @@
 //! fields the parent changed since then are parent-pending southbound
 //! writes and survive northbound refreshes.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent};
 use dspace_simnet::Time;
 use dspace_value::{Path, Segment, Value};
 
-use crate::batch::{BatchBackend, WriteBatch};
-use crate::graph::{DigiGraph, EdgeState, GraphRead, MountEdge, MountMode};
+use crate::batch::WriteBatch;
+use crate::graph::{DigiGraph, EdgeState, MountEdge, MountMode};
 use crate::model::{MOUNT_ACTIVE, MOUNT_YIELDED};
 use crate::trace::{Trace, TraceKind};
 
@@ -41,30 +42,21 @@ struct TraceEffect {
     detail: String,
 }
 
-/// A planned mounter cycle: queued writes plus success-gated trace
-/// effects. Planning runs against the wake-time snapshot; the plan can
-/// land immediately (legacy inline path) or later, after simulated
-/// reconcile/link/admission delays (async controller runtime).
+/// A planned mounter cycle: writes (committed per-op, or queued for one
+/// batch) plus success-gated trace effects. Planning runs against the
+/// wake-time store; the plan lands immediately (inline cycle) or later,
+/// after simulated reconcile/link/admission delays (deferred cycle).
 pub(crate) struct MounterPlan {
     pub(crate) batch: WriteBatch,
     effects: Vec<TraceEffect>,
 }
 
 impl MounterPlan {
-    /// Commits inline (non-OCC, legacy semantics) and emits gated traces.
-    pub(crate) fn land(self, api: &mut ApiServer, trace: &mut Trace, now: Time) {
-        let results = self.batch.commit(api);
-        for e in self.effects {
-            if results[e.ticket].is_ok() {
-                trace.push(now, TraceKind::Composition, e.subject, e.detail);
-            }
-        }
-    }
-
-    /// Commits with OCC re-validation against the plan's snapshot rvs and
-    /// emits gated traces; returns how many ops failed validation.
-    pub(crate) fn land_occ(self, api: &mut ApiServer, trace: &mut Trace, now: Time) -> u64 {
-        let (results, conflicts) = self.batch.commit_occ(api);
+    /// Commits the plan's batch (OCC re-validated against its plan-time
+    /// reads) and emits gated traces; returns how many objects failed
+    /// validation.
+    pub(crate) fn land(self, api: &mut ApiServer, trace: &mut Trace, now: Time) -> u64 {
+        let (results, conflicts) = self.batch.commit(api);
         for e in self.effects {
             if results[e.ticket].is_ok() {
                 trace.push(now, TraceKind::Composition, e.subject, e.detail);
@@ -77,14 +69,10 @@ impl MounterPlan {
 /// The Mounter controller.
 ///
 /// Holds no handle to the runtime's digi-graph: every pass is handed the
-/// graph to read (the live one inline, an `Arc` edge snapshot from a plan
-/// job), which keeps the whole struct `Send` so deferred plan passes can
-/// run on shard worker threads.
+/// live graph cell to read.
 pub struct Mounter {
     /// Replica content as last written by the mounter, per (parent, child).
     shadows: BTreeMap<(ObjectRef, ObjectRef), Value>,
-    /// Commit all of a pump cycle's writes as one `apply_batch` call.
-    batched: bool,
 }
 
 impl Default for Mounter {
@@ -98,49 +86,41 @@ impl Mounter {
     pub fn new() -> Self {
         Mounter {
             shadows: BTreeMap::new(),
-            batched: true,
         }
     }
 
-    /// Switches between batched (one `apply_batch` per pump cycle) and
-    /// legacy per-op writes. Both modes make identical decisions and
-    /// leave identical store state.
-    pub fn set_batched(&mut self, batched: bool) {
-        self.batched = batched;
-    }
-
-    /// Processes a batch of watch events: re-synchronizes every mount edge
-    /// adjacent to an object that changed. All writes of the pass commit
-    /// as one batch; trace entries for southbound syncs are emitted after
-    /// the commit, gated on their op's result.
+    /// Processes a batch of watch events inline: re-synchronizes every
+    /// mount edge adjacent to an object that changed, committing each
+    /// write as it is decided. Trace entries for southbound syncs are
+    /// gated on their write's result.
     pub fn process(
         &mut self,
         api: &mut ApiServer,
-        graph: &std::cell::RefCell<DigiGraph>,
+        graph: &RefCell<DigiGraph>,
         events: &[WatchEvent],
         trace: &mut Trace,
         now: Time,
     ) {
-        // The graph is handed down as the `RefCell` (borrow-per-read):
-        // in per-op write mode planning commits each write immediately,
-        // and the admission chain's topology webhook re-borrows the same
-        // cell mutably mid-plan.
         let plan = self.plan(api, graph, events, false);
         plan.land(api, trace, now);
     }
 
-    /// Drains a batch of watch events into a landable plan without
-    /// committing anything: re-synchronizes every mount edge adjacent to
-    /// an object that changed, queueing writes (and success-gated trace
-    /// effects) on the returned plan. `force_batched` overrides the
-    /// per-op compatibility mode for deferred landings, which must commit
-    /// as one `apply_batch` transfer.
-    pub(crate) fn plan<B: BatchBackend, G: GraphRead>(
+    /// Drains a batch of watch events into a landable plan: re-synchronizes
+    /// every mount edge adjacent to an object that changed. With `batched`
+    /// the writes queue on the plan's read-your-writes overlay for one
+    /// `apply_batch` landing (a deferred cycle); otherwise each commits
+    /// immediately (an inline cycle). Either way success-gated trace
+    /// effects ride on the returned plan.
+    ///
+    /// The graph is borrowed per lookup, never across a write: per-op
+    /// commits run the admission chain, whose topology webhook re-borrows
+    /// the same cell mutably.
+    pub(crate) fn plan(
         &mut self,
-        api: &mut B,
-        graph: &G,
+        api: &mut ApiServer,
+        graph: &RefCell<DigiGraph>,
         events: &[WatchEvent],
-        force_batched: bool,
+        batched: bool,
     ) -> MounterPlan {
         // Dedup with a set: a burst batch repeats the same oref many
         // times, and `Vec::contains` made this scan quadratic.
@@ -151,13 +131,14 @@ impl Mounter {
             }
             affected.insert(ev.oref.clone());
         }
-        let mut batch = WriteBatch::new(SUBJECT, self.batched || force_batched);
+        let mut batch = WriteBatch::new(SUBJECT, batched);
         let mut effects: Vec<TraceEffect> = Vec::new();
         for oref in affected {
             // One O(degree) pass per changed digi: the graph's endpoint
             // index hands back full edges (payload included), so there is
             // no per-neighbor `edge()` re-lookup.
-            for edge in graph.adjacent_edges(&oref) {
+            let edges = graph.borrow().adjacent_edges(&oref);
+            for edge in edges {
                 self.sync_edge(api, &mut batch, edge, &mut effects);
             }
         }
@@ -166,9 +147,9 @@ impl Mounter {
 
     /// Synchronizes one mount edge in both directions, queueing writes on
     /// `batch` and success-gated trace entries on `effects`.
-    fn sync_edge<B: BatchBackend>(
+    fn sync_edge(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         batch: &mut WriteBatch,
         edge: MountEdge,
         effects: &mut Vec<TraceEffect>,

@@ -51,8 +51,7 @@ impl PolicerPlan {
 /// The Policer controller.
 ///
 /// Holds no handle to the runtime's digi-graph: graph-reading verbs are
-/// handed the live graph cell at landing time, which keeps the struct
-/// `Send` so it can ride a plan-phase job like the other controllers.
+/// handed the live graph cell at landing time.
 pub struct Policer {
     policies: BTreeMap<ObjectRef, Policy>,
     /// Last condition value per policy (for edge triggering).
@@ -370,21 +369,20 @@ impl Policer {
         graph: &RefCell<DigiGraph>,
         action: &PolicyAction,
     ) -> Result<(), verbs::VerbError> {
-        // Per-action clone: the previous action may have moved an edge
-        // through the admission webhook, and graph-reading verbs must see
-        // the current topology, not the cycle-start one.
-        let graph = graph.borrow().clone();
+        // Graph-reading verbs get the live cell: the previous action may
+        // have moved an edge through the admission webhook, and each verb
+        // must see the current topology, not the cycle-start one.
         match action {
             PolicyAction::Mount {
                 child,
                 parent,
                 mode,
-            } => verbs::mount(api, &graph, SUBJECT, child, parent, *mode).map(|_| ()),
+            } => verbs::mount(api, graph, SUBJECT, child, parent, *mode).map(|_| ()),
             PolicyAction::Unmount { child, parent } => verbs::unmount(api, SUBJECT, child, parent),
             PolicyAction::Yield { child, parent } => verbs::yield_(api, SUBJECT, child, parent),
             PolicyAction::Unyield { child, parent } => verbs::unyield(api, SUBJECT, child, parent),
             PolicyAction::Transfer { child, from, to } => {
-                verbs::transfer(api, &graph, SUBJECT, child, from, to)
+                verbs::transfer(api, graph, SUBJECT, child, from, to)
             }
             PolicyAction::SetIntent {
                 target,
@@ -498,18 +496,15 @@ mod tests {
                 .unwrap();
         }
         // home controls room.
-        {
-            let g = rig.graph.borrow().clone();
-            verbs::mount(
-                &mut rig.api,
-                &g,
-                ApiServer::ADMIN,
-                &room,
-                &home,
-                crate::graph::MountMode::Expose,
-            )
-            .unwrap();
-        }
+        verbs::mount(
+            &mut rig.api,
+            &rig.graph,
+            ApiServer::ADMIN,
+            &room,
+            &home,
+            crate::graph::MountMode::Expose,
+        )
+        .unwrap();
         rig.settle();
         let policy = yaml::parse(
             "
@@ -566,18 +561,15 @@ spec:
                 .create(ApiServer::ADMIN, &ObjectRef::default_ns(k, n), digi(k, n))
                 .unwrap();
         }
-        {
-            let g = rig.graph.borrow().clone();
-            verbs::mount(
-                &mut rig.api,
-                &g,
-                ApiServer::ADMIN,
-                &roomba,
-                &room_a,
-                crate::graph::MountMode::Expose,
-            )
-            .unwrap();
-        }
+        verbs::mount(
+            &mut rig.api,
+            &rig.graph,
+            ApiServer::ADMIN,
+            &roomba,
+            &room_a,
+            crate::graph::MountMode::Expose,
+        )
+        .unwrap();
         rig.settle();
         // Unmount from A and mount to B when A no longer sees the roomba
         // in its objects list (S8's mount policy).

@@ -29,26 +29,15 @@ pub struct SpaceConfig {
     /// reconciles instantaneous (the pre-async behavior).
     pub reconcile: LatencyModel,
     /// Duration of one controller reconcile cycle (mounter/syncer/
-    /// policer). The zero default keeps controller cycles instantaneous
-    /// and bit-identical to the legacy inline traces.
+    /// policer). With the zero default (and no `admission` latency or
+    /// `controller_write` link) controller cycles run inline, committing
+    /// each write as it is decided; anything else defers them to one
+    /// batched landing per cycle.
     pub controller_reconcile: LatencyModel,
     /// Apiserver-side admission latency for deferred controller batches —
     /// a separate stage from the write link, so the two delays are
     /// independently attributable.
     pub admission: LatencyModel,
-    /// Run controllers through the async busy/dirty lifecycle (the
-    /// default). Off restores the legacy inline processing; with the
-    /// zero-latency defaults the two are bit-identical.
-    pub async_controllers: bool,
-    /// Pipelined wake delivery (the default). Off is the serial baseline:
-    /// every in-flight controller cycle stalls wake delivery space-wide.
-    pub pipelined_controllers: bool,
-    /// Fan deferred plan phases (mounter/syncer planning, driver reconcile
-    /// compute) out across the shard executor's worker lanes (the
-    /// default). Off plans serially on the coordinator. Both modes leave
-    /// bit-identical store dumps and traces at any thread count — this is
-    /// purely a wall-clock knob.
-    pub parallel_plan: bool,
     /// When set, deferred controller writes travel this link (with its
     /// full fault surface) instead of the controllers' wake link.
     pub controller_write: Option<dspace_simnet::Link>,
@@ -59,11 +48,6 @@ pub struct SpaceConfig {
     /// or 1). Any setting yields bit-identical results — this is purely a
     /// wall-clock knob.
     pub threads: usize,
-    /// Commit each controller pump cycle's writes as one `apply_batch`
-    /// call (the default) instead of one serial verb per write. Both
-    /// modes leave bit-identical store state — this too is purely a
-    /// wall-clock knob.
-    pub batch_controller_writes: bool,
     /// When set, the apiserver journals every commit to this WAL/checkpoint
     /// directory and recovers from it on open ([`Space::open`]). `None`
     /// (the default) keeps the store purely in-memory.
@@ -78,13 +62,9 @@ impl Default for SpaceConfig {
             reconcile: LatencyModel::FixedMs(0.0),
             controller_reconcile: LatencyModel::FixedMs(0.0),
             admission: LatencyModel::FixedMs(0.0),
-            async_controllers: true,
-            pipelined_controllers: true,
-            parallel_plan: true,
             controller_write: None,
             retry: RetryPolicy::default(),
             threads: 0,
-            batch_controller_writes: true,
             durability: None,
         }
     }
@@ -166,9 +146,6 @@ impl Space {
         world.set_reconcile_latency(config.reconcile);
         world.set_controller_reconcile_latency(config.controller_reconcile);
         world.set_admission_latency(config.admission);
-        world.set_async_controllers(config.async_controllers);
-        world.set_pipelined_controllers(config.pipelined_controllers);
-        world.set_parallel_plan(config.parallel_plan);
         if let Some(link) = config.controller_write {
             for name in ["mounter", "syncer", "policer"] {
                 world.set_controller_write_link(name, link.clone());
@@ -178,7 +155,6 @@ impl Space {
         if config.threads > 0 {
             world.api.set_executor_threads(config.threads);
         }
-        world.set_controller_batching(config.batch_controller_writes);
         // Recovered digis are addressable by name again (system objects
         // aren't digis and never enter the name table).
         let mut names = BTreeMap::new();
@@ -278,8 +254,14 @@ impl Space {
         parent: &ObjectRef,
         mode: MountMode,
     ) -> Result<EdgeState, SpaceError> {
-        let graph = self.world.graph.borrow().clone();
-        let st = verbs::mount(&mut self.world.api, &graph, Self::USER, child, parent, mode)?;
+        let st = verbs::mount(
+            &mut self.world.api,
+            &self.world.graph,
+            Self::USER,
+            child,
+            parent,
+            mode,
+        )?;
         self.pump();
         Ok(st)
     }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent, WatchEventKind};
 use dspace_value::Value;
 
-use crate::batch::{BatchBackend, WriteBatch};
+use crate::batch::WriteBatch;
 
 /// The apiserver subject the syncer authenticates as.
 pub const SUBJECT: &str = "controller:syncer";
@@ -93,33 +93,21 @@ struct LastEffect {
     value: Value,
 }
 
-/// A planned syncer cycle: queued propagation writes plus the
-/// commit-gated `last`-cache inserts that ride on them. Planning runs
-/// against the wake-time snapshot; the plan lands immediately (legacy
-/// inline path) or later under the async controller runtime.
+/// A planned syncer cycle: propagation writes (committed per-op, or
+/// queued for one batch) plus the commit-gated `last`-cache inserts that
+/// ride on them. Planning runs against the wake-time store; the plan lands
+/// immediately (inline cycle) or later (deferred cycle).
 pub(crate) struct SyncerPlan {
     pub(crate) batch: WriteBatch,
     effects: Vec<LastEffect>,
 }
 
 /// The Syncer controller.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Syncer {
     specs: BTreeMap<ObjectRef, SyncSpec>,
     /// Last value propagated per Sync object, to avoid redundant writes.
     last: BTreeMap<ObjectRef, Value>,
-    /// Commit all of a pump cycle's writes as one `apply_batch` call.
-    batched: bool,
-}
-
-impl Default for Syncer {
-    fn default() -> Self {
-        Syncer {
-            specs: BTreeMap::new(),
-            last: BTreeMap::new(),
-            batched: true,
-        }
-    }
 }
 
 impl Syncer {
@@ -128,42 +116,31 @@ impl Syncer {
         Syncer::default()
     }
 
-    /// Switches between batched (one `apply_batch` per pump cycle) and
-    /// legacy per-op writes. Both modes propagate identically.
-    pub fn set_batched(&mut self, batched: bool) {
-        self.batched = batched;
-    }
-
     /// Number of active Sync specs (for tests/diagnostics).
     pub fn active_syncs(&self) -> usize {
         self.specs.len()
     }
 
-    /// Processes a batch of watch events. All propagation writes commit
-    /// as one batch at the end of the pass; `last`-cache updates are
-    /// applied afterwards, gated on their op's commit result.
+    /// Processes a batch of watch events inline: each propagation write
+    /// commits as it is decided; `last`-cache updates are applied
+    /// afterwards, gated on their write's result.
     pub fn process(&mut self, api: &mut ApiServer, events: &[WatchEvent]) {
         let plan = self.plan(api, events, false);
         self.land(api, plan);
     }
 
-    /// Drains a batch of watch events into a landable plan without
-    /// committing: Sync registrations are applied eagerly (spec/cache
-    /// bookkeeping), propagation writes are queued. `force_batched`
-    /// overrides per-op compatibility mode for deferred landings.
-    ///
-    /// Generic over [`BatchBackend`] so the same planning code runs
-    /// against the live apiserver (inline path) or a wake-time
-    /// [`dspace_apiserver::SnapshotView`] on a shard worker lane
-    /// (parallel plan phase) — planning only reads, so both backends
-    /// observe identical state.
-    pub(crate) fn plan<B: BatchBackend>(
+    /// Drains a batch of watch events into a landable plan: Sync
+    /// registrations are applied eagerly (spec/cache bookkeeping);
+    /// propagation writes queue on the plan's read-your-writes overlay for
+    /// one `apply_batch` landing when `batched` (a deferred cycle), and
+    /// commit immediately otherwise (an inline cycle).
+    pub(crate) fn plan(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         events: &[WatchEvent],
-        force_batched: bool,
+        batched: bool,
     ) -> SyncerPlan {
-        let mut batch = WriteBatch::new(SUBJECT, self.batched || force_batched);
+        let mut batch = WriteBatch::new(SUBJECT, batched);
         let mut effects: Vec<LastEffect> = Vec::new();
         for ev in events {
             if ev.oref.kind == "Sync" {
@@ -205,24 +182,12 @@ impl Syncer {
         SyncerPlan { batch, effects }
     }
 
-    /// Commits a plan inline (non-OCC, legacy semantics) and applies the
-    /// commit-gated `last`-cache inserts.
-    pub(crate) fn land(&mut self, api: &mut ApiServer, plan: SyncerPlan) {
-        let results = plan.batch.commit(api);
-        self.finish(plan.effects, &results);
-    }
-
-    /// Commits a plan with OCC re-validation against the plan's snapshot
-    /// rvs, applies gated cache inserts, and returns how many ops failed
-    /// validation.
-    pub(crate) fn land_occ(&mut self, api: &mut ApiServer, plan: SyncerPlan) -> u64 {
-        let (results, conflicts) = plan.batch.commit_occ(api);
-        self.finish(plan.effects, &results);
-        conflicts
-    }
-
-    fn finish(&mut self, effects: Vec<LastEffect>, results: &[crate::batch::WriteResult]) {
-        for e in effects {
+    /// Commits a plan's batch (OCC re-validated against its plan-time
+    /// reads), applies the gated `last`-cache inserts, and returns how many
+    /// objects failed validation.
+    pub(crate) fn land(&mut self, api: &mut ApiServer, plan: SyncerPlan) -> u64 {
+        let (results, conflicts) = plan.batch.commit(api);
+        for e in plan.effects {
             let committed = match e.ticket {
                 Some(t) => results[t].is_ok(),
                 None => true,
@@ -231,11 +196,12 @@ impl Syncer {
                 self.last.insert(e.id, e.value);
             }
         }
+        conflicts
     }
 
-    fn propagate_for_sync<B: BatchBackend>(
+    fn propagate_for_sync(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         batch: &mut WriteBatch,
         effects: &mut Vec<LastEffect>,
         id: &ObjectRef,

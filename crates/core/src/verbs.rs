@@ -6,6 +6,7 @@
 //! the [`crate::space::Space`] facade and the Policer execute composition
 //! through these functions.
 
+use std::cell::RefCell;
 use std::fmt;
 
 use dspace_apiserver::{ApiError, ApiServer, ObjectRef, Query};
@@ -46,15 +47,31 @@ impl From<ApiError> for VerbError {
 /// If the child already has an active parent, the new mount starts in the
 /// yielded state ("the mount is automatically followed by a yield", §3.4).
 /// Returns the state the mount was created in.
+///
+/// `graph` is the live digi-graph the topology webhook maintains; it is
+/// read before the write, which re-borrows it mutably through admission.
 pub fn mount(
     api: &mut ApiServer,
-    graph: &DigiGraph,
+    graph: &RefCell<DigiGraph>,
     subject: &str,
     child: &ObjectRef,
     parent: &ObjectRef,
     mode: MountMode,
 ) -> Result<EdgeState, VerbError> {
-    let state = match graph.active_parent(child) {
+    let holder = graph.borrow().active_parent(child);
+    mount_under(api, holder, subject, child, parent, mode)
+}
+
+/// [`mount`] with the child's current writer (`holder`) already read.
+fn mount_under(
+    api: &mut ApiServer,
+    holder: Option<ObjectRef>,
+    subject: &str,
+    child: &ObjectRef,
+    parent: &ObjectRef,
+    mode: MountMode,
+) -> Result<EdgeState, VerbError> {
+    let state = match holder {
         Some(holder) if holder != *parent => EdgeState::Yielded,
         _ => EdgeState::Active,
     };
@@ -118,18 +135,29 @@ pub fn unyield(
 
 /// Moves write access over `child` from `from` to `to`, mounting `to`
 /// (yielded) first when it has no existing mount.
+///
+/// The topology is read once, before the first write: every step acts on
+/// the graph as it stood when the transfer began.
 pub fn transfer(
     api: &mut ApiServer,
-    graph: &DigiGraph,
+    graph: &RefCell<DigiGraph>,
     subject: &str,
     child: &ObjectRef,
     from: &ObjectRef,
     to: &ObjectRef,
 ) -> Result<(), VerbError> {
-    if graph.edge(to, child).is_none() {
-        mount(api, graph, subject, child, to, MountMode::Expose)?;
+    let (to_mounted, from_mounted, holder) = {
+        let g = graph.borrow();
+        (
+            g.edge(to, child).is_some(),
+            g.edge(from, child).is_some(),
+            g.active_parent(child),
+        )
+    };
+    if !to_mounted {
+        mount_under(api, holder, subject, child, to, MountMode::Expose)?;
     }
-    if graph.edge(from, child).is_some() {
+    if from_mounted {
         yield_(api, subject, child, from)?;
     }
     unyield(api, subject, child, to)
@@ -211,7 +239,7 @@ mod tests {
     #[test]
     fn mount_writes_reference_with_state() {
         let mut api = ApiServer::new();
-        let graph = DigiGraph::new();
+        let graph = RefCell::new(DigiGraph::new());
         let lamp = ObjectRef::default_ns("Lamp", "l1");
         let room = ObjectRef::default_ns("Room", "r1");
         api.create(ApiServer::ADMIN, &lamp, digi("Lamp", "l1"))

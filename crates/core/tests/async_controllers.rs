@@ -1,166 +1,17 @@
 //! End-to-end tests of the async controller runtime: mounter/syncer/policer
 //! cycles take simulated time, mid-cycle bursts coalesce into exactly one
 //! follow-up cycle, controller writes survive lossy links through retries
-//! plus OCC re-validation — and with every latency stage at zero the whole
-//! machinery is bit-identical to the legacy inline path.
+//! plus OCC re-validation — and the deferred pipeline at zero delay makes
+//! exactly the decisions the inline path makes.
+
+mod support;
 
 use proptest::prelude::*;
 
-use dspace_core::driver::{Driver, Filter};
-use dspace_core::graph::MountMode;
+use dspace_core::driver::Driver;
 use dspace_core::{Space, SpaceConfig};
 use dspace_simnet::{LatencyModel, Link};
-use dspace_value::{json, AttrType, KindSchema};
-
-fn lamp_schema() -> KindSchema {
-    KindSchema::digivice("digi.dev", "v1", "Lamp")
-        .control("brightness", AttrType::Number)
-        .mounts("Lamp")
-}
-
-fn cam_schema() -> KindSchema {
-    KindSchema::digidata("digi.dev", "v1", "Cam")
-        .output("frames", AttrType::String)
-        .obs("motion", AttrType::Bool)
-}
-
-fn scene_schema() -> KindSchema {
-    KindSchema::digidata("digi.dev", "v1", "Scene").input("frames", AttrType::String)
-}
-
-/// A driver that acknowledges intent by writing status into its own model.
-fn ack_driver() -> Driver {
-    let mut d = Driver::new();
-    d.on(Filter::on_control(), 0, "ack", |ctx| {
-        let intent = ctx.digi().intent("brightness");
-        if !intent.is_null() && intent != ctx.digi().status("brightness") {
-            ctx.digi().set_status("brightness", intent);
-        }
-    });
-    d
-}
-
-/// A scene that exercises all three controllers: a mounted lamp pair (the
-/// mounter maintains the hub's replica), a camera piped into a scene digi
-/// (the syncer propagates frames), and a motion policy whose rising edge
-/// fires two consecutive set-intents (the policer's batched action path).
-fn build_scene(config: SpaceConfig) -> Space {
-    let mut space = Space::new(config);
-    space.register_kind(lamp_schema());
-    space.register_kind(cam_schema());
-    space.register_kind(scene_schema());
-    let kid = space.create_digi("Lamp", "kid", ack_driver()).unwrap();
-    let hub = space.create_digi("Lamp", "hub", Driver::new()).unwrap();
-    let cam = space.create_digi("Cam", "cam", Driver::new()).unwrap();
-    let sink = space.create_digi("Scene", "sink", Driver::new()).unwrap();
-    space.settle(30_000);
-    space.mount(&kid, &hub, MountMode::Expose).unwrap();
-    space.pipe(&cam, "frames", &sink, "frames").unwrap();
-    space
-        .add_policy(
-            "motion-lights",
-            dspace_value::yaml::parse(
-                r#"
-meta: {kind: Policy, name: motion-lights, namespace: default}
-spec:
-  watch: ["Cam/default/cam"]
-  condition: .cam.obs.motion == true
-  on_rising:
-    - {action: set-intent, target: Lamp/default/kid, attr: brightness, value: 1.0}
-    - {action: set-intent, target: Lamp/default/hub, attr: brightness, value: 1.0}
-  on_falling:
-    - {action: set-intent, target: Lamp/default/kid, attr: brightness, value: 0.25}
-"#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-    space.settle(30_000);
-    space
-}
-
-/// One round of user/world activity: an intent on the mounted child, a new
-/// camera frame through the pipe, and a motion edge for the policy.
-fn drive(space: &mut Space, rounds: usize) {
-    for i in 1..=rounds {
-        space
-            .set_intent_now("kid/brightness", (i as f64 / 100.0).into())
-            .unwrap();
-        space.settle(60_000);
-        space
-            .world
-            .api
-            .client(dspace_apiserver::ApiServer::ADMIN)
-            .namespace("default")
-            .patch_path(
-                "Cam",
-                "cam",
-                ".data.output.frames",
-                format!("frame-{i}").into(),
-            )
-            .unwrap();
-        space.pump();
-        space.settle(60_000);
-        space
-            .physical_event(
-                "cam",
-                dspace_value::json::parse(&format!(r#"{{"obs": {{"motion": {}}}}}"#, i % 2 == 1))
-                    .unwrap(),
-            )
-            .unwrap();
-        space.settle(60_000);
-    }
-}
-
-/// Everything observable about one run, for bit-identical same-seed (and
-/// async-on vs legacy) comparison: final virtual clock, all counters, the
-/// full causal trace, and a dump of every stored object with its rv.
-#[derive(Debug, PartialEq)]
-struct RunSummary {
-    now_ms_bits: u64,
-    counters: Vec<(String, u64)>,
-    trace: Vec<(u64, String, String, String)>,
-    store: Vec<(String, u64, String)>,
-}
-
-fn summarize(space: &Space) -> RunSummary {
-    RunSummary {
-        now_ms_bits: space.now_ms().to_bits(),
-        counters: space
-            .world
-            .metrics
-            .counters()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        trace: space
-            .world
-            .trace
-            .entries()
-            .iter()
-            .map(|e| {
-                (
-                    e.t,
-                    format!("{:?}", e.kind),
-                    e.subject.clone(),
-                    e.detail.clone(),
-                )
-            })
-            .collect(),
-        store: space
-            .world
-            .api
-            .dump()
-            .into_iter()
-            .map(|o| {
-                (
-                    o.oref.to_string(),
-                    o.resource_version,
-                    json::to_string(&o.model),
-                )
-            })
-            .collect(),
-    }
-}
+use support::{ack_driver, build_scene, drive, lamp_pair, max_threads, summarize, RunSummary};
 
 fn step_until_controller_busy(space: &mut Space, name: &str) {
     let mut guard = 0u32;
@@ -176,18 +27,15 @@ fn burst_while_busy_lands_as_one_followup_cycle() {
     // A 100-patch burst arriving while the mounter is mid-cycle must be
     // absorbed by the dirty bit and re-polled at completion: ONE follow-up
     // cycle per controller slot (tentpole acceptance, clean-link variant).
-    let mut space = Space::new(SpaceConfig {
-        controller_reconcile: LatencyModel::FixedMs(20.0),
-        ..SpaceConfig::default()
-    });
-    space.register_kind(lamp_schema());
     // Handler-less drivers: nothing but the controllers writes, so the
     // per-slot follow-up counters are attributable to the burst alone.
-    let kid = space.create_digi("Lamp", "kid", Driver::new()).unwrap();
-    let hub = space.create_digi("Lamp", "hub", Driver::new()).unwrap();
-    space.settle(30_000);
-    space.mount(&kid, &hub, MountMode::Expose).unwrap();
-    space.settle(30_000);
+    let mut space = lamp_pair(
+        SpaceConfig {
+            controller_reconcile: LatencyModel::FixedMs(20.0),
+            ..SpaceConfig::default()
+        },
+        Driver::new(),
+    );
 
     space.set_intent_now("kid/brightness", 0.5.into()).unwrap();
     step_until_controller_busy(&mut space, "mounter");
@@ -236,13 +84,16 @@ fn faulty_run(seed: u64) -> (RunSummary, u64, u64) {
     let write_link = Link::new("ctrl-write", LatencyModel::FixedMs(4.0))
         .with_jitter(LatencyModel::UniformMs(0.0, 3.0))
         .with_drop_probability(0.05);
-    let mut space = build_scene(SpaceConfig {
-        seed,
-        controller_reconcile: LatencyModel::FixedMs(10.0),
-        admission: LatencyModel::FixedMs(1.0),
-        controller_write: Some(write_link),
-        ..SpaceConfig::default()
-    });
+    let mut space = build_scene(
+        SpaceConfig {
+            seed,
+            controller_reconcile: LatencyModel::FixedMs(10.0),
+            admission: LatencyModel::FixedMs(1.0),
+            controller_write: Some(write_link),
+            ..SpaceConfig::default()
+        },
+        &["kid", "hub"],
+    );
     drive(&mut space, 12);
     // Converged fixed point after round 12 (motion fell): the policy's
     // falling action set kid to 0.25, the ack driver confirmed it, and the
@@ -291,48 +142,41 @@ fn faulty_controller_link_retries_and_is_deterministic() {
     let (c, _, c_gave_up) = faulty_run(8);
     assert_eq!(c_gave_up, 0);
     assert_ne!(
-        a.now_ms_bits, c.now_ms_bits,
+        a.now, c.now,
         "a different seed should draw a different fault schedule"
     );
 }
 
-fn scene_run(async_on: bool, write_link: Option<Link>, threads: usize) -> RunSummary {
-    let mut space = build_scene(SpaceConfig {
-        async_controllers: async_on,
-        controller_write: write_link,
-        threads,
-        ..SpaceConfig::default()
-    });
+fn scene_run(write_link: Option<Link>, threads: usize) -> RunSummary {
+    let mut space = build_scene(
+        SpaceConfig {
+            controller_write: write_link,
+            threads,
+            ..SpaceConfig::default()
+        },
+        &["kid", "hub"],
+    );
     drive(&mut space, 6);
     summarize(&space)
 }
 
 #[test]
-fn async_runtime_is_bit_identical_to_legacy() {
-    // Replay acceptance: async controllers with all-zero latency must be
-    // bit-identical (clock, counters, trace, store dump) to the legacy
-    // inline path, at shard-thread caps 1 and max. The `Link::instant()`
-    // variant is the non-vacuous half: it forces every cycle through the
-    // full deferred plan→transmit→admit→land pipeline (zero RNG draws,
-    // zero delay) rather than short-circuiting to the inline path.
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let baseline = scene_run(false, None, 1);
-    for threads in [1, max] {
-        let legacy = scene_run(false, None, threads);
-        let fast_path = scene_run(true, None, threads);
-        let deferred = scene_run(true, Some(Link::instant()), threads);
+fn deferred_pipeline_replays_inline_bit_identically() {
+    // Replay: with zero latency everywhere, the inline path (per-op
+    // writes) and the deferred pipeline forced by `Link::instant()` (plan
+    // → transmit → admit → one batched landing, zero RNG draws, zero
+    // delay) must leave the same clock, counters, trace, and store, at
+    // shard-thread caps 1 and max.
+    let baseline = scene_run(None, 1);
+    for threads in [1, max_threads()] {
+        let inline = scene_run(None, threads);
+        let deferred = scene_run(Some(Link::instant()), threads);
         assert_eq!(
-            legacy, fast_path,
-            "zero-latency async != legacy (threads={threads})"
+            inline, deferred,
+            "deferred pipeline != inline (threads={threads})"
         );
         assert_eq!(
-            legacy, deferred,
-            "deferred pipeline != legacy (threads={threads})"
-        );
-        assert_eq!(
-            legacy, baseline,
+            inline, baseline,
             "thread cap changed the run (threads={threads})"
         );
     }
@@ -359,19 +203,16 @@ proptest! {
         if jitter_ms > 0 {
             link = link.with_jitter(LatencyModel::UniformMs(0.0, jitter_ms as f64));
         }
-        let mut space = Space::new(SpaceConfig {
-            seed,
-            controller_reconcile: LatencyModel::FixedMs(ctrl_ms as f64),
-            admission: LatencyModel::FixedMs(1.0),
-            controller_write: Some(link),
-            ..SpaceConfig::default()
-        });
-        space.register_kind(lamp_schema());
-        let kid = space.create_digi("Lamp", "kid", ack_driver()).unwrap();
-        let hub = space.create_digi("Lamp", "hub", Driver::new()).unwrap();
-        space.settle(30_000);
-        space.mount(&kid, &hub, MountMode::Expose).unwrap();
-        space.settle(30_000);
+        let mut space = lamp_pair(
+            SpaceConfig {
+                seed,
+                controller_reconcile: LatencyModel::FixedMs(ctrl_ms as f64),
+                admission: LatencyModel::FixedMs(1.0),
+                controller_write: Some(link),
+                ..SpaceConfig::default()
+            },
+            ack_driver(),
+        );
         for i in 0..burst {
             space
                 .world

@@ -1,179 +1,146 @@
-//! Controller write batching is a wall-clock knob ONLY.
+//! Controller write modes: inline per-op vs deferred batch.
 //!
-//! The mounter and syncer commit each pump cycle's writes as one
-//! `apply_batch` call by default; `SpaceConfig::batch_controller_writes
-//! = false` restores the legacy one-serial-verb-per-write behavior.
-//! Whatever the mode — and whatever the shard worker count — a scenario
-//! must end in a bit-identical store, with an identical structured
-//! trace: the batch's read-through overlay makes every mid-cycle read
-//! see exactly what per-op commits would have made visible.
+//! An inline (zero-latency) mounter/syncer cycle commits each write as it
+//! is decided; a deferred cycle queues its writes on a read-your-writes
+//! overlay and lands them as one OCC-checked `apply_batch`. Whatever the
+//! mode — and whatever the shard worker count — a scenario must end in a
+//! bit-identical store, trace, counters, and clock: the overlay makes
+//! every mid-cycle read see exactly what per-op commits would have made
+//! visible.
 
-use dspace_core::driver::{Driver, Filter};
+mod support;
+
+use dspace_apiserver::{ApiServer, BatchOp, ObjectRef};
+use dspace_core::driver::Driver;
 use dspace_core::graph::MountMode;
 use dspace_core::{Space, SpaceConfig};
-use dspace_value::{json, AttrType, KindSchema, Value};
+use dspace_simnet::Link;
+use dspace_value::{AttrType, KindSchema, Value};
+use support::{batching_script, max_threads, summarize};
 
-fn lamp_schema() -> KindSchema {
-    KindSchema::digivice("digi.dev", "v1", "Lamp")
-        .control("power", AttrType::String)
-        .control("brightness", AttrType::Number)
-}
-
-fn room_schema() -> KindSchema {
-    KindSchema::digivice("digi.dev", "v1", "Room")
-        .control("brightness", AttrType::Number)
-        .mounts("Lamp")
-}
-
-fn feed_schema() -> KindSchema {
-    KindSchema::digidata("digi.dev", "v1", "Feed")
-        .input("url", AttrType::String)
-        .output("url", AttrType::String)
-}
-
-fn lamp_driver() -> Driver {
-    let mut d = Driver::new();
-    d.on(Filter::on_control(), 0, "ack", |ctx| {
-        for attr in ["power", "brightness"] {
-            let intent = ctx.digi().intent(attr);
-            if !intent.is_null() && intent != ctx.digi().status(attr) {
-                ctx.digi().set_status(attr, intent);
-            }
-        }
-    });
-    d
-}
-
-fn room_driver() -> Driver {
-    let mut d = Driver::new();
-    d.on(Filter::any(), 0, "fan-out", |ctx| {
-        let target = ctx.digi().intent("brightness");
-        if let Some(t) = target.as_f64() {
-            for n in ctx.digi().mounted_names("Lamp") {
-                let cur = ctx.digi().replica("Lamp", &n, ".control.brightness.intent");
-                if cur.as_f64() != Some(t) {
-                    ctx.digi()
-                        .set_replica("Lamp", &n, ".control.brightness.intent", t.into());
-                }
-            }
-        }
-    });
-    d
-}
-
-/// Builds the scenario, runs a fixed script, and serializes everything
-/// observable: the final store dump and the structured trace.
-fn run_scenario(batched: bool, threads: usize) -> Vec<String> {
-    let mut space = Space::new(SpaceConfig {
+fn inline(threads: usize) -> SpaceConfig {
+    SpaceConfig {
         threads,
-        batch_controller_writes: batched,
         ..SpaceConfig::default()
-    });
-    space.register_kind(lamp_schema());
-    space.register_kind(room_schema());
-    space.register_kind(feed_schema());
+    }
+}
 
-    // Mounter workload: a room fanning brightness out to three lamps.
-    let room = space.create_digi("Room", "room", room_driver()).unwrap();
-    let mut lamps = Vec::new();
-    for i in 0..3 {
-        let lamp = space
-            .create_digi("Lamp", &format!("lamp{i}"), lamp_driver())
-            .unwrap();
-        space.mount(&lamp, &room, MountMode::Expose).unwrap();
-        lamps.push(lamp);
+/// Zero delay and zero RNG draws, but every controller cycle goes
+/// through the deferred plan → transmit → admit → land pipeline.
+fn deferred(threads: usize) -> SpaceConfig {
+    SpaceConfig {
+        threads,
+        controller_write: Some(Link::instant()),
+        ..SpaceConfig::default()
     }
-    // Syncer workload: one feed piped to two consumers (fan-out means
-    // several syncer writes land in a single pump cycle).
-    let src = space.create_digi("Feed", "src", Driver::new()).unwrap();
-    let sink_a = space.create_digi("Feed", "sink-a", Driver::new()).unwrap();
-    let sink_b = space.create_digi("Feed", "sink-b", Driver::new()).unwrap();
-    space.pipe(&src, "url", &sink_a, "url").unwrap();
-    space.pipe(&src, "url", &sink_b, "url").unwrap();
-    space.run_for_ms(2_000);
-
-    space.set_intent("room/brightness", 0.7.into()).unwrap();
-    space.run_for_ms(2_000);
-    space.set_intent("lamp1/power", "on".into()).unwrap();
-    space.run_for_ms(2_000);
-    for round in 0..3 {
-        space
-            .world
-            .api
-            .patch_path(
-                dspace_apiserver::ApiServer::ADMIN,
-                &src,
-                ".data.output.url",
-                format!("rtsp://feed/{round}").into(),
-            )
-            .unwrap();
-        space.pump();
-        space.run_for_ms(1_000);
-    }
-    space.set_intent("room/brightness", 0.3.into()).unwrap();
-    space.run_for_ms(3_000);
-
-    let mut out = Vec::new();
-    for obj in space.world.api.dump() {
-        out.push(format!(
-            "{} rv={} {}",
-            obj.oref,
-            obj.resource_version,
-            json::to_string(&obj.model)
-        ));
-    }
-    for e in space.world.trace.entries() {
-        out.push(format!("t={} {:?} {} {}", e.t, e.kind, e.subject, e.detail));
-    }
-    out
 }
 
 #[test]
-fn batched_and_per_op_controllers_are_bit_identical() {
-    let reference = run_scenario(true, 1);
+fn inline_per_op_and_deferred_batch_are_bit_identical() {
+    let reference = summarize(&batching_script(inline(1)));
     // Sanity: the scenario actually converged.
     assert!(
         reference
+            .store
             .iter()
-            .any(|l| l.contains("sink-b") && l.contains("rtsp://feed/2")),
+            .any(|(oref, _, model)| oref.contains("sink-b") && model.contains("rtsp://feed/2")),
         "pipes must have propagated"
     );
     assert!(
-        reference.iter().any(|l| l.contains("southbound sync")),
+        reference
+            .trace
+            .iter()
+            .any(|(_, _, _, detail)| detail.contains("southbound sync")),
         "the mounter must have synced southbound"
     );
-    for (batched, threads) in [(false, 1), (true, 4), (false, 4)] {
-        let other = run_scenario(batched, threads);
+    for threads in [1, max_threads()] {
         assert_eq!(
-            reference, other,
-            "batched={batched} threads={threads} diverged"
+            reference,
+            summarize(&batching_script(inline(threads))),
+            "inline diverged at threads={threads}"
+        );
+        assert_eq!(
+            reference,
+            summarize(&batching_script(deferred(threads))),
+            "deferred diverged from inline at threads={threads}"
         );
     }
 }
 
-/// Under batching, controller writes commit through `apply_batch`:
-/// per-op serial patches from the controllers drop to zero while the
-/// scenario still converges (the writes all ride the batch path).
-#[test]
-fn batched_controllers_go_through_apply_batch() {
-    let mut space = Space::new(SpaceConfig::default());
-    space.register_kind(lamp_schema());
-    space.register_kind(room_schema());
-    let room = space.create_digi("Room", "room", room_driver()).unwrap();
-    let lamp = space.create_digi("Lamp", "lamp0", lamp_driver()).unwrap();
-    space.mount(&lamp, &room, MountMode::Expose).unwrap();
-    space.run_for_ms(2_000);
-    let batches_before = space.world.api.watch_stats().batch_compaction_passes;
-    space.set_intent("room/brightness", 0.5.into()).unwrap();
-    space.run_for_ms(3_000);
+/// Mounted lamp pairs in `namespaces` shards; every lamp's intent changes
+/// in one cross-shard admin batch, so a single mounter wake refreshes one
+/// replica per shard. Returns the batch compaction passes the controllers
+/// paid for it.
+fn controller_compaction_passes(config: SpaceConfig, namespaces: usize) -> u64 {
+    let mut space = Space::new(config);
+    space.register_kind(
+        KindSchema::digivice("digi.dev", "v1", "Lamp")
+            .control("brightness", AttrType::Number)
+            .mounts("Lamp"),
+    );
+    let mut kids = Vec::new();
+    for n in 0..namespaces {
+        let ns = format!("ns{n}");
+        // Handler-less drivers: only the controllers write.
+        let kid = space
+            .create_digi_in("Lamp", &ns, "kid", Driver::new())
+            .unwrap();
+        let hub = space
+            .create_digi_in("Lamp", &ns, "hub", Driver::new())
+            .unwrap();
+        space.settle(30_000);
+        space.mount(&kid, &hub, MountMode::Expose).unwrap();
+        kids.push(kid);
+    }
+    space.settle(30_000);
+    let ops = kids
+        .iter()
+        .map(|kid| BatchOp::PatchPath {
+            oref: kid.clone(),
+            path: ".control.brightness.intent".into(),
+            value: Value::from(0.5),
+        })
+        .collect();
+    let before = space.world.api.watch_stats().batch_compaction_passes;
+    for r in space.world.api.apply_batch(ApiServer::ADMIN, ops) {
+        r.unwrap();
+    }
+    let admin = space.world.api.watch_stats().batch_compaction_passes - before;
     assert_eq!(
-        space.status("lamp0/brightness").unwrap().as_f64(),
-        Some(0.5)
+        admin, namespaces as u64,
+        "one pass per shard for the admin batch"
     );
-    assert!(
-        space.world.api.watch_stats().batch_compaction_passes > batches_before,
-        "controller writes must ride the batch path"
-    );
+    space.pump();
+    space.settle(30_000);
+    for n in 0..namespaces {
+        let hub = space
+            .world
+            .api
+            .get(
+                ApiServer::ADMIN,
+                &ObjectRef::new("Lamp", format!("ns{n}"), "hub"),
+            )
+            .unwrap();
+        assert_eq!(
+            hub.model
+                .get_path(".mount.Lamp.kid.control.brightness.intent")
+                .and_then(Value::as_f64),
+            Some(0.5),
+            "ns{n} replica must converge"
+        );
+    }
+    space.world.api.watch_stats().batch_compaction_passes - before - admin
+}
+
+/// A deferred mounter landing is one `apply_batch`: it pays exactly one
+/// compaction pass per shard it touches, while inline per-op writes pay
+/// none.
+#[test]
+fn deferred_landing_pays_one_compaction_pass_per_touched_shard() {
+    for threads in [1, max_threads()] {
+        assert_eq!(controller_compaction_passes(deferred(threads), 4), 4);
+        assert_eq!(controller_compaction_passes(inline(threads), 4), 0);
+    }
 }
 
 #[test]

@@ -74,9 +74,9 @@ impl Rng {
     /// The child's seed mixes the parent's *current* state with `salt`
     /// through one SplitMix64 finalizer round, so (a) the parent's draw
     /// sequence is untouched — callers that never fork observe exactly
-    /// the same stream — and (b) distinct salts (e.g. per-slot ids in
-    /// the plan phase) get decorrelated streams whose contents do not
-    /// depend on the order the forks are consumed in.
+    /// the same stream — and (b) distinct salts (e.g. per-epoch ids)
+    /// get decorrelated streams whose contents do not depend on the
+    /// order the forks are consumed in.
     pub fn stream(&self, salt: u64) -> Rng {
         let mut z = self
             .state
