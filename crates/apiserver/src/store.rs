@@ -4,7 +4,10 @@
 //! counter, its own selector indexes, and its own compaction horizon.
 //! Mutations in one namespace never touch another shard's log or wake its
 //! watchers, so tenants cannot contend — the structural prerequisite for
-//! running controllers on separate threads.
+//! running controllers on separate threads. In the other direction, a
+//! watcher's polls visit only the shards where it has undelivered events,
+//! so a subscription spanning every namespace pays per delivery what a
+//! single-namespace one does.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -95,6 +98,20 @@ struct LogEntry {
     /// (no member was interested and no hint was available at append
     /// time); a JSON document is never 0 bytes, so the sentinel is safe.
     bytes: u64,
+}
+
+impl LogEntry {
+    /// The delivered form of this entry, carrying `model` (the entry's own
+    /// snapshot, or its materialized rollback).
+    fn event(&self, model: &Shared<Value>) -> WatchEvent {
+        WatchEvent {
+            revision: self.revision,
+            kind: self.kind,
+            oref: self.oref.clone(),
+            model: model.clone(),
+            resource_version: self.resource_version,
+        }
+    }
 }
 
 /// How a log entry stores its model: materialized, or as the inverse of
@@ -267,6 +284,31 @@ enum SlotKey {
     Object(ObjectRef),
 }
 
+impl SlotKey {
+    /// Does the slot cover events about `oref`? Only asked of entries of
+    /// the slot's own shard, so the namespace always matches.
+    fn covers(&self, oref: &ObjectRef) -> bool {
+        match self {
+            SlotKey::All => true,
+            SlotKey::Kind(k) => *k == oref.kind,
+            SlotKey::Object(r) => r == oref,
+        }
+    }
+}
+
+/// One plain slot a member occupies.
+#[derive(Debug, Clone)]
+struct MemberSlot {
+    key: SlotKey,
+    /// Registration refcount (see [`Slot::subs`]).
+    refs: usize,
+    /// First shard revision the registration covers. Behind the cursor
+    /// unless the slot was added while the member still had events
+    /// pending: the cursor must then stay put, and this keeps the new
+    /// slot from matching events committed before it.
+    since: u64,
+}
+
 /// A watcher's registration state within one shard, owned *by the shard*
 /// so a worker thread can maintain cursors and pending counters without
 /// touching coordinator state.
@@ -274,10 +316,12 @@ enum SlotKey {
 struct ShardMember {
     /// Shard revision of the next event this watcher has yet to examine:
     /// all events with `revision < cursor` are delivered or filtered out.
+    /// Only a member with pending events needs it current: one that is
+    /// caught up matched nothing since its cursor, so polls leave it
+    /// alone and [`Shard::register`] fast-forwards it before widening.
     cursor: u64,
-    /// Plain selector slots this member occupies, with per-slot
-    /// registration refcounts.
-    slots: Vec<(SlotKey, usize)>,
+    /// Plain selector slots this member occupies.
+    slots: Vec<MemberSlot>,
     /// Predicate registrations (each also listed in `pred_watchers`).
     pred_refs: usize,
     /// How this member's pending counts are tracked (see [`Acct`]).
@@ -314,9 +358,29 @@ struct Watcher {
     /// matching an event through several selectors still receives it once.
     selectors: Vec<WatchSelector>,
     /// Shards this watcher is a member of; per-shard cursors and pending
-    /// accounting live in the shard itself (see [`ShardMember`]), and
-    /// `has_pending`/`pending_bytes` derive from them on demand.
+    /// accounting live in the shard itself (see [`ShardMember`]).
     shards: BTreeSet<String>,
+    /// The pending-shard set: member shards that may hold undelivered
+    /// events, sorted by name, each listed once. Filled from the charges
+    /// [`Store::drain_dirty_watchers`] drains; together with the shards
+    /// still awaiting that drain it covers every shard where the watcher
+    /// has pending events, so polls and pending sums visit only these.
+    /// A poll empties it (keeping the allocation); an entry whose events
+    /// went away otherwise (a narrowed selector) is skipped on the visit.
+    pending: Vec<Arc<str>>,
+}
+
+/// Inserts `ns` into a sorted, deduplicated list of shard names (a handle
+/// clone, no copy of the name).
+fn queue_shard(list: &mut Vec<Arc<str>>, ns: &Arc<str>) {
+    if let Err(pos) = list.binary_search_by(|n| (**n).cmp(ns)) {
+        list.insert(pos, Arc::clone(ns));
+    }
+}
+
+/// Whether a sorted shard-name list holds `ns`.
+fn is_queued(list: &[Arc<str>], ns: &str) -> bool {
+    list.binary_search_by(|n| (**n).cmp(ns)).is_ok()
 }
 
 /// Per-shard side effects of a mutation batch, accumulated on the owning
@@ -366,6 +430,9 @@ impl ShardTally {
 /// scheduling-dependent results.
 #[derive(Debug, Default)]
 struct Shard {
+    /// The namespace this shard holds, shared with the pending-shard sets
+    /// that list it.
+    name: Arc<str>,
     /// The namespace's objects, keyed by full reference.
     ///
     /// The map lives behind an `Arc` so [`Store::snapshot`] can publish it
@@ -483,6 +550,9 @@ struct PredWatcher {
     id: WatchId,
     pred: QueryPred,
     refs: usize,
+    /// First shard revision the registration covers (see
+    /// [`MemberSlot::since`]).
+    since: u64,
 }
 
 // The executor moves shards across threads; keep that statically true.
@@ -514,21 +584,27 @@ impl Shard {
         }
     }
 
+    /// A plain slot by key.
+    fn slot(&self, key: &SlotKey) -> Option<&Slot> {
+        match key {
+            SlotKey::All => Some(&self.all_watchers),
+            SlotKey::Kind(k) => self.kind_watchers.get(k),
+            SlotKey::Object(r) => self.object_watchers.get(r),
+        }
+    }
+
+    /// A plain slot by key, mutably.
+    fn slot_mut(&mut self, key: &SlotKey) -> Option<&mut Slot> {
+        match key {
+            SlotKey::All => Some(&mut self.all_watchers),
+            SlotKey::Kind(k) => self.kind_watchers.get_mut(k),
+            SlotKey::Object(r) => self.object_watchers.get_mut(r),
+        }
+    }
+
     /// The current charge of a plain slot (zero if the slot is absent).
     fn slot_charge(&self, key: &SlotKey) -> Charge {
-        match key {
-            SlotKey::All => self.all_watchers.charge,
-            SlotKey::Kind(k) => self
-                .kind_watchers
-                .get(k)
-                .map(|s| s.charge)
-                .unwrap_or_default(),
-            SlotKey::Object(r) => self
-                .object_watchers
-                .get(r)
-                .map(|s| s.charge)
-                .unwrap_or_default(),
-        }
+        self.slot(key).map(|s| s.charge).unwrap_or_default()
     }
 
     /// A member's undelivered (events, bytes) in this shard — read from
@@ -537,10 +613,25 @@ impl Shard {
         match &m.acct {
             Acct::Exact { pending, bytes } => (*pending, *bytes),
             Acct::Cell { base } => {
-                let c = self.slot_charge(&m.slots[0].0);
+                let c = self.slot_charge(&m.slots[0].key);
                 (c.events - base.events, c.bytes - base.bytes)
             }
         }
+    }
+
+    /// Undelivered events of watcher `id` here, or 0 if it is no member.
+    fn pending_of(&self, id: WatchId) -> u64 {
+        self.members
+            .get(&id)
+            .map_or(0, |m| self.member_pending(m).0)
+    }
+
+    /// Index of the first resident log entry a member's scan must
+    /// examine: its cursor, or the log head when compaction (which never
+    /// reclaims past a member with pending events) already passed it.
+    fn window_start(&self, cursor: u64) -> usize {
+        let first_rev = self.committed - self.log.len() as u64 + 1;
+        (cursor.max(first_rev) - first_rev) as usize
     }
 
     /// Marks everything up to the shard's current tail delivered: zero
@@ -557,7 +648,7 @@ impl Shard {
                 bytes: 0,
             },
             Acct::Cell { .. } => Acct::Cell {
-                base: self.slot_charge(&m.slots[0].0),
+                base: self.slot_charge(&m.slots[0].key),
             },
         };
         let m = self.members.get_mut(&id).expect("present above");
@@ -565,13 +656,22 @@ impl Shard {
         m.cursor = committed + 1;
     }
 
-    /// Registers a selector for `id`; a first registration creates the
-    /// member with `cursor` (existing members keep their position).
-    fn register(&mut self, id: WatchId, selector: &WatchSelector, cursor: u64) {
+    /// Registers a selector for `id`, covering events from the next
+    /// commit on. A first registration creates the member at the shard
+    /// tail. A caught-up member is fast-forwarded to the tail first: its
+    /// cursor may trail events it did not match, which the widened
+    /// subscription could otherwise reach. A member with events still
+    /// pending keeps its cursor, and the new registration's `since`
+    /// excludes what came before it.
+    fn register(&mut self, id: WatchId, selector: &WatchSelector) {
+        let since = self.committed + 1;
         // Freeze the member's derived pending before its slot set
         // changes: a cell→exact transition must not lose or double
         // events.
         let frozen = self.members.get(&id).map(|m| self.member_pending(m));
+        if frozen.is_some_and(|(pending, _)| pending == 0) {
+            self.members.get_mut(&id).expect("member exists").cursor = since;
+        }
         let key = Self::slot_key(selector);
         let base = match &key {
             Some(SlotKey::All) => {
@@ -607,6 +707,7 @@ impl Shard {
                         id,
                         pred: p.pred.clone(),
                         refs: 1,
+                        since,
                     }),
                 }
                 Charge::default()
@@ -622,7 +723,14 @@ impl Shard {
                         bytes: 0,
                     },
                 };
-                let slots = key.map(|k| (k, 1)).into_iter().collect::<Vec<_>>();
+                let slots = key
+                    .map(|key| MemberSlot {
+                        key,
+                        refs: 1,
+                        since,
+                    })
+                    .into_iter()
+                    .collect::<Vec<_>>();
                 let pred_refs = usize::from(slots.is_empty());
                 if pred_refs > 0 || !matches!(acct, Acct::Cell { .. }) {
                     self.exact_ids.insert(id);
@@ -630,7 +738,7 @@ impl Shard {
                 self.members.insert(
                     id,
                     ShardMember {
-                        cursor,
+                        cursor: since,
                         slots,
                         pred_refs,
                         acct,
@@ -639,9 +747,13 @@ impl Shard {
             }
             Some(m) => {
                 match key {
-                    Some(k) => match m.slots.iter_mut().find(|(sk, _)| *sk == k) {
-                        Some((_, refs)) => *refs += 1,
-                        None => m.slots.push((k, 1)),
+                    Some(key) => match m.slots.iter_mut().find(|s| s.key == key) {
+                        Some(slot) => slot.refs += 1,
+                        None => m.slots.push(MemberSlot {
+                            key,
+                            refs: 1,
+                            since,
+                        }),
                     },
                     None => m.pred_refs += 1,
                 }
@@ -711,9 +823,9 @@ impl Shard {
         };
         match key {
             Some(k) => {
-                if let Some(pos) = m.slots.iter().position(|(sk, _)| *sk == k) {
-                    m.slots[pos].1 -= 1;
-                    if m.slots[pos].1 == 0 {
+                if let Some(pos) = m.slots.iter().position(|s| s.key == k) {
+                    m.slots[pos].refs -= 1;
+                    if m.slots[pos].refs == 0 {
                         m.slots.remove(pos);
                     }
                 }
@@ -974,6 +1086,7 @@ impl Store {
                 );
             }
             let shard = Shard {
+                name: Arc::from(cs.namespace.as_str()),
                 objects: Arc::new(objects),
                 committed: cs.committed,
                 retiring: cs.retiring,
@@ -1467,29 +1580,47 @@ impl Store {
     /// re-checks [`Store::pending_totals`]) — but complete: a watcher with
     /// undelivered events is always either returned here or already known
     /// to the caller. Quiescent watchers cost nothing.
+    ///
+    /// The same pass files each charged shard into the pending-shard set
+    /// of every watcher that still has events pending there.
     pub fn drain_dirty_watchers(&mut self) -> Vec<WatchId> {
         if self.dirty_shards.is_empty() {
             return Vec::new();
         }
+        let Store {
+            shards,
+            watchers,
+            dirty_shards,
+            ..
+        } = self;
         let mut out: BTreeSet<WatchId> = BTreeSet::new();
-        for ns in std::mem::take(&mut self.dirty_shards) {
-            let Some(shard) = self.shards.get_mut(&ns) else {
+        for ns in std::mem::take(dirty_shards) {
+            let Some(shard) = shards.get_mut(&ns) else {
                 continue;
             };
-            for key in std::mem::take(&mut shard.dirty_slots) {
-                let slot = match &key {
-                    SlotKey::All => Some(&mut shard.all_watchers),
-                    SlotKey::Kind(k) => shard.kind_watchers.get_mut(k),
-                    SlotKey::Object(o) => shard.object_watchers.get_mut(o),
-                };
-                // A slot dropped since it was charged simply contributes
-                // nothing — its watchers deregistered and owe no wake.
-                if let Some(slot) = slot {
+            let keys = std::mem::take(&mut shard.dirty_slots);
+            let exact = std::mem::take(&mut shard.dirty_exact);
+            for key in &keys {
+                if let Some(slot) = shard.slot_mut(key) {
                     slot.dirty = false;
-                    out.extend(slot.subs.keys().copied());
                 }
             }
-            out.append(&mut shard.dirty_exact);
+            let mut charged = |id: WatchId| {
+                out.insert(id);
+                if shard.pending_of(id) > 0 {
+                    if let Some(w) = watchers.get_mut(&id) {
+                        queue_shard(&mut w.pending, &shard.name);
+                    }
+                }
+            };
+            // A slot dropped since it was charged simply contributes
+            // nothing — its watchers deregistered and owe no wake.
+            for key in &keys {
+                for &id in shard.slot(key).into_iter().flat_map(|s| s.subs.keys()) {
+                    charged(id);
+                }
+            }
+            exact.into_iter().for_each(charged);
         }
         out.into_iter().collect()
     }
@@ -1549,7 +1680,7 @@ impl Store {
             self.global_watchers.insert(id);
             let w = self.watchers.get_mut(&id).expect("checked above");
             for (ns, shard) in self.shards.iter_mut() {
-                shard.register(id, &selector, shard.committed + 1);
+                shard.register(id, &selector);
                 w.shards.insert(ns.clone());
             }
             w.selectors.push(selector);
@@ -1560,7 +1691,7 @@ impl Store {
                 .to_string();
             self.ensure_shard(&ns);
             let shard = self.shards.get_mut(&ns).expect("just ensured");
-            shard.register(id, &selector, shard.committed + 1);
+            shard.register(id, &selector);
             let w = self.watchers.get_mut(&id).expect("checked above");
             w.shards.insert(ns);
             w.selectors.push(selector);
@@ -1609,16 +1740,7 @@ impl Store {
                 // with it the derived pending counts) is simply gone.
                 w.shards.remove(ns);
             } else {
-                // An exact member's counters may still include events
-                // only the removed selector matched; re-settle them
-                // against the remaining set. Cell members cannot be
-                // affected (their single slot key is unchanged).
-                let member = shard.members.get(&id).expect("deregister kept the member");
-                if matches!(member.acct, Acct::Exact { .. }) && shard.member_pending(member).0 > 0 {
-                    let (pending, bytes) = recount_pending(shard, member.cursor, &w.selectors);
-                    let m = shard.members.get_mut(&id).expect("still a member");
-                    m.acct = Acct::Exact { pending, bytes };
-                }
+                resettle_exact(shard, id);
             }
         }
         // Entries held only for the removed selector may now be droppable.
@@ -1632,52 +1754,23 @@ impl Store {
     /// order (the per-shard §3.5 guarantee); shards are visited in
     /// namespace order, with no ordering defined across namespaces.
     ///
+    /// Only shards in the watcher's pending-shard set (plus shards whose
+    /// charges await [`Store::drain_dirty_watchers`]) are visited, and
+    /// each is scanned against what the watcher holds there — the cost
+    /// follows the shards with undelivered events, not how many
+    /// namespaces the subscription spans. Caught-up members are left
+    /// untouched.
+    ///
     /// Unknown watch ids return an empty vector (the subscription may have
     /// been cancelled).
     pub fn poll(&mut self, id: WatchId) -> Vec<WatchEvent> {
-        let Store {
-            shards,
-            watchers,
-            stats,
-            ..
-        } = self;
-        let Some(w) = watchers.get_mut(&id) else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        let mut touched: Vec<String> = Vec::new();
-        for ns in &w.shards {
-            let shard = shards.get_mut(ns).expect("membership implies shard");
-            let member = shard.members.get(&id).expect("membership implies member");
-            let (pending, _) = shard.member_pending(member);
-            if pending > 0 {
-                let first_rev = shard.committed - shard.log.len() as u64 + 1;
-                // Compaction never reclaims past a member with pending
-                // events, so the scan window is fully resident.
-                let start = (member.cursor.max(first_rev) - first_rev) as usize;
-                let before = out.len();
-                scan_window(shard, start, &w.selectors, |e, model| {
-                    out.push(WatchEvent {
-                        revision: e.revision,
-                        kind: e.kind,
-                        oref: e.oref.clone(),
-                        model: model.clone(),
-                        resource_version: e.resource_version,
-                    });
-                });
-                debug_assert_eq!(
-                    (out.len() - before) as u64,
-                    pending,
-                    "pending counter out of sync in shard {ns}"
-                );
-                touched.push(ns.clone());
-            }
-            shard.drain_member(id);
-        }
-        stats.events_delivered += out.len() as u64;
-        for ns in &touched {
-            self.compact_shard(ns);
-        }
+        self.drain_watcher(id, |shard, filter, start| {
+            let before = out.len();
+            scan_window(shard, start, filter, |e, model| out.push(e.event(model)));
+            (out.len() - before) as u64
+        });
+        self.stats.events_delivered += out.len() as u64;
         out
     }
 
@@ -1691,115 +1784,76 @@ impl Store {
     /// other event — the final delivery carries the newest state (the
     /// `Deleted` event itself, if the object ended deleted).
     pub fn poll_coalesced(&mut self, id: WatchId) -> Vec<CoalescedEvent> {
-        // Predicate subscriptions judge each event by its model, so the
-        // raw stream must be materialized first; plain subscriptions take
-        // the zero-materialization path below — the newest entry per
-        // object is always a resident snapshot, so a burst of rollback
-        // entries is skipped over without reconstructing any of them.
-        let has_pred = self.watchers.get(&id).is_some_and(|w| {
-            w.selectors
-                .iter()
-                .any(|s| matches!(s, WatchSelector::Predicate(_)))
-        });
-        if has_pred {
-            let raw = self.poll(id);
-            let raw_count = raw.len() as u64;
-            let mut out: Vec<CoalescedEvent> = Vec::new();
-            let mut slots: BTreeMap<ObjectRef, usize> = BTreeMap::new();
-            for ev in raw {
-                match slots.get(&ev.oref) {
-                    Some(&i) => {
-                        // Newest snapshot wins; the count remembers the burst.
-                        out[i].event = ev;
-                        out[i].coalesced += 1;
-                    }
-                    None => {
-                        slots.insert(ev.oref.clone(), out.len());
-                        out.push(CoalescedEvent {
-                            event: ev,
-                            coalesced: 1,
-                        });
-                    }
-                }
-            }
-            self.stats.coalesced_deliveries += out.len() as u64;
-            self.stats.events_coalesced += raw_count - out.len() as u64;
-            return out;
-        }
-        let Store {
-            shards,
-            watchers,
-            stats,
-            ..
-        } = self;
-        let Some(w) = watchers.get_mut(&id) else {
-            return Vec::new();
-        };
         let mut out: Vec<CoalescedEvent> = Vec::new();
         let mut raw_total = 0u64;
-        let mut touched: Vec<String> = Vec::new();
-        for ns in &w.shards {
-            let shard = shards.get_mut(ns).expect("membership implies shard");
-            let member = shard.members.get(&id).expect("membership implies member");
-            let (pending, _) = shard.member_pending(member);
-            if pending > 0 {
-                let first_rev = shard.committed - shard.log.len() as u64 + 1;
-                let start = (member.cursor.max(first_rev) - first_rev) as usize;
-                // First pass: count matches per object and remember each
-                // object's newest entry, keeping first-occurrence order.
-                // Objects live in exactly one namespace, so per-shard
-                // coalescing equals global coalescing.
-                let mut slots: BTreeMap<&ObjectRef, usize> = BTreeMap::new();
-                let mut found: Vec<(u64, usize)> = Vec::new();
-                let mut raw_in_shard = 0u64;
-                for (i, e) in shard.log.iter().enumerate().skip(start) {
-                    if w.selectors.iter().any(|s| s.matches(&e.oref)) {
-                        raw_in_shard += 1;
-                        match slots.get(&e.oref) {
-                            Some(&slot) => {
-                                found[slot].0 += 1;
-                                found[slot].1 = i;
-                            }
-                            None => {
-                                slots.insert(&e.oref, found.len());
-                                found.push((1, i));
-                            }
-                        }
-                    }
+        // Objects live in exactly one namespace, so per-shard coalescing
+        // equals global coalescing.
+        self.drain_watcher(id, |shard, filter, start| {
+            let raw = if filter.preds.is_some() {
+                // Predicates judge each event by its model, so the raw
+                // stream must be materialized first.
+                let mut raw = Vec::new();
+                scan_window(shard, start, filter, |e, model| raw.push(e.event(model)));
+                let n = raw.len() as u64;
+                coalesce_into(&mut out, raw);
+                n
+            } else {
+                coalesce_plain(shard, start, filter, &mut out)
+            };
+            raw_total += raw;
+            raw
+        });
+        self.stats.events_delivered += raw_total;
+        self.stats.coalesced_deliveries += out.len() as u64;
+        self.stats.events_coalesced += raw_total - out.len() as u64;
+        out
+    }
+
+    /// The drain both polls share. Visits, in namespace order, the shards
+    /// where `id` may have pending events: its pending-shard set plus the
+    /// dirty shards not yet drained into it. For each member with events
+    /// pending, `deliver` reads its window (shard, filter, first index)
+    /// and returns how many raw events it took — which must equal the
+    /// pending count — and the member is then drained and the shard
+    /// compacted. The set is left empty, keeping its allocation.
+    fn drain_watcher(
+        &mut self,
+        id: WatchId,
+        mut deliver: impl FnMut(&Shard, &MemberFilter<'_>, usize) -> u64,
+    ) {
+        let Some(w) = self.watchers.get_mut(&id) else {
+            return;
+        };
+        let mut visits = std::mem::take(&mut w.pending);
+        for ns in &self.dirty_shards {
+            if let Some(shard) = self.shards.get(ns) {
+                if shard.pending_of(id) > 0 {
+                    queue_shard(&mut visits, &shard.name);
                 }
-                debug_assert_eq!(
-                    raw_in_shard, pending,
-                    "pending counter out of sync in shard {ns}"
-                );
-                drop(slots);
-                raw_total += raw_in_shard;
-                for (coalesced, i) in found {
-                    let e = &shard.log[i];
-                    let EntryModel::Snapshot(model) = &e.model else {
-                        unreachable!("newest log entry per object is a snapshot")
-                    };
-                    out.push(CoalescedEvent {
-                        event: WatchEvent {
-                            revision: e.revision,
-                            kind: e.kind,
-                            oref: e.oref.clone(),
-                            model: model.clone(),
-                            resource_version: e.resource_version,
-                        },
-                        coalesced,
-                    });
-                }
-                touched.push(ns.clone());
             }
-            shard.drain_member(id);
         }
-        stats.events_delivered += raw_total;
-        stats.coalesced_deliveries += out.len() as u64;
-        stats.events_coalesced += raw_total - out.len() as u64;
-        for ns in &touched {
+        for ns in &visits {
+            let Some(shard) = self.shards.get_mut(&**ns) else {
+                continue;
+            };
+            let pending = shard.pending_of(id);
+            if pending == 0 {
+                continue; // caught up: no cursor write
+            }
+            let m = &shard.members[&id];
+            let taken = deliver(
+                shard,
+                &MemberFilter::new(shard, id, m),
+                shard.window_start(m.cursor),
+            );
+            debug_assert_eq!(taken, pending, "pending counter out of sync in shard {ns}");
+            shard.drain_member(id);
             self.compact_shard(ns);
         }
-        out
+        visits.clear();
+        let w = self.watchers.get_mut(&id).expect("a poll cancels no watch");
+        debug_assert!(w.pending.is_empty(), "nothing queues during a poll");
+        w.pending = visits;
     }
 
     /// Returns `true` if the subscription exists (opened and not yet
@@ -1808,19 +1862,11 @@ impl Store {
         self.watchers.contains_key(&id)
     }
 
-    /// Returns `true` if the watcher has undelivered events. O(member
-    /// shards), no log scan: each shard answers from its charge cells or
-    /// exact counters — and the typical driver subscription spans one
-    /// shard.
+    /// Returns `true` if the watcher has undelivered events. O(shards
+    /// with pending events), no log scan: each visited shard answers from
+    /// its charge cells or exact counters.
     pub fn has_pending(&self, id: WatchId) -> bool {
-        let Some(w) = self.watchers.get(&id) else {
-            return false;
-        };
-        w.shards.iter().any(|ns| {
-            let shard = self.shards.get(ns).expect("membership implies shard");
-            let m = shard.members.get(&id).expect("membership implies member");
-            shard.member_pending(m).0 > 0
-        })
+        self.pending_totals(id).0 > 0
     }
 
     /// The serialized size of the watcher's undelivered events — the bytes
@@ -1828,33 +1874,33 @@ impl Store {
     /// [`Store::has_pending`]; the runtime's pump loop sizes driver wake
     /// transfers with this, so it must mirror true encoded sizes exactly.
     pub fn pending_bytes(&self, id: WatchId) -> u64 {
-        let Some(w) = self.watchers.get(&id) else {
-            return 0;
-        };
-        w.shards
-            .iter()
-            .map(|ns| {
-                let shard = self.shards.get(ns).expect("membership implies shard");
-                let m = shard.members.get(&id).expect("membership implies member");
-                shard.member_pending(m).1
-            })
-            .sum()
+        self.pending_totals(id).1
     }
 
-    /// Undelivered `(events, bytes)` for the watcher, in one pass over its
-    /// member shards — what the runtime's pump loop needs per wake, so it
-    /// doesn't derive the same counters twice via
+    /// Undelivered `(events, bytes)` for the watcher, in one pass over the
+    /// shards that may hold them — what the runtime's pump loop needs per
+    /// wake, so it doesn't derive the same counters twice via
     /// [`Store::has_pending`] + [`Store::pending_bytes`].
     pub fn pending_totals(&self, id: WatchId) -> (u64, u64) {
         let Some(w) = self.watchers.get(&id) else {
             return (0, 0);
         };
-        w.shards.iter().fold((0, 0), |(p, b), ns| {
-            let shard = self.shards.get(ns).expect("membership implies shard");
-            let m = shard.members.get(&id).expect("membership implies member");
-            let (mp, mb) = shard.member_pending(m);
-            (p + mp, b + mb)
-        })
+        // The pending-shard set, then the dirty shards not yet drained
+        // into it: each shard at most once.
+        let undrained = self
+            .dirty_shards
+            .iter()
+            .map(String::as_str)
+            .filter(|ns| !is_queued(&w.pending, ns));
+        w.pending
+            .iter()
+            .map(|ns| &**ns)
+            .chain(undrained)
+            .filter_map(|ns| {
+                let shard = self.shards.get(ns)?;
+                Some(shard.member_pending(shard.members.get(&id)?))
+            })
+            .fold((0, 0), |(p, b), (mp, mb)| (p + mp, b + mb))
     }
 
     /// Cancels a watch subscription, releasing its compaction holds in
@@ -1924,6 +1970,7 @@ impl Store {
             return;
         }
         let mut shard = Shard {
+            name: Arc::from(ns),
             verify_sizes: self.verify_sizes,
             ..Shard::default()
         };
@@ -1933,7 +1980,7 @@ impl Store {
                 if selector.is_global() {
                     // A fresh shard starts at revision 0: cursor 1
                     // delivers everything ever committed here.
-                    shard.register(id, selector, 1);
+                    shard.register(id, selector);
                 }
             }
             w.shards.insert(ns.to_string());
@@ -1987,10 +2034,21 @@ impl Store {
     /// ground truth — every `enc_cache` entry equals its object's true
     /// encoded length, every sized log entry equals its (materialized)
     /// model's true encoded length, and every member's derived pending
-    /// counts equal a from-scratch recount of the log window with
-    /// freshly computed sizes.
+    /// counts equal a from-scratch recount of the log window, matched
+    /// against the watcher's selector list with freshly computed sizes.
+    /// Every member with pending events must also be reachable by the
+    /// next poll: listed in its watcher's pending-shard set, or charged in
+    /// a dirty shard that [`Store::drain_dirty_watchers`] has yet to
+    /// drain.
     #[doc(hidden)]
     pub fn audit_sizes(&self) -> Result<(), String> {
+        for (id, w) in &self.watchers {
+            if !w.pending.windows(2).all(|p| p[0] < p[1]) {
+                return Err(format!(
+                    "pending-shard set of {id:?} is not sorted and unique"
+                ));
+            }
+        }
         for (ns, shard) in &self.shards {
             for (oref, cached) in &shard.enc_cache {
                 let Some(obj) = shard.objects.get(oref) else {
@@ -2005,7 +2063,8 @@ impl Store {
             }
             // Materialize the full window once and check entry sizes.
             let mut sized: Vec<(u64, u64)> = Vec::new();
-            scan_window(shard, 0, &[WatchSelector::All], |e, model| {
+            let everything = SelectorOracle(vec![(&WatchSelector::All, 0)]);
+            scan_window(shard, 0, &everything, |e, model| {
                 sized.push((e.bytes, json::encoded_len(model) as u64));
             });
             for (i, (stamped, truth)) in sized.iter().enumerate() {
@@ -2020,19 +2079,52 @@ impl Store {
                 let Some(w) = self.watchers.get(id) else {
                     return Err(format!("member {id:?} in {ns} has no watcher"));
                 };
-                let (mut truth_pending, mut truth_bytes) = (0u64, 0u64);
-                if !shard.log.is_empty() {
-                    let first_rev = shard.committed - shard.log.len() as u64 + 1;
-                    let start = (member.cursor.max(first_rev) - first_rev) as usize;
-                    scan_window(shard, start, &w.selectors, |_, model| {
-                        truth_pending += 1;
-                        truth_bytes += json::encoded_len(model) as u64;
-                    });
+                // The watcher's selectors registered here, each from the
+                // revision its registration covers.
+                let mut registered = Vec::new();
+                for sel in &w.selectors {
+                    if !sel.is_global() && sel.home_namespace() != Some(ns.as_str()) {
+                        continue;
+                    }
+                    let since = match (Shard::slot_key(sel), sel) {
+                        (Some(key), _) => {
+                            member.slots.iter().find(|s| s.key == key).map(|s| s.since)
+                        }
+                        (None, WatchSelector::Predicate(p)) => shard
+                            .pred_watchers
+                            .get(&p.kind)
+                            .and_then(|ws| ws.iter().find(|pw| pw.id == *id && pw.pred == p.pred))
+                            .map(|pw| pw.since),
+                        (None, _) => unreachable!("plain selectors have slot keys"),
+                    };
+                    let Some(since) = since else {
+                        return Err(format!("{sel:?} of {id:?} is not registered in {ns}"));
+                    };
+                    registered.push((sel, since));
                 }
+                let (mut truth_pending, mut truth_bytes) = (0u64, 0u64);
+                let start = shard.window_start(member.cursor);
+                scan_window(shard, start, &SelectorOracle(registered), |_, model| {
+                    truth_pending += 1;
+                    truth_bytes += json::encoded_len(model) as u64;
+                });
                 if pending != truth_pending || bytes != truth_bytes {
                     return Err(format!(
                         "member {id:?} in {ns}: derived ({pending}, {bytes}), \
                          true ({truth_pending}, {truth_bytes})"
+                    ));
+                }
+                let reachable = is_queued(&w.pending, ns)
+                    || self.dirty_shards.contains(ns)
+                        && (shard.dirty_exact.contains(id)
+                            || shard
+                                .dirty_slots
+                                .iter()
+                                .any(|k| shard.slot(k).is_some_and(|s| s.subs.contains_key(id))));
+                if pending > 0 && !reachable {
+                    return Err(format!(
+                        "member {id:?} in {ns} has {pending} pending events \
+                         outside its pending-shard set"
                     ));
                 }
             }
@@ -2190,10 +2282,152 @@ fn shard_append(
     }
 }
 
-/// Walks the log window from index `start`, materializing each
-/// scope-matched entry's model — rolling back from the entry's successor
-/// where it is stored in rollback form — and invokes `f` for every entry
-/// whose `(oref, model)` satisfies some selector's `event_matches`.
+/// Appends the coalesced form of one shard's raw, revision-ordered
+/// events: one delivery per object, at its first occurrence, carrying its
+/// newest event.
+fn coalesce_into(out: &mut Vec<CoalescedEvent>, raw: Vec<WatchEvent>) {
+    let mut slots: BTreeMap<ObjectRef, usize> = BTreeMap::new();
+    for ev in raw {
+        match slots.get(&ev.oref) {
+            Some(&i) => {
+                // Newest snapshot wins; the count remembers the burst.
+                out[i].event = ev;
+                out[i].coalesced += 1;
+            }
+            None => {
+                slots.insert(ev.oref.clone(), out.len());
+                out.push(CoalescedEvent {
+                    event: ev,
+                    coalesced: 1,
+                });
+            }
+        }
+    }
+}
+
+/// [`coalesce_into`] for a member without predicates, with no model
+/// materialized: its slots match by identity, so an object's newest
+/// matching entry is its newest log entry, which is always a resident
+/// snapshot — a burst of rollback entries is skipped over without
+/// reconstructing any of them. Returns the raw events absorbed.
+fn coalesce_plain(
+    shard: &Shard,
+    start: usize,
+    filter: &MemberFilter<'_>,
+    out: &mut Vec<CoalescedEvent>,
+) -> u64 {
+    // Count matches per object and remember each object's newest entry,
+    // keeping first-occurrence order.
+    let mut slots: BTreeMap<&ObjectRef, usize> = BTreeMap::new();
+    let mut found: Vec<(u64, usize)> = Vec::new();
+    for (i, e) in shard.log.iter().enumerate().skip(start) {
+        if !filter.plain(e) {
+            continue;
+        }
+        match slots.get(&e.oref) {
+            Some(&slot) => {
+                found[slot].0 += 1;
+                found[slot].1 = i;
+            }
+            None => {
+                slots.insert(&e.oref, found.len());
+                found.push((1, i));
+            }
+        }
+    }
+    let mut raw = 0;
+    for (coalesced, i) in found {
+        raw += coalesced;
+        let e = &shard.log[i];
+        let EntryModel::Snapshot(model) = &e.model else {
+            unreachable!("newest log entry per object is a snapshot")
+        };
+        out.push(CoalescedEvent {
+            event: e.event(model),
+            coalesced,
+        });
+    }
+    raw
+}
+
+/// Which log entries a scan delivers.
+trait EntryFilter {
+    /// Judged from the entry's identity alone: may the entry belong?
+    /// Only entries in scope have their model materialized.
+    fn in_scope(&self, e: &LogEntry) -> bool;
+    /// The final judgement, on the entry's materialized model.
+    fn accepts(&self, e: &LogEntry, model: &Value) -> bool;
+}
+
+/// One member's subscription as its own shard sees it: the member's plain
+/// slot keys plus its predicate registrations homed in the shard. Polls
+/// and recounts match through this, so their per-event cost depends on
+/// what the member holds in this shard, not on how many namespaces the
+/// whole subscription spans.
+struct MemberFilter<'a> {
+    id: WatchId,
+    slots: &'a [MemberSlot],
+    /// The shard's predicate registrations, when the member holds any.
+    preds: Option<&'a BTreeMap<String, Vec<PredWatcher>>>,
+}
+
+impl<'a> MemberFilter<'a> {
+    fn new(shard: &'a Shard, id: WatchId, m: &'a ShardMember) -> Self {
+        MemberFilter {
+            id,
+            slots: &m.slots,
+            preds: (m.pred_refs > 0).then_some(&shard.pred_watchers),
+        }
+    }
+
+    fn plain(&self, e: &LogEntry) -> bool {
+        self.slots
+            .iter()
+            .any(|s| e.revision >= s.since && s.key.covers(&e.oref))
+    }
+
+    fn preds(&self, e: &'a LogEntry) -> impl Iterator<Item = &'a PredWatcher> + '_ {
+        self.preds
+            .and_then(|p| p.get(&e.oref.kind))
+            .into_iter()
+            .flatten()
+            .filter(move |w| w.id == self.id && e.revision >= w.since)
+    }
+}
+
+impl EntryFilter for MemberFilter<'_> {
+    fn in_scope(&self, e: &LogEntry) -> bool {
+        self.plain(e) || self.preds(e).next().is_some()
+    }
+
+    fn accepts(&self, e: &LogEntry, model: &Value) -> bool {
+        self.plain(e) || self.preds(e).any(|w| w.pred.matches(model))
+    }
+}
+
+/// The audit's ground truth: a watcher's selectors, each paired with the
+/// first revision its registration covers, judged by the selectors' own
+/// matching rules.
+struct SelectorOracle<'a>(Vec<(&'a WatchSelector, u64)>);
+
+impl EntryFilter for SelectorOracle<'_> {
+    fn in_scope(&self, e: &LogEntry) -> bool {
+        self.0
+            .iter()
+            .any(|(s, since)| e.revision >= *since && s.matches(&e.oref))
+    }
+
+    fn accepts(&self, e: &LogEntry, model: &Value) -> bool {
+        self.0
+            .iter()
+            .any(|(s, since)| e.revision >= *since && s.event_matches(&e.oref, model))
+    }
+}
+
+/// Walks the log window from index `start`, materializing each in-scope
+/// entry's model — rolling back from the entry's successor where it is
+/// stored in rollback form — and invokes `f` for every entry the filter
+/// accepts.
 ///
 /// The backward pass reconstructs models newest-to-oldest per object (a
 /// rollback entry's successor is always resident, see [`LogEntry`]); the
@@ -2202,7 +2436,7 @@ fn shard_append(
 fn scan_window(
     shard: &Shard,
     start: usize,
-    selectors: &[WatchSelector],
+    filter: &impl EntryFilter,
     mut f: impl FnMut(&LogEntry, &Shared<Value>),
 ) {
     let n = shard.log.len();
@@ -2212,7 +2446,7 @@ fn scan_window(
     let mut models: Vec<Option<Shared<Value>>> = vec![None; n - start];
     let mut successors: BTreeMap<&ObjectRef, Shared<Value>> = BTreeMap::new();
     for (i, e) in shard.log.iter().enumerate().skip(start).rev() {
-        if !selectors.iter().any(|s| s.matches(&e.oref)) {
+        if !filter.in_scope(e) {
             continue;
         }
         let model = match &e.model {
@@ -2231,7 +2465,7 @@ fn scan_window(
     }
     for (i, e) in shard.log.iter().enumerate().skip(start) {
         if let Some(model) = &models[i - start] {
-            if selectors.iter().any(|s| s.event_matches(&e.oref, model)) {
+            if filter.accepts(e, model) {
                 f(e, model);
             }
         }
@@ -2328,18 +2562,8 @@ impl Store {
                 // Still a member through global selectors. A cell member
                 // kept its sole slot (a homed `KindInNamespace` sharing
                 // the slot of a global `Kind` over a strictly wider match
-                // set), so its derived counts stay exact. Exact members'
-                // counts may include events only the cancelled selectors
-                // matched; re-settle them against the remaining set.
-                let member = shard.members.get(&id).expect("still a member");
-                if matches!(member.acct, Acct::Exact { .. }) && shard.member_pending(member).0 > 0 {
-                    let (p, b) = recount_pending(shard, member.cursor, &w.selectors);
-                    let m = shard.members.get_mut(&id).expect("still a member");
-                    m.acct = Acct::Exact {
-                        pending: p,
-                        bytes: b,
-                    };
-                }
+                // set), so its derived counts stay exact.
+                resettle_exact(shard, id);
             }
         }
         shard.retiring = true;
@@ -2461,18 +2685,33 @@ fn plan_names(plan: &Plan, kind: &str, shard: &Shard) -> Option<BTreeSet<String>
     }
 }
 
-/// Counts the undelivered events from `cursor` that match `selectors`,
-/// with their serialized sizes. Used to re-settle a member's pending
-/// counters when part of its selector set is cancelled.
-fn recount_pending(shard: &Shard, cursor: u64, selectors: &[WatchSelector]) -> (u64, u64) {
-    if shard.log.is_empty() {
-        return (0, 0);
+/// Re-settles an exact member's counters after some of its registrations
+/// in `shard` were released: they may still include events only the
+/// released selectors matched. Cell members cannot be affected (their
+/// single slot key is unchanged). The next poll still reaches whatever
+/// stays pending: every charge to an exact member lists it in
+/// `dirty_exact`, which the dirty drain turns into a pending-shard entry.
+fn resettle_exact(shard: &mut Shard, id: WatchId) {
+    let m = shard
+        .members
+        .get(&id)
+        .expect("released member is still present");
+    if !matches!(m.acct, Acct::Exact { .. }) || shard.member_pending(m).0 == 0 {
+        return;
     }
-    let first_rev = shard.committed - shard.log.len() as u64 + 1;
-    let start = (cursor.max(first_rev) - first_rev) as usize;
+    let (pending, bytes) = recount_pending(shard, id);
+    shard.members.get_mut(&id).expect("still a member").acct = Acct::Exact { pending, bytes };
+}
+
+/// Counts member `id`'s undelivered events from its cursor, with their
+/// serialized sizes. Used to re-settle a member's pending counters when
+/// part of its selector set is cancelled.
+fn recount_pending(shard: &Shard, id: WatchId) -> (u64, u64) {
+    let m = shard.members.get(&id).expect("recounting a member");
     let mut pending = 0u64;
     let mut bytes = 0u64;
-    scan_window(shard, start, selectors, |e, model| {
+    let filter = MemberFilter::new(shard, id, m);
+    scan_window(shard, shard.window_start(m.cursor), &filter, |e, model| {
         pending += 1;
         bytes += if e.bytes != 0 {
             e.bytes

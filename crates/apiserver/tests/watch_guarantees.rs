@@ -208,3 +208,145 @@ proptest! {
         prop_assert!(api.poll(laggard).is_empty());
     }
 }
+
+// ---------------------------------------------------------------------------
+// Regressions: polls visit only shards with pending events
+// ---------------------------------------------------------------------------
+
+fn thing(kind: &str, ns: &str, name: &str) -> (ObjectRef, Value) {
+    let model = dspace_value::json::parse(&format!(
+        r#"{{"meta": {{"kind": "{kind}", "name": "{name}", "namespace": "{ns}"}}, "n": 0}}"#
+    ))
+    .unwrap();
+    (ObjectRef::new(kind, ns, name), model)
+}
+
+fn create(api: &mut ApiServer, kind: &str, ns: &str, name: &str) -> ObjectRef {
+    let (oref, model) = thing(kind, ns, name);
+    api.create(ApiServer::ADMIN, &oref, model).unwrap();
+    oref
+}
+
+fn bump(api: &mut ApiServer, oref: &ObjectRef, n: f64) {
+    api.patch_path(ApiServer::ADMIN, oref, ".n", Value::from(n))
+        .unwrap();
+}
+
+/// A poll skips shards where the watcher is caught up, so its cursor
+/// there can trail events it did not match. Widening the subscription
+/// must not let a later scan reach those events: a controller-shaped
+/// watcher (two kinds in 32 namespaces) is caught up in `ns7` while a
+/// second watcher pins `ns7`'s log with events of a third kind; after
+/// `extend_watch` adds that kind, only the one write that follows is
+/// delivered.
+#[test]
+fn widening_a_caught_up_shard_delivers_only_later_events() {
+    let mut api = ApiServer::new();
+    let queries: Vec<Query> = (0..32)
+        .flat_map(|i| ["A", "B"].map(|k| Query::kind(k).in_ns(format!("ns{i}"))))
+        .collect();
+    let w = api.watch_queries(ApiServer::ADMIN, &queries).unwrap();
+    create(&mut api, "A", "ns7", "a");
+    api.drain_dirty_watchers();
+    assert_eq!(api.poll(w).len(), 1);
+    // Events `w` does not match, held in the log by another watcher.
+    let pin = api
+        .watch_query(ApiServer::ADMIN, &Query::kind("C").in_ns("ns7"))
+        .unwrap();
+    let c = create(&mut api, "C", "ns7", "c");
+    bump(&mut api, &c, 1.0);
+    bump(&mut api, &c, 2.0);
+    // A poll driven by pending events elsewhere leaves `ns7` untouched.
+    create(&mut api, "A", "ns0", "a");
+    api.drain_dirty_watchers();
+    let evs = api.poll(w);
+    assert_eq!(evs.len(), 1);
+    assert_eq!(evs[0].oref.namespace, "ns0");
+    assert_eq!(api.shard_log_len("ns7"), 3, "the pin holds the log");
+
+    api.extend_watch(ApiServer::ADMIN, w, &Query::kind("C").in_ns("ns7"))
+        .unwrap();
+    bump(&mut api, &c, 3.0);
+    api.audit_sizes().unwrap();
+    api.drain_dirty_watchers();
+    let evs = api.poll(w);
+    assert_eq!(evs.len(), 1, "only the write after the widening: {evs:?}");
+    assert_eq!(evs[0].oref, c);
+    assert_eq!(evs[0].kind, WatchEventKind::Modified);
+    assert_eq!(evs[0].revision, 5);
+    assert_eq!(
+        api.poll(pin).len(),
+        4,
+        "the pin still sees its whole stream"
+    );
+    api.audit_sizes().unwrap();
+}
+
+/// Widening a member that still has events pending cannot fast-forward
+/// its cursor; the new selector must still cover only what commits after
+/// it. The pending event and the one later write are delivered, the
+/// earlier events of the added kind are not.
+#[test]
+fn widening_a_pending_shard_delivers_only_later_events() {
+    let mut api = ApiServer::new();
+    let w = api
+        .watch_query(ApiServer::ADMIN, &Query::kind("A").in_ns("ns"))
+        .unwrap();
+    let a = create(&mut api, "A", "ns", "a");
+    let c = create(&mut api, "C", "ns", "c");
+    bump(&mut api, &c, 1.0);
+    api.extend_watch(ApiServer::ADMIN, w, &Query::kind("C").in_ns("ns"))
+        .unwrap();
+    bump(&mut api, &c, 2.0);
+    api.audit_sizes().unwrap();
+    api.drain_dirty_watchers();
+    let evs = api.poll(w);
+    let got: Vec<(&ObjectRef, u64)> = evs.iter().map(|e| (&e.oref, e.revision)).collect();
+    assert_eq!(got, vec![(&a, 1), (&c, 4)]);
+    api.audit_sizes().unwrap();
+}
+
+/// A namespace deleted and re-created under the same name is a fresh
+/// shard: a `Query::all()` watcher with events pending in another
+/// namespace receives the new shard's events from revision 1, gap-free,
+/// in namespace order — whether or not the dirty-watcher feed was
+/// drained in between.
+#[test]
+fn recreated_namespace_streams_from_revision_one() {
+    for drain in [false, true] {
+        let mut api = ApiServer::new();
+        let w = api.watch_query(ApiServer::ADMIN, &Query::all()).unwrap();
+        create(&mut api, "Thing", "home", "x");
+        let y = create(&mut api, "Thing", "other", "y");
+        api.drain_dirty_watchers();
+        assert_eq!(api.poll(w).len(), 2);
+        api.delete_namespace(ApiServer::ADMIN, "home").unwrap();
+        api.drain_dirty_watchers();
+        let evs = api.poll(w);
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].kind, WatchEventKind::Deleted);
+        assert_eq!(api.shard_count(), 1, "the drained shard is dropped");
+
+        bump(&mut api, &y, 1.0);
+        api.drain_dirty_watchers();
+        let x2 = create(&mut api, "Thing", "home", "x2");
+        bump(&mut api, &x2, 1.0);
+        bump(&mut api, &x2, 2.0);
+        if drain {
+            api.drain_dirty_watchers();
+        }
+        api.audit_sizes().unwrap();
+        assert_eq!(api.pending_totals(w).0, 4);
+        let evs = api.poll(w);
+        let home: Vec<u64> = evs
+            .iter()
+            .filter(|e| e.oref.namespace == "home")
+            .map(|e| e.revision)
+            .collect();
+        assert_eq!(home, vec![1, 2, 3], "drain={drain}: {evs:?}");
+        assert_eq!(evs.len(), 4);
+        assert_eq!(evs[3].oref, y, "namespace order: home before other");
+        assert!(!api.has_pending(w));
+        api.audit_sizes().unwrap();
+    }
+}

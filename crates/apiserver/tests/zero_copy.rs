@@ -5,9 +5,11 @@
 //! rendering depend on them), and steady-state writes to watched objects
 //! must never deep-clone the model. This suite churns a store through
 //! arbitrary create/put/merge/set-path/delete(+recreate) scripts with
-//! watchers joining, polling, and leaving mid-stream — at one shard
-//! worker thread and at the machine's maximum — auditing the size
-//! bookkeeping against freshly computed truth after every step.
+//! watchers joining, polling, widening, narrowing, and leaving
+//! mid-stream and the runtime's dirty-watcher feed drained between them
+//! — at one shard worker thread and at the machine's maximum — auditing
+//! the size bookkeeping and the pending-shard sets against freshly
+//! computed truth after every step.
 
 use proptest::prelude::*;
 
@@ -96,10 +98,25 @@ enum Step {
     Batch(Vec<Op>),
     /// One serial verb (exercises the per-verb WAL/hint plumbing).
     Serial(Op),
-    /// Open a watch from the query pool (index wraps).
+    /// Open a watch from the subscription pool (index wraps).
     Join {
         query: usize,
     },
+    /// Widen an open watch with a query from the selector pool (indexes
+    /// wrap; no-op when none are open).
+    Extend {
+        slot: usize,
+        query: usize,
+    },
+    /// Remove a selector-pool query from an open watch (a no-op when the
+    /// watch does not hold it).
+    Narrow {
+        slot: usize,
+        query: usize,
+    },
+    /// Drain the dirty-watcher feed, as the runtime's pump does before it
+    /// sizes wakes.
+    Drain,
     /// Cancel an open watch (index wraps over live watchers; no-op when
     /// none are open).
     Leave {
@@ -172,6 +189,10 @@ fn arb_step() -> impl Strategy<Value = Step> {
         prop::collection::vec(arb_op(), 1..8).prop_map(Step::Batch),
         prop::collection::vec(arb_op(), 1..8).prop_map(Step::Batch),
         (0usize..64).prop_map(|query| Step::Join { query }),
+        (0usize..64, 0usize..64).prop_map(|(slot, query)| Step::Extend { slot, query }),
+        (0usize..64, 0usize..64).prop_map(|(slot, query)| Step::Narrow { slot, query }),
+        Just(Step::Drain),
+        Just(Step::Drain),
         (0usize..64).prop_map(|slot| Step::Leave { slot }),
         (0usize..64).prop_map(|slot| Step::Poll { slot }),
         (0usize..64).prop_map(|slot| Step::Poll { slot }),
@@ -240,21 +261,39 @@ fn to_store_op(op: &Op) -> StoreOp {
     }
 }
 
-/// Every watch scope the accounting distinguishes: the shared all/kind/
-/// object group cells, the single-shard kind-in-namespace registration,
+/// Every selector scope the accounting distinguishes: the shared all/
+/// kind/object group cells, single-shard kind-in-namespace registrations,
 /// and a predicate watch (exact accounting, commit-time matching).
-fn watch_pool() -> Vec<Query> {
-    vec![
+fn selector_pool() -> Vec<Query> {
+    let mut pool = vec![
         Query::all(),
         Query::kind("Lamp"),
         Query::kind("Plug"),
-        Query::kind("Lamp").in_ns("alpha"),
         Query::kind("Plug").in_ns("beta").named("plug0"),
         Query::kind("Lamp")
             .in_ns("gamma")
             .filter(".control.brightness.intent > 50")
             .unwrap(),
-    ]
+    ];
+    pool.extend(controller_union());
+    pool
+}
+
+/// A controller-shaped subscription: one kind-in-namespace selector per
+/// kind per namespace, the union spanning every shard.
+fn controller_union() -> Vec<Query> {
+    NAMESPACES
+        .iter()
+        .flat_map(|ns| KINDS.iter().map(move |k| Query::kind(*k).in_ns(*ns)))
+        .collect()
+}
+
+/// Subscriptions a joining watcher opens with: each single selector, and
+/// the controller-shaped union.
+fn watch_pool() -> Vec<Vec<Query>> {
+    let mut pool: Vec<Vec<Query>> = selector_pool().into_iter().map(|q| vec![q]).collect();
+    pool.push(controller_union());
+    pool
 }
 
 fn serial_apply(store: &mut Store, op: &Op) {
@@ -306,8 +345,25 @@ fn apply(store: &mut Store, watchers: &mut Vec<WatchId>, step: &Step) {
         Step::Serial(op) => serial_apply(store, op),
         Step::Join { query } => {
             let pool = watch_pool();
-            let q = &pool[*query % pool.len()];
-            watchers.push(store.watch_query(q).unwrap());
+            let qs = &pool[*query % pool.len()];
+            watchers.push(store.watch_queries(qs).unwrap());
+        }
+        Step::Extend { slot, query } => {
+            if !watchers.is_empty() {
+                let pool = selector_pool();
+                let id = watchers[*slot % watchers.len()];
+                assert!(store.extend_watch(id, &pool[*query % pool.len()]).unwrap());
+            }
+        }
+        Step::Narrow { slot, query } => {
+            if !watchers.is_empty() {
+                let pool = selector_pool();
+                let id = watchers[*slot % watchers.len()];
+                let _ = store.narrow_watch(id, &pool[*query % pool.len()]);
+            }
+        }
+        Step::Drain => {
+            let _ = store.drain_dirty_watchers();
         }
         Step::Leave { slot } => {
             if !watchers.is_empty() {
@@ -335,7 +391,9 @@ fn apply(store: &mut Store, watchers: &mut Vec<WatchId>, step: &Step) {
 /// `audit_sizes` recomputes truth from scratch — live `encoded_len`
 /// walks for the cache, event-log materialization (rollback replay) for
 /// stamped entry sizes, and a full scan for each member's pending
-/// totals — and compares it with what the incremental path maintained.
+/// totals — and compares it with what the incremental path maintained,
+/// including that every shard with pending events is one the watcher's
+/// next poll visits.
 fn audit(store: &Store, watchers: &[WatchId]) -> Result<(), TestCaseError> {
     if let Err(e) = store.audit_sizes() {
         return Err(TestCaseError::fail(e));

@@ -254,6 +254,115 @@ fn ns_sweep() {
     }
 }
 
+/// Kinds the sweep's controller-shaped watcher holds per namespace.
+const SPACE_KINDS: [&str; 4] = ["Lamp", "UniLamp", "Room", "Scene"];
+
+/// A space of `namespaces` shards with one lamp each, watched by the two
+/// space-wide shapes: the mounter's (one `KindInNamespace` selector per
+/// kind per namespace) and the user CLI's (`Query::all()`).
+fn build_space_wide(namespaces: usize) -> (ApiServer, [WatchId; 2]) {
+    let mut api = ApiServer::new();
+    for k in 0..namespaces {
+        let ns = format!("ns{k}");
+        api.create(
+            ApiServer::ADMIN,
+            &ObjectRef::new("Lamp", &ns, "l0"),
+            model_in(&ns, "l0"),
+        )
+        .unwrap();
+    }
+    let selectors: Vec<Query> = (0..namespaces)
+        .flat_map(|k| SPACE_KINDS.map(|kind| Query::kind(kind).in_ns(format!("ns{k}"))))
+        .collect();
+    let mounter = api.watch_queries(ApiServer::ADMIN, &selectors).unwrap();
+    let cli = api.watch_query(ApiServer::ADMIN, &Query::all()).unwrap();
+    (api, [mounter, cli])
+}
+
+/// Space-wide watchers across 1 → 1024 namespaces: one `ns0` write, then
+/// what the runtime's pump and wakes do with it — `drain_dirty_watchers`,
+/// `pending_totals` and `poll` for both watchers. Delivery cost must
+/// follow the shards holding undelivered events (one), not how many
+/// namespaces the subscriptions span. Rounds are timed one by one, in
+/// chunks that interleave across the sizes (each trial visits every size
+/// once) so host-speed drift lands on all sizes alike; a size's cost is
+/// its median round. Full mode asserts the 1024-namespace median stays
+/// within 1.5x of the 1-namespace one.
+///
+/// Explains, in the end-to-end benchmark: `core.pump_busy_ms` and the
+/// controller and user-CLI wake time on `fleet_s1`.
+fn space_wide_sweep(smoke: bool) {
+    let sizes = [1usize, 8, 64, 1024];
+    let trials: usize = if smoke { 1 } else { 5 };
+    let rounds: usize = if smoke { 20 } else { 200 };
+    println!();
+    println!(
+        "space-wide watcher sweep: 1 ns0 write + drain_dirty_watchers + \
+         pending_totals + poll for the mounter ({} kinds x ns) and the user \
+         CLI (all), {trials} x {rounds} rounds per size",
+        SPACE_KINDS.len()
+    );
+    println!(
+        "explains (e2e-bench): core.pump_busy_ms, controller + user-CLI wake time on fleet_s1"
+    );
+    let mut spaces: Vec<(ApiServer, [WatchId; 2])> =
+        sizes.iter().map(|&k| build_space_wide(k)).collect();
+    let lamp = ObjectRef::new("Lamp", "ns0", "l0");
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
+    for trial in 0..trials {
+        for (si, (api, watchers)) in spaces.iter_mut().enumerate() {
+            let (mut pending, mut delivered) = (0, 0);
+            for r in 0..rounds {
+                let v = (trial * rounds + r) as f64 / 1e6;
+                let start = std::time::Instant::now();
+                api.patch_path(
+                    ApiServer::ADMIN,
+                    &lamp,
+                    ".control.brightness.intent",
+                    v.into(),
+                )
+                .unwrap();
+                api.drain_dirty_watchers();
+                for &w in watchers.iter() {
+                    pending += api.pending_totals(w).0;
+                    delivered += api.poll(w).len();
+                }
+                samples[si].push(start.elapsed().as_secs_f64() * 1e6);
+            }
+            assert_eq!(
+                pending,
+                2 * rounds as u64,
+                "each write pends once per watcher"
+            );
+            assert_eq!(delivered, 2 * rounds, "each write reaches both watchers");
+            assert_eq!(api.log_len(), 0, "drained space must compact to empty");
+        }
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let medians: Vec<f64> = samples.iter_mut().map(median).collect();
+    println!(
+        "{:>6} {:>18} {:>14} {:>10}",
+        "ns", "mounter-selectors", "us/round(med)", "vs-1ns"
+    );
+    for (&k, &m) in sizes.iter().zip(&medians) {
+        let ratio = m / medians[0];
+        let selectors = SPACE_KINDS.len() * k;
+        println!("{k:>6} {selectors:>18} {m:>14.2} {ratio:>10.2}");
+    }
+    let growth = medians[sizes.len() - 1] / medians[0];
+    if !smoke {
+        assert!(
+            growth <= 1.5,
+            "space-wide delivery must be flat in fleet size: 1024-ns round \
+             {growth:.2}x the 1-ns round (limit 1.5x)"
+        );
+    }
+    println!();
+}
+
 /// Coalesced wake: a 100-mutation burst against one digi reaches the
 /// driver as a single delivery carrying the newest snapshot and the count.
 fn coalesce_demo() {
@@ -766,15 +875,18 @@ fn main() {
     // `cargo bench -- --test` (the CI smoke) shrinks the sweeps and skips
     // the speedup floor; a full `cargo bench` enforces it.
     let smoke = std::env::args().any(|a| a == "--test");
-    // Focused runs while tuning one sweep: DSPACE_BENCH_ONLY=zero_copy.
-    if std::env::var("DSPACE_BENCH_ONLY").as_deref() == Ok("zero_copy") {
-        zero_copy_sweep(smoke);
-        return;
+    // Focused runs while tuning one sweep: DSPACE_BENCH_ONLY=zero_copy
+    // or DSPACE_BENCH_ONLY=space_wide.
+    match std::env::var("DSPACE_BENCH_ONLY").as_deref() {
+        Ok("zero_copy") => return zero_copy_sweep(smoke),
+        Ok("space_wide") => return space_wide_sweep(smoke),
+        _ => {}
     }
     benches();
     sweep();
     zero_copy_sweep(smoke);
     ns_sweep();
+    space_wide_sweep(smoke);
     coalesce_demo();
     mounter_dedup_sweep();
     parallel_shards_sweep(smoke);
