@@ -45,7 +45,6 @@
 pub mod admission;
 pub mod client;
 pub mod error;
-pub mod executor;
 pub mod object;
 pub mod query;
 pub mod rbac;
@@ -56,7 +55,6 @@ pub mod wal;
 pub use admission::{AdmissionResponse, AdmissionReview, AdmissionWebhook};
 pub use client::{Client, NamespacedClient, NamespacedReadClient, ReadClient};
 pub use error::ApiError;
-pub use executor::{ShardExecutor, SHARD_THREADS_ENV};
 pub use object::{Object, ObjectRef};
 pub use query::{IndexKey, Plan, PredicateSelector, Query, QueryError, QueryPred};
 pub use rbac::{Role, RoleBinding, Rule, Verb};

@@ -198,8 +198,8 @@ impl ApiServer {
         Ok(1)
     }
 
-    /// Applies a batch of mutations in one round trip, committing each
-    /// namespace's slice on its shard's worker
+    /// Applies a batch of mutations in one round trip, committing one
+    /// namespace's slice at a time
     /// (see [`Store::apply_batch`](crate::store::Store::apply_batch)).
     ///
     /// Per-op semantics — RBAC, schema validation, admission, versioning —
@@ -216,11 +216,10 @@ impl ApiServer {
                 Err(e) => results[i] = Some(Err(e)),
             }
         }
-        // The fast path ships raw ops to the shard workers. It is only
-        // valid when no coordinator-side pipeline stage can fire: webhooks
-        // and schema validation need old/new models, so their presence
-        // routes through the prepared path, which simulates the batch on
-        // the coordinator first.
+        // The fast path hands raw ops straight to the store. It is only
+        // valid when no pipeline stage can fire: webhooks and schema
+        // validation need old/new models, so their presence routes
+        // through the prepared path, which simulates the batch first.
         let prepared = !self.webhooks.is_empty()
             || self.strict_kinds
             || admitted
@@ -254,11 +253,11 @@ impl ApiServer {
         }
     }
 
-    /// Batch path with coordinator-side pipeline stages: each op is
-    /// simulated against an overlay of the batch's earlier writes so
-    /// validation and admission see the same old/new models the serial
-    /// verbs would, then the surviving ops commit on the shard workers and
-    /// webhooks observe the outcomes in op order.
+    /// Batch path with pipeline stages: each op is simulated against an
+    /// overlay of the batch's earlier writes so validation and admission
+    /// see the same old/new models the serial verbs would, then the
+    /// surviving ops commit through the store and webhooks observe the
+    /// outcomes in op order.
     fn apply_batch_prepared(
         &mut self,
         subject: &str,
@@ -824,23 +823,6 @@ impl ApiServer {
     /// controllers can hold one while something else drives mutations.
     pub fn reader(&self, subject: impl Into<String>) -> ReadClient<'_> {
         ReadClient::new(self, subject.into())
-    }
-
-    /// The shard worker cap (see
-    /// [`SHARD_THREADS_ENV`](crate::executor::SHARD_THREADS_ENV)).
-    pub fn executor_threads(&self) -> usize {
-        self.store.executor_threads()
-    }
-
-    /// Sets the shard worker cap. Batch results are bit-identical at any
-    /// setting; this only changes how many shards commit concurrently.
-    pub fn set_executor_threads(&mut self, threads: usize) {
-        self.store.set_executor_threads(threads)
-    }
-
-    /// Number of pooled shard-worker threads currently alive.
-    pub fn pooled_workers(&self) -> usize {
-        self.store.pooled_workers()
     }
 }
 

@@ -3,10 +3,9 @@
 //! Every namespace owns a *shard*: its own event log, its own revision
 //! counter, its own selector indexes, and its own compaction horizon.
 //! Mutations in one namespace never touch another shard's log or wake its
-//! watchers, so tenants cannot contend — the structural prerequisite for
-//! running controllers on separate threads. In the other direction, a
-//! watcher's polls visit only the shards where it has undelivered events,
-//! so a subscription spanning every namespace pays per delivery what a
+//! watchers, so tenants stay isolated. In the other direction, a watcher's
+//! polls visit only the shards where it has undelivered events, so a
+//! subscription spanning every namespace pays per delivery what a
 //! single-namespace one does.
 
 use std::cell::Cell;
@@ -17,7 +16,6 @@ use std::sync::{Arc, OnceLock};
 use dspace_value::{json, Path, Segment, Shared, Value, ValueError};
 
 use crate::error::ApiError;
-use crate::executor::ShardExecutor;
 use crate::object::{Object, ObjectRef};
 use crate::query::{IndexKey, Plan, PredicateSelector, Query, QueryError, QueryPred};
 use crate::wal::{self, Checkpoint, DurabilityOptions, Wal, WalError, WalRecord};
@@ -310,8 +308,8 @@ struct MemberSlot {
 }
 
 /// A watcher's registration state within one shard, owned *by the shard*
-/// so a worker thread can maintain cursors and pending counters without
-/// touching coordinator state.
+/// so a mutation can maintain cursors and pending counters without
+/// touching store-level state.
 #[derive(Debug, Clone)]
 struct ShardMember {
     /// Shard revision of the next event this watcher has yet to examine:
@@ -383,9 +381,9 @@ fn is_queued(list: &[Arc<str>], ns: &str) -> bool {
     list.binary_search_by(|n| (**n).cmp(ns)).is_ok()
 }
 
-/// Per-shard side effects of a mutation batch, accumulated on the owning
-/// worker and merged into `Store`-level counters afterwards (in shard-name
-/// order, so the merge is deterministic).
+/// Per-shard side effects of one slice of a mutation, accumulated while
+/// the slice runs and folded into `Store`-level counters when it commits
+/// (in shard-name order for batches).
 #[derive(Debug, Default)]
 struct ShardTally {
     /// Events appended (each is one global commit ticket).
@@ -400,34 +398,20 @@ struct ShardTally {
     /// snapshot, a delivered event, or an unstealable log entry still
     /// held the `Arc`). Steady-state writes keep this at zero.
     deep_clones: u64,
-    /// Shard revision when this slice began: the `base` of its WAL commit
-    /// record, which replay asserts before re-applying the ops.
-    wal_base: u64,
     /// `true` when the store journals: shard mutators render their own
     /// WAL op into `wal_ops` on success (sharing the model encoding with
-    /// the event sizing), in ticket order, on the owning worker.
+    /// the event sizing), in ticket order.
     journal: bool,
     /// Pre-serialized WAL forms of the slice's *successful* ops, in
     /// ticket order. Empty unless `journal` is set.
     wal_ops: Vec<String>,
 }
 
-impl ShardTally {
-    fn journaling(journal: bool) -> ShardTally {
-        ShardTally {
-            journal,
-            ..ShardTally::default()
-        }
-    }
-}
-
 /// One namespace's slice of the store: its objects, event log, revision
 /// counter, selector indexes, and member cursors.
 ///
-/// A `Shard` owns everything a mutation batch in its namespace touches and
-/// is `Send`: the executor can move it onto a worker thread, run the batch
-/// there, and move it back — no locks, no shared state, and therefore no
-/// scheduling-dependent results.
+/// A `Shard` owns everything a mutation in its namespace touches, so a
+/// batch commits one shard at a time, borrowing each in place.
 #[derive(Debug, Default)]
 struct Shard {
     /// The namespace this shard holds, shared with the pending-shard sets
@@ -492,8 +476,8 @@ struct Shard {
     /// and the log drains, the shard itself is dropped.
     retiring: bool,
     /// Keys of slots charged since the last dirty drain (each listed once,
-    /// guarded by [`Slot::dirty`]). Maintained on the owning worker;
-    /// drained on the coordinator, which also clears the flags.
+    /// guarded by [`Slot::dirty`]). Filled by appends; drained by
+    /// [`Store::drain_dirty_watchers`], which also clears the flags.
     dirty_slots: Vec<SlotKey>,
     /// Exact-mode members charged since the last dirty drain.
     dirty_exact: BTreeSet<WatchId>,
@@ -554,12 +538,6 @@ struct PredWatcher {
     /// [`MemberSlot::since`]).
     since: u64,
 }
-
-// The executor moves shards across threads; keep that statically true.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<Shard>();
-};
 
 impl Shard {
     /// Mutable view of the object map. Copy-on-write against snapshots:
@@ -894,11 +872,11 @@ pub struct WatchStats {
     /// Raw events absorbed into an earlier delivery of the same object by
     /// coalescing (`raw - deliveries`, summed over polls).
     pub events_coalesced: u64,
-    /// Batch-end compaction passes run by [`Store::apply_batch`] workers
-    /// (one per shard slice per batch). A controller that batches its
-    /// writes pays at most one of these per shard per pump cycle; a
-    /// controller issuing per-op writes pays none here but loses the
-    /// amortization (serial verbs compact at poll time instead).
+    /// Batch-end compaction passes run by [`Store::apply_batch`] (one per
+    /// shard slice per batch). A controller that batches its writes pays
+    /// at most one of these per shard per pump cycle; a controller
+    /// issuing per-op writes pays none here but loses the amortization
+    /// (serial verbs compact at poll time instead).
     pub batch_compaction_passes: u64,
     /// Model deep-clones the copy-on-write write path could not avoid: a
     /// live [`StoreSnapshot`], a delivered event, or a log entry whose
@@ -924,9 +902,8 @@ pub struct WatchStats {
 pub struct Store {
     /// Namespace shards; each owns its slice of the object space.
     shards: BTreeMap<String, Shard>,
-    /// Total events ever committed across all shards. This is the only
-    /// global counter a mutation touches: the coordinator assigns it in
-    /// arrival order, so it is independent of worker scheduling.
+    /// Total events ever committed across all shards: the only global
+    /// counter a mutation touches.
     committed_total: u64,
     watchers: BTreeMap<WatchId, Watcher>,
     next_watch_id: u64,
@@ -934,8 +911,6 @@ pub struct Store {
     /// join every shard, including shards created after they subscribed.
     global_watchers: BTreeSet<WatchId>,
     stats: WatchStats,
-    /// Runs per-shard batch slices, possibly on worker threads.
-    executor: ShardExecutor,
     /// Reads served through the store itself (`get`/`list`/...), i.e. on
     /// the coordinator's borrow. The snapshot read path must keep this
     /// flat — that is what "readers never contend with the write
@@ -963,7 +938,7 @@ pub struct Store {
 /// One mutation of a batch, addressed to the shard owning its object.
 ///
 /// `SetPath` is the high-frequency op (every intent/status write is one);
-/// it carries a parsed [`Path`] so shard workers never parse strings.
+/// it carries a parsed [`Path`] so the commit path never parses strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreOp {
     /// Insert a new object (resource version 1).
@@ -1019,13 +994,9 @@ impl StoreOp {
 }
 
 impl Store {
-    /// Creates an empty store. The shard worker cap comes from
-    /// [`crate::executor::SHARD_THREADS_ENV`] (default: inline execution).
+    /// Creates an empty store.
     pub fn new() -> Self {
-        Store {
-            executor: ShardExecutor::from_env(),
-            ..Store::default()
-        }
+        Store::default()
     }
 
     /// Opens a durable store rooted at `opts.dir`: loads the newest
@@ -1165,8 +1136,7 @@ impl Store {
     }
 
     /// Ends a journaled mutation verb: flush per the sync policy, and
-    /// roll a checkpoint once enough commits accumulated. Runs on the
-    /// coordinator with every shard back in the map.
+    /// roll a checkpoint once enough commits accumulated.
     fn wal_seal(&mut self) {
         let Some(w) = self.wal.as_mut() else {
             return;
@@ -1194,24 +1164,6 @@ impl Store {
         );
         w.write_checkpoint(&doc);
         self.commits_since_ckpt = 0;
-    }
-
-    /// The shard worker cap.
-    pub fn executor_threads(&self) -> usize {
-        self.executor.threads()
-    }
-
-    /// Sets the shard worker cap (clamped to at least 1). Results are
-    /// bit-identical at any setting; this only trades latency for threads.
-    /// The executor's persistent pool is shut down (every worker joins)
-    /// and rebuilt lazily at the new cap.
-    pub fn set_executor_threads(&mut self, threads: usize) {
-        self.executor.set_threads(threads);
-    }
-
-    /// Number of pooled worker threads currently alive (0 while cold).
-    pub fn pooled_workers(&self) -> usize {
-        self.executor.pooled_workers()
     }
 
     /// Takes a consistent, immutable snapshot of every object in the
@@ -1333,25 +1285,63 @@ impl Store {
             .collect()
     }
 
+    /// The commit step every mutation shares, for one shard's slice:
+    /// capture the shard's base revision, run `op` against a fresh tally,
+    /// fold the tally into the store's counters, and journal the slice.
+    /// With `ensure` the shard is created (or un-retired) first and the
+    /// WAL record says so; without it a missing shard yields `None` and
+    /// nothing runs.
+    fn commit_slice<R>(
+        &mut self,
+        ns: &str,
+        ensure: bool,
+        op: impl FnOnce(&mut Shard, &mut ShardTally) -> R,
+    ) -> Option<R> {
+        if ensure {
+            self.ensure_shard(ns);
+        }
+        let shard = self.shards.get_mut(ns)?;
+        let base = shard.committed;
+        let mut tally = ShardTally {
+            journal: self.wal.is_some(),
+            ..ShardTally::default()
+        };
+        let result = op(shard, &mut tally);
+        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
+        self.finish_serial(ns, tally);
+        self.wal_commit(ns, base, ensure, appended, ops);
+        Some(result)
+    }
+
+    /// A serial verb on an existing object: one slice in its shard, then
+    /// the WAL seal. A missing shard means a missing object.
+    fn commit_serial<R>(
+        &mut self,
+        oref: &ObjectRef,
+        op: impl FnOnce(&mut Shard, &mut ShardTally) -> Result<R, ApiError>,
+    ) -> Result<R, ApiError> {
+        let result = self
+            .commit_slice(&oref.namespace, false, op)
+            .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
+        self.wal_seal();
+        result
+    }
+
     /// Inserts a new object, assigning resource version 1.
     pub fn create(&mut self, oref: ObjectRef, model: Value) -> Result<&Object, ApiError> {
-        let ns = oref.namespace.clone();
-        self.ensure_shard(&ns);
-        let mut tally = ShardTally::journaling(self.wal.is_some());
-        let shard = self.shards.get_mut(&ns).expect("just ensured");
-        let base = shard.committed;
-        let result = shard_create(shard, oref.clone(), model, &mut tally);
-        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
-        self.finish_serial(&ns, tally);
         // `ensure` is always set: like the batch path, `create` resurrects
         // a retiring namespace even when the op itself fails, and replay
         // must mirror that.
-        self.wal_commit(&ns, base, true, appended, ops);
+        let result = self
+            .commit_slice(&oref.namespace, true, |shard, tally| {
+                shard_create(shard, oref.clone(), model, tally)
+            })
+            .expect("ensured shard");
         self.wal_seal();
         result?;
         Ok(self
             .shards
-            .get(&ns)
+            .get(&oref.namespace)
             .expect("just ensured")
             .objects
             .get(&oref)
@@ -1369,19 +1359,9 @@ impl Store {
         model: Value,
         expected_rv: Option<u64>,
     ) -> Result<u64, ApiError> {
-        let Some(shard) = self.shards.get_mut(&oref.namespace) else {
-            return Err(ApiError::NotFound(oref.clone()));
-        };
-        let base = shard.committed;
-        let mut tally = ShardTally::journaling(self.wal.is_some());
-        let result = shard_update(shard, oref, model, expected_rv, &mut tally);
-        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
-        self.finish_serial(&oref.namespace, tally);
-        if appended > 0 {
-            self.wal_commit(&oref.namespace, base, false, appended, ops);
-        }
-        self.wal_seal();
-        result
+        self.commit_serial(oref, |shard, tally| {
+            shard_update(shard, oref, model, expected_rv, tally)
+        })
     }
 
     /// Removes an object, returning its final state.
@@ -1390,19 +1370,7 @@ impl Store {
     /// `Deleted` event carry a *bumped* resource version, so watchers can
     /// order the delete against the modifications that preceded it.
     pub fn delete(&mut self, oref: &ObjectRef) -> Result<Object, ApiError> {
-        let Some(shard) = self.shards.get_mut(&oref.namespace) else {
-            return Err(ApiError::NotFound(oref.clone()));
-        };
-        let base = shard.committed;
-        let mut tally = ShardTally::journaling(self.wal.is_some());
-        let result = shard_delete(shard, oref, &mut tally);
-        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
-        self.finish_serial(&oref.namespace, tally);
-        if appended > 0 {
-            self.wal_commit(&oref.namespace, base, false, appended, ops);
-        }
-        self.wal_seal();
-        result
+        self.commit_serial(oref, |shard, tally| shard_delete(shard, oref, tally))
     }
 
     /// Sets `path` to `value` on the stored model, in place — the serial
@@ -1418,19 +1386,9 @@ impl Store {
         path: &Path,
         value: &Value,
     ) -> Result<u64, ApiError> {
-        let Some(shard) = self.shards.get_mut(&oref.namespace) else {
-            return Err(ApiError::NotFound(oref.clone()));
-        };
-        let base = shard.committed;
-        let mut tally = ShardTally::journaling(self.wal.is_some());
-        let result = shard_set_path(shard, oref, path, value.clone(), &mut tally);
-        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
-        self.finish_serial(&oref.namespace, tally);
-        if appended > 0 {
-            self.wal_commit(&oref.namespace, base, false, appended, ops);
-        }
-        self.wal_seal();
-        result
+        self.commit_serial(oref, |shard, tally| {
+            shard_set_path(shard, oref, path, value.clone(), tally)
+        })
     }
 
     /// Deep-merges `patch` into the stored model, in place — the serial
@@ -1438,19 +1396,7 @@ impl Store {
     /// size machinery as [`Store::update_via_set`]; only the patch is
     /// journaled.
     pub fn update_via_merge(&mut self, oref: &ObjectRef, patch: &Value) -> Result<u64, ApiError> {
-        let Some(shard) = self.shards.get_mut(&oref.namespace) else {
-            return Err(ApiError::NotFound(oref.clone()));
-        };
-        let base = shard.committed;
-        let mut tally = ShardTally::journaling(self.wal.is_some());
-        let result = shard_merge(shard, oref, patch, &mut tally);
-        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
-        self.finish_serial(&oref.namespace, tally);
-        if appended > 0 {
-            self.wal_commit(&oref.namespace, base, false, appended, ops);
-        }
-        self.wal_seal();
-        result
+        self.commit_serial(oref, |shard, tally| shard_merge(shard, oref, patch, tally))
     }
 
     /// Jumps an object's resource version forward to `rv` without changing
@@ -1461,30 +1407,16 @@ impl Store {
     /// exact there. Tests use this to place an object deep into its
     /// mutation history in one step.
     pub fn fast_forward(&mut self, oref: &ObjectRef, rv: u64) -> Result<u64, ApiError> {
-        let Some(shard) = self.shards.get_mut(&oref.namespace) else {
-            return Err(ApiError::NotFound(oref.clone()));
-        };
-        let base = shard.committed;
-        let mut tally = ShardTally::journaling(self.wal.is_some());
-        let result = shard_fast_forward(shard, oref, rv, &mut tally);
-        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
-        self.finish_serial(&oref.namespace, tally);
-        if appended > 0 {
-            self.wal_commit(&oref.namespace, base, false, appended, ops);
-        }
-        self.wal_seal();
-        result
+        self.commit_serial(oref, |shard, tally| {
+            shard_fast_forward(shard, oref, rv, tally)
+        })
     }
 
-    /// Applies a batch of mutations, fanning each namespace's slice out to
-    /// its shard's worker.
+    /// Applies a batch of mutations, one namespace's slice at a time.
     ///
-    /// Ops are ticketed in arrival (vector) order by the coordinator; each
-    /// shard executes its ops in ticket order on one worker, and results
-    /// come back in ticket order. Because shards share nothing and the
-    /// per-shard outcomes are merged in shard-name order, the store's
-    /// final state and every watcher stream are **bit-identical at any
-    /// thread count** — parallelism is unobservable except in wall-clock.
+    /// Ops are ticketed in arrival (vector) order; each shard applies its
+    /// ops in ticket order, shards commit and journal in namespace order,
+    /// and results come back in ticket order.
     ///
     /// Per-op semantics (versioning, OCC, `meta.gen` stamping, event
     /// kinds) match the serial verbs exactly; in addition the whole batch
@@ -1500,6 +1432,7 @@ impl Store {
     /// [`Store::apply_batch`] with caller-assigned tickets. Results are
     /// returned sorted by ticket.
     pub fn apply_ops(&mut self, ops: Vec<(usize, StoreOp)>) -> Vec<(usize, Result<u64, ApiError>)> {
+        let mut results = Vec::with_capacity(ops.len());
         // Group ops per shard, preserving ticket order within each group.
         let mut grouped: BTreeMap<String, Vec<(usize, StoreOp)>> = BTreeMap::new();
         for (ticket, op) in ops {
@@ -1508,59 +1441,21 @@ impl Store {
                 .or_default()
                 .push((ticket, op));
         }
-        // Single-shard short-circuit: one namespace means one lane, so the
-        // batch applies inline on the coordinator — the shard stays in the
-        // map and neither the pool nor any channel is touched.
-        let journal = self.wal.is_some();
-        if grouped.len() == 1 {
-            let (ns, batch) = grouped.pop_first().expect("checked non-empty");
-            self.ensure_shard(&ns);
-            let shard = self.shards.get_mut(&ns).expect("just ensured");
-            let outcome = apply_shard_batch(shard, batch, journal);
-            let mut tally = outcome.tally;
-            let ops = std::mem::take(&mut tally.wal_ops);
-            let (base, appended) = (tally.wal_base, tally.appended);
-            self.finish_serial(&ns, tally);
-            self.wal_commit(&ns, base, true, appended, ops);
-            self.maybe_drop_shard(&ns);
-            self.wal_seal();
-            let mut results = outcome.results;
-            results.sort_by_key(|(ticket, _)| *ticket);
-            return results;
-        }
-        let mut items = Vec::with_capacity(grouped.len());
         for (ns, batch) in grouped {
-            self.ensure_shard(&ns);
-            let shard = self.shards.remove(&ns).expect("just ensured");
-            items.push((ns, shard, batch));
-        }
-        // Hand each shard to a worker; shards move out of the map and back,
-        // so workers own their slice outright (and serialize their own WAL
-        // ops in parallel — the coordinator only appends the built records).
-        let outcomes = self.executor.run(items, move |(ns, mut shard, batch)| {
-            let outcome = apply_shard_batch(&mut shard, batch, journal);
-            (ns, shard, outcome)
-        });
-        let mut results = Vec::new();
-        for (ns, shard, outcome) in outcomes {
-            self.shards.insert(ns.clone(), shard);
-            let mut tally = outcome.tally;
-            let ops = std::mem::take(&mut tally.wal_ops);
-            let (base, appended) = (tally.wal_base, tally.appended);
-            self.finish_serial(&ns, tally);
-            self.wal_commit(&ns, base, true, appended, ops);
+            self.commit_slice(&ns, true, |shard, tally| {
+                apply_shard_batch(shard, batch, tally, &mut results)
+            });
             self.maybe_drop_shard(&ns);
-            results.extend(outcome.results);
         }
         self.wal_seal();
         results.sort_by_key(|(ticket, _)| *ticket);
         results
     }
 
-    /// Folds a worker-side tally into the store's global counters; called
-    /// on the coordinator, in shard-name order for batches. A slice that
-    /// appended events marks its shard dirty so
-    /// [`Store::drain_dirty_watchers`] surfaces the charged watchers.
+    /// Folds a slice's tally into the store's global counters, in
+    /// shard-name order for batches. A slice that appended events marks
+    /// its shard dirty so [`Store::drain_dirty_watchers`] surfaces the
+    /// charged watchers.
     fn finish_serial(&mut self, ns: &str, tally: ShardTally) {
         if tally.appended > 0 && !self.dirty_shards.contains(ns) {
             self.dirty_shards.insert(ns.to_string());
@@ -2136,10 +2031,9 @@ impl Store {
 /// Appends one committed event to a shard: bump its revision, size the
 /// notification, push the log entry, and charge interested members.
 ///
-/// Runs on the shard's owning worker during batches (the `tally` carries
-/// watcher-total deltas back to the coordinator). `enc_hint` is the
-/// serialized size of `model` when the caller maintained it incrementally;
-/// `None` falls back to a full encoding walk.
+/// The `tally` carries the slice's counters back to the store. `enc_hint`
+/// is the serialized size of `model` when the caller maintained it
+/// incrementally; `None` falls back to a full encoding walk.
 fn shard_append(
     shard: &mut Shard,
     kind: WatchEventKind,
@@ -2794,56 +2688,41 @@ impl StoreSnapshot {
 
 // ----- Shard-local mutation ops ------------------------------------------
 //
-// These run on the shard's owning worker thread during batches (and inline
-// for the serial verbs). They may touch only the shard and the tally.
+// Batches and the serial verbs run these inside `Store::commit_slice`, WAL
+// replay through `replay_op`. They may touch only the shard and the tally.
 
-/// Outcome of one shard's slice of a batch.
-struct ShardOutcome {
-    /// Per-ticket results, in execution (= ticket) order.
-    results: Vec<(usize, Result<u64, ApiError>)>,
-    /// Side effects to fold into the coordinator's counters.
-    tally: ShardTally,
-}
-
-/// Executes one shard's slice of a batch in ticket order, with a single
-/// compaction pass at the end instead of one per write. With `journal`
-/// set, successful ops are serialized into the tally for the
-/// coordinator's WAL commit record.
+/// Executes one shard's slice of a batch in ticket order, pushing each
+/// op's result, with a single compaction pass at the end instead of one
+/// per write.
 fn apply_shard_batch(
     shard: &mut Shard,
     batch: Vec<(usize, StoreOp)>,
-    journal: bool,
-) -> ShardOutcome {
-    let mut tally = ShardTally {
-        wal_base: shard.committed,
-        journal,
-        ..ShardTally::default()
-    };
-    let mut results = Vec::with_capacity(batch.len());
+    tally: &mut ShardTally,
+    results: &mut Vec<(usize, Result<u64, ApiError>)>,
+) {
     for (ticket, op) in batch {
         // Successful ops journal themselves inside the mutators (where
         // the committed model is already in hand, sized once for both the
         // event path and the WAL record).
         let result = match op {
-            StoreOp::Create { oref, model } => shard_create(shard, oref, model, &mut tally),
+            StoreOp::Create { oref, model } => shard_create(shard, oref, model, tally),
             StoreOp::Put {
                 oref,
                 model,
                 expected_rv,
-            } => shard_update(shard, &oref, model, expected_rv, &mut tally),
-            StoreOp::Merge { oref, patch } => shard_merge(shard, &oref, &patch, &mut tally),
+            } => shard_update(shard, &oref, model, expected_rv, tally),
+            StoreOp::Merge { oref, patch } => shard_merge(shard, &oref, &patch, tally),
             StoreOp::SetPath { oref, path, value } => {
-                shard_set_path(shard, &oref, &path, value, &mut tally)
+                shard_set_path(shard, &oref, &path, value, tally)
             }
             StoreOp::Delete { oref } => {
-                shard_delete(shard, &oref, &mut tally).map(|o| o.resource_version)
+                shard_delete(shard, &oref, tally).map(|o| o.resource_version)
             }
         };
         results.push((ticket, result));
     }
     tally.compacted += compact(shard);
     tally.compaction_passes += 1;
-    ShardOutcome { results, tally }
 }
 
 // ----- WAL op serialization / replay ---------------------------------------

@@ -5,8 +5,7 @@
 //! maintained index postings must stay identical to a from-scratch
 //! rebuild. A second property covers kill-and-restart: reopening a
 //! durable store from checkpoint + WAL replay and re-deriving the indexes
-//! yields bit-identical postings and query results — at one shard worker
-//! thread and at the machine's maximum.
+//! yields bit-identical postings and query results.
 
 use std::fs;
 use std::path::PathBuf;
@@ -260,12 +259,6 @@ fn check_equivalence(store: &mut Store) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 // ---------------------------------------------------------------------------
 // Property 1: filtered list via indexes ≡ brute-force scan under churn
 // ---------------------------------------------------------------------------
@@ -275,20 +268,17 @@ proptest! {
 
     /// After every step of an arbitrary churn script, every query shape
     /// returns exactly what the snapshot's brute-force evaluation returns,
-    /// and every live index matches a from-scratch rebuild — at shard
-    /// worker caps 1 and max. Querying *before* the churn matters: it
-    /// builds the indexes early so the rest of the script exercises the
-    /// incremental commit-time maintenance, not lazy rebuilds.
+    /// and every live index matches a from-scratch rebuild. Querying
+    /// *before* the churn matters: it builds the indexes early so the rest
+    /// of the script exercises the incremental commit-time maintenance,
+    /// not lazy rebuilds.
     #[test]
     fn indexed_queries_match_brute_force_under_churn(script in arb_script()) {
-        for threads in [1usize, max_threads()] {
-            let mut store = Store::new();
-            store.set_executor_threads(threads);
+        let mut store = Store::new();
+        check_equivalence(&mut store)?;
+        for step in &script {
+            apply(&mut store, step);
             check_equivalence(&mut store)?;
-            for step in &script {
-                apply(&mut store, step);
-                check_equivalence(&mut store)?;
-            }
         }
     }
 }
@@ -320,43 +310,36 @@ proptest! {
     /// WAL replay re-derives bit-identical index postings and query
     /// results — the live side's postings were maintained incrementally,
     /// the recovered side's are rebuilt from replayed objects, and the
-    /// two must never be distinguishable. Checked at shard worker caps
-    /// 1 and max.
+    /// two must never be distinguishable.
     #[test]
     fn recovery_rebuilds_indexes_bit_identically(script in arb_script()) {
-        for threads in [1usize, max_threads()] {
-            let dir = scratch_dir("idx");
-            let mut store = Store::open(DurabilityOptions::new(dir.clone())).unwrap();
-            store.set_executor_threads(threads);
-            // Warm the indexes first so churn maintains them incrementally.
-            for q in query_pool() {
-                let _ = store.query(&q);
-            }
-            for step in &script {
-                apply(&mut store, step);
-            }
-            check_equivalence(&mut store)?;
-            let live_dump = dump_all(&mut store);
-            let live_results: Vec<Vec<String>> = query_pool()
-                .iter()
-                .map(|q| store.query(q).iter().map(line).collect())
-                .collect();
-            drop(store); // crash
-
-            let mut recovered = Store::open(DurabilityOptions::new(dir.clone())).unwrap();
-            recovered.set_executor_threads(threads);
-            let recovered_dump = dump_all(&mut recovered);
-            prop_assert_eq!(recovered_dump, live_dump,
-                "recovered index postings diverged at threads={}", threads);
-            let recovered_results: Vec<Vec<String>> = query_pool()
-                .iter()
-                .map(|q| recovered.query(q).iter().map(line).collect())
-                .collect();
-            prop_assert_eq!(recovered_results, live_results,
-                "recovered query results diverged at threads={}", threads);
-            check_equivalence(&mut recovered)?;
-            let _ = fs::remove_dir_all(&dir);
+        let dir = scratch_dir("idx");
+        let mut store = Store::open(DurabilityOptions::new(dir.clone())).unwrap();
+        // Warm the indexes first so churn maintains them incrementally.
+        for q in query_pool() {
+            let _ = store.query(&q);
         }
+        for step in &script {
+            apply(&mut store, step);
+        }
+        check_equivalence(&mut store)?;
+        let live_dump = dump_all(&mut store);
+        let live_results: Vec<Vec<String>> = query_pool()
+            .iter()
+            .map(|q| store.query(q).iter().map(line).collect())
+            .collect();
+        drop(store); // crash
+
+        let mut recovered = Store::open(DurabilityOptions::new(dir.clone())).unwrap();
+        let recovered_dump = dump_all(&mut recovered);
+        prop_assert_eq!(recovered_dump, live_dump, "recovered index postings diverged");
+        let recovered_results: Vec<Vec<String>> = query_pool()
+            .iter()
+            .map(|q| recovered.query(q).iter().map(line).collect())
+            .collect();
+        prop_assert_eq!(recovered_results, live_results, "recovered query results diverged");
+        check_equivalence(&mut recovered)?;
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 

@@ -1,9 +1,9 @@
 //! Snapshot consistency: `ApiServer::snapshot` is batch-boundary exact.
 //!
 //! A snapshot taken between batches must equal the store state at that
-//! boundary — bit for bit, at any executor thread count — and must stay
-//! frozen there while later batches commit around it (copy-on-write: the
-//! coordinator clones shared maps rather than mutating them in place).
+//! boundary — bit for bit — and must stay frozen there while later
+//! batches commit around it (copy-on-write: the store clones shared maps
+//! rather than mutating them in place).
 //! A snapshot can never observe half of a batch: `snapshot()` borrows
 //! the server immutably, every mutation path borrows it mutably, so the
 //! only reachable states are commit boundaries.
@@ -62,9 +62,8 @@ fn to_batch_op(op: &Op) -> BatchOp {
     }
 }
 
-fn setup(threads: usize) -> ApiServer {
+fn setup() -> ApiServer {
     let mut api = ApiServer::new();
-    api.set_executor_threads(threads);
     for ns in 0..NAMESPACES.len() {
         for obj in 0..OBJECTS_PER_NS {
             api.create(ApiServer::ADMIN, &oref(ns, obj), model(ns, obj))
@@ -88,10 +87,10 @@ fn fingerprint(snap: &StoreSnapshot) -> Vec<String> {
     out
 }
 
-/// Applies the script once at `threads`, snapshotting after every batch
-/// and keeping every snapshot alive until the very end.
-fn run(script: &[Vec<Op>], threads: usize) -> Vec<StoreSnapshot> {
-    let mut api = setup(threads);
+/// Applies the script once, snapshotting after every batch and keeping
+/// every snapshot alive until the very end.
+fn run(script: &[Vec<Op>]) -> Vec<StoreSnapshot> {
+    let mut api = setup();
     let mut snaps = vec![api.snapshot()];
     for batch in script {
         let ops: Vec<BatchOp> = batch.iter().map(to_batch_op).collect();
@@ -102,40 +101,35 @@ fn run(script: &[Vec<Op>], threads: usize) -> Vec<StoreSnapshot> {
 }
 
 proptest! {
-    /// Every snapshot equals the batch-boundary state it was taken at —
-    /// across executor thread counts, and even though every snapshot was
-    /// held alive while all later batches committed (no torn batches, no
-    /// retroactive mutation through shared maps).
+    /// Every snapshot equals the batch-boundary state it was taken at,
+    /// even though every snapshot was held alive while all later batches
+    /// committed (no torn batches, no retroactive mutation through shared
+    /// maps).
     #[test]
-    fn snapshots_pin_batch_boundaries_at_any_thread_count(script in arb_script()) {
+    fn snapshots_pin_batch_boundaries(script in arb_script()) {
         // Reference history: consume each boundary's fingerprint
         // immediately, before the next batch runs.
-        let mut api = setup(1);
+        let mut api = setup();
         let mut reference = vec![fingerprint(&api.snapshot())];
         for batch in &script {
             let ops: Vec<BatchOp> = batch.iter().map(to_batch_op).collect();
             api.apply_batch(ApiServer::ADMIN, ops);
             reference.push(fingerprint(&api.snapshot()));
         }
-        for threads in [1usize, 2, 4] {
-            let snaps = run(&script, threads);
-            prop_assert_eq!(snaps.len(), reference.len());
-            for (k, snap) in snaps.iter().enumerate() {
-                prop_assert_eq!(
-                    &fingerprint(snap), &reference[k],
-                    "threads={}, boundary {}", threads, k
-                );
-            }
+        let snaps = run(&script);
+        prop_assert_eq!(snaps.len(), reference.len());
+        for (k, snap) in snaps.iter().enumerate() {
+            prop_assert_eq!(&fingerprint(snap), &reference[k], "boundary {}", k);
         }
     }
 }
 
 /// Snapshots are `Send + Sync`: a reader thread can chew on one while
-/// the coordinator keeps committing, with no lock between them, and the
+/// the writer keeps committing, with no lock between them, and the
 /// reader still sees exactly its boundary.
 #[test]
 fn reader_threads_see_their_boundary_while_writes_continue() {
-    let mut api = setup(2);
+    let mut api = setup();
     let snap = api.snapshot();
     let pinned = fingerprint(&snap);
     let reader = std::thread::spawn(move || fingerprint(&snap));
@@ -161,7 +155,7 @@ fn reader_threads_see_their_boundary_while_writes_continue() {
 /// direct-read counter: zero store involvement per read.
 #[test]
 fn snapshot_reads_never_touch_the_store() {
-    let api = setup(1);
+    let api = setup();
     let direct_before = api.direct_reads();
     let snap_before = api.snapshot_reads();
     let snap = api.snapshot();

@@ -142,9 +142,8 @@ fn to_store_op(op: &Op) -> StoreOp {
 /// Runs the script against a durable store; watchers are drained and
 /// cancelled before the fingerprint so live state matches what recovery
 /// can promise (subscriptions die with the process).
-fn run_script(script: &[Step], dir: &Path, threads: usize) -> Vec<String> {
+fn run_script(script: &[Step], dir: &Path) -> Vec<String> {
     let mut store = Store::open(opts(dir)).unwrap();
-    store.set_executor_threads(threads);
     // Two global watchers keep compaction honest without creating shards.
     let w1 = store.watch_query(&Query::all()).unwrap();
     let w2 = store.watch_query(&Query::kind("Thing")).unwrap();
@@ -178,38 +177,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any interleaving of batches, serial verbs, namespace deletions,
-    /// checkpoints, and polls recovers bit-identically — at one worker
-    /// thread and at several, with identical fingerprints across thread
-    /// counts too, and even with trailing garbage torn onto a log.
+    /// checkpoints, and polls recovers bit-identically, even with
+    /// trailing garbage torn onto a log.
     #[test]
     fn kill_and_restart_recovers_bit_identically(script in arb_script()) {
-        let mut fps = Vec::new();
-        for threads in [1usize, 4] {
-            let dir = scratch_dir("prop");
-            let live = run_script(&script, &dir, threads);
+        let dir = scratch_dir("prop");
+        let live = run_script(&script, &dir);
 
-            // Crash: the store is dropped; simulate a torn in-flight
-            // append on whatever log happens to exist.
-            if let Some(entry) = fs::read_dir(&dir).unwrap().flatten().find(|e| {
-                e.file_name().to_string_lossy().starts_with("wal-")
-            }) {
-                let mut f = OpenOptions::new().append(true).open(entry.path()).unwrap();
-                f.write_all(&2000u32.to_le_bytes()).unwrap();
-                f.write_all(b"torn").unwrap();
-            }
-
-            let mut recovered = Store::open(opts(&dir)).unwrap();
-            prop_assert_eq!(&fingerprint(&mut recovered), &live,
-                "recovery diverged at threads={}", threads);
-            // Reopening is idempotent (the torn tail was truncated away).
-            drop(recovered);
-            let mut again = Store::open(opts(&dir)).unwrap();
-            prop_assert_eq!(&fingerprint(&mut again), &live);
-            let _ = fs::remove_dir_all(&dir);
-            fps.push(live);
+        // Crash: the store is dropped; simulate a torn in-flight append
+        // on whatever log happens to exist.
+        if let Some(entry) = fs::read_dir(&dir).unwrap().flatten().find(|e| {
+            e.file_name().to_string_lossy().starts_with("wal-")
+        }) {
+            let mut f = OpenOptions::new().append(true).open(entry.path()).unwrap();
+            f.write_all(&2000u32.to_le_bytes()).unwrap();
+            f.write_all(b"torn").unwrap();
         }
-        // Thread count is unobservable in durable state too.
-        prop_assert_eq!(&fps[0], &fps[1]);
+
+        let mut recovered = Store::open(opts(&dir)).unwrap();
+        prop_assert_eq!(&fingerprint(&mut recovered), &live, "recovery diverged");
+        // Reopening is idempotent (the torn tail was truncated away).
+        drop(recovered);
+        let mut again = Store::open(opts(&dir)).unwrap();
+        prop_assert_eq!(&fingerprint(&mut again), &live);
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 

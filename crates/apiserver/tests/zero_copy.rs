@@ -6,10 +6,9 @@
 //! must never deep-clone the model. This suite churns a store through
 //! arbitrary create/put/merge/set-path/delete(+recreate) scripts with
 //! watchers joining, polling, widening, narrowing, and leaving
-//! mid-stream and the runtime's dirty-watcher feed drained between them
-//! — at one shard worker thread and at the machine's maximum — auditing
-//! the size bookkeeping and the pending-shard sets against freshly
-//! computed truth after every step.
+//! mid-stream and the runtime's dirty-watcher feed drained between them,
+//! auditing the size bookkeeping and the pending-shard sets against
+//! freshly computed truth after every step.
 
 use proptest::prelude::*;
 
@@ -406,12 +405,6 @@ fn audit(store: &Store, watchers: &[WatchId]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 // ---------------------------------------------------------------------------
 // Property: incremental size accounting ≡ recomputed truth under churn
 // ---------------------------------------------------------------------------
@@ -421,31 +414,28 @@ proptest! {
 
     /// After every step of an arbitrary churn-plus-watcher script, the
     /// enc cache, every stamped log-entry size, and every watcher's
-    /// pending event/byte totals equal freshly recomputed truth — at
-    /// shard worker caps 1 and max. `verify_sizes` additionally makes
-    /// every hinted append assert its hint against a full walk inside
-    /// the shard, so a wrong delta fails at the write that produced it.
+    /// pending event/byte totals equal freshly recomputed truth.
+    /// `verify_sizes` additionally makes every hinted append assert its
+    /// hint against a full walk inside the shard, so a wrong delta fails
+    /// at the write that produced it.
     #[test]
     fn size_accounting_is_exact_under_churn(script in arb_script()) {
-        for threads in [1usize, max_threads()] {
-            let mut store = Store::new();
-            store.set_executor_threads(threads);
-            store.set_verify_sizes(true);
-            let mut watchers: Vec<WatchId> = Vec::new();
-            // One watcher from the start so the very first writes are
-            // accounted, not just post-join churn.
-            watchers.push(store.watch_query(&Query::all()).unwrap());
-            audit(&store, &watchers)?;
-            for step in &script {
-                apply(&mut store, &mut watchers, step);
-                audit(&store, &watchers)?;
-            }
-            // Drain everything and re-audit the emptied logs.
-            for &id in &watchers {
-                let _ = store.poll(id);
-            }
+        let mut store = Store::new();
+        store.set_verify_sizes(true);
+        let mut watchers: Vec<WatchId> = Vec::new();
+        // One watcher from the start so the very first writes are
+        // accounted, not just post-join churn.
+        watchers.push(store.watch_query(&Query::all()).unwrap());
+        audit(&store, &watchers)?;
+        for step in &script {
+            apply(&mut store, &mut watchers, step);
             audit(&store, &watchers)?;
         }
+        // Drain everything and re-audit the emptied logs.
+        for &id in &watchers {
+            let _ = store.poll(id);
+        }
+        audit(&store, &watchers)?;
     }
 }
 

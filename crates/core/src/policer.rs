@@ -298,9 +298,9 @@ impl Policer {
         while i < actions.len() {
             // A run of consecutive set-intent actions commits as ONE
             // apiserver batch: a fan-out like "all tenants' lamps off"
-            // spans namespaces, so the shard executor can run the writes
-            // in parallel, while per-action results (and their order in
-            // the trace) are preserved exactly.
+            // spans namespaces and pays one compaction pass per shard,
+            // while per-action results (and their order in the trace) are
+            // preserved exactly.
             let run = i + actions[i..]
                 .iter()
                 .take_while(|a| matches!(a, PolicyAction::SetIntent { .. }))

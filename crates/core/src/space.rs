@@ -43,10 +43,8 @@ pub struct SpaceConfig {
     pub controller_write: Option<dspace_simnet::Link>,
     /// Backoff schedule for driver→apiserver commits over faulty links.
     pub retry: RetryPolicy,
-    /// Shard worker cap for the apiserver's batch paths. `0` keeps the
-    /// process default (the `DSPACE_SHARD_THREADS` environment variable,
-    /// or 1). Any setting yields bit-identical results — this is purely a
-    /// wall-clock knob.
+    /// Ignored: the apiserver commits every batch on the calling thread.
+    /// The field remains only for configurations that still set it.
     pub threads: usize,
     /// When set, the apiserver journals every commit to this WAL/checkpoint
     /// directory and recovers from it on open ([`Space::open`]). `None`
@@ -152,9 +150,6 @@ impl Space {
             }
         }
         world.set_retry_policy(config.retry);
-        if config.threads > 0 {
-            world.api.set_executor_threads(config.threads);
-        }
         // Recovered digis are addressable by name again (system objects
         // aren't digis and never enter the name table).
         let mut names = BTreeMap::new();

@@ -244,10 +244,9 @@ pub struct World {
     pub api: ApiServer,
     /// The digi-graph, shared with the topology webhook.
     ///
-    /// Deliberately `Rc`, not [`Shared`]: the graph is coordinator-only
-    /// state. Admission (and thus every webhook) runs on the control
-    /// thread before ops are handed to the shard executor, so the graph is
-    /// never touched from a shard worker and needs no `Send` bound.
+    /// Deliberately `Rc`, not [`Shared`]: admission (and thus every
+    /// webhook) runs on the thread that drives the world, the same one
+    /// that commits every write, so the graph needs no `Send` bound.
     pub graph: Rc<RefCell<DigiGraph>>,
     /// Deterministic randomness for links and devices.
     pub rng: Rng,

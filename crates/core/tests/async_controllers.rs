@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use dspace_core::driver::Driver;
 use dspace_core::{Space, SpaceConfig};
 use dspace_simnet::{LatencyModel, Link};
-use support::{ack_driver, build_scene, drive, lamp_pair, max_threads, summarize, RunSummary};
+use support::{ack_driver, build_scene, drive, lamp_pair, summarize, RunSummary};
 
 fn step_until_controller_busy(space: &mut Space, name: &str) {
     let mut guard = 0u32;
@@ -147,11 +147,10 @@ fn faulty_controller_link_retries_and_is_deterministic() {
     );
 }
 
-fn scene_run(write_link: Option<Link>, threads: usize) -> RunSummary {
+fn scene_run(write_link: Option<Link>) -> RunSummary {
     let mut space = build_scene(
         SpaceConfig {
             controller_write: write_link,
-            threads,
             ..SpaceConfig::default()
         },
         &["kid", "hub"],
@@ -165,21 +164,10 @@ fn deferred_pipeline_replays_inline_bit_identically() {
     // Replay: with zero latency everywhere, the inline path (per-op
     // writes) and the deferred pipeline forced by `Link::instant()` (plan
     // → transmit → admit → one batched landing, zero RNG draws, zero
-    // delay) must leave the same clock, counters, trace, and store, at
-    // shard-thread caps 1 and max.
-    let baseline = scene_run(None, 1);
-    for threads in [1, max_threads()] {
-        let inline = scene_run(None, threads);
-        let deferred = scene_run(Some(Link::instant()), threads);
-        assert_eq!(
-            inline, deferred,
-            "deferred pipeline != inline (threads={threads})"
-        );
-        assert_eq!(
-            inline, baseline,
-            "thread cap changed the run (threads={threads})"
-        );
-    }
+    // delay) must leave the same clock, counters, trace, and store.
+    let inline = scene_run(None);
+    let deferred = scene_run(Some(Link::instant()));
+    assert_eq!(inline, deferred, "deferred pipeline != inline");
 }
 
 proptest! {

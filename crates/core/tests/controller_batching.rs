@@ -3,10 +3,9 @@
 //! An inline (zero-latency) mounter/syncer cycle commits each write as it
 //! is decided; a deferred cycle queues its writes on a read-your-writes
 //! overlay and lands them as one OCC-checked `apply_batch`. Whatever the
-//! mode — and whatever the shard worker count — a scenario must end in a
-//! bit-identical store, trace, counters, and clock: the overlay makes
-//! every mid-cycle read see exactly what per-op commits would have made
-//! visible.
+//! mode, a scenario must end in a bit-identical store, trace, counters,
+//! and clock: the overlay makes every mid-cycle read see exactly what
+//! per-op commits would have made visible.
 
 mod support;
 
@@ -16,20 +15,12 @@ use dspace_core::graph::MountMode;
 use dspace_core::{Space, SpaceConfig};
 use dspace_simnet::Link;
 use dspace_value::{AttrType, KindSchema, Value};
-use support::{batching_script, max_threads, summarize};
-
-fn inline(threads: usize) -> SpaceConfig {
-    SpaceConfig {
-        threads,
-        ..SpaceConfig::default()
-    }
-}
+use support::{batching_script, summarize};
 
 /// Zero delay and zero RNG draws, but every controller cycle goes
 /// through the deferred plan → transmit → admit → land pipeline.
-fn deferred(threads: usize) -> SpaceConfig {
+fn deferred() -> SpaceConfig {
     SpaceConfig {
-        threads,
         controller_write: Some(Link::instant()),
         ..SpaceConfig::default()
     }
@@ -37,7 +28,7 @@ fn deferred(threads: usize) -> SpaceConfig {
 
 #[test]
 fn inline_per_op_and_deferred_batch_are_bit_identical() {
-    let reference = summarize(&batching_script(inline(1)));
+    let reference = summarize(&batching_script(SpaceConfig::default()));
     // Sanity: the scenario actually converged.
     assert!(
         reference
@@ -53,18 +44,11 @@ fn inline_per_op_and_deferred_batch_are_bit_identical() {
             .any(|(_, _, _, detail)| detail.contains("southbound sync")),
         "the mounter must have synced southbound"
     );
-    for threads in [1, max_threads()] {
-        assert_eq!(
-            reference,
-            summarize(&batching_script(inline(threads))),
-            "inline diverged at threads={threads}"
-        );
-        assert_eq!(
-            reference,
-            summarize(&batching_script(deferred(threads))),
-            "deferred diverged from inline at threads={threads}"
-        );
-    }
+    assert_eq!(
+        reference,
+        summarize(&batching_script(deferred())),
+        "deferred diverged from inline"
+    );
 }
 
 /// Mounted lamp pairs in `namespaces` shards; every lamp's intent changes
@@ -137,10 +121,8 @@ fn controller_compaction_passes(config: SpaceConfig, namespaces: usize) -> u64 {
 /// none.
 #[test]
 fn deferred_landing_pays_one_compaction_pass_per_touched_shard() {
-    for threads in [1, max_threads()] {
-        assert_eq!(controller_compaction_passes(deferred(threads), 4), 4);
-        assert_eq!(controller_compaction_passes(inline(threads), 4), 0);
-    }
+    assert_eq!(controller_compaction_passes(deferred(), 4), 4);
+    assert_eq!(controller_compaction_passes(SpaceConfig::default(), 4), 0);
 }
 
 #[test]

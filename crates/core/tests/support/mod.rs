@@ -15,13 +15,6 @@ use dspace_core::{Space, SpaceConfig};
 use dspace_simnet::{LatencyModel, Link};
 use dspace_value::{json, AttrType, KindSchema};
 
-/// The machine's available parallelism: the "max" shard-thread cap.
-pub fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 fn lamp_schema() -> KindSchema {
     KindSchema::digivice("digi.dev", "v1", "Lamp")
         .control("brightness", AttrType::Number)
@@ -145,7 +138,7 @@ pub fn drive(space: &mut Space, rounds: usize) {
 /// RTO, dropped commits retry with backoff) and the controller write link.
 /// Nonzero reconcile/controller/admission latencies send every cycle
 /// through plan → transmit → admit → land.
-pub fn faulty_config(seed: u64, drop_pct: u32, threads: usize) -> SpaceConfig {
+pub fn faulty_config(seed: u64, drop_pct: u32) -> SpaceConfig {
     let p = drop_pct as f64 / 100.0;
     let driver_link = Link::new("driver", LatencyModel::FixedMs(8.0))
         .with_jitter(LatencyModel::UniformMs(0.0, 4.0))
@@ -155,7 +148,6 @@ pub fn faulty_config(seed: u64, drop_pct: u32, threads: usize) -> SpaceConfig {
         .with_drop_probability(p);
     SpaceConfig {
         seed,
-        threads,
         links: LinkSet {
             driver: driver_link,
             ..LinkSet::default()

@@ -45,8 +45,8 @@ pub use value::{Value, ValueError};
 ///
 /// Model snapshots are shared between the store, its event logs, and every
 /// watcher that receives them; `Shared` is the one place that choice is
-/// spelled. It is `Arc` (not `Rc`) so shard state that holds snapshots is
-/// `Send` and can live on a per-shard worker thread.
+/// spelled. It is `Arc` (not `Rc`) so a `StoreSnapshot`, which holds
+/// models, is `Send + Sync` and can be read from another thread.
 pub type Shared<T = Value> = std::sync::Arc<T>;
 
 /// Convenience constructor for an empty object value.

@@ -2,16 +2,15 @@
 //!
 //! S1 (unified lamp control), S3 (motion reflex), S4 (multi-level home),
 //! S9 (shared control through yield policies) and a fleet of S1 homes,
-//! one namespace each, each run a fixed script twice, at shard-thread
-//! caps 1 and max: on the default inline controller path, and with 10 ms
-//! driver reconciles, 40 ms controller cycles and 1 ms admission, which
-//! sends every controller cycle through the deferred plan → land
-//! pipeline. Each run is folded into one 64-bit FNV-1a digest of the
-//! final clock, every counter, the full trace, and the store dump, and
-//! compared against the value recorded from the runtime — so any drift in
-//! what the runtime commits, traces, or counts fails here. The fleet's
-//! digest also folds in every delivery of a watch spanning all its
-//! namespaces.
+//! one namespace each, each run a fixed script twice: on the default
+//! inline controller path, and with 10 ms driver reconciles, 40 ms
+//! controller cycles and 1 ms admission, which sends every controller
+//! cycle through the deferred plan → land pipeline. Each run is folded
+//! into one 64-bit FNV-1a digest of the final clock, every counter, the
+//! full trace, and the store dump, and compared against the value
+//! recorded from the runtime — so any drift in what the runtime commits,
+//! traces, or counts fails here. The fleet's digest also folds in every
+//! delivery of a watch spanning all its namespaces.
 
 use dspace::apiserver::{ApiServer, ObjectRef, Query, WatchEvent};
 use dspace::core::{MountMode, Space, SpaceConfig};
@@ -64,16 +63,8 @@ impl Fnv {
     }
 }
 
-fn inline(threads: usize) -> SpaceConfig {
+fn deferred() -> SpaceConfig {
     SpaceConfig {
-        threads,
-        ..SpaceConfig::default()
-    }
-}
-
-fn deferred(threads: usize) -> SpaceConfig {
-    SpaceConfig {
-        threads,
         reconcile: LatencyModel::FixedMs(10.0),
         controller_reconcile: LatencyModel::FixedMs(40.0),
         admission: LatencyModel::FixedMs(1.0),
@@ -234,20 +225,15 @@ fn scenario_digests_are_golden() {
         ("S9", s9, 0xbc3e787bac04c78c, 0x83581d9f85eaa84f),
         ("Fleet", fleet, 0x9db6bc93641c003a, 0xc0a3ab0a54a4c338),
     ];
-    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut drift = Vec::new();
     for (name, run, want_inline, want_deferred) in cases {
-        for threads in [1, max] {
-            for (path, config, want) in [
-                ("inline", inline(threads), want_inline),
-                ("deferred", deferred(threads), want_deferred),
-            ] {
-                let got = run(config);
-                if got != want {
-                    drift.push(format!(
-                        "{name} {path} threads={threads}: {got:#018x} (golden {want:#018x})"
-                    ));
-                }
+        for (path, config, want) in [
+            ("inline", SpaceConfig::default(), want_inline),
+            ("deferred", deferred(), want_deferred),
+        ] {
+            let got = run(config);
+            if got != want {
+                drift.push(format!("{name} {path}: {got:#018x} (golden {want:#018x})"));
             }
         }
     }
