@@ -58,9 +58,9 @@ pub use error::ApiError;
 pub use object::{Object, ObjectRef};
 pub use query::{IndexKey, Plan, PredicateSelector, Query, QueryError, QueryPred};
 pub use rbac::{Role, RoleBinding, Rule, Verb};
-pub use server::{ApiServer, BatchOp};
+pub use server::ApiServer;
 pub use store::{
-    stamp_gen, CoalescedEvent, StoreOp, StoreSnapshot, WatchEvent, WatchEventKind, WatchId,
-    WatchSelector, WatchStats,
+    stamp_gen, CoalescedEvent, StoreSnapshot, WatchEvent, WatchEventKind, WatchId, WatchSelector,
+    WatchStats,
 };
 pub use wal::{DurabilityOptions, WalError, WalSync};

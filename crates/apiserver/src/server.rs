@@ -1,9 +1,7 @@
 //! The apiserver facade: verbs routed through RBAC, schema validation,
 //! and the admission chain before hitting the store.
 
-use std::collections::BTreeMap;
-
-use dspace_value::{KindSchema, Path, Value};
+use dspace_value::{KindSchema, Value};
 
 use crate::admission::{AdmissionResponse, AdmissionReview, AdmissionWebhook};
 use crate::client::{Client, ReadClient};
@@ -12,14 +10,9 @@ use crate::object::{Object, ObjectRef};
 use crate::query::{Query, QueryError};
 use crate::rbac::{Rbac, Role, Rule, Verb};
 use crate::store::{
-    stamp_gen, CoalescedEvent, Store, StoreOp, StoreSnapshot, WatchEvent, WatchId, WatchSelector,
-    WatchStats,
+    CoalescedEvent, Store, StoreSnapshot, WatchEvent, WatchId, WatchSelector, WatchStats,
 };
 use crate::wal::{DurabilityOptions, WalError};
-
-/// A post-commit webhook notification queued by the prepared batch path:
-/// `(ticket, verb, oref, old model, new model)`.
-type Review = (usize, Verb, ObjectRef, Option<Value>, Option<Value>);
 
 /// The API server.
 ///
@@ -196,206 +189,6 @@ impl ApiServer {
         let committed = obj.model.clone();
         self.observe(subject, Verb::Create, oref, None, Some(&*committed));
         Ok(1)
-    }
-
-    /// Applies a batch of mutations in one round trip, committing one
-    /// namespace's slice at a time
-    /// (see [`Store::apply_batch`](crate::store::Store::apply_batch)).
-    ///
-    /// Per-op semantics — RBAC, schema validation, admission, versioning —
-    /// match the serial verbs, and results come back in op order. Ops later
-    /// in the batch see the writes of earlier ops, like back-to-back serial
-    /// calls. The batch is not a transaction: each op commits or fails
-    /// independently.
-    pub fn apply_batch(&mut self, subject: &str, ops: Vec<BatchOp>) -> Vec<Result<u64, ApiError>> {
-        let mut results: Vec<Option<Result<u64, ApiError>>> = ops.iter().map(|_| None).collect();
-        let mut admitted: Vec<(usize, BatchOp)> = Vec::with_capacity(ops.len());
-        for (i, op) in ops.into_iter().enumerate() {
-            match self.authorize(subject, op.verb(), op.oref()) {
-                Ok(()) => admitted.push((i, op)),
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        // The fast path hands raw ops straight to the store. It is only
-        // valid when no pipeline stage can fire: webhooks and schema
-        // validation need old/new models, so their presence routes
-        // through the prepared path, which simulates the batch first.
-        let prepared = !self.webhooks.is_empty()
-            || self.strict_kinds
-            || admitted
-                .iter()
-                .any(|(_, op)| self.schemas.contains_key(&op.oref().kind));
-        if prepared {
-            self.apply_batch_prepared(subject, admitted, &mut results);
-        } else {
-            self.apply_batch_fast(admitted, &mut results);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every op resolved"))
-            .collect()
-    }
-
-    fn apply_batch_fast(
-        &mut self,
-        ops: Vec<(usize, BatchOp)>,
-        results: &mut [Option<Result<u64, ApiError>>],
-    ) {
-        let mut store_ops: Vec<(usize, StoreOp)> = Vec::with_capacity(ops.len());
-        for (i, op) in ops {
-            match batch_to_store_op(op) {
-                Ok(sop) => store_ops.push((i, sop)),
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        for (i, r) in self.store.apply_ops(store_ops) {
-            results[i] = Some(r);
-        }
-    }
-
-    /// Batch path with pipeline stages: each op is simulated against an
-    /// overlay of the batch's earlier writes so validation and admission
-    /// see the same old/new models the serial verbs would, then the
-    /// surviving ops commit through the store and webhooks observe the
-    /// outcomes in op order.
-    fn apply_batch_prepared(
-        &mut self,
-        subject: &str,
-        ops: Vec<(usize, BatchOp)>,
-        results: &mut [Option<Result<u64, ApiError>>],
-    ) {
-        // The batch's view of each touched object: `None` = deleted.
-        let mut overlay: BTreeMap<ObjectRef, Option<(Value, u64)>> = BTreeMap::new();
-        let mut store_ops: Vec<(usize, StoreOp)> = Vec::with_capacity(ops.len());
-        let mut reviews: Vec<Review> = Vec::new();
-        for (i, op) in ops {
-            let verb = op.verb();
-            let oref = op.oref().clone();
-            let current = match overlay.get(&oref) {
-                Some(entry) => entry.clone(),
-                None => self
-                    .store
-                    .get(&oref)
-                    .map(|o| ((*o.model).clone(), o.resource_version)),
-            };
-            match self.prepare_batch_op(subject, op, current) {
-                Ok((sop, old, new, entry)) => {
-                    overlay.insert(oref.clone(), entry);
-                    reviews.push((i, verb, oref, old, new));
-                    store_ops.push((i, sop));
-                }
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        for (i, r) in self.store.apply_ops(store_ops) {
-            results[i] = Some(r);
-        }
-        for (i, verb, oref, old, new) in reviews {
-            if matches!(results[i], Some(Ok(_))) {
-                self.observe(subject, verb, &oref, old.as_ref(), new.as_ref());
-            }
-        }
-    }
-
-    /// Runs one batch op through validation and admission against the
-    /// batch overlay, returning the store op to commit, the (old, new)
-    /// models for the post-commit `observe`, and the overlay entry the op
-    /// leaves behind.
-    #[allow(clippy::type_complexity)]
-    fn prepare_batch_op(
-        &mut self,
-        subject: &str,
-        op: BatchOp,
-        current: Option<(Value, u64)>,
-    ) -> Result<(StoreOp, Option<Value>, Option<Value>, Option<(Value, u64)>), ApiError> {
-        match op {
-            BatchOp::Create { oref, model } => {
-                self.validate(&oref, &model)?;
-                if current.is_some() {
-                    return Err(ApiError::AlreadyExists(oref));
-                }
-                self.admit(subject, Verb::Create, &oref, None, Some(&model))?;
-                let mut stamped = model.clone();
-                stamp_gen(&mut stamped, 1);
-                Ok((
-                    StoreOp::Create { oref, model },
-                    None,
-                    Some(stamped.clone()),
-                    Some((stamped, 1)),
-                ))
-            }
-            BatchOp::Update {
-                oref,
-                model,
-                expected_rv,
-            } => {
-                self.validate(&oref, &model)?;
-                let (old, rv) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-                if let Some(expected) = expected_rv {
-                    if expected != rv {
-                        return Err(ApiError::Conflict {
-                            oref,
-                            expected,
-                            actual: rv,
-                        });
-                    }
-                }
-                self.admit(subject, Verb::Update, &oref, Some(&old), Some(&model))?;
-                let mut stamped = model.clone();
-                stamp_gen(&mut stamped, rv + 1);
-                Ok((
-                    StoreOp::Put {
-                        oref,
-                        model,
-                        expected_rv,
-                    },
-                    Some(old),
-                    Some(stamped.clone()),
-                    Some((stamped, rv + 1)),
-                ))
-            }
-            BatchOp::Patch { oref, patch } => {
-                let (old, rv) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-                let mut new = old.clone();
-                new.merge(&patch);
-                self.validate(&oref, &new)?;
-                self.admit(subject, Verb::Patch, &oref, Some(&old), Some(&new))?;
-                stamp_gen(&mut new, rv + 1);
-                Ok((
-                    StoreOp::Merge { oref, patch },
-                    Some(old),
-                    Some(new.clone()),
-                    Some((new, rv + 1)),
-                ))
-            }
-            BatchOp::PatchPath { oref, path, value } => {
-                let parsed: Path = path
-                    .parse()
-                    .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))?;
-                let (old, rv) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-                let mut new = old.clone();
-                new.set(&parsed, value.clone())
-                    .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-                self.validate(&oref, &new)?;
-                self.admit(subject, Verb::Patch, &oref, Some(&old), Some(&new))?;
-                stamp_gen(&mut new, rv + 1);
-                Ok((
-                    StoreOp::SetPath {
-                        oref,
-                        path: parsed,
-                        value,
-                    },
-                    Some(old),
-                    Some(new.clone()),
-                    Some((new, rv + 1)),
-                ))
-            }
-            BatchOp::Delete { oref } => {
-                let (old, _) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-                self.admit(subject, Verb::Delete, &oref, Some(&old), None)?;
-                Ok((StoreOp::Delete { oref }, Some(old), None, None))
-            }
-        }
     }
 
     /// Reads an object.
@@ -824,101 +617,6 @@ impl ApiServer {
     pub fn reader(&self, subject: impl Into<String>) -> ReadClient<'_> {
         ReadClient::new(self, subject.into())
     }
-}
-
-/// One mutation of an [`ApiServer::apply_batch`] call, phrased in the same
-/// vocabulary as the serial verbs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchOp {
-    /// Create an object (see [`ApiServer::create`]).
-    Create {
-        /// The object to create.
-        oref: ObjectRef,
-        /// Its initial model.
-        model: Value,
-    },
-    /// Replace a model with optional OCC (see [`ApiServer::update`]).
-    Update {
-        /// The object to replace.
-        oref: ObjectRef,
-        /// The replacement model.
-        model: Value,
-        /// Optimistic-concurrency guard.
-        expected_rv: Option<u64>,
-    },
-    /// Deep-merge a patch (see [`ApiServer::patch`]).
-    Patch {
-        /// The object to patch.
-        oref: ObjectRef,
-        /// The patch document.
-        patch: Value,
-    },
-    /// Set one attribute (see [`ApiServer::patch_path`]).
-    PatchPath {
-        /// The object to mutate.
-        oref: ObjectRef,
-        /// Dotted attribute path, e.g. `.control.power.intent`.
-        path: String,
-        /// The new value.
-        value: Value,
-    },
-    /// Delete an object (see [`ApiServer::delete`]).
-    Delete {
-        /// The object to delete.
-        oref: ObjectRef,
-    },
-}
-
-impl BatchOp {
-    /// The object this op addresses.
-    pub fn oref(&self) -> &ObjectRef {
-        match self {
-            BatchOp::Create { oref, .. }
-            | BatchOp::Update { oref, .. }
-            | BatchOp::Patch { oref, .. }
-            | BatchOp::PatchPath { oref, .. }
-            | BatchOp::Delete { oref } => oref,
-        }
-    }
-
-    /// The RBAC verb the op is authorized as (mirrors the serial verbs).
-    fn verb(&self) -> Verb {
-        match self {
-            BatchOp::Create { .. } => Verb::Create,
-            BatchOp::Update { .. } => Verb::Update,
-            BatchOp::Patch { .. } | BatchOp::PatchPath { .. } => Verb::Patch,
-            BatchOp::Delete { .. } => Verb::Delete,
-        }
-    }
-}
-
-/// Lowers a batch op to its store form; only `PatchPath` can fail (path
-/// parse), with the same error text as the serial verb.
-fn batch_to_store_op(op: BatchOp) -> Result<StoreOp, ApiError> {
-    Ok(match op {
-        BatchOp::Create { oref, model } => StoreOp::Create { oref, model },
-        BatchOp::Update {
-            oref,
-            model,
-            expected_rv,
-        } => StoreOp::Put {
-            oref,
-            model,
-            expected_rv,
-        },
-        BatchOp::Patch { oref, patch } => StoreOp::Merge { oref, patch },
-        BatchOp::PatchPath { oref, path, value } => {
-            let parsed: Path = path
-                .parse()
-                .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))?;
-            StoreOp::SetPath {
-                oref,
-                path: parsed,
-                value,
-            }
-        }
-        BatchOp::Delete { oref } => StoreOp::Delete { oref },
-    })
 }
 
 #[cfg(test)]

@@ -382,18 +382,15 @@ fn is_queued(list: &[Arc<str>], ns: &str) -> bool {
 }
 
 /// Per-shard side effects of one slice of a mutation, accumulated while
-/// the slice runs and folded into `Store`-level counters when it commits
-/// (in shard-name order for batches).
+/// the slice runs and folded into `Store`-level counters when it commits.
 #[derive(Debug, Default)]
 struct ShardTally {
     /// Events appended (each is one global commit ticket).
     appended: u64,
-    /// Log entries reclaimed by eager or batch-end compaction.
+    /// Log entries reclaimed by eager compaction.
     compacted: u64,
-    /// High-water mark of this shard's log during the batch.
+    /// High-water mark of this shard's log during the slice.
     peak_log_len: usize,
-    /// Batch-end compaction passes run for this slice (0 or 1).
-    compaction_passes: u64,
     /// Model deep-clones the copy-on-write path could not avoid (a live
     /// snapshot, a delivered event, or an unstealable log entry still
     /// held the `Arc`). Steady-state writes keep this at zero.
@@ -411,7 +408,7 @@ struct ShardTally {
 /// counter, selector indexes, and member cursors.
 ///
 /// A `Shard` owns everything a mutation in its namespace touches, so a
-/// batch commits one shard at a time, borrowing each in place.
+/// mutation borrows only its own shard, in place.
 #[derive(Debug, Default)]
 struct Shard {
     /// The namespace this shard holds, shared with the pending-shard sets
@@ -424,10 +421,10 @@ struct Shard {
     /// snapshot holds the map the write is in place (free), and when one
     /// does, the map is cloned once — every entry's model is itself a
     /// [`Shared`] value, so the clone is shallow — and the snapshot keeps
-    /// observing exactly the batch-boundary state it was taken at.
+    /// observing exactly the commit-boundary state it was taken at.
     objects: Arc<BTreeMap<ObjectRef, Object>>,
     /// Serialized size of each object's current model, maintained across
-    /// mutations so the batch path can update notification byte counts
+    /// mutations so the write path can update notification byte counts
     /// with delta arithmetic instead of re-encoding whole documents.
     /// An entry is present iff it was computed for the object's newest
     /// model; absent entries are recomputed on demand.
@@ -872,12 +869,6 @@ pub struct WatchStats {
     /// Raw events absorbed into an earlier delivery of the same object by
     /// coalescing (`raw - deliveries`, summed over polls).
     pub events_coalesced: u64,
-    /// Batch-end compaction passes run by [`Store::apply_batch`] (one per
-    /// shard slice per batch). A controller that batches its writes pays
-    /// at most one of these per shard per pump cycle; a controller
-    /// issuing per-op writes pays none here but loses the amortization
-    /// (serial verbs compact at poll time instead).
-    pub batch_compaction_passes: u64,
     /// Model deep-clones the copy-on-write write path could not avoid: a
     /// live [`StoreSnapshot`], a delivered event, or a log entry whose
     /// snapshot could not be stolen still held the model's `Arc`. In
@@ -933,64 +924,6 @@ pub struct Store {
     /// its pending-watcher shortlist from this instead of re-deriving
     /// every watcher's pending totals after every simulation event.
     dirty_shards: BTreeSet<String>,
-}
-
-/// One mutation of a batch, addressed to the shard owning its object.
-///
-/// `SetPath` is the high-frequency op (every intent/status write is one);
-/// it carries a parsed [`Path`] so the commit path never parses strings.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StoreOp {
-    /// Insert a new object (resource version 1).
-    Create {
-        /// The object to create.
-        oref: ObjectRef,
-        /// Its initial model.
-        model: Value,
-    },
-    /// Replace an object's model, optionally OCC-guarded.
-    Put {
-        /// The object to replace.
-        oref: ObjectRef,
-        /// The replacement model.
-        model: Value,
-        /// Optimistic-concurrency guard, as in [`Store::update`].
-        expected_rv: Option<u64>,
-    },
-    /// Deep-merge a patch into the current model.
-    Merge {
-        /// The object to patch.
-        oref: ObjectRef,
-        /// The patch document.
-        patch: Value,
-    },
-    /// Set one attribute path.
-    SetPath {
-        /// The object to mutate.
-        oref: ObjectRef,
-        /// The attribute to set.
-        path: Path,
-        /// The new value.
-        value: Value,
-    },
-    /// Delete the object.
-    Delete {
-        /// The object to delete.
-        oref: ObjectRef,
-    },
-}
-
-impl StoreOp {
-    /// The object this op addresses (its namespace picks the shard).
-    pub fn oref(&self) -> &ObjectRef {
-        match self {
-            StoreOp::Create { oref, .. }
-            | StoreOp::Put { oref, .. }
-            | StoreOp::Merge { oref, .. }
-            | StoreOp::SetPath { oref, .. }
-            | StoreOp::Delete { oref } => oref,
-        }
-    }
 }
 
 impl Store {
@@ -1171,10 +1104,10 @@ impl Store {
     /// no model copies.
     ///
     /// The snapshot observes exactly the state at the last commit
-    /// boundary — never a half-applied batch, because the per-shard
-    /// indexes it pins are only ever replaced (copy-on-write) by whole
-    /// committed mutations. Reads against it are counted in
-    /// [`Store::snapshot_reads`], not [`Store::direct_reads`].
+    /// boundary — never a half-applied write, because the per-shard maps
+    /// it pins are only ever replaced (copy-on-write), and every mutation
+    /// verb commits its whole op before it returns. Reads against it are
+    /// counted in [`Store::snapshot_reads`], not [`Store::direct_reads`].
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
             shards: self
@@ -1329,9 +1262,8 @@ impl Store {
 
     /// Inserts a new object, assigning resource version 1.
     pub fn create(&mut self, oref: ObjectRef, model: Value) -> Result<&Object, ApiError> {
-        // `ensure` is always set: like the batch path, `create` resurrects
-        // a retiring namespace even when the op itself fails, and replay
-        // must mirror that.
+        // `ensure` is always set: `create` resurrects a retiring namespace
+        // even when the op itself fails, and replay must mirror that.
         let result = self
             .commit_slice(&oref.namespace, true, |shard, tally| {
                 shard_create(shard, oref.clone(), model, tally)
@@ -1373,13 +1305,12 @@ impl Store {
         self.commit_serial(oref, |shard, tally| shard_delete(shard, oref, tally))
     }
 
-    /// Sets `path` to `value` on the stored model, in place — the serial
-    /// form of [`StoreOp::SetPath`], and the hot verb behind `patch_path`.
-    /// Zero-copy in steady state (the log-tail snapshot is stolen and
-    /// rewritten as a rollback entry), O(delta) sizing via the encoded-
-    /// length cache, and only the set itself is journaled. Replaying it
-    /// against the same base reproduces the model bit-for-bit (both paths
-    /// stamp `meta.gen` identically).
+    /// Sets `path` to `value` on the stored model, in place — the hot verb
+    /// behind `patch_path`. Zero-copy in steady state (the log-tail
+    /// snapshot is stolen and rewritten as a rollback entry), O(delta)
+    /// sizing via the encoded-length cache, and only the set itself is
+    /// journaled. Replaying it against the same base reproduces the model
+    /// bit-for-bit (both paths stamp `meta.gen` identically).
     pub fn update_via_set(
         &mut self,
         oref: &ObjectRef,
@@ -1391,10 +1322,9 @@ impl Store {
         })
     }
 
-    /// Deep-merges `patch` into the stored model, in place — the serial
-    /// form of [`StoreOp::Merge`], with the same zero-copy/incremental-
-    /// size machinery as [`Store::update_via_set`]; only the patch is
-    /// journaled.
+    /// Deep-merges `patch` into the stored model, in place — the verb
+    /// behind `patch`, with the same zero-copy/incremental-size machinery
+    /// as [`Store::update_via_set`]; only the patch is journaled.
     pub fn update_via_merge(&mut self, oref: &ObjectRef, patch: &Value) -> Result<u64, ApiError> {
         self.commit_serial(oref, |shard, tally| shard_merge(shard, oref, patch, tally))
     }
@@ -1412,50 +1342,9 @@ impl Store {
         })
     }
 
-    /// Applies a batch of mutations, one namespace's slice at a time.
-    ///
-    /// Ops are ticketed in arrival (vector) order; each shard applies its
-    /// ops in ticket order, shards commit and journal in namespace order,
-    /// and results come back in ticket order.
-    ///
-    /// Per-op semantics (versioning, OCC, `meta.gen` stamping, event
-    /// kinds) match the serial verbs exactly; in addition the whole batch
-    /// pays one compaction pass per shard instead of one per write.
-    pub fn apply_batch(&mut self, ops: Vec<StoreOp>) -> Vec<Result<u64, ApiError>> {
-        let ticketed = ops.into_iter().enumerate().collect();
-        self.apply_ops(ticketed)
-            .into_iter()
-            .map(|(_, result)| result)
-            .collect()
-    }
-
-    /// [`Store::apply_batch`] with caller-assigned tickets. Results are
-    /// returned sorted by ticket.
-    pub fn apply_ops(&mut self, ops: Vec<(usize, StoreOp)>) -> Vec<(usize, Result<u64, ApiError>)> {
-        let mut results = Vec::with_capacity(ops.len());
-        // Group ops per shard, preserving ticket order within each group.
-        let mut grouped: BTreeMap<String, Vec<(usize, StoreOp)>> = BTreeMap::new();
-        for (ticket, op) in ops {
-            grouped
-                .entry(op.oref().namespace.clone())
-                .or_default()
-                .push((ticket, op));
-        }
-        for (ns, batch) in grouped {
-            self.commit_slice(&ns, true, |shard, tally| {
-                apply_shard_batch(shard, batch, tally, &mut results)
-            });
-            self.maybe_drop_shard(&ns);
-        }
-        self.wal_seal();
-        results.sort_by_key(|(ticket, _)| *ticket);
-        results
-    }
-
-    /// Folds a slice's tally into the store's global counters, in
-    /// shard-name order for batches. A slice that appended events marks
-    /// its shard dirty so [`Store::drain_dirty_watchers`] surfaces the
-    /// charged watchers.
+    /// Folds a slice's tally into the store's global counters. A slice
+    /// that appended events marks its shard dirty so
+    /// [`Store::drain_dirty_watchers`] surfaces the charged watchers.
     fn finish_serial(&mut self, ns: &str, tally: ShardTally) {
         if tally.appended > 0 && !self.dirty_shards.contains(ns) {
             self.dirty_shards.insert(ns.to_string());
@@ -1463,7 +1352,6 @@ impl Store {
         self.committed_total += tally.appended;
         self.stats.events_appended += tally.appended;
         self.stats.events_compacted += tally.compacted;
-        self.stats.batch_compaction_passes += tally.compaction_passes;
         self.stats.deep_clones += tally.deep_clones;
         self.stats.peak_log_len = self.stats.peak_log_len.max(tally.peak_log_len);
     }
@@ -2623,9 +2511,9 @@ fn recount_pending(shard: &Shard, id: WatchId) -> (u64, u64) {
 /// are reference-counted and shared with the store. The view is `Send` and
 /// `Sync`, so slow readers (CLIs, scenario assertions, dashboards) can
 /// hold or even move it to another thread while the coordinator keeps
-/// committing — later batches copy-on-write around it, they never mutate
-/// it. A snapshot therefore always equals the exact batch-boundary state
-/// it was taken at: no torn batches, ever.
+/// committing — later writes copy-on-write around it, they never mutate
+/// it. A snapshot therefore always equals the exact commit-boundary state
+/// it was taken at: no torn writes, ever.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     shards: BTreeMap<String, Arc<BTreeMap<ObjectRef, Object>>>,
@@ -2688,42 +2576,8 @@ impl StoreSnapshot {
 
 // ----- Shard-local mutation ops ------------------------------------------
 //
-// Batches and the serial verbs run these inside `Store::commit_slice`, WAL
-// replay through `replay_op`. They may touch only the shard and the tally.
-
-/// Executes one shard's slice of a batch in ticket order, pushing each
-/// op's result, with a single compaction pass at the end instead of one
-/// per write.
-fn apply_shard_batch(
-    shard: &mut Shard,
-    batch: Vec<(usize, StoreOp)>,
-    tally: &mut ShardTally,
-    results: &mut Vec<(usize, Result<u64, ApiError>)>,
-) {
-    for (ticket, op) in batch {
-        // Successful ops journal themselves inside the mutators (where
-        // the committed model is already in hand, sized once for both the
-        // event path and the WAL record).
-        let result = match op {
-            StoreOp::Create { oref, model } => shard_create(shard, oref, model, tally),
-            StoreOp::Put {
-                oref,
-                model,
-                expected_rv,
-            } => shard_update(shard, &oref, model, expected_rv, tally),
-            StoreOp::Merge { oref, patch } => shard_merge(shard, &oref, &patch, tally),
-            StoreOp::SetPath { oref, path, value } => {
-                shard_set_path(shard, &oref, &path, value, tally)
-            }
-            StoreOp::Delete { oref } => {
-                shard_delete(shard, &oref, tally).map(|o| o.resource_version)
-            }
-        };
-        results.push((ticket, result));
-    }
-    tally.compacted += compact(shard);
-    tally.compaction_passes += 1;
-}
+// The serial verbs run these inside `Store::commit_slice`, WAL replay
+// through `replay_op`. They may touch only the shard and the tally.
 
 // ----- WAL op serialization / replay ---------------------------------------
 //
@@ -3378,7 +3232,7 @@ pub fn stamp_gen(model: &mut Value, rv: u64) {
 /// Anything else (intermediate-object creation, type mismatches, bad
 /// indexes) falls back to [`Value::set`] on a scratch copy: semantics and
 /// error values match `set` exactly, except that errors leave the document
-/// untouched (which the in-place batch path requires — `set` itself may
+/// untouched (which the in-place write path requires — `set` itself may
 /// create intermediates before failing).
 fn checked_set(doc: &mut Value, path: &Path, value: Value) -> Result<Option<i64>, ValueError> {
     if fast_set_applies(doc, path) {

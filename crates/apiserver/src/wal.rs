@@ -21,7 +21,9 @@
 //! - `commit` — one shard slice of a mutation verb: the shard revision it
 //!   started from (`base`), whether the verb (re)ensured the shard (which
 //!   clears a pending retirement), how many events it appended, and the
-//!   successful ops in ticket order.
+//!   successful ops in order. Every live verb journals at most one op per
+//!   record; replay still applies records holding several (logs written
+//!   while the store also committed multi-op batches).
 //! - `retire` — the namespace entered deletion draining.
 //! - `drop` — the drained shard was dropped (its revision counter resets
 //!   if the namespace is ever recreated).
@@ -290,8 +292,8 @@ impl Wal {
 
     /// Appends a `commit` record for one shard slice from op strings the
     /// mutators rendered at commit time (sharing the encoding walk with
-    /// the event sizing). One call per journaled verb or batch slice; the
-    /// payload is built in a single reused buffer.
+    /// the event sizing). One call per journaled verb; the payload is
+    /// built in a single reused buffer.
     pub fn commit(&mut self, ns: &str, base: u64, ensure: bool, appended: u64, ops: &[String]) {
         let seq = self.next_seq(ns);
         let mut payload = std::mem::take(&mut self.scratch);

@@ -1,5 +1,5 @@
 //! Indexed queries are an optimization, not a semantics: under arbitrary
-//! churn (batched and serial creates/patches/deletes, namespace drops,
+//! churn (bursts of serial creates/patches/deletes, namespace drops,
 //! checkpoints) every filtered `Store::query` must return byte-for-byte
 //! what a brute-force scan over a snapshot returns, and the incrementally
 //! maintained index postings must stay identical to a from-scratch
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use dspace_apiserver::store::Store;
 use dspace_apiserver::wal::DurabilityOptions;
-use dspace_apiserver::{Object, ObjectRef, Query, StoreOp};
+use dspace_apiserver::{Object, ObjectRef, Query};
 use dspace_value::{json, Value};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -92,8 +92,8 @@ enum Op {
 
 #[derive(Debug, Clone)]
 enum Step {
-    /// One multi-shard `apply_batch` call.
-    Batch(Vec<Op>),
+    /// A multi-shard burst of serial verbs, back to back.
+    Burst(Vec<Op>),
     /// One serial verb.
     Serial(Op),
     DeleteNamespace {
@@ -139,7 +139,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Batch),
+        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Burst),
         arb_op().prop_map(Step::Serial),
         arb_op().prop_map(Step::Serial),
         (0usize..NAMESPACES.len()).prop_map(|ns| Step::DeleteNamespace { ns }),
@@ -151,7 +151,9 @@ fn arb_script() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(arb_step(), 1..24)
 }
 
-fn to_store_op(op: &Op) -> StoreOp {
+/// Applies one op through its serial store verb; failures (a set on a
+/// deleted object, a duplicate create) are part of the script.
+fn apply_op(store: &mut Store, op: &Op) {
     match *op {
         Op::Create {
             kind,
@@ -159,39 +161,42 @@ fn to_store_op(op: &Op) -> StoreOp {
             obj,
             brightness,
             on,
-        } => StoreOp::Create {
-            oref: oref(kind, ns, obj),
-            model: model(kind, ns, obj, brightness, on),
-        },
+        } => {
+            let _ = store.create(oref(kind, ns, obj), model(kind, ns, obj, brightness, on));
+        }
         Op::SetBrightness {
             kind,
             ns,
             obj,
             value,
-        } => StoreOp::SetPath {
-            oref: oref(kind, ns, obj),
-            path: BRIGHTNESS.parse().unwrap(),
-            value: Value::from(value as f64),
-        },
-        Op::SetPower { kind, ns, obj, on } => StoreOp::SetPath {
-            oref: oref(kind, ns, obj),
-            path: POWER.parse().unwrap(),
-            value: Value::from(if on { "on" } else { "off" }),
-        },
-        Op::Delete { kind, ns, obj } => StoreOp::Delete {
-            oref: oref(kind, ns, obj),
-        },
+        } => {
+            let _ = store.update_via_set(
+                &oref(kind, ns, obj),
+                &BRIGHTNESS.parse().unwrap(),
+                &Value::from(value as f64),
+            );
+        }
+        Op::SetPower { kind, ns, obj, on } => {
+            let _ = store.update_via_set(
+                &oref(kind, ns, obj),
+                &POWER.parse().unwrap(),
+                &Value::from(if on { "on" } else { "off" }),
+            );
+        }
+        Op::Delete { kind, ns, obj } => {
+            let _ = store.delete(&oref(kind, ns, obj));
+        }
     }
 }
 
 fn apply(store: &mut Store, step: &Step) {
     match step {
-        Step::Batch(ops) => {
-            let _ = store.apply_batch(ops.iter().map(to_store_op).collect());
+        Step::Burst(ops) => {
+            for op in ops {
+                apply_op(store, op);
+            }
         }
-        Step::Serial(op) => {
-            let _ = store.apply_batch(vec![to_store_op(op)]);
-        }
+        Step::Serial(op) => apply_op(store, op),
         Step::DeleteNamespace { ns } => {
             store.delete_namespace(NAMESPACES[*ns]);
         }

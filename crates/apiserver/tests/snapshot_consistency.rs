@@ -1,16 +1,16 @@
-//! Snapshot consistency: `ApiServer::snapshot` is batch-boundary exact.
+//! Snapshot consistency: `ApiServer::snapshot` is commit-boundary exact.
 //!
-//! A snapshot taken between batches must equal the store state at that
+//! A snapshot taken between writes must equal the store state at that
 //! boundary — bit for bit — and must stay frozen there while later
-//! batches commit around it (copy-on-write: the store clones shared maps
+//! writes commit around it (copy-on-write: the store clones shared maps
 //! rather than mutating them in place).
-//! A snapshot can never observe half of a batch: `snapshot()` borrows
-//! the server immutably, every mutation path borrows it mutably, so the
+//! A snapshot can never observe half of a write: `snapshot()` borrows
+//! the server immutably, every mutation verb borrows it mutably, so the
 //! only reachable states are commit boundaries.
 
 use proptest::prelude::*;
 
-use dspace_apiserver::{ApiServer, BatchOp, ObjectRef, Query, StoreSnapshot};
+use dspace_apiserver::{ApiServer, ObjectRef, Query, StoreSnapshot};
 use dspace_value::{json, Value};
 
 const NAMESPACES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -45,20 +45,20 @@ fn model(ns: usize, obj: usize) -> Value {
     .unwrap()
 }
 
-fn to_batch_op(op: &Op) -> BatchOp {
-    match *op {
-        Op::SetN { ns, obj, value } => BatchOp::PatchPath {
-            oref: oref(ns, obj),
-            path: ".n".into(),
-            value: Value::from(value as f64),
-        },
-        Op::Delete { ns, obj } => BatchOp::Delete {
-            oref: oref(ns, obj),
-        },
-        Op::Create { ns, obj } => BatchOp::Create {
-            oref: oref(ns, obj),
-            model: model(ns, obj),
-        },
+/// Runs a burst of ops through the serial verbs, in order; ops that fail
+/// (a set on a deleted object, a duplicate create) leave no trace.
+fn apply_burst(api: &mut ApiServer, burst: &[Op]) {
+    for op in burst {
+        let _ = match *op {
+            Op::SetN { ns, obj, value } => api.patch_path(
+                ApiServer::ADMIN,
+                &oref(ns, obj),
+                ".n",
+                Value::from(value as f64),
+            ),
+            Op::Delete { ns, obj } => api.delete(ApiServer::ADMIN, &oref(ns, obj)).map(|_| 0),
+            Op::Create { ns, obj } => api.create(ApiServer::ADMIN, &oref(ns, obj), model(ns, obj)),
+        };
     }
 }
 
@@ -87,33 +87,31 @@ fn fingerprint(snap: &StoreSnapshot) -> Vec<String> {
     out
 }
 
-/// Applies the script once, snapshotting after every batch and keeping
+/// Applies the script once, snapshotting after every burst and keeping
 /// every snapshot alive until the very end.
 fn run(script: &[Vec<Op>]) -> Vec<StoreSnapshot> {
     let mut api = setup();
     let mut snaps = vec![api.snapshot()];
-    for batch in script {
-        let ops: Vec<BatchOp> = batch.iter().map(to_batch_op).collect();
-        api.apply_batch(ApiServer::ADMIN, ops);
+    for burst in script {
+        apply_burst(&mut api, burst);
         snaps.push(api.snapshot());
     }
     snaps
 }
 
 proptest! {
-    /// Every snapshot equals the batch-boundary state it was taken at,
-    /// even though every snapshot was held alive while all later batches
-    /// committed (no torn batches, no retroactive mutation through shared
+    /// Every snapshot equals the commit-boundary state it was taken at,
+    /// even though every snapshot was held alive while all later writes
+    /// committed (no torn writes, no retroactive mutation through shared
     /// maps).
     #[test]
-    fn snapshots_pin_batch_boundaries(script in arb_script()) {
+    fn snapshots_pin_commit_boundaries(script in arb_script()) {
         // Reference history: consume each boundary's fingerprint
-        // immediately, before the next batch runs.
+        // immediately, before the next burst runs.
         let mut api = setup();
         let mut reference = vec![fingerprint(&api.snapshot())];
-        for batch in &script {
-            let ops: Vec<BatchOp> = batch.iter().map(to_batch_op).collect();
-            api.apply_batch(ApiServer::ADMIN, ops);
+        for burst in &script {
+            apply_burst(&mut api, burst);
             reference.push(fingerprint(&api.snapshot()));
         }
         let snaps = run(&script);
@@ -134,14 +132,15 @@ fn reader_threads_see_their_boundary_while_writes_continue() {
     let pinned = fingerprint(&snap);
     let reader = std::thread::spawn(move || fingerprint(&snap));
     for round in 0..50 {
-        let ops: Vec<BatchOp> = (0..6)
-            .map(|i| BatchOp::PatchPath {
-                oref: oref(i % 3, i % OBJECTS_PER_NS),
-                path: ".n".into(),
-                value: Value::from((round * 10 + i) as f64),
-            })
-            .collect();
-        api.apply_batch(ApiServer::ADMIN, ops);
+        for i in 0..6 {
+            api.patch_path(
+                ApiServer::ADMIN,
+                &oref(i % 3, i % OBJECTS_PER_NS),
+                ".n",
+                Value::from((round * 10 + i) as f64),
+            )
+            .unwrap();
+        }
     }
     assert_eq!(reader.join().unwrap(), pinned);
     assert_ne!(

@@ -16,9 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use dspace_apiserver::store::Store;
-use dspace_apiserver::wal::{DurabilityOptions, WalSync};
-use dspace_apiserver::{ObjectRef, Query, StoreOp};
+use dspace_apiserver::store::{Store, WatchId};
+use dspace_apiserver::wal::{DurabilityOptions, Wal, WalSync};
+use dspace_apiserver::{ApiError, ObjectRef, Query};
 use dspace_value::{json, Value};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -92,8 +92,8 @@ enum Op {
 
 #[derive(Debug, Clone)]
 enum Step {
-    /// One multi-shard `apply_batch` call.
-    Batch(Vec<Op>),
+    /// A multi-shard burst of serial verbs, back to back.
+    Burst(Vec<Op>),
     /// One serial verb (or store-level action).
     Serial(Op),
 }
@@ -109,7 +109,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     prop_oneof![
-        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Batch),
+        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Burst),
         arb_op().prop_map(Step::Serial),
         (0usize..3).prop_map(|ns| Step::Serial(Op::DeleteNamespace { ns })),
         Just(Step::Serial(Op::Checkpoint)),
@@ -121,21 +121,35 @@ fn arb_script() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(arb_step(), 1..24)
 }
 
-fn to_store_op(op: &Op) -> StoreOp {
+/// Sets `.n` on one object through the serial set-path verb.
+fn set_n(store: &mut Store, ns: usize, obj: usize, value: u32) -> Result<u64, ApiError> {
+    store.update_via_set(
+        &oref(ns, obj),
+        &".n".parse().unwrap(),
+        &Value::from(value as f64),
+    )
+}
+
+/// Applies one op through its serial store verb; failures (a set on a
+/// deleted object, a duplicate create) are part of the script.
+fn apply_op(store: &mut Store, w1: WatchId, op: &Op) {
     match *op {
-        Op::SetN { ns, obj, value } => StoreOp::SetPath {
-            oref: oref(ns, obj),
-            path: ".n".parse().unwrap(),
-            value: Value::from(value as f64),
-        },
-        Op::Create { ns, obj } => StoreOp::Create {
-            oref: oref(ns, obj),
-            model: model(ns, obj),
-        },
-        Op::Delete { ns, obj } => StoreOp::Delete {
-            oref: oref(ns, obj),
-        },
-        _ => unreachable!("not a batchable op"),
+        Op::SetN { ns, obj, value } => {
+            let _ = set_n(store, ns, obj, value);
+        }
+        Op::Create { ns, obj } => {
+            let _ = store.create(oref(ns, obj), model(ns, obj));
+        }
+        Op::Delete { ns, obj } => {
+            let _ = store.delete(&oref(ns, obj));
+        }
+        Op::DeleteNamespace { ns } => {
+            store.delete_namespace(NAMESPACES[ns]);
+        }
+        Op::Checkpoint => store.checkpoint(),
+        Op::Poll => {
+            let _ = store.poll(w1);
+        }
     }
 }
 
@@ -149,21 +163,12 @@ fn run_script(script: &[Step], dir: &Path) -> Vec<String> {
     let w2 = store.watch_query(&Query::kind("Thing")).unwrap();
     for step in script {
         match step {
-            Step::Batch(ops) => {
-                let _ = store.apply_batch(ops.iter().map(to_store_op).collect());
+            Step::Burst(ops) => {
+                for op in ops {
+                    apply_op(&mut store, w1, op);
+                }
             }
-            Step::Serial(op) => match op {
-                Op::SetN { .. } | Op::Create { .. } | Op::Delete { .. } => {
-                    let _ = store.apply_batch(vec![to_store_op(op)]);
-                }
-                Op::DeleteNamespace { ns } => {
-                    store.delete_namespace(NAMESPACES[*ns]);
-                }
-                Op::Checkpoint => store.checkpoint(),
-                Op::Poll => {
-                    let _ = store.poll(w1);
-                }
-            },
+            Step::Serial(op) => apply_op(&mut store, w1, op),
         }
     }
     let _ = store.poll(w1);
@@ -176,7 +181,7 @@ fn run_script(script: &[Step], dir: &Path) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of batches, serial verbs, namespace deletions,
+    /// Any interleaving of bursts, serial verbs, namespace deletions,
     /// checkpoints, and polls recovers bit-identically, even with
     /// trailing garbage torn onto a log.
     #[test]
@@ -208,7 +213,7 @@ proptest! {
 // Deterministic edges
 // ---------------------------------------------------------------------------
 
-/// Applies a fixed little history: serial verbs, a cross-shard batch, an
+/// Applies a fixed little history: serial verbs across three shards, an
 /// OCC failure, and a failed create.
 fn seed_history(store: &mut Store) {
     store.create(oref(0, 0), model(0, 0)).unwrap();
@@ -216,23 +221,13 @@ fn seed_history(store: &mut Store) {
     store.update(&oref(0, 0), model(0, 0), Some(1)).unwrap();
     assert!(store.update(&oref(0, 0), model(0, 0), Some(1)).is_err());
     assert!(store.create(oref(0, 0), model(0, 0)).is_err());
-    let results = store.apply_batch(vec![
-        StoreOp::SetPath {
-            oref: oref(0, 0),
-            path: ".n".parse().unwrap(),
-            value: Value::from(7.0),
-        },
-        StoreOp::Create {
-            oref: oref(2, 0),
-            model: model(2, 0),
-        },
-        StoreOp::Delete { oref: oref(1, 0) },
-    ]);
-    assert!(results.iter().all(Result::is_ok));
+    set_n(store, 0, 0, 7).unwrap();
+    store.create(oref(2, 0), model(2, 0)).unwrap();
+    store.delete(&oref(1, 0)).unwrap();
 }
 
 #[test]
-fn restart_recovers_serial_and_batch_history() {
+fn restart_recovers_serial_history() {
     let dir = scratch_dir("history");
     let mut store = Store::open(opts(&dir)).unwrap();
     seed_history(&mut store);
@@ -245,6 +240,39 @@ fn restart_recovers_serial_and_batch_history() {
     let mut recovered = recovered;
     let rv = recovered.update(&oref(0, 0), model(0, 0), None).unwrap();
     assert_eq!(rv, 4, "create, update, patch, then this");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Live verbs journal one op per record, but a record may hold several
+/// (logs written while the store also committed multi-op batches). Such
+/// a record replays its ops in order, exactly like the serial verbs.
+#[test]
+fn multi_op_record_replays_like_serial_verbs() {
+    let dir = scratch_dir("multi-op");
+    let (mut wal, _) = Wal::open(&opts(&dir)).unwrap();
+    let create = |obj: usize| {
+        format!(
+            r#"{{"op":"create","kind":"Thing","ns":"alpha","name":"t{obj}","model":{}}}"#,
+            json::to_string(&model(0, obj))
+        )
+    };
+    let set = r#"{"op":"set","kind":"Thing","ns":"alpha","name":"t0","path":".n","value":7}"#;
+    wal.commit(
+        "alpha",
+        0,
+        true,
+        3,
+        &[create(0), set.to_string(), create(1)],
+    );
+    drop(wal);
+
+    let mut serial = Store::new();
+    serial.create(oref(0, 0), model(0, 0)).unwrap();
+    set_n(&mut serial, 0, 0, 7).unwrap();
+    serial.create(oref(0, 1), model(0, 1)).unwrap();
+
+    let mut recovered = Store::open(opts(&dir)).unwrap();
+    assert_eq!(fingerprint(&mut recovered), fingerprint(&mut serial));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -295,17 +323,8 @@ fn checkpoint_truncates_logs_and_recovery_prefers_it() {
     o.checkpoint_every = 4; // roll checkpoints mid-stream
     let mut store = Store::open(o.clone()).unwrap();
     for round in 0..10 {
-        let _ = store.apply_batch(vec![
-            StoreOp::Create {
-                oref: oref(round % 3, 0),
-                model: model(round % 3, 0),
-            },
-            StoreOp::SetPath {
-                oref: oref(round % 3, 0),
-                path: ".n".parse().unwrap(),
-                value: Value::from(round as f64),
-            },
-        ]);
+        let _ = store.create(oref(round % 3, 0), model(round % 3, 0));
+        let _ = set_n(&mut store, round % 3, 0, round as u32);
     }
     let live = fingerprint(&mut store);
     drop(store);

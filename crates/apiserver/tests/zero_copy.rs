@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use dspace_apiserver::store::Store;
-use dspace_apiserver::{ObjectRef, Query, StoreOp, WatchId};
+use dspace_apiserver::{ObjectRef, Query, WatchId};
 use dspace_value::{json, Value};
 
 const NAMESPACES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -93,8 +93,9 @@ enum Op {
 
 #[derive(Debug, Clone)]
 enum Step {
-    /// One multi-shard `apply_batch` call.
-    Batch(Vec<Op>),
+    /// A multi-shard burst of serial verbs, back to back with no watcher
+    /// activity in between.
+    Burst(Vec<Op>),
     /// One serial verb (exercises the per-verb WAL/hint plumbing).
     Serial(Op),
     /// Open a watch from the subscription pool (index wraps).
@@ -185,8 +186,8 @@ fn arb_step() -> impl Strategy<Value = Step> {
         arb_op().prop_map(Step::Serial),
         arb_op().prop_map(Step::Serial),
         arb_op().prop_map(Step::Serial),
-        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Batch),
-        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Batch),
+        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Burst),
+        prop::collection::vec(arb_op(), 1..8).prop_map(Step::Burst),
         (0usize..64).prop_map(|query| Step::Join { query }),
         (0usize..64, 0usize..64).prop_map(|(slot, query)| Step::Extend { slot, query }),
         (0usize..64, 0usize..64).prop_map(|(slot, query)| Step::Narrow { slot, query }),
@@ -201,63 +202,6 @@ fn arb_step() -> impl Strategy<Value = Step> {
 
 fn arb_script() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(arb_step(), 1..32)
-}
-
-fn to_store_op(op: &Op) -> StoreOp {
-    match *op {
-        Op::Create {
-            kind,
-            ns,
-            obj,
-            brightness,
-            on,
-        } => StoreOp::Create {
-            oref: oref(kind, ns, obj),
-            model: model(kind, ns, obj, brightness, on),
-        },
-        Op::Put {
-            kind,
-            ns,
-            obj,
-            brightness,
-            on,
-        } => StoreOp::Put {
-            oref: oref(kind, ns, obj),
-            model: model(kind, ns, obj, brightness, on),
-            expected_rv: None,
-        },
-        Op::Merge {
-            kind,
-            ns,
-            obj,
-            brightness,
-        } => StoreOp::Merge {
-            oref: oref(kind, ns, obj),
-            patch: json::parse(&format!(
-                r#"{{"control": {{"brightness": {{"intent": {brightness}}}}},
-                    "annotations": {{"note": "merge-{brightness}"}}}}"#
-            ))
-            .unwrap(),
-        },
-        Op::SetBrightness {
-            kind,
-            ns,
-            obj,
-            value,
-        } => StoreOp::SetPath {
-            oref: oref(kind, ns, obj),
-            path: BRIGHTNESS.parse().unwrap(),
-            value: Value::from(value as f64),
-        },
-        Op::SetPower { kind, ns, obj, on } => StoreOp::SetPath {
-            oref: oref(kind, ns, obj),
-            path: POWER.parse().unwrap(),
-            value: Value::from(if on { "on" } else { "off" }),
-        },
-        Op::Delete { kind, ns, obj } => StoreOp::Delete {
-            oref: oref(kind, ns, obj),
-        },
-    }
 }
 
 /// Every selector scope the accounting distinguishes: the shared all/
@@ -319,16 +263,37 @@ fn serial_apply(store: &mut Store, op: &Op) {
                 None,
             );
         }
-        Op::Merge { .. } | Op::SetBrightness { .. } | Op::SetPower { .. } => {
-            match to_store_op(op) {
-                StoreOp::Merge { oref, patch } => {
-                    let _ = store.update_via_merge(&oref, &patch);
-                }
-                StoreOp::SetPath { oref, path, value } => {
-                    let _ = store.update_via_set(&oref, &path, &value);
-                }
-                _ => unreachable!(),
-            };
+        Op::Merge {
+            kind,
+            ns,
+            obj,
+            brightness,
+        } => {
+            let patch = json::parse(&format!(
+                r#"{{"control": {{"brightness": {{"intent": {brightness}}}}},
+                    "annotations": {{"note": "merge-{brightness}"}}}}"#
+            ))
+            .unwrap();
+            let _ = store.update_via_merge(&oref(kind, ns, obj), &patch);
+        }
+        Op::SetBrightness {
+            kind,
+            ns,
+            obj,
+            value,
+        } => {
+            let _ = store.update_via_set(
+                &oref(kind, ns, obj),
+                &BRIGHTNESS.parse().unwrap(),
+                &Value::from(value as f64),
+            );
+        }
+        Op::SetPower { kind, ns, obj, on } => {
+            let _ = store.update_via_set(
+                &oref(kind, ns, obj),
+                &POWER.parse().unwrap(),
+                &Value::from(if on { "on" } else { "off" }),
+            );
         }
         Op::Delete { kind, ns, obj } => {
             let _ = store.delete(&oref(kind, ns, obj));
@@ -338,8 +303,10 @@ fn serial_apply(store: &mut Store, op: &Op) {
 
 fn apply(store: &mut Store, watchers: &mut Vec<WatchId>, step: &Step) {
     match step {
-        Step::Batch(ops) => {
-            let _ = store.apply_batch(ops.iter().map(to_store_op).collect());
+        Step::Burst(ops) => {
+            for op in ops {
+                serial_apply(store, op);
+            }
         }
         Step::Serial(op) => serial_apply(store, op),
         Step::Join { query } => {

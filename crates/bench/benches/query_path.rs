@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, BatchSize, Criterion};
 
-use dspace_apiserver::{ApiServer, BatchOp, ObjectRef, Query, WatchId};
+use dspace_apiserver::{ApiServer, ObjectRef, Query, WatchId};
 use dspace_value::{json, Value};
 
 const DIGIS: usize = 4096;
@@ -139,16 +139,15 @@ fn fanout_sweep(smoke: bool, rows: &mut Vec<String>) {
         // The burst keeps each digi inside its bucket (i -> i + 0.25), so
         // ownership is unambiguous: watcher 0 sees `span` events, the rest
         // see nothing.
-        let ops: Vec<BatchOp> = (0..span)
-            .map(|i| BatchOp::PatchPath {
-                oref: oref(i),
-                path: ".control.brightness.intent".into(),
-                value: (i as f64 + 0.25).into(),
-            })
-            .collect();
         let start = std::time::Instant::now();
-        for r in api.apply_batch(ApiServer::ADMIN, ops) {
-            r.unwrap();
+        for i in 0..span {
+            api.patch_path(
+                ApiServer::ADMIN,
+                &oref(i),
+                ".control.brightness.intent",
+                (i as f64 + 0.25).into(),
+            )
+            .unwrap();
         }
         let commit_ms = start.elapsed().as_secs_f64() * 1e3;
         let pending = watchers.iter().filter(|&&id| api.has_pending(id)).count();

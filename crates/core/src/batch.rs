@@ -2,17 +2,18 @@
 //!
 //! A [`WriteBatch`] is the write surface of one controller cycle. An
 //! inline cycle (zero latency) issues each write per-op, as it is
-//! decided. A deferred cycle accumulates every write and lands them in a
-//! single [`ApiServer::apply_batch`] call after its simulated delays —
-//! one RBAC/validation/admission pass per op but one store commit (and
-//! one shard fan-out, one compaction pass per shard) for the whole cycle.
-//! The call site picks the mode.
+//! decided. A deferred cycle accumulates every write and lands them after
+//! its simulated delays, committing each surviving op through the same
+//! serial verb an inline cycle calls ([`ApiServer::patch`] or
+//! [`ApiServer::patch_path`]), in issue order — so RBAC, schema
+//! validation, admission, and webhook observation run per op against the
+//! topology the previous op left. The call site picks the mode.
 //!
 //! **Decision parity.** A controller must make byte-identical decisions
 //! whether its writes are batched or issued per-op. Per-op, a write is
 //! visible to the controller's next read; batched, it is not committed
 //! yet. The batch therefore keeps a *read-through overlay*: each queued
-//! write is simulated against the overlay exactly the way the server
+//! write is simulated against the overlay exactly the way the serial verb
 //! will apply it at commit (same merge/set, same `rv + 1`, same
 //! [`stamp_gen`] stamping), and [`WriteBatch::get`] serves overlay
 //! entries before consulting the server. The overlay is optimistic: an
@@ -32,20 +33,54 @@
 
 use std::collections::BTreeMap;
 
-use dspace_apiserver::{stamp_gen, ApiError, ApiServer, BatchOp, ObjectRef, Verb};
+use dspace_apiserver::{stamp_gen, ApiError, ApiServer, ObjectRef, Verb};
 use dspace_value::{Path, Shared, Value};
 
 /// The result of one queued write: the committed resource version on
 /// success, mirroring the serial verbs.
 pub type WriteResult = Result<u64, ApiError>;
 
+/// A write queued for a deferred commit: the two writes controllers
+/// queue, each landing through its serial verb.
+enum QueuedOp {
+    /// Deep-merge a patch ([`ApiServer::patch`]).
+    Merge { oref: ObjectRef, patch: Value },
+    /// Set one attribute ([`ApiServer::patch_path`]).
+    Set {
+        oref: ObjectRef,
+        path: String,
+        value: Value,
+    },
+}
+
+impl QueuedOp {
+    fn oref(&self) -> &ObjectRef {
+        match self {
+            QueuedOp::Merge { oref, .. } | QueuedOp::Set { oref, .. } => oref,
+        }
+    }
+
+    /// Rough serialized size: the payload plus per-op header overhead
+    /// (oref, path, framing).
+    fn wire_size(&self) -> u64 {
+        let payload = match self {
+            QueuedOp::Merge { patch, .. } => dspace_value::json::encoded_len(patch),
+            QueuedOp::Set { path, value, .. } => {
+                path.len() + dspace_value::json::encoded_len(value)
+            }
+        };
+        (payload + self.oref().to_string().len() + 16) as u64
+    }
+}
+
 /// How a ticket resolves at commit time.
 enum Pending {
     /// Failed at issue time (the failure is deterministic: per-op mode
     /// fails the same way against the same state). Never sent.
     Failed(ApiError),
-    /// Queued as the `.0`-th op of the batch commit.
-    Queued(usize),
+    /// Queued for the deferred commit; queued tickets resolve in issue
+    /// order, one per queued op.
+    Queued,
     /// Executed immediately (per-op mode) with this result.
     Done(WriteResult),
 }
@@ -54,7 +89,7 @@ enum Pending {
 pub struct WriteBatch {
     subject: String,
     batched: bool,
-    ops: Vec<BatchOp>,
+    ops: Vec<QueuedOp>,
     /// Simulated post-write state per object: `(stamped model, rv)`.
     overlay: BTreeMap<ObjectRef, (Shared<Value>, u64)>,
     /// Store resource version each written object's *first* read-for-write
@@ -94,7 +129,7 @@ impl WriteBatch {
         self.pending.is_empty()
     }
 
-    /// Number of ops queued for the batch commit (excludes issue-time
+    /// Number of ops queued for the deferred commit (excludes issue-time
     /// failures and per-op-mode writes that already executed).
     pub fn queued_ops(&self) -> usize {
         self.ops.len()
@@ -151,7 +186,7 @@ impl WriteBatch {
                 m.merge(&patch);
                 stamp_gen(m, rv + 1);
                 self.overlay.insert(oref.clone(), (model, rv + 1));
-                self.queue(BatchOp::Patch {
+                self.queue(QueuedOp::Merge {
                     oref: oref.clone(),
                     patch,
                 })
@@ -189,7 +224,7 @@ impl WriteBatch {
                 }
                 stamp_gen(m, rv + 1);
                 self.overlay.insert(oref.clone(), (model, rv + 1));
-                self.queue(BatchOp::PatchPath {
+                self.queue(QueuedOp::Set {
                     oref: oref.clone(),
                     path: path.to_string(),
                     value,
@@ -198,16 +233,17 @@ impl WriteBatch {
         }
     }
 
-    /// Commits the queued ops as one `apply_batch` call and resolves every
-    /// ticket, in issue order. Every written object is first re-validated
-    /// against the resource version its plan-time read observed (the
-    /// `base` map): when a batch lands after a delay — a deferred
-    /// controller cycle whose writes traveled a link — the store may have
-    /// moved on; ops against a moved (or vanished) object resolve
-    /// `Err(Conflict)` / `Err(NotFound)` without reaching the server,
-    /// exactly like a driver's OCC `update`. Returns the per-ticket
-    /// results and the number of objects whose validation failed. A
-    /// per-op batch queues nothing, so this only resolves its tickets.
+    /// Commits the queued ops and resolves every ticket, in issue order.
+    /// Every written object is first re-validated against the resource
+    /// version its plan-time read observed (the `base` map): when a batch
+    /// lands after a delay — a deferred controller cycle whose writes
+    /// traveled a link — the store may have moved on; ops against a moved
+    /// (or vanished) object resolve `Err(Conflict)` / `Err(NotFound)`
+    /// without reaching the server, exactly like a driver's OCC `update`.
+    /// Every other op then commits through its serial verb, in issue
+    /// order. Returns the per-ticket results and the number of objects
+    /// whose validation failed. A per-op batch queues nothing, so this
+    /// only resolves its tickets.
     ///
     /// Convergence is preserved because a failed validation implies a
     /// newer committed event on that object, which retriggers the watcher
@@ -233,44 +269,36 @@ impl WriteBatch {
             }
         }
         let conflicts = stale.len() as u64;
-        // Send only the ops whose base still holds; remember where each
-        // queued index landed so tickets resolve in issue order.
-        let mut send: Vec<BatchOp> = Vec::new();
-        let mut routed: Vec<Result<usize, ApiError>> = Vec::with_capacity(self.ops.len());
-        for op in self.ops {
-            match stale.get(op.oref()) {
-                Some(e) => routed.push(Err(e.clone())),
-                None => {
-                    routed.push(Ok(send.len()));
-                    send.push(op);
-                }
-            }
-        }
-        let server = if send.is_empty() {
-            Vec::new()
-        } else {
-            api.apply_batch(&self.subject, send)
-        };
-        let mut server = server.into_iter().map(Some).collect::<Vec<_>>();
+        // Queued ops follow their tickets' issue order, so resolving the
+        // tickets in order commits the ops in order.
+        let mut ops = self.ops.into_iter();
         let results = self
             .pending
             .into_iter()
             .map(|p| match p {
                 Pending::Failed(e) => Err(e),
                 Pending::Done(r) => r,
-                Pending::Queued(i) => match &routed[i] {
-                    Err(e) => Err(e.clone()),
-                    Ok(j) => server[*j].take().expect("one result per sent op"),
-                },
+                Pending::Queued => {
+                    let op = ops.next().expect("one op per queued ticket");
+                    match (stale.get(op.oref()), op) {
+                        (Some(e), _) => Err(e.clone()),
+                        (None, QueuedOp::Merge { oref, patch }) => {
+                            api.patch(&self.subject, &oref, patch)
+                        }
+                        (None, QueuedOp::Set { oref, path, value }) => {
+                            api.patch_path(&self.subject, &oref, &path, value)
+                        }
+                    }
+                }
             })
             .collect();
         (results, conflicts)
     }
 
     /// The simulation's read: overlay entry if the object was already
-    /// written this cycle, otherwise the committed object. Mirrors the
-    /// `current` input of the server's own batch-overlay preparation —
-    /// NotFound here is NotFound at commit.
+    /// written this cycle, otherwise the committed object. NotFound here
+    /// is NotFound at commit: the OCC check turns a vanished object into
+    /// `Err(NotFound)` before its ops reach the server.
     fn read_for_write(
         &mut self,
         api: &ApiServer,
@@ -280,7 +308,7 @@ impl WriteBatch {
             return Ok((Shared::clone(model), *rv));
         }
         // Unauthenticated raw read: RBAC for the write itself is checked
-        // by apply_batch at commit, exactly like the serial verb would.
+        // by the serial verb the op commits through.
         let obj = api
             .get(ApiServer::ADMIN, oref)
             .map_err(|_| ApiError::NotFound(oref.clone()))?;
@@ -296,26 +324,11 @@ impl WriteBatch {
         self.pending.len() - 1
     }
 
-    fn queue(&mut self, op: BatchOp) -> usize {
-        self.wire_bytes += wire_size(&op);
+    fn queue(&mut self, op: QueuedOp) -> usize {
+        self.wire_bytes += op.wire_size();
         self.ops.push(op);
-        self.push(Pending::Queued(self.ops.len() - 1))
+        self.push(Pending::Queued)
     }
-}
-
-/// Rough serialized size of one batch op: the payload plus per-op header
-/// overhead (oref, path, framing).
-fn wire_size(op: &BatchOp) -> u64 {
-    let payload = match op {
-        BatchOp::Patch { patch, .. } => dspace_value::json::encoded_len(patch),
-        BatchOp::PatchPath { path, value, .. } => {
-            path.len() + dspace_value::json::encoded_len(value)
-        }
-        BatchOp::Create { model, .. } => dspace_value::json::encoded_len(model),
-        BatchOp::Update { model, .. } => dspace_value::json::encoded_len(model),
-        BatchOp::Delete { .. } => 0,
-    };
-    (payload + op.oref().to_string().len() + 16) as u64
 }
 
 #[cfg(test)]

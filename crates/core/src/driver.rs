@@ -177,6 +177,9 @@ pub struct ReconcileResult {
     pub errors: Vec<String>,
     /// Names of the handlers that ran, in order.
     pub ran: Vec<String>,
+    /// The changes from `old` to `new` that triggered the cycle: the
+    /// first handler pass's diff (empty when the two models are equal).
+    pub changes: Vec<Change>,
 }
 
 /// A digi driver: an ordered collection of handlers.
@@ -323,6 +326,7 @@ impl Driver {
         // cycle (Fig. 4: "unless the update is caused by the previous
         // reconciliation").
         let mut prev = old.clone();
+        let mut first_changes: Option<Vec<Change>> = None;
         for _pass in 0..4 {
             let changes = diff(&prev, &working);
             if changes.is_empty() {
@@ -360,6 +364,7 @@ impl Driver {
                     }
                 }
             }
+            first_changes.get_or_insert(changes);
             if working == prev {
                 break;
             }
@@ -371,6 +376,7 @@ impl Driver {
             effects,
             errors,
             ran,
+            changes: first_changes.unwrap_or_default(),
         }
     }
 }

@@ -107,10 +107,10 @@ impl Mounter {
 
     /// Drains a batch of watch events into a landable plan: re-synchronizes
     /// every mount edge adjacent to an object that changed. With `batched`
-    /// the writes queue on the plan's read-your-writes overlay for one
-    /// `apply_batch` landing (a deferred cycle); otherwise each commits
-    /// immediately (an inline cycle). Either way success-gated trace
-    /// effects ride on the returned plan.
+    /// the writes queue on the plan's read-your-writes overlay and land
+    /// after the cycle's delays, each through its serial verb (a deferred
+    /// cycle); otherwise each commits immediately (an inline cycle).
+    /// Either way success-gated trace effects ride on the returned plan.
     ///
     /// The graph is borrowed per lookup, never across a write: per-op
     /// commits run the admission chain, whose topology webhook re-borrows

@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-use dspace_apiserver::{ApiServer, BatchOp, ObjectRef, Query, WatchEvent, WatchEventKind, WatchId};
+use dspace_apiserver::{ApiServer, ObjectRef, Query, WatchEvent, WatchEventKind, WatchId};
 use dspace_reflex::Env;
 use dspace_simnet::Time;
 
@@ -294,56 +294,7 @@ impl Policer {
             id.to_string(),
             format!("condition -> {value}, {} action(s)", actions.len()),
         );
-        let mut i = 0;
-        while i < actions.len() {
-            // A run of consecutive set-intent actions commits as ONE
-            // apiserver batch: a fan-out like "all tenants' lamps off"
-            // spans namespaces and pays one compaction pass per shard,
-            // while per-action results (and their order in the trace) are
-            // preserved exactly.
-            let run = i + actions[i..]
-                .iter()
-                .take_while(|a| matches!(a, PolicyAction::SetIntent { .. }))
-                .count();
-            if run - i >= 2 {
-                let ops = actions[i..run]
-                    .iter()
-                    .map(|a| {
-                        let PolicyAction::SetIntent {
-                            target,
-                            attr,
-                            value,
-                        } = a
-                        else {
-                            unreachable!("run contains only set-intent actions")
-                        };
-                        BatchOp::PatchPath {
-                            oref: target.clone(),
-                            path: format!(".control.{attr}.intent"),
-                            value: value.clone(),
-                        }
-                    })
-                    .collect();
-                for (action, result) in actions[i..run].iter().zip(api.apply_batch(SUBJECT, ops)) {
-                    match result {
-                        Ok(_) => trace.push(
-                            now,
-                            TraceKind::Composition,
-                            id.to_string(),
-                            format!("{action:?}"),
-                        ),
-                        Err(e) => trace.push(
-                            now,
-                            TraceKind::PolicyFired,
-                            id.to_string(),
-                            format!("action failed: {e}"),
-                        ),
-                    }
-                }
-                i = run;
-                continue;
-            }
-            let action = &actions[i];
+        for action in actions {
             if let Err(e) = self.run_action(api, graph, action) {
                 trace.push(
                     now,
@@ -359,7 +310,6 @@ impl Policer {
                     format!("{action:?}"),
                 );
             }
-            i += 1;
         }
     }
 
@@ -622,7 +572,7 @@ spec:
     }
 
     #[test]
-    fn consecutive_set_intents_commit_as_one_batch() {
+    fn consecutive_set_intents_fan_out_across_namespaces() {
         let mut rig = Rig::new();
         let alarm = ObjectRef::default_ns("Alarm", "alarm");
         rig.api

@@ -32,7 +32,7 @@ pub struct SpaceConfig {
     /// policer). With the zero default (and no `admission` latency or
     /// `controller_write` link) controller cycles run inline, committing
     /// each write as it is decided; anything else defers them to one
-    /// batched landing per cycle.
+    /// landing per cycle, which commits the cycle's writes op by op.
     pub controller_reconcile: LatencyModel,
     /// Apiserver-side admission latency for deferred controller batches —
     /// a separate stage from the write link, so the two delays are
@@ -43,7 +43,7 @@ pub struct SpaceConfig {
     pub controller_write: Option<dspace_simnet::Link>,
     /// Backoff schedule for driver→apiserver commits over faulty links.
     pub retry: RetryPolicy,
-    /// Ignored: the apiserver commits every batch on the calling thread.
+    /// Ignored: the apiserver commits every write on the calling thread.
     /// The field remains only for configurations that still set it.
     pub threads: usize,
     /// When set, the apiserver journals every commit to this WAL/checkpoint

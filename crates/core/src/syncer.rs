@@ -131,9 +131,10 @@ impl Syncer {
 
     /// Drains a batch of watch events into a landable plan: Sync
     /// registrations are applied eagerly (spec/cache bookkeeping);
-    /// propagation writes queue on the plan's read-your-writes overlay for
-    /// one `apply_batch` landing when `batched` (a deferred cycle), and
-    /// commit immediately otherwise (an inline cycle).
+    /// propagation writes queue on the plan's read-your-writes overlay
+    /// when `batched` (a deferred cycle) and land after the cycle's delays,
+    /// each through its serial verb; otherwise they commit immediately (an
+    /// inline cycle).
     pub(crate) fn plan(
         &mut self,
         api: &mut ApiServer,

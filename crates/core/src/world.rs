@@ -155,7 +155,8 @@ fn run_driver_cycle(rt: &mut DriverRuntime, events: &[CoalescedEvent], now_s: f6
             continue;
         }
         let result = rt.driver.reconcile(&rt.last_model, &ev.model, now_s);
-        let changed = dspace_value::diff(&rt.last_model, &ev.model)
+        let changed = result
+            .changes
             .iter()
             .take(8)
             .map(|c| c.path.to_string())
@@ -215,9 +216,6 @@ struct ComponentSlot {
     /// cycle.
     dirty: bool,
     scope: SlotScope,
-    /// Drain with `poll_coalesced` on wake: a burst of mutations to one
-    /// object becomes a single reconciliation against the newest snapshot.
-    coalesce: bool,
     /// Link the slot's deferred writes travel (defaults to `link` when
     /// unset). Only consulted by async controller cycles.
     write_link: Option<Link>,
@@ -369,7 +367,6 @@ impl World {
             Vec::new(),
             controller_link.clone(),
             SlotScope::Space { system_kinds: &[] },
-            false,
             Component::Mounter(Mounter::new()),
         );
         world.add_slot(
@@ -380,7 +377,6 @@ impl World {
             SlotScope::Space {
                 system_kinds: &["Sync"],
             },
-            false,
             Component::Syncer(Syncer::new()),
         );
         world.add_slot(
@@ -391,7 +387,6 @@ impl World {
             SlotScope::System {
                 system_kinds: &["Policy"],
             },
-            false,
             Component::Policer(Policer::new()),
         );
         world.add_slot(
@@ -400,7 +395,6 @@ impl World {
             vec![Query::all()],
             user_link,
             SlotScope::Fixed,
-            false,
             Component::User(UserCli::default()),
         );
         world.ensure_namespace("default");
@@ -412,7 +406,6 @@ impl World {
         world
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn add_slot(
         &mut self,
         name: &str,
@@ -420,7 +413,6 @@ impl World {
         queries: Vec<Query>,
         link: Link,
         scope: SlotScope,
-        coalesce: bool,
         kind: Component,
     ) {
         let watch = self
@@ -441,7 +433,6 @@ impl World {
             busy: false,
             dirty: false,
             scope,
-            coalesce,
             write_link: None,
             wake_drops_key: format!("wake_drops:{name}"),
             retries_key: format!("{tier}_retries:{name}"),
@@ -603,9 +594,6 @@ impl World {
                 .named(oref.name.as_str())],
             link,
             SlotScope::Fixed,
-            // Drivers drain coalesced: a burst of N writes to the digi is
-            // one wake, one reconcile, against the newest snapshot.
-            true,
             Component::Driver(DriverRuntime {
                 oref,
                 subject: subject.clone(),
@@ -719,7 +707,9 @@ impl World {
             return;
         }
         self.slots[i].woken = false;
-        if self.slots[i].coalesce {
+        if matches!(self.slots[i].kind, Some(Component::Driver(_))) {
+            // Drivers drain coalesced: a burst of N writes to the digi is
+            // one wake, one reconcile, against the newest snapshot.
             let events = self.api.poll_coalesced(self.slots[i].watch);
             if events.is_empty() {
                 return;
@@ -730,19 +720,6 @@ impl World {
         }
         let events = self.api.poll(self.slots[i].watch);
         if events.is_empty() {
-            return;
-        }
-        if matches!(self.slots[i].kind, Some(Component::Driver(_))) {
-            // A non-coalescing driver still goes through the async cycle;
-            // each raw event is a single-event "batch".
-            let wrapped: Vec<CoalescedEvent> = events
-                .iter()
-                .map(|event| CoalescedEvent {
-                    event: event.clone(),
-                    coalesced: 1,
-                })
-                .collect();
-            self.start_reconcile(i, wrapped, sim);
             return;
         }
         if matches!(self.slots[i].kind, Some(Component::User(_))) {
@@ -783,10 +760,11 @@ impl World {
     /// consumes no RNG draws). Otherwise the cycle is deferred: plan (wake
     /// time, against the drained snapshots, writes queued on a
     /// read-your-writes overlay) → busy latency → link transfer (with
-    /// retries) → admission → one OCC-checked `apply_batch` landing, with
-    /// the slot busy throughout so concurrent wakes coalesce into one
-    /// follow-up via the dirty bit. Both modes make the same decisions and
-    /// leave the same store.
+    /// retries) → admission → landing (an OCC re-check of every written
+    /// object, then each surviving write through its serial verb, in
+    /// issue order), with the slot busy throughout so concurrent wakes
+    /// coalesce into one follow-up via the dirty bit. Both modes make the
+    /// same decisions and leave the same store.
     fn controller_cycle(
         &mut self,
         i: usize,
@@ -834,7 +812,8 @@ impl World {
         self.slots[i].busy = true;
         let mut component = self.slots[i].kind.take().expect("component present");
         // Plan against the wake-time live store; writes queue on the plan's
-        // batch overlay and land together at the end of the cycle.
+        // batch overlay and land, one serial verb each, at the end of the
+        // cycle.
         let sw = Stopwatch::start();
         let plan = match &mut component {
             Component::Mounter(m) => {
@@ -969,8 +948,8 @@ impl World {
     }
 
     /// Lands a deferred controller batch: OCC re-validation against the
-    /// plan-time snapshot rvs, commit, success-gated effects — then the
-    /// cycle completes.
+    /// plan-time snapshot rvs, per-op commits in issue order,
+    /// success-gated effects — then the cycle completes.
     fn controller_land(&mut self, i: usize, plan: ControllerPlan, sim: &mut Sim<World>) {
         let sw = Stopwatch::start();
         let mut component = self.slots[i].kind.take().expect("component present");

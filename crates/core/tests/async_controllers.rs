@@ -163,7 +163,7 @@ fn scene_run(write_link: Option<Link>) -> RunSummary {
 fn deferred_pipeline_replays_inline_bit_identically() {
     // Replay: with zero latency everywhere, the inline path (per-op
     // writes) and the deferred pipeline forced by `Link::instant()` (plan
-    // → transmit → admit → one batched landing, zero RNG draws, zero
+    // → transmit → admit → one per-op landing, zero RNG draws, zero
     // delay) must leave the same clock, counters, trace, and store.
     let inline = scene_run(None);
     let deferred = scene_run(Some(Link::instant()));

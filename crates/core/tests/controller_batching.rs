@@ -2,14 +2,14 @@
 //!
 //! An inline (zero-latency) mounter/syncer cycle commits each write as it
 //! is decided; a deferred cycle queues its writes on a read-your-writes
-//! overlay and lands them as one OCC-checked `apply_batch`. Whatever the
-//! mode, a scenario must end in a bit-identical store, trace, counters,
-//! and clock: the overlay makes every mid-cycle read see exactly what
-//! per-op commits would have made visible.
+//! overlay and lands them after an OCC re-check, each through its serial
+//! verb. Whatever the mode, a scenario must end in a bit-identical store,
+//! trace, counters, and clock: the overlay makes every mid-cycle read see
+//! exactly what per-op commits would have made visible.
 
 mod support;
 
-use dspace_apiserver::{ApiServer, BatchOp, ObjectRef};
+use dspace_apiserver::{ApiServer, ObjectRef};
 use dspace_core::driver::Driver;
 use dspace_core::graph::MountMode;
 use dspace_core::{Space, SpaceConfig};
@@ -52,10 +52,9 @@ fn inline_per_op_and_deferred_batch_are_bit_identical() {
 }
 
 /// Mounted lamp pairs in `namespaces` shards; every lamp's intent changes
-/// in one cross-shard admin batch, so a single mounter wake refreshes one
-/// replica per shard. Returns the batch compaction passes the controllers
-/// paid for it.
-fn controller_compaction_passes(config: SpaceConfig, namespaces: usize) -> u64 {
+/// through one admin write per shard, so a single mounter wake refreshes
+/// one replica per shard. Every replica must converge.
+fn cross_namespace_intents_converge(config: SpaceConfig, namespaces: usize) {
     let mut space = Space::new(config);
     space.register_kind(
         KindSchema::digivice("digi.dev", "v1", "Lamp")
@@ -77,23 +76,18 @@ fn controller_compaction_passes(config: SpaceConfig, namespaces: usize) -> u64 {
         kids.push(kid);
     }
     space.settle(30_000);
-    let ops = kids
-        .iter()
-        .map(|kid| BatchOp::PatchPath {
-            oref: kid.clone(),
-            path: ".control.brightness.intent".into(),
-            value: Value::from(0.5),
-        })
-        .collect();
-    let before = space.world.api.watch_stats().batch_compaction_passes;
-    for r in space.world.api.apply_batch(ApiServer::ADMIN, ops) {
-        r.unwrap();
+    for kid in &kids {
+        space
+            .world
+            .api
+            .patch_path(
+                ApiServer::ADMIN,
+                kid,
+                ".control.brightness.intent",
+                Value::from(0.5),
+            )
+            .unwrap();
     }
-    let admin = space.world.api.watch_stats().batch_compaction_passes - before;
-    assert_eq!(
-        admin, namespaces as u64,
-        "one pass per shard for the admin batch"
-    );
     space.pump();
     space.settle(30_000);
     for n in 0..namespaces {
@@ -113,16 +107,12 @@ fn controller_compaction_passes(config: SpaceConfig, namespaces: usize) -> u64 {
             "ns{n} replica must converge"
         );
     }
-    space.world.api.watch_stats().batch_compaction_passes - before - admin
 }
 
-/// A deferred mounter landing is one `apply_batch`: it pays exactly one
-/// compaction pass per shard it touches, while inline per-op writes pay
-/// none.
 #[test]
-fn deferred_landing_pays_one_compaction_pass_per_touched_shard() {
-    assert_eq!(controller_compaction_passes(deferred(), 4), 4);
-    assert_eq!(controller_compaction_passes(SpaceConfig::default(), 4), 0);
+fn cross_namespace_replicas_converge_inline_and_deferred() {
+    cross_namespace_intents_converge(deferred(), 4);
+    cross_namespace_intents_converge(SpaceConfig::default(), 4);
 }
 
 #[test]

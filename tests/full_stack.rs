@@ -3,12 +3,14 @@
 //! data pipeline, adaptive-composition policies, and delegation.
 
 use dspace::analytics::OccupancySchedule;
-use dspace::apiserver::ObjectRef;
+use dspace::apiserver::{ApiError, ApiServer, ObjectRef};
+use dspace::core::batch::WriteBatch;
 use dspace::core::graph::MountMode;
+use dspace::core::Driver;
 use dspace::devices::{GeeniLamp, LifxLamp, RingMotionSensor, Roomba, TeckinPlug, WyzeCam};
 use dspace::digis::{data, home, lamps, media, room, sensors, vacuum};
 use dspace::simnet::secs;
-use dspace::value::Value;
+use dspace::value::{AttrType, KindSchema, Value};
 
 /// Builds a two-room home with lamps, a plug, a motion sensor, a camera
 /// pipeline, and a roomba; returns the space.
@@ -171,6 +173,47 @@ fn admission_prevents_cross_room_diamond() {
     // the home would create a diamond.
     let err = space.mount(&ul1, &home_ref, MountMode::Expose).unwrap_err();
     assert!(err.to_string().contains("mount rule"), "{err}");
+}
+
+/// A deferred controller landing commits op by op, so admission reviews
+/// each write against the topology the previous write left: two queued
+/// active mounts of one child into two rooms cannot both land (§3.4,
+/// single writer per digi).
+#[test]
+fn deferred_landing_admits_each_write_against_the_previous() {
+    let mut space = dspace::core::Space::new(dspace::core::SpaceConfig::default());
+    space.register_kind(
+        KindSchema::digivice("digi.dev", "v1", "Lamp").control("power", AttrType::String),
+    );
+    space.register_kind(KindSchema::digivice("digi.dev", "v1", "Room").mounts("Lamp"));
+    let l1 = space.create_digi("Lamp", "l1", Driver::new()).unwrap();
+    let a = space.create_digi("Room", "a", Driver::new()).unwrap();
+    let b = space.create_digi("Room", "b", Driver::new()).unwrap();
+    space.settle(30_000);
+    let mount = dspace::value::object([
+        ("mode", Value::from("expose")),
+        ("status", Value::from("active")),
+        ("gen", Value::from(0.0)),
+    ]);
+    let api = &mut space.world.api;
+    let mut batch = WriteBatch::new(ApiServer::ADMIN, true);
+    let first = batch.patch_path(api, &a, ".mount.Lamp.l1", mount.clone());
+    let second = batch.patch_path(api, &b, ".mount.Lamp.l1", mount);
+    let (results, conflicts) = batch.commit(api);
+    assert_eq!(conflicts, 0);
+    assert!(results[first].is_ok(), "{:?}", results[first]);
+    assert!(
+        matches!(results[second], Err(ApiError::AdmissionDenied { .. })),
+        "{:?}",
+        results[second]
+    );
+    assert!(
+        api.get_path(ApiServer::ADMIN, &b, ".mount.Lamp.l1")
+            .unwrap()
+            .is_null(),
+        "room b must store no mount of l1"
+    );
+    assert_eq!(space.world.graph.borrow().active_parent(&l1), Some(a));
 }
 
 #[test]
