@@ -293,8 +293,8 @@ impl ApiServer {
     /// model for a patch to `oref`: no webhooks, kinds are not strict, and
     /// no schema covers the kind. The patch verbs then skip materializing
     /// old/new documents entirely, so a patch to a watched object is
-    /// O(delta) end to end — the store merges/sets in place, sizes the
-    /// event incrementally, and journals only the patch.
+    /// O(delta) end to end — the store merges/sets in place and journals
+    /// only the patch.
     fn patch_pipeline_idle(&self, oref: &ObjectRef) -> bool {
         self.webhooks.is_empty() && !self.strict_kinds && !self.schemas.contains_key(&oref.kind)
     }
@@ -518,16 +518,10 @@ impl ApiServer {
         self.store.has_pending(id)
     }
 
-    /// The serialized size of the subscription's undelivered events — what
-    /// the next notification would put on the wire.
-    pub fn pending_bytes(&self, id: WatchId) -> u64 {
-        self.store.pending_bytes(id)
-    }
-
-    /// Undelivered `(events, bytes)` in one derivation pass (see
-    /// [`Store::pending_totals`](crate::store::Store::pending_totals)).
-    pub fn pending_totals(&self, id: WatchId) -> (u64, u64) {
-        self.store.pending_totals(id)
+    /// The number of undelivered events for the subscription (see
+    /// [`Store::pending_events`](crate::store::Store::pending_events)).
+    pub fn pending_events(&self, id: WatchId) -> u64 {
+        self.store.pending_events(id)
     }
 
     /// Drains the set of watchers that may have gone pending since the
@@ -547,16 +541,8 @@ impl ApiServer {
         self.store.watch_stats()
     }
 
-    /// Re-walks every size hint at append time and asserts it (see
-    /// [`Store::set_verify_sizes`](crate::store::Store::set_verify_sizes)).
-    /// Equivalence-test instrumentation; off by default.
-    pub fn set_verify_sizes(&mut self, verify: bool) {
-        self.store.set_verify_sizes(verify)
-    }
-
-    /// Cross-checks every cached/stamped size and derived pending counter
-    /// against freshly computed truth (see
-    /// [`Store::audit_sizes`](crate::store::Store::audit_sizes)).
+    /// Cross-checks every derived pending counter against a fresh recount
+    /// (see [`Store::audit_sizes`](crate::store::Store::audit_sizes)).
     #[doc(hidden)]
     pub fn audit_sizes(&self) -> Result<(), String> {
         self.store.audit_sizes()

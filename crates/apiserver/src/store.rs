@@ -92,10 +92,6 @@ struct LogEntry {
     model: EntryModel,
     /// The object's resource version after the change.
     resource_version: u64,
-    /// Serialized size of the entry's model. `0` means "never sized"
-    /// (no member was interested and no hint was available at append
-    /// time); a JSON document is never 0 bytes, so the sentinel is safe.
-    bytes: u64,
 }
 
 impl LogEntry {
@@ -235,27 +231,6 @@ impl WatchSelector {
     }
 }
 
-/// Monotone per-slot charge counters: how many matching events were ever
-/// appended while the slot existed, and their serialized bytes.
-///
-/// Members in cell mode derive their pending counts as the difference
-/// between the slot's current charge and the baseline they captured at
-/// registration (or their last drain) — so an append charges each
-/// matching *slot* once, not each subscribed watcher, and per-write cost
-/// is flat in watcher count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Charge {
-    events: u64,
-    bytes: u64,
-}
-
-impl Charge {
-    fn bump(&mut self, bytes: u64) {
-        self.events += 1;
-        self.bytes += bytes;
-    }
-}
-
 /// One selector slot of a shard: its subscriber refcounts plus the shared
 /// charge cell that single-slot members ride instead of per-member
 /// counters.
@@ -266,7 +241,13 @@ struct Slot {
     /// `KindInNamespace` of the same kind), and dropping one of them must
     /// not unhook the others.
     subs: BTreeMap<WatchId, usize>,
-    charge: Charge,
+    /// Monotone charge: how many matching events were ever appended while
+    /// the slot existed. Members in cell mode derive their pending counts
+    /// as the difference between this and the baseline they captured at
+    /// registration (or their last drain) — so an append charges each
+    /// matching *slot* once, not each subscribed watcher, and per-write
+    /// cost is flat in watcher count.
+    charge: u64,
     /// Set when an append charged this slot since the last
     /// [`Store::drain_dirty_watchers`] pass; the slot's key is then listed
     /// once in its shard's `dirty_slots`, so the drain enumerates only
@@ -345,9 +326,9 @@ impl ShardMember {
 enum Acct {
     /// Derived: pending = slot charge − `base` (captured at registration
     /// or last drain). Valid only while [`ShardMember::cell_eligible`].
-    Cell { base: Charge },
-    /// Exact per-member counters, maintained by the append path.
-    Exact { pending: u64, bytes: u64 },
+    Cell { base: u64 },
+    /// An exact per-member counter, maintained by the append path.
+    Exact { pending: u64 },
 }
 
 #[derive(Debug, Clone, Default)]
@@ -396,8 +377,7 @@ struct ShardTally {
     /// held the `Arc`). Steady-state writes keep this at zero.
     deep_clones: u64,
     /// `true` when the store journals: shard mutators render their own
-    /// WAL op into `wal_ops` on success (sharing the model encoding with
-    /// the event sizing), in ticket order.
+    /// WAL op into `wal_ops` on success, in ticket order.
     journal: bool,
     /// Pre-serialized WAL forms of the slice's *successful* ops, in
     /// ticket order. Empty unless `journal` is set.
@@ -423,12 +403,6 @@ struct Shard {
     /// [`Shared`] value, so the clone is shallow — and the snapshot keeps
     /// observing exactly the commit-boundary state it was taken at.
     objects: Arc<BTreeMap<ObjectRef, Object>>,
-    /// Serialized size of each object's current model, maintained across
-    /// mutations so the write path can update notification byte counts
-    /// with delta arithmetic instead of re-encoding whole documents.
-    /// An entry is present iff it was computed for the object's newest
-    /// model; absent entries are recomputed on demand.
-    enc_cache: BTreeMap<ObjectRef, u64>,
     /// Tail of this namespace's event log still needed by some member. The
     /// first entry's revision is `committed - log.len() + 1`.
     log: VecDeque<LogEntry>,
@@ -451,10 +425,6 @@ struct Shard {
     /// path resolves these few individually; everyone else rides the
     /// charge cells.
     exact_ids: BTreeSet<WatchId>,
-    /// When set, `shard_append` re-walks every hinted size and asserts it
-    /// matches — the equivalence tests' guard against stale incremental
-    /// deltas (off by default: hints are trusted, never double-walked).
-    verify_sizes: bool,
     /// Secondary indexes: kind → (model path → value-keyed posting
     /// lists) over this shard's objects of that kind. Strictly *derived*
     /// state — built lazily by the first query or predicate watch that
@@ -578,27 +548,22 @@ impl Shard {
     }
 
     /// The current charge of a plain slot (zero if the slot is absent).
-    fn slot_charge(&self, key: &SlotKey) -> Charge {
-        self.slot(key).map(|s| s.charge).unwrap_or_default()
+    fn slot_charge(&self, key: &SlotKey) -> u64 {
+        self.slot(key).map_or(0, |s| s.charge)
     }
 
-    /// A member's undelivered (events, bytes) in this shard — read from
-    /// its exact counters, or derived from its slot's charge cell.
-    fn member_pending(&self, m: &ShardMember) -> (u64, u64) {
+    /// A member's undelivered events in this shard — read from its exact
+    /// counter, or derived from its slot's charge cell.
+    fn member_pending(&self, m: &ShardMember) -> u64 {
         match &m.acct {
-            Acct::Exact { pending, bytes } => (*pending, *bytes),
-            Acct::Cell { base } => {
-                let c = self.slot_charge(&m.slots[0].key);
-                (c.events - base.events, c.bytes - base.bytes)
-            }
+            Acct::Exact { pending } => *pending,
+            Acct::Cell { base } => self.slot_charge(&m.slots[0].key) - base,
         }
     }
 
     /// Undelivered events of watcher `id` here, or 0 if it is no member.
     fn pending_of(&self, id: WatchId) -> u64 {
-        self.members
-            .get(&id)
-            .map_or(0, |m| self.member_pending(m).0)
+        self.members.get(&id).map_or(0, |m| self.member_pending(m))
     }
 
     /// Index of the first resident log entry a member's scan must
@@ -618,10 +583,7 @@ impl Shard {
             return;
         };
         let acct = match &m.acct {
-            Acct::Exact { .. } => Acct::Exact {
-                pending: 0,
-                bytes: 0,
-            },
+            Acct::Exact { .. } => Acct::Exact { pending: 0 },
             Acct::Cell { .. } => Acct::Cell {
                 base: self.slot_charge(&m.slots[0].key),
             },
@@ -644,7 +606,7 @@ impl Shard {
         // changes: a cell→exact transition must not lose or double
         // events.
         let frozen = self.members.get(&id).map(|m| self.member_pending(m));
-        if frozen.is_some_and(|(pending, _)| pending == 0) {
+        if frozen == Some(0) {
             self.members.get_mut(&id).expect("member exists").cursor = since;
         }
         let key = Self::slot_key(selector);
@@ -685,7 +647,7 @@ impl Shard {
                         since,
                     }),
                 }
-                Charge::default()
+                0
             }
         };
         match self.members.get_mut(&id) {
@@ -693,10 +655,7 @@ impl Shard {
                 let acct = match key {
                     // New member, single plain slot: ride its cell.
                     Some(_) => Acct::Cell { base },
-                    None => Acct::Exact {
-                        pending: 0,
-                        bytes: 0,
-                    },
+                    None => Acct::Exact { pending: 0 },
                 };
                 let slots = key
                     .map(|key| MemberSlot {
@@ -736,8 +695,8 @@ impl Shard {
                     // The member now spans several slots (or gained a
                     // predicate): freeze the derived counts into exact
                     // mode. Exact members never convert back on register.
-                    let (pending, bytes) = frozen.expect("member existed");
-                    m.acct = Acct::Exact { pending, bytes };
+                    let pending = frozen.expect("member existed");
+                    m.acct = Acct::Exact { pending };
                     self.exact_ids.insert(id);
                 }
             }
@@ -910,9 +869,6 @@ pub struct Store {
     /// Reads served by detached [`StoreSnapshot`] handles. The counter is
     /// shared with every snapshot ever taken from this store.
     snapshot_reads: Arc<AtomicU64>,
-    /// Mirrored into every shard: when set, hinted sizes are re-walked
-    /// and asserted in `shard_append` (see [`Store::set_verify_sizes`]).
-    verify_sizes: bool,
     /// The write-ahead log, when this store is durable ([`Store::open`]).
     /// `None` keeps the store purely in-memory with zero overhead.
     wal: Option<Wal>,
@@ -1307,10 +1263,10 @@ impl Store {
 
     /// Sets `path` to `value` on the stored model, in place — the hot verb
     /// behind `patch_path`. Zero-copy in steady state (the log-tail
-    /// snapshot is stolen and rewritten as a rollback entry), O(delta)
-    /// sizing via the encoded-length cache, and only the set itself is
-    /// journaled. Replaying it against the same base reproduces the model
-    /// bit-for-bit (both paths stamp `meta.gen` identically).
+    /// snapshot is stolen and rewritten as a rollback entry), and only the
+    /// set itself is journaled. Replaying it against the same base
+    /// reproduces the model bit-for-bit (both paths stamp `meta.gen`
+    /// identically).
     pub fn update_via_set(
         &mut self,
         oref: &ObjectRef,
@@ -1323,8 +1279,8 @@ impl Store {
     }
 
     /// Deep-merges `patch` into the stored model, in place — the verb
-    /// behind `patch`, with the same zero-copy/incremental-size machinery
-    /// as [`Store::update_via_set`]; only the patch is journaled.
+    /// behind `patch`, with the same zero-copy machinery as
+    /// [`Store::update_via_set`]; only the patch is journaled.
     pub fn update_via_merge(&mut self, oref: &ObjectRef, patch: &Value) -> Result<u64, ApiError> {
         self.commit_serial(oref, |shard, tally| shard_merge(shard, oref, patch, tally))
     }
@@ -1360,7 +1316,7 @@ impl Store {
     /// last call: every watcher subscribed to a slot an append charged,
     /// plus every exact-mode member charged directly. Conservative — a
     /// returned watcher may have drained in the meantime (the caller
-    /// re-checks [`Store::pending_totals`]) — but complete: a watcher with
+    /// re-checks [`Store::has_pending`]) — but complete: a watcher with
     /// undelivered events is always either returned here or already known
     /// to the caller. Quiescent watchers cost nothing.
     ///
@@ -1645,28 +1601,17 @@ impl Store {
         self.watchers.contains_key(&id)
     }
 
-    /// Returns `true` if the watcher has undelivered events. O(shards
-    /// with pending events), no log scan: each visited shard answers from
-    /// its charge cells or exact counters.
+    /// Returns `true` if the watcher has undelivered events.
     pub fn has_pending(&self, id: WatchId) -> bool {
-        self.pending_totals(id).0 > 0
+        self.pending_events(id) > 0
     }
 
-    /// The serialized size of the watcher's undelivered events — the bytes
-    /// its next notification would put on the wire. Derived like
-    /// [`Store::has_pending`]; the runtime's pump loop sizes driver wake
-    /// transfers with this, so it must mirror true encoded sizes exactly.
-    pub fn pending_bytes(&self, id: WatchId) -> u64 {
-        self.pending_totals(id).1
-    }
-
-    /// Undelivered `(events, bytes)` for the watcher, in one pass over the
-    /// shards that may hold them — what the runtime's pump loop needs per
-    /// wake, so it doesn't derive the same counters twice via
-    /// [`Store::has_pending`] + [`Store::pending_bytes`].
-    pub fn pending_totals(&self, id: WatchId) -> (u64, u64) {
+    /// The number of undelivered events for the watcher. O(shards with
+    /// pending events), no log scan: each visited shard answers from its
+    /// charge cells or exact counters.
+    pub fn pending_events(&self, id: WatchId) -> u64 {
         let Some(w) = self.watchers.get(&id) else {
-            return (0, 0);
+            return 0;
         };
         // The pending-shard set, then the dirty shards not yet drained
         // into it: each shard at most once.
@@ -1679,11 +1624,9 @@ impl Store {
             .iter()
             .map(|ns| &**ns)
             .chain(undrained)
-            .filter_map(|ns| {
-                let shard = self.shards.get(ns)?;
-                Some(shard.member_pending(shard.members.get(&id)?))
-            })
-            .fold((0, 0), |(p, b), (mp, mb)| (p + mp, b + mb))
+            .filter_map(|ns| self.shards.get(ns))
+            .map(|shard| shard.pending_of(id))
+            .sum()
     }
 
     /// Cancels a watch subscription, releasing its compaction holds in
@@ -1754,7 +1697,6 @@ impl Store {
         }
         let mut shard = Shard {
             name: Arc::from(ns),
-            verify_sizes: self.verify_sizes,
             ..Shard::default()
         };
         for &id in &self.global_watchers {
@@ -1792,7 +1734,7 @@ impl Store {
         }
         for (id, member) in &shard.members {
             debug_assert_eq!(
-                shard.member_pending(member).0,
+                shard.member_pending(member),
                 0,
                 "empty log implies nothing pending"
             );
@@ -1802,27 +1744,13 @@ impl Store {
         }
     }
 
-    /// Debug/test knob: when enabled, every hinted encoded size is
-    /// re-walked and asserted against the model in `shard_append`, and
-    /// stays enabled for shards created later. Off by default — hints are
-    /// trusted and never double-walked, even in debug builds.
-    pub fn set_verify_sizes(&mut self, verify: bool) {
-        self.verify_sizes = verify;
-        for shard in self.shards.values_mut() {
-            shard.verify_sizes = verify;
-        }
-    }
-
-    /// Test support: exhaustively audits the size bookkeeping against
-    /// ground truth — every `enc_cache` entry equals its object's true
-    /// encoded length, every sized log entry equals its (materialized)
-    /// model's true encoded length, and every member's derived pending
-    /// counts equal a from-scratch recount of the log window, matched
-    /// against the watcher's selector list with freshly computed sizes.
-    /// Every member with pending events must also be reachable by the
-    /// next poll: listed in its watcher's pending-shard set, or charged in
-    /// a dirty shard that [`Store::drain_dirty_watchers`] has yet to
-    /// drain.
+    /// Test support: exhaustively audits the pending bookkeeping against
+    /// ground truth — every member's derived pending count equals a
+    /// from-scratch recount of the log window, matched against the
+    /// watcher's selector list. Every member with pending events must
+    /// also be reachable by the next poll: listed in its watcher's
+    /// pending-shard set, or charged in a dirty shard that
+    /// [`Store::drain_dirty_watchers`] has yet to drain.
     #[doc(hidden)]
     pub fn audit_sizes(&self) -> Result<(), String> {
         for (id, w) in &self.watchers {
@@ -1833,32 +1761,8 @@ impl Store {
             }
         }
         for (ns, shard) in &self.shards {
-            for (oref, cached) in &shard.enc_cache {
-                let Some(obj) = shard.objects.get(oref) else {
-                    return Err(format!("enc_cache entry for missing object {oref} in {ns}"));
-                };
-                let truth = json::encoded_len(&obj.model) as u64;
-                if *cached != truth {
-                    return Err(format!(
-                        "enc_cache for {oref} in {ns}: cached {cached}, true {truth}"
-                    ));
-                }
-            }
-            // Materialize the full window once and check entry sizes.
-            let mut sized: Vec<(u64, u64)> = Vec::new();
-            let everything = SelectorOracle(vec![(&WatchSelector::All, 0)]);
-            scan_window(shard, 0, &everything, |e, model| {
-                sized.push((e.bytes, json::encoded_len(model) as u64));
-            });
-            for (i, (stamped, truth)) in sized.iter().enumerate() {
-                if *stamped != 0 && stamped != truth {
-                    return Err(format!(
-                        "log entry {i} in {ns}: stamped {stamped} bytes, true {truth}"
-                    ));
-                }
-            }
             for (id, member) in &shard.members {
-                let (pending, bytes) = shard.member_pending(member);
+                let pending = shard.member_pending(member);
                 let Some(w) = self.watchers.get(id) else {
                     return Err(format!("member {id:?} in {ns} has no watcher"));
                 };
@@ -1885,16 +1789,14 @@ impl Store {
                     };
                     registered.push((sel, since));
                 }
-                let (mut truth_pending, mut truth_bytes) = (0u64, 0u64);
+                let mut truth = 0u64;
                 let start = shard.window_start(member.cursor);
-                scan_window(shard, start, &SelectorOracle(registered), |_, model| {
-                    truth_pending += 1;
-                    truth_bytes += json::encoded_len(model) as u64;
+                scan_window(shard, start, &SelectorOracle(registered), |_, _| {
+                    truth += 1;
                 });
-                if pending != truth_pending || bytes != truth_bytes {
+                if pending != truth {
                     return Err(format!(
-                        "member {id:?} in {ns}: derived ({pending}, {bytes}), \
-                         true ({truth_pending}, {truth_bytes})"
+                        "member {id:?} in {ns}: derived {pending} pending, true {truth}"
                     ));
                 }
                 let reachable = is_queued(&w.pending, ns)
@@ -1916,19 +1818,15 @@ impl Store {
     }
 }
 
-/// Appends one committed event to a shard: bump its revision, size the
-/// notification, push the log entry, and charge interested members.
-///
-/// The `tally` carries the slice's counters back to the store. `enc_hint`
-/// is the serialized size of `model` when the caller maintained it
-/// incrementally; `None` falls back to a full encoding walk.
+/// Appends one committed event to a shard: bump its revision, push the
+/// log entry, and charge interested members. The `tally` carries the
+/// slice's counters back to the store.
 fn shard_append(
     shard: &mut Shard,
     kind: WatchEventKind,
     oref: ObjectRef,
     model: Shared<Value>,
     rv: u64,
-    enc_hint: Option<u64>,
     tally: &mut ShardTally,
 ) {
     shard.committed += 1;
@@ -1979,34 +1877,6 @@ fn shard_append(
             }
         }
     }
-    let plain_interested = !shard.all_watchers.subs.is_empty()
-        || shard.kind_watchers.contains_key(&oref.kind)
-        || shard.object_watchers.contains_key(&oref);
-    let interested = plain_interested || !exact_hit.is_empty();
-    // Size the notification payload once per event — from the caller's
-    // incremental delta when available, by one full walk otherwise, and
-    // only when somebody will actually receive it. The cache entry always
-    // mirrors the newest model's size (a free hint keeps it alive even
-    // with no watcher present) — or is absent when never computed.
-    if shard.verify_sizes {
-        if let Some(n) = enc_hint {
-            assert_eq!(
-                n,
-                json::encoded_len(&model) as u64,
-                "stale encoded size hint for {oref}"
-            );
-        }
-    }
-    let event_bytes = match (enc_hint, interested) {
-        (Some(n), _) => n,
-        (None, true) => json::encoded_len(&model) as u64,
-        (None, false) => 0,
-    };
-    if kind == WatchEventKind::Deleted || event_bytes == 0 {
-        shard.enc_cache.remove(&oref);
-    } else {
-        shard.enc_cache.insert(oref.clone(), event_bytes);
-    }
     let members_empty = shard.members.is_empty();
     if !members_empty {
         // Remember the newest entry per object so the next write can
@@ -2017,21 +1887,21 @@ fn shard_append(
             shard.tail_revs.insert(oref.clone(), revision);
         }
         if !shard.all_watchers.subs.is_empty() {
-            shard.all_watchers.charge.bump(event_bytes);
+            shard.all_watchers.charge += 1;
             if !shard.all_watchers.dirty {
                 shard.all_watchers.dirty = true;
                 shard.dirty_slots.push(SlotKey::All);
             }
         }
         if let Some(slot) = shard.kind_watchers.get_mut(&oref.kind) {
-            slot.charge.bump(event_bytes);
+            slot.charge += 1;
             if !slot.dirty {
                 slot.dirty = true;
                 shard.dirty_slots.push(SlotKey::Kind(oref.kind.clone()));
             }
         }
         if let Some(slot) = shard.object_watchers.get_mut(&oref) {
-            slot.charge.bump(event_bytes);
+            slot.charge += 1;
             if !slot.dirty {
                 slot.dirty = true;
                 shard.dirty_slots.push(SlotKey::Object(oref.clone()));
@@ -2039,9 +1909,8 @@ fn shard_append(
         }
         for id in &exact_hit {
             let m = shard.members.get_mut(id).expect("hit watcher is a member");
-            if let Acct::Exact { pending, bytes } = &mut m.acct {
+            if let Acct::Exact { pending } = &mut m.acct {
                 *pending += 1;
-                *bytes += event_bytes;
                 shard.dirty_exact.insert(*id);
             }
         }
@@ -2052,7 +1921,6 @@ fn shard_append(
         oref,
         model: EntryModel::Snapshot(model),
         resource_version: rv,
-        bytes: event_bytes,
     });
     tally.peak_log_len = tally.peak_log_len.max(shard.log.len());
     if members_empty {
@@ -2262,7 +2130,7 @@ fn compact(shard: &mut Shard) -> u64 {
     let tail = shard.committed + 1;
     let mut min_hold = tail;
     for m in shard.members.values() {
-        let (pending, _) = shard.member_pending(m);
+        let pending = shard.member_pending(m);
         min_hold = min_hold.min(if pending == 0 { tail } else { m.cursor });
     }
     let mut first_rev = shard.committed - shard.log.len() as u64 + 1;
@@ -2478,30 +2346,24 @@ fn resettle_exact(shard: &mut Shard, id: WatchId) {
         .members
         .get(&id)
         .expect("released member is still present");
-    if !matches!(m.acct, Acct::Exact { .. }) || shard.member_pending(m).0 == 0 {
+    if !matches!(m.acct, Acct::Exact { .. }) || shard.member_pending(m) == 0 {
         return;
     }
-    let (pending, bytes) = recount_pending(shard, id);
-    shard.members.get_mut(&id).expect("still a member").acct = Acct::Exact { pending, bytes };
+    let pending = recount_pending(shard, id);
+    shard.members.get_mut(&id).expect("still a member").acct = Acct::Exact { pending };
 }
 
-/// Counts member `id`'s undelivered events from its cursor, with their
-/// serialized sizes. Used to re-settle a member's pending counters when
-/// part of its selector set is cancelled.
-fn recount_pending(shard: &Shard, id: WatchId) -> (u64, u64) {
+/// Counts member `id`'s undelivered events from its cursor. Used to
+/// re-settle a member's pending counter when part of its selector set is
+/// cancelled.
+fn recount_pending(shard: &Shard, id: WatchId) -> u64 {
     let m = shard.members.get(&id).expect("recounting a member");
     let mut pending = 0u64;
-    let mut bytes = 0u64;
     let filter = MemberFilter::new(shard, id, m);
-    scan_window(shard, shard.window_start(m.cursor), &filter, |e, model| {
+    scan_window(shard, shard.window_start(m.cursor), &filter, |_, _| {
         pending += 1;
-        bytes += if e.bytes != 0 {
-            e.bytes
-        } else {
-            json::encoded_len(model) as u64
-        };
     });
-    (pending, bytes)
+    pending
 }
 
 /// A consistent, immutable view of every object in the store at one
@@ -2601,28 +2463,16 @@ fn wal_op_open(out: &mut String, verb: &str, oref: &ObjectRef) {
     json::write_str_to(out, &oref.name);
 }
 
-/// Renders a `{"op":…,"<key>":<model>}` record, returning it together
-/// with the model segment's byte length — the same number as
-/// `json::encoded_len(model)`, measured during the render. Journaling
-/// `create`/`put` verbs size their event notification with the render
-/// walk they already pay: the committed (post-stamp) model is written,
-/// which replays identically because `meta.gen` stamping is idempotent.
-fn wal_op_with_model_sized(
-    verb: &str,
-    key: &str,
-    oref: &ObjectRef,
-    model: &Value,
-) -> (String, u64) {
+/// Renders a `{"op":…,"model":<model>}` record. Journaling `create`/`put`
+/// verbs write the committed (post-stamp) model, which replays identically
+/// because `meta.gen` stamping is idempotent.
+fn wal_op_with_model(verb: &str, oref: &ObjectRef, model: &Value) -> String {
     let mut out = String::with_capacity(96);
     wal_op_open(&mut out, verb, oref);
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    let mark = out.len();
+    out.push_str(",\"model\":");
     json::write_to(&mut out, model);
-    let n = (out.len() - mark) as u64;
     out.push('}');
-    (out, n)
+    out
 }
 
 /// Renders a `merge` op — the journal hot path for `patch`, so no
@@ -2821,90 +2671,46 @@ fn proper_prefix(a: &Path, b: &Path) -> bool {
     a.len() < b.len() && a.is_prefix_of(b)
 }
 
-/// Stamps `meta.gen = rv` with semantics identical to [`stamp_gen`],
-/// pushing the inverse op and returning the serialized-length delta when
-/// it can be computed incrementally. The fallback (`.meta` is missing or
-/// not an object — e.g. a patch just replaced it wholesale) accounts and
-/// inverts at the whole-`.meta` level and reports no delta.
-fn stamp_gen_accounted(m: &mut Value, rv: u64, inv: &mut Vec<InverseOp>) -> Option<i64> {
-    if fast_set_applies(m, gen_path()) {
-        inv.push(InverseOp {
-            path: gen_path().clone(),
-            old: m.get(gen_path()).cloned(),
-        });
-        Some(fast_set(m, gen_path(), Value::from_exact_u64(rv)))
+/// Stamps `meta.gen = rv` exactly like [`stamp_gen`], first pushing the
+/// inverse op. When `.meta` is missing or not an object (e.g. a patch just
+/// replaced it wholesale) the inverse restores the whole `.meta`.
+fn stamp_gen_with_inverse(m: &mut Value, rv: u64, inv: &mut Vec<InverseOp>) {
+    let path = if settable_in_place(m, gen_path()) {
+        gen_path().clone()
     } else {
-        let parent = gen_path().prefix(1);
-        inv.push(InverseOp {
-            path: parent.clone(),
-            old: m.get(&parent).cloned(),
-        });
-        stamp_gen(m, rv);
-        None
-    }
+        gen_path().prefix(1)
+    };
+    inv.push(InverseOp {
+        old: m.get(&path).cloned(),
+        path,
+    });
+    stamp_gen(m, rv);
 }
 
 /// Deep-merges `patch` into `slot` with semantics identical to
-/// [`Value::merge`], returning the serialized-length delta and pushing
-/// inverse ops (in application order) that restore the pre-merge state
-/// when applied in reverse.
-fn merge_and_account(slot: &mut Value, patch: &Value, at: &Path, inv: &mut Vec<InverseOp>) -> i64 {
+/// [`Value::merge`], pushing inverse ops (in application order) that
+/// restore the pre-merge state when applied in reverse.
+fn merge_with_inverse(slot: &mut Value, patch: &Value, at: &Path, inv: &mut Vec<InverseOp>) {
     if let (Value::Object(dst), Value::Object(src)) = (&mut *slot, patch) {
-        let mut delta = 0i64;
         for (k, pv) in src {
             match dst.get_mut(k) {
-                Some(dv) => delta += merge_and_account(dv, pv, &at.child(k.clone()), inv),
+                Some(dv) => merge_with_inverse(dv, pv, &at.child(k.clone()), inv),
                 None => {
-                    // `"k":v`, plus a comma unless it is the map's first
-                    // entry (mirrors `fast_set`'s fresh-key accounting).
-                    let sep = if dst.is_empty() { 0 } else { 1 };
                     inv.push(InverseOp {
                         path: at.child(k.clone()),
                         old: None,
                     });
-                    delta +=
-                        json::string_encoded_len(k) as i64 + 1 + json::encoded_len(pv) as i64 + sep;
                     dst.insert(k.clone(), pv.clone());
                 }
             }
         }
-        return delta;
+        return;
     }
-    let new_len = json::encoded_len(patch) as i64;
     let old = std::mem::replace(slot, patch.clone());
-    let delta = new_len - json::encoded_len(&old) as i64;
     inv.push(InverseOp {
         path: at.clone(),
         old: Some(old),
     });
-    delta
-}
-
-/// Combines the cached pre-write size with up to two incremental deltas
-/// into the post-write size hint. Checked arithmetic throughout: a stale
-/// cache entry (negative or overflowing sum) yields `None` **and evicts
-/// the entry**, instead of wrapping into a huge bogus size that would
-/// poison `pending_bytes` and driver wake sizing.
-fn combine_hint(
-    shard: &mut Shard,
-    oref: &ObjectRef,
-    cached: Option<u64>,
-    deltas: [Option<i64>; 2],
-) -> Option<u64> {
-    let (Some(base), [Some(d1), Some(d2)]) = (cached, deltas) else {
-        return None;
-    };
-    let sum = i64::try_from(base)
-        .ok()
-        .and_then(|b| b.checked_add(d1))
-        .and_then(|s| s.checked_add(d2));
-    match sum {
-        Some(n) if n >= 0 => Some(n as u64),
-        _ => {
-            shard.enc_cache.remove(oref);
-            None
-        }
-    }
 }
 
 fn shard_create(
@@ -2918,16 +2724,11 @@ fn shard_create(
     }
     let rv = 1;
     stamp_gen(&mut model, rv);
-    // Journaling renders the committed model once; measuring the model
-    // segment during that render doubles as the event-size hint, so the
-    // append path never re-walks the document.
-    let enc_hint = if tally.journal {
-        let (rec, n) = wal_op_with_model_sized("create", "model", &oref, &model);
-        tally.wal_ops.push(rec);
-        Some(n)
-    } else {
-        None
-    };
+    if tally.journal {
+        tally
+            .wal_ops
+            .push(wal_op_with_model("create", &oref, &model));
+    }
     let shared = Shared::new(model);
     shard.objects_mut().insert(
         oref.clone(),
@@ -2937,15 +2738,7 @@ fn shard_create(
             resource_version: rv,
         },
     );
-    shard_append(
-        shard,
-        WatchEventKind::Added,
-        oref,
-        shared,
-        rv,
-        enc_hint,
-        tally,
-    );
+    shard_append(shard, WatchEventKind::Added, oref, shared, rv, tally);
     Ok(rv)
 }
 
@@ -2974,21 +2767,15 @@ fn shard_update(
     let shared = Shared::new(model);
     obj.model = shared.clone();
     obj.resource_version = rv;
-    // Same render-once sizing as `shard_create`.
-    let enc_hint = if tally.journal {
-        let (rec, n) = wal_op_with_model_sized("put", "model", oref, &shared);
-        tally.wal_ops.push(rec);
-        Some(n)
-    } else {
-        None
-    };
+    if tally.journal {
+        tally.wal_ops.push(wal_op_with_model("put", oref, &shared));
+    }
     shard_append(
         shard,
         WatchEventKind::Modified,
         oref.clone(),
         shared,
         rv,
-        enc_hint,
         tally,
     );
     Ok(rv)
@@ -2996,36 +2783,33 @@ fn shard_update(
 
 /// Deep-merges a patch into the stored model **in place**. In steady
 /// state the log-tail snapshot is *stolen* — rewritten as a rollback
-/// entry holding only the patch's inverse — so no deep clone fires, and
-/// the serialized size is maintained by the same walk that applies the
-/// merge: the write is O(patch), not O(model).
+/// entry holding only the patch's inverse — so no deep clone fires: the
+/// write is O(patch), not O(model).
 fn shard_merge(
     shard: &mut Shard,
     oref: &ObjectRef,
     patch: &Value,
     tally: &mut ShardTally,
 ) -> Result<u64, ApiError> {
-    let cached = shard.enc_cache.get(oref).copied();
     let obj = shard
         .objects
         .get(oref)
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     let rv = obj.resource_version + 1;
     // The merge walk itself is always invertible (it captures inverse ops
-    // as it goes); `stamp_gen_accounted` inverts even its fallback shape.
+    // as it goes); `stamp_gen_with_inverse` inverts even its fallback shape.
     let model_ptr = Shared::as_ptr(&obj.model);
     let stolen = steal_tail_snapshot(shard, oref, model_ptr);
     let obj = shard.objects_mut().get_mut(oref).expect("probed above");
     let m = cow_model(&mut obj.model, tally);
     let mut inv = Vec::new();
-    let d1 = merge_and_account(m, patch, &Path::root(), &mut inv);
-    let d2 = stamp_gen_accounted(m, rv, &mut inv);
+    merge_with_inverse(m, patch, &Path::root(), &mut inv);
+    stamp_gen_with_inverse(m, rv, &mut inv);
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
     if let Some(idx) = stolen {
         shard.log[idx].model = EntryModel::Rollback(inv);
     }
-    let enc_hint = combine_hint(shard, oref, cached, [Some(d1), d2]);
     if tally.journal {
         tally.wal_ops.push(wal_op_merge(oref, patch));
     }
@@ -3035,17 +2819,14 @@ fn shard_merge(
         oref.clone(),
         snapshot,
         rv,
-        enc_hint,
         tally,
     );
     Ok(rv)
 }
 
-/// Sets one attribute **in place**, maintaining the serialized size
-/// incrementally when the write is a straight-line replacement — the hot
-/// path of every intent/status toggle. In steady state the log-tail
-/// snapshot is stolen and rewritten as a two-op rollback entry, so the
-/// commit pays no full-document walk and no deep clone.
+/// Sets one attribute **in place** — the hot path of every intent/status
+/// toggle. In steady state the log-tail snapshot is stolen and rewritten
+/// as a two-op rollback entry, so the commit pays no deep clone.
 fn shard_set_path(
     shard: &mut Shard,
     oref: &ObjectRef,
@@ -3053,18 +2834,17 @@ fn shard_set_path(
     value: Value,
     tally: &mut ShardTally,
 ) -> Result<u64, ApiError> {
-    let cached = shard.enc_cache.get(oref).copied();
     let obj = shard
         .objects
         .get(oref)
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     let rv = obj.resource_version + 1;
-    // Steal only when both writes are guaranteed to take the fast path
-    // (so neither can fail or fall back mid-mutation) and neither path
-    // routes through a container the other replaces — otherwise the
-    // captured inverses could not restore the pre-state.
-    let stealable = fast_set_applies(&obj.model, path)
-        && fast_set_applies(&obj.model, gen_path())
+    // Steal only when both writes are guaranteed to set in place (so
+    // neither can fail mid-mutation) and neither path routes through a
+    // container the other replaces — otherwise the captured inverses
+    // could not restore the pre-state.
+    let stealable = settable_in_place(&obj.model, path)
+        && settable_in_place(&obj.model, gen_path())
         && !proper_prefix(path, gen_path())
         && !proper_prefix(gen_path(), path);
     let model_ptr = Shared::as_ptr(&obj.model);
@@ -3077,7 +2857,7 @@ fn shard_set_path(
     let m = cow_model(&mut obj.model, tally);
     let rec = tally.journal.then(|| wal_op_set(oref, path, &value));
     let mut inv: Vec<InverseOp> = Vec::new();
-    let (d1, d2) = if stolen.is_some() {
+    if stolen.is_some() {
         inv.push(InverseOp {
             path: path.clone(),
             old: m.get(path).cloned(),
@@ -3086,26 +2866,17 @@ fn shard_set_path(
             path: gen_path().clone(),
             old: m.get(gen_path()).cloned(),
         });
-        (
-            Some(fast_set(m, path, value)),
-            Some(fast_set(m, gen_path(), Value::from_exact_u64(rv))),
-        )
-    } else {
-        let d1 = match checked_set(m, path, value) {
-            Ok(d) => d,
-            Err(e) => return Err(ApiError::BadRequest(e.to_string())),
-        };
-        let d2 = checked_set(m, gen_path(), Value::from_exact_u64(rv))
-            .ok()
-            .flatten();
-        (d1, d2)
-    };
+    }
+    // A stolen write sets in place, so only an unstolen one can fail here.
+    if let Err(e) = checked_set(m, path, value) {
+        return Err(ApiError::BadRequest(e.to_string()));
+    }
+    let _ = checked_set(m, gen_path(), Value::from_exact_u64(rv));
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
     if let Some(idx) = stolen {
         shard.log[idx].model = EntryModel::Rollback(inv);
     }
-    let enc_hint = combine_hint(shard, oref, cached, [d1, d2]);
     if let Some(rec) = rec {
         tally.wal_ops.push(rec);
     }
@@ -3115,7 +2886,6 @@ fn shard_set_path(
         oref.clone(),
         snapshot,
         rv,
-        enc_hint,
         tally,
     );
     Ok(rv)
@@ -3133,20 +2903,14 @@ fn shard_delete(
     let model_ptr = Shared::as_ptr(&obj.model);
     let stolen = steal_tail_snapshot(shard, oref, model_ptr);
     let mut obj = shard.objects_mut().remove(oref).expect("probed above");
-    // Drop the cached encoded length eagerly: if the oref is recreated a
-    // stale hint would poison the size accounting for the new object's
-    // events. `shard_append` also evicts on Deleted, but only when a watcher
-    // is interested — this covers the watcher-free path too.
-    let cached = shard.enc_cache.remove(oref);
     obj.resource_version += 1;
     let rv = obj.resource_version;
     let m = cow_model(&mut obj.model, tally);
     let mut inv = Vec::new();
-    let d = stamp_gen_accounted(m, rv, &mut inv);
+    stamp_gen_with_inverse(m, rv, &mut inv);
     if let Some(idx) = stolen {
         shard.log[idx].model = EntryModel::Rollback(inv);
     }
-    let enc_hint = combine_hint(shard, oref, cached, [d, Some(0)]);
     if tally.journal {
         tally.wal_ops.push(wal_op_delete(oref));
     }
@@ -3156,7 +2920,6 @@ fn shard_delete(
         oref.clone(),
         obj.model.clone(),
         rv,
-        enc_hint,
         tally,
     );
     Ok(obj)
@@ -3168,7 +2931,6 @@ fn shard_fast_forward(
     rv: u64,
     tally: &mut ShardTally,
 ) -> Result<u64, ApiError> {
-    let cached = shard.enc_cache.get(oref).copied();
     let obj = shard
         .objects
         .get(oref)
@@ -3184,13 +2946,12 @@ fn shard_fast_forward(
     let obj = shard.objects_mut().get_mut(oref).expect("probed above");
     let m = cow_model(&mut obj.model, tally);
     let mut inv = Vec::new();
-    let d = stamp_gen_accounted(m, rv, &mut inv);
+    stamp_gen_with_inverse(m, rv, &mut inv);
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
     if let Some(idx) = stolen {
         shard.log[idx].model = EntryModel::Rollback(inv);
     }
-    let enc_hint = combine_hint(shard, oref, cached, [d, Some(0)]);
     if tally.journal {
         tally.wal_ops.push(wal_op_ff(oref, rv));
     }
@@ -3200,7 +2961,6 @@ fn shard_fast_forward(
         oref.clone(),
         snapshot,
         rv,
-        enc_hint,
         tally,
     );
     Ok(rv)
@@ -3223,31 +2983,28 @@ pub fn stamp_gen(model: &mut Value, rv: u64) {
     let _ = model.set(gen_path(), Value::from_exact_u64(rv));
 }
 
-// ----- Incremental sets ----------------------------------------------------
+// ----- In-place sets -------------------------------------------------------
 
-/// Sets `path` to `value`, returning `Ok(Some(delta))` — the exact change
-/// in the model's serialized length — when the write was a straight-line
-/// replacement or single-key insert through existing containers.
-///
-/// Anything else (intermediate-object creation, type mismatches, bad
-/// indexes) falls back to [`Value::set`] on a scratch copy: semantics and
-/// error values match `set` exactly, except that errors leave the document
-/// untouched (which the in-place write path requires — `set` itself may
-/// create intermediates before failing).
-fn checked_set(doc: &mut Value, path: &Path, value: Value) -> Result<Option<i64>, ValueError> {
-    if fast_set_applies(doc, path) {
-        return Ok(Some(fast_set(doc, path, value)));
+/// Sets `path` to `value` with the semantics and error values of
+/// [`Value::set`], except that errors leave the document untouched (which
+/// the in-place write path requires — `set` itself may create
+/// intermediates before failing). A write [`settable_in_place`] accepts
+/// cannot fail and runs directly; anything else runs on a scratch copy.
+fn checked_set(doc: &mut Value, path: &Path, value: Value) -> Result<(), ValueError> {
+    if settable_in_place(doc, path) {
+        return doc.set(path, value);
     }
     let mut next = doc.clone();
     next.set(path, value)?;
     *doc = next;
-    Ok(None)
+    Ok(())
 }
 
-/// Can `fast_set` handle this write? True when every segment resolves
-/// through an existing container and the final slot either exists or is a
-/// fresh object key (the two shapes with exactly computable deltas).
-fn fast_set_applies(doc: &Value, path: &Path) -> bool {
+/// Can [`Value::set`] write `path` in place? True when every segment
+/// resolves through an existing container and the final slot either exists
+/// or is a fresh object key: the set then creates no intermediates and
+/// cannot fail.
+fn settable_in_place(doc: &Value, path: &Path) -> bool {
     if path.is_empty() {
         return false;
     }
@@ -3268,48 +3025,6 @@ fn fast_set_applies(doc: &Value, path: &Path) -> bool {
         }
     }
     true
-}
-
-/// In-place set along a pre-validated path; returns the serialized-length
-/// delta. Only call after [`fast_set_applies`] returns true.
-fn fast_set(doc: &mut Value, path: &Path, value: Value) -> i64 {
-    let segs = path.segments();
-    let mut cur = doc;
-    for (i, seg) in segs.iter().enumerate() {
-        let last = i + 1 == segs.len();
-        match seg {
-            Segment::Key(k) => {
-                let Value::Object(map) = cur else {
-                    unreachable!("fast_set_applies verified the container")
-                };
-                if last {
-                    let added = json::encoded_len(&value) as i64;
-                    return match map.insert(k.clone(), value) {
-                        Some(old) => added - json::encoded_len(&old) as i64,
-                        None => {
-                            // `"k":v`, plus a comma unless it is now the
-                            // object's only entry.
-                            let sep = if map.len() == 1 { 0 } else { 1 };
-                            json::string_encoded_len(k) as i64 + 1 + added + sep
-                        }
-                    };
-                }
-                cur = map.get_mut(k).expect("fast_set_applies verified the key");
-            }
-            Segment::Index(ix) => {
-                let Value::Array(arr) = cur else {
-                    unreachable!("fast_set_applies verified the container")
-                };
-                if last {
-                    let added = json::encoded_len(&value) as i64;
-                    let old = std::mem::replace(&mut arr[*ix], value);
-                    return added - json::encoded_len(&old) as i64;
-                }
-                cur = &mut arr[*ix];
-            }
-        }
-    }
-    unreachable!("fast_set_applies rejects empty paths")
 }
 
 #[cfg(test)]
@@ -3512,22 +3227,20 @@ mod tests {
     }
 
     #[test]
-    fn pending_bytes_tracks_serialized_payloads() {
+    fn pending_events_track_appends() {
         let mut s = Store::new();
         let w = s.watch_query(&Query::kind("Lamp")).unwrap();
-        assert_eq!(s.pending_bytes(w), 0);
+        assert_eq!(s.pending_events(w), 0);
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let one = s.pending_bytes(w);
-        let stored = s.get(&lamp_ref()).unwrap().model.clone();
-        assert_eq!(one, dspace_value::json::encoded_len(&stored) as u64);
+        assert_eq!(s.pending_events(w), 1);
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
-        assert!(s.pending_bytes(w) > one, "second event adds bytes");
+        assert_eq!(s.pending_events(w), 2, "second event adds one");
         s.poll(w);
-        assert_eq!(s.pending_bytes(w), 0, "poll drains the byte counter");
+        assert_eq!(s.pending_events(w), 0, "poll drains the counter");
         // An uninterested watcher is never charged.
         let other = s.watch_query(&Query::kind("Room")).unwrap();
         s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
-        assert_eq!(s.pending_bytes(other), 0);
+        assert_eq!(s.pending_events(other), 0);
     }
 
     #[test]
@@ -3797,8 +3510,7 @@ mod tests {
 
     /// Regression: a watcher cancelled while a namespace deletion is
     /// draining (i.e. during the compaction window its selectors were
-    /// holding open) must leave every accounting total at zero — no wrapped
-    /// `total_pending_bytes` poisoning `pending_bytes()`.
+    /// holding open) must leave every pending count at zero, not wrapped.
     #[test]
     fn cancel_during_namespace_drain_keeps_totals_sane() {
         let mut s = Store::new();
@@ -3811,14 +3523,14 @@ mod tests {
         let global = s.watch_query(&Query::all()).unwrap();
         s.update(&oref, model_in("Lamp", "room", "l1"), None)
             .unwrap();
-        assert!(s.pending_bytes(scoped) > 0);
-        assert!(s.pending_bytes(global) > 0);
+        assert!(s.pending_events(scoped) > 0);
+        assert!(s.pending_events(global) > 0);
         // Begin the namespace deletion: scoped selectors are cancelled and
         // refunded; the global watcher's counts are re-settled.
         let victims = s.begin_delete_namespace("room");
         assert_eq!(victims, vec![oref.clone()]);
         assert_eq!(
-            s.pending_bytes(scoped),
+            s.pending_events(scoped),
             0,
             "refund must zero the homed watcher, not wrap it"
         );
@@ -3828,12 +3540,12 @@ mod tests {
         // Cancel the lagging global watcher mid-drain: its compaction hold
         // is released and the retiring shard can be reclaimed.
         s.cancel_watch(global);
-        assert_eq!(s.pending_bytes(global), 0);
+        assert_eq!(s.pending_events(global), 0);
         s.finish_delete_namespace("room");
         assert_eq!(s.shard_log_len("room"), 0, "hold released, log drained");
         assert_eq!(s.shard_count(), 0, "retiring shard dropped");
         // The survivor still works.
-        assert_eq!(s.pending_bytes(scoped), 0);
+        assert_eq!(s.pending_events(scoped), 0);
         assert!(s.poll(scoped).is_empty());
     }
 
@@ -3857,8 +3569,7 @@ mod tests {
             .unwrap();
         s.update(&hall, model_in("Lamp", "hall", "l2"), None)
             .unwrap();
-        let before = s.pending_bytes(w);
-        assert!(before > 0);
+        assert_eq!(s.pending_events(w), 2);
         // Deleting "room" cancels the scoped selector; the watcher stays a
         // member through Kind("Lamp") and its counts are re-settled.
         s.delete_namespace("room");
@@ -3876,79 +3587,13 @@ mod tests {
             1,
             "hall update delivered once"
         );
-        assert_eq!(s.pending_bytes(w), 0, "fully drained, nothing wrapped");
-    }
-
-    /// Regression: a cached encoded length must not survive object
-    /// deletion — on recreate, the stale hint would corrupt byte
-    /// accounting for the new object's events.
-    #[test]
-    fn enc_cache_evicted_on_delete_then_recreate() {
-        let mut s = Store::new();
-        // Big model first so a stale hint would visibly overcharge.
-        let big = json::parse(&format!(
-            r#"{{"meta": {{"kind": "Lamp", "name": "l1", "namespace": "default"}}, "blob": "{}"}}"#,
-            "x".repeat(4096)
-        ))
-        .unwrap();
-        s.create(lamp_ref(), big).unwrap();
-        let w = s.watch_query(&Query::kind("Lamp")).unwrap();
-        // Touch it so the enc_cache holds the big length, then delete with
-        // no poll in between (the watcher-free eviction path in
-        // shard_delete is the one under test for serial deletes too).
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
-        s.delete(&lamp_ref()).unwrap();
-        s.poll(w);
-        assert_eq!(s.pending_bytes(w), 0);
-        // Recreate under the same oref with a small model: pending bytes
-        // must reflect the small model, not the cached big one.
-        s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let small = s.pending_bytes(w);
-        assert!(small > 0);
-        assert!(
-            small < 256,
-            "stale enc_cache hint leaked across delete: {small} bytes"
-        );
-        let evs = s.poll(w);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(
-            small,
-            json::encoded_len(&evs[0].model) as u64,
-            "pending bytes must equal the recreated model's encoding"
-        );
-    }
-
-    /// Same leak, namespace-GC path: delete_namespace drops the whole
-    /// shard, so recreating the namespace must start with a clean cache.
-    #[test]
-    fn enc_cache_cleared_by_namespace_delete() {
-        let mut s = Store::new();
-        let oref = ObjectRef::new("Lamp", "room", "l1");
-        let big = json::parse(&format!(
-            r#"{{"meta": {{"kind": "Lamp", "name": "l1", "namespace": "room"}}, "blob": "{}"}}"#,
-            "y".repeat(4096)
-        ))
-        .unwrap();
-        s.create(oref.clone(), big).unwrap();
-        s.delete_namespace("room");
-        assert_eq!(s.shard_count(), 0, "shard dropped with no watchers");
-        let w = s.watch_query(&Query::all()).unwrap();
-        s.create(oref.clone(), model_in("Lamp", "room", "l1"))
-            .unwrap();
-        let small = s.pending_bytes(w);
-        assert!(
-            small > 0 && small < 256,
-            "fresh shard, fresh cache: {small}"
-        );
-        let evs = s.poll(w);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(small, json::encoded_len(&evs[0].model) as u64);
+        assert_eq!(s.pending_events(w), 0, "fully drained, nothing wrapped");
     }
 
     /// The tentpole guarantee for predicate watches: a commit that does not
     /// match the predicate is filtered at commit time against the computed
     /// index delta — it never goes pending, not even transiently. Pending
-    /// counters and byte accounting stay at zero.
+    /// counters stay at zero.
     #[test]
     fn predicate_watch_never_pends_non_matching_commits() {
         let mut s = Store::new();
@@ -3961,7 +3606,7 @@ mod tests {
         // Non-matching create (x = 0).
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         assert!(!s.has_pending(w), "non-matching commit went pending");
-        assert_eq!(s.pending_bytes(w), 0);
+        assert_eq!(s.pending_events(w), 0);
 
         // Matching update: delivered.
         let mut m = model("Lamp", "l1");
@@ -3977,12 +3622,12 @@ mod tests {
         m.set(&".x".parse().unwrap(), 2.0.into()).unwrap();
         s.update(&lamp_ref(), m, None).unwrap();
         assert!(!s.has_pending(w));
-        assert_eq!(s.pending_bytes(w), 0);
+        assert_eq!(s.pending_events(w), 0);
 
         // Deletes are judged by the final model: x = 2 does not match...
         s.delete(&lamp_ref()).unwrap();
         assert!(!s.has_pending(w));
-        assert_eq!(s.pending_bytes(w), 0);
+        assert_eq!(s.pending_events(w), 0);
 
         // ...while a matching final model does.
         let l2 = ObjectRef::default_ns("Lamp", "l2");
@@ -4017,7 +3662,7 @@ mod tests {
         // view: x = 1 does not match, so nothing remains pending.
         assert!(s.narrow_watch(w, &all).unwrap());
         assert!(!s.has_pending(w), "recount kept a non-matching event");
-        assert_eq!(s.pending_bytes(w), 0);
+        assert_eq!(s.pending_events(w), 0);
 
         // Dropping a selector that is not attached reports false.
         assert!(!s.narrow_watch(w, &all).unwrap());

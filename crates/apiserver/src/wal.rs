@@ -291,9 +291,8 @@ impl Wal {
     }
 
     /// Appends a `commit` record for one shard slice from op strings the
-    /// mutators rendered at commit time (sharing the encoding walk with
-    /// the event sizing). One call per journaled verb; the payload is
-    /// built in a single reused buffer.
+    /// mutators rendered at commit time. One call per journaled verb; the
+    /// payload is built in a single reused buffer.
     pub fn commit(&mut self, ns: &str, base: u64, ensure: bool, appended: u64, ops: &[String]) {
         let seq = self.next_seq(ns);
         let mut payload = std::mem::take(&mut self.scratch);

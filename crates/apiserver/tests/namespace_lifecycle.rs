@@ -119,7 +119,7 @@ fn homed_watchers_are_cancelled_and_refunded() {
 
     api.delete_namespace(ApiServer::ADMIN, "doomed").unwrap();
     assert!(!api.has_pending(homed), "pending refunded on cancellation");
-    assert_eq!(api.pending_bytes(homed), 0);
+    assert_eq!(api.pending_events(homed), 0);
     assert!(api.poll(homed).is_empty());
 
     // With no lagging member left, the shard drops immediately.

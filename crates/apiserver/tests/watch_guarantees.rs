@@ -336,7 +336,7 @@ fn recreated_namespace_streams_from_revision_one() {
             api.drain_dirty_watchers();
         }
         api.audit_sizes().unwrap();
-        assert_eq!(api.pending_totals(w).0, 4);
+        assert_eq!(api.pending_events(w), 4);
         let evs = api.poll(w);
         let home: Vec<u64> = evs
             .iter()

@@ -1,14 +1,14 @@
-//! The zero-copy event path is an optimization with an exact-accounting
-//! contract: every write carries an incremental `encoded_len` hint, the
-//! per-shard `enc_cache` and every watcher's pending-byte totals must
-//! mirror the true encoded sizes *exactly* (driver wake sizing and WAL
-//! rendering depend on them), and steady-state writes to watched objects
-//! must never deep-clone the model. This suite churns a store through
-//! arbitrary create/put/merge/set-path/delete(+recreate) scripts with
-//! watchers joining, polling, widening, narrowing, and leaving
-//! mid-stream and the runtime's dirty-watcher feed drained between them,
-//! auditing the size bookkeeping and the pending-shard sets against
-//! freshly computed truth after every step.
+//! The zero-copy event path and the derived pending counts are
+//! optimizations with exactness contracts: every watcher's pending count,
+//! whether derived from a shared slot cell or kept per member, must equal
+//! the events its next poll delivers (the runtime's pump decides wakes
+//! from it), and steady-state writes to watched objects must never
+//! deep-clone the model. This suite churns a store through arbitrary
+//! create/put/merge/set-path/delete(+recreate) scripts with watchers
+//! joining, polling, widening, narrowing, and leaving mid-stream and the
+//! runtime's dirty-watcher feed drained between them, auditing the
+//! pending counts and the pending-shard sets against freshly computed
+//! truth after every step.
 
 use proptest::prelude::*;
 
@@ -56,8 +56,7 @@ enum Op {
         brightness: u32,
         on: bool,
     },
-    /// Full-model replace (`shard_update`): the hint comes from the
-    /// sized WAL render, not from a path delta.
+    /// Full-model replace (`shard_update`): a fresh snapshot, no steal.
     Put {
         kind: usize,
         ns: usize,
@@ -65,7 +64,7 @@ enum Op {
         brightness: u32,
         on: bool,
     },
-    /// Deep merge (`shard_merge`): delta accumulated key-by-key.
+    /// Deep merge (`shard_merge`): inverse ops captured key-by-key.
     Merge {
         kind: usize,
         ns: usize,
@@ -96,7 +95,7 @@ enum Step {
     /// A multi-shard burst of serial verbs, back to back with no watcher
     /// activity in between.
     Burst(Vec<Op>),
-    /// One serial verb (exercises the per-verb WAL/hint plumbing).
+    /// One serial verb.
     Serial(Op),
     /// Open a watch from the subscription pool (index wraps).
     Join {
@@ -115,7 +114,7 @@ enum Step {
         query: usize,
     },
     /// Drain the dirty-watcher feed, as the runtime's pump does before it
-    /// sizes wakes.
+    /// schedules wakes.
     Drain,
     /// Cancel an open watch (index wraps over live watchers; no-op when
     /// none are open).
@@ -354,41 +353,33 @@ fn apply(store: &mut Store, watchers: &mut Vec<WatchId>, step: &Step) {
     }
 }
 
-/// `audit_sizes` recomputes truth from scratch — live `encoded_len`
-/// walks for the cache, event-log materialization (rollback replay) for
-/// stamped entry sizes, and a full scan for each member's pending
-/// totals — and compares it with what the incremental path maintained,
-/// including that every shard with pending events is one the watcher's
-/// next poll visits.
+/// `audit_sizes` recomputes each member's pending count from scratch — a
+/// scan of its log window, materializing rollback entries, matched against
+/// the watcher's selectors — and compares it with what the incremental
+/// path maintained, including that every shard with pending events is one
+/// the watcher's next poll visits.
 fn audit(store: &Store, watchers: &[WatchId]) -> Result<(), TestCaseError> {
     if let Err(e) = store.audit_sizes() {
         return Err(TestCaseError::fail(e));
     }
     for &id in watchers {
-        let (pending, bytes) = store.pending_totals(id);
-        prop_assert_eq!(pending > 0, store.has_pending(id));
-        prop_assert_eq!(bytes, store.pending_bytes(id));
+        prop_assert_eq!(store.pending_events(id) > 0, store.has_pending(id));
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// Property: incremental size accounting ≡ recomputed truth under churn
+// Property: derived pending counts ≡ recomputed truth under churn
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// After every step of an arbitrary churn-plus-watcher script, the
-    /// enc cache, every stamped log-entry size, and every watcher's
-    /// pending event/byte totals equal freshly recomputed truth.
-    /// `verify_sizes` additionally makes every hinted append assert its
-    /// hint against a full walk inside the shard, so a wrong delta fails
-    /// at the write that produced it.
+    /// After every step of an arbitrary churn-plus-watcher script, every
+    /// watcher's pending count equals a fresh recount of its log window.
     #[test]
-    fn size_accounting_is_exact_under_churn(script in arb_script()) {
+    fn pending_accounting_is_exact_under_churn(script in arb_script()) {
         let mut store = Store::new();
-        store.set_verify_sizes(true);
         let mut watchers: Vec<WatchId> = Vec::new();
         // One watcher from the start so the very first writes are
         // accounted, not just post-join churn.
@@ -417,7 +408,6 @@ proptest! {
 #[test]
 fn steady_state_writes_never_deep_clone() {
     let mut store = Store::new();
-    store.set_verify_sizes(true);
     let w = store.watch_query(&Query::kind("Lamp")).unwrap();
     let o = oref(0, 0, 0);
     store.create(o.clone(), model(0, 0, 0, 10, true)).unwrap();

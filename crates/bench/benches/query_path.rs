@@ -122,7 +122,7 @@ fn fanout_sweep(smoke: bool, rows: &mut Vec<String>) {
     println!("predicate-watch fan-out: {digis} digis, burst = 1 patch per bucket-0 digi");
     println!(
         "{:>9} {:>7} {:>9} {:>11} {:>10} {:>11}",
-        "watchers", "burst", "pending", "delivered", "commit-ms", "pend-bytes"
+        "watchers", "burst", "pending", "delivered", "commit-ms", "idle-events"
     );
     for &w in widths {
         let mut api = build(digis);
@@ -151,17 +151,17 @@ fn fanout_sweep(smoke: bool, rows: &mut Vec<String>) {
         }
         let commit_ms = start.elapsed().as_secs_f64() * 1e3;
         let pending = watchers.iter().filter(|&&id| api.has_pending(id)).count();
-        let idle_bytes: u64 = watchers[1..].iter().map(|&id| api.pending_bytes(id)).sum();
+        let idle_events: u64 = watchers[1..].iter().map(|&id| api.pending_events(id)).sum();
         let delivered: usize = watchers.iter().map(|&id| api.poll(id).len()).sum();
         println!(
             "{:>9} {:>7} {:>9} {:>11} {:>10.2} {:>11}",
-            w, span, pending, delivered, commit_ms, idle_bytes
+            w, span, pending, delivered, commit_ms, idle_events
         );
         assert_eq!(pending, 1, "only the bucket-0 watcher may go pending");
-        assert_eq!(idle_bytes, 0, "non-matching watchers hold zero bytes");
+        assert_eq!(idle_events, 0, "non-matching watchers hold no events");
         assert_eq!(delivered, span, "each burst event delivered exactly once");
         rows.push(format!(
-            r#"    {{"watchers": {w}, "burst": {span}, "pending_watchers": {pending}, "delivered": {delivered}, "commit_ms": {commit_ms:.3}, "idle_pending_bytes": {idle_bytes}}}"#
+            r#"    {{"watchers": {w}, "burst": {span}, "pending_watchers": {pending}, "delivered": {delivered}, "commit_ms": {commit_ms:.3}, "idle_pending_events": {idle_events}}}"#
         ));
     }
     println!();

@@ -281,7 +281,7 @@ fn build_space_wide(namespaces: usize) -> (ApiServer, [WatchId; 2]) {
 
 /// Space-wide watchers across 1 → 1024 namespaces: one `ns0` write, then
 /// what the runtime's pump and wakes do with it — `drain_dirty_watchers`,
-/// `pending_totals` and `poll` for both watchers. Delivery cost must
+/// `pending_events` and `poll` for both watchers. Delivery cost must
 /// follow the shards holding undelivered events (one), not how many
 /// namespaces the subscriptions span. Rounds are timed one by one, in
 /// chunks that interleave across the sizes (each trial visits every size
@@ -298,7 +298,7 @@ fn space_wide_sweep(smoke: bool) {
     println!();
     println!(
         "space-wide watcher sweep: 1 ns0 write + drain_dirty_watchers + \
-         pending_totals + poll for the mounter ({} kinds x ns) and the user \
+         pending_events + poll for the mounter ({} kinds x ns) and the user \
          CLI (all), {trials} x {rounds} rounds per size",
         SPACE_KINDS.len()
     );
@@ -324,7 +324,7 @@ fn space_wide_sweep(smoke: bool) {
                 .unwrap();
                 api.drain_dirty_watchers();
                 for &w in watchers.iter() {
-                    pending += api.pending_totals(w).0;
+                    pending += api.pending_events(w);
                     delivered += api.poll(w).len();
                 }
                 samples[si].push(start.elapsed().as_secs_f64() * 1e6);
@@ -585,9 +585,9 @@ fn padded_model(name: &str, pad: usize) -> Value {
 
 /// The zero-copy contract, measured: per-write cost of patching one
 /// watched object must be flat in both the watcher count (1 → 256, all
-/// sharing the object's group cell and one size-stamped snapshot) and
-/// the model size (base → 64 KiB: the write is O(delta) — snapshot
-/// steal, incremental `encoded_len`, no `Shared::make_mut` deep-clone).
+/// sharing the object's group cell and one snapshot) and the model size
+/// (base → 64 KiB: the write is O(delta) — snapshot steal, no
+/// `Shared::make_mut` deep-clone).
 /// Writes are timed in chunks with untimed coalesced drains between
 /// them (the steady-state pump shape, which keeps the log window
 /// bounded); `deep_clones` is asserted zero throughout. Trials

@@ -59,18 +59,6 @@ impl QueuedOp {
             QueuedOp::Merge { oref, .. } | QueuedOp::Set { oref, .. } => oref,
         }
     }
-
-    /// Rough serialized size: the payload plus per-op header overhead
-    /// (oref, path, framing).
-    fn wire_size(&self) -> u64 {
-        let payload = match self {
-            QueuedOp::Merge { patch, .. } => dspace_value::json::encoded_len(patch),
-            QueuedOp::Set { path, value, .. } => {
-                path.len() + dspace_value::json::encoded_len(value)
-            }
-        };
-        (payload + self.oref().to_string().len() + 16) as u64
-    }
 }
 
 /// How a ticket resolves at commit time.
@@ -96,9 +84,6 @@ pub struct WriteBatch {
     /// observed — the snapshot this batch's decisions are based on.
     /// [`commit_occ`](Self::commit_occ) re-validates against it.
     base: BTreeMap<ObjectRef, u64>,
-    /// Rough serialized size of the queued ops, for sizing the link
-    /// transfer that carries a deferred batch to the apiserver.
-    wire_bytes: u64,
     pending: Vec<Pending>,
 }
 
@@ -114,7 +99,6 @@ impl WriteBatch {
             ops: Vec::new(),
             overlay: BTreeMap::new(),
             base: BTreeMap::new(),
-            wire_bytes: 0,
             pending: Vec::new(),
         }
     }
@@ -133,12 +117,6 @@ impl WriteBatch {
     /// failures and per-op-mode writes that already executed).
     pub fn queued_ops(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Approximate wire size of the queued ops — what a deferred commit
-    /// puts on the link.
-    pub fn wire_bytes(&self) -> usize {
-        self.wire_bytes as usize
     }
 
     /// Reads an object's `(model, resource_version)` as the controller
@@ -325,7 +303,6 @@ impl WriteBatch {
     }
 
     fn queue(&mut self, op: QueuedOp) -> usize {
-        self.wire_bytes += op.wire_size();
         self.ops.push(op);
         self.push(Pending::Queued)
     }

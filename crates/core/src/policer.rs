@@ -37,15 +37,6 @@ impl PolicerPlan {
     pub(crate) fn is_empty(&self) -> bool {
         self.to_evaluate.is_empty()
     }
-
-    /// Estimated bytes for the evaluation request batch (policy refs plus
-    /// framing), used to size the simulated link transfer.
-    pub(crate) fn wire_bytes(&self) -> u64 {
-        self.to_evaluate
-            .iter()
-            .map(|id| id.to_string().len() as u64 + 16)
-            .sum()
-    }
 }
 
 /// The Policer controller.

@@ -355,10 +355,7 @@ impl Space {
             oref.to_string(),
             path.clone(),
         );
-        let delay = {
-            let w = &mut self.world;
-            w.links.user.clone().delay(256, &mut w.rng)
-        };
+        let delay = self.world.links.user.delay(&mut self.world.rng);
         let value2 = value.clone();
         self.sim.schedule(delay, move |w: &mut World, sim| {
             if w.api

@@ -98,15 +98,6 @@ impl ControllerPlan {
             ControllerPlan::Policer(p) => p.is_empty(),
         }
     }
-
-    /// Serialized size of the batch the link carries.
-    fn wire_bytes(&self) -> usize {
-        match self {
-            ControllerPlan::Mounter(p) => p.batch.wire_bytes(),
-            ControllerPlan::Syncer(p) => p.batch.wire_bytes(),
-            ControllerPlan::Policer(p) => p.wire_bytes() as usize,
-        }
-    }
 }
 
 /// One reconcile step a driver cycle computed for a single watch event.
@@ -655,9 +646,9 @@ impl World {
     /// the same order the full scan used, which keeps the RNG draw
     /// sequence of faulty-link transfers identical.
     ///
-    /// The notification travels the component's link sized by the actual
-    /// serialized payload of its pending events; a faulty link may drop
-    /// it, in which case the apiserver retransmits after the link's RTO.
+    /// The notification travels the component's link; a faulty link may
+    /// drop it, in which case the apiserver retransmits after the link's
+    /// RTO.
     pub fn pump(&mut self, sim: &mut Sim<World>) {
         for id in self.api.drain_dirty_watchers() {
             if let Some(&i) = self.watch_slots.get(&id) {
@@ -670,15 +661,11 @@ impl World {
                 // re-enters the shortlist on its next append.
                 continue;
             }
-            // One derivation pass answers both "anything pending?" and the
-            // wire size of the notification.
-            let (pending, pending_bytes) = self.api.pending_totals(self.slots[i].watch);
-            if pending == 0 {
+            if !self.api.has_pending(self.slots[i].watch) {
                 continue;
             }
             self.slots[i].woken = true;
-            let bytes = pending_bytes as usize;
-            match self.slots[i].link.transfer(bytes, sim.now(), &mut self.rng) {
+            match self.slots[i].link.transfer(sim.now(), &mut self.rng) {
                 Delivery::After(delay) => {
                     sim.schedule(delay, move |w: &mut World, sim| w.wake(i, sim));
                 }
@@ -893,13 +880,9 @@ impl World {
             self.controller_land(i, plan, sim);
             return;
         }
-        let bytes = plan.wire_bytes();
-        let link = self.slots[i]
-            .write_link
-            .as_ref()
-            .unwrap_or(&self.slots[i].link)
-            .clone();
-        match link.transfer(bytes, sim.now(), &mut self.rng) {
+        let slot = &self.slots[i];
+        let link = slot.write_link.as_ref().unwrap_or(&slot.link);
+        match link.transfer(sim.now(), &mut self.rng) {
             Delivery::After(0) => self.controller_admit(i, plan, sim),
             Delivery::After(delay) => {
                 sim.schedule(delay, move |w: &mut World, sim| {
@@ -1124,8 +1107,7 @@ impl World {
         rest: VecDeque<PendingCommit>,
         sim: &mut Sim<World>,
     ) {
-        let bytes = dspace_value::json::encoded_len(&commit.model);
-        match self.slots[i].link.transfer(bytes, sim.now(), &mut self.rng) {
+        match self.slots[i].link.transfer(sim.now(), &mut self.rng) {
             Delivery::After(delay) => {
                 sim.schedule(delay, move |w: &mut World, sim| {
                     w.apply_commit(i, commit, sim);

@@ -13,7 +13,8 @@
 //!
 //! - [`Sim`]: the event queue and virtual clock, generic over the world
 //!   state `W` that event callbacks mutate.
-//! - [`LatencyModel`] / [`Link`]: latency+bandwidth models for network hops.
+//! - [`LatencyModel`] / [`Link`]: latency, jitter, drop and outage models for
+//!   network hops.
 //! - [`Rng`]: a small deterministic PRNG (SplitMix64 core) with uniform,
 //!   normal, and exponential sampling.
 //! - [`metrics`]: counters and histograms used by the benchmark harnesses.

@@ -1,4 +1,4 @@
-//! Network links: latency and bandwidth models for simulated hops.
+//! Network links: latency, jitter and fault models for simulated hops.
 //!
 //! Every communication in the reproduction — CLI→apiserver, controller→
 //! apiserver, driver→device over LAN, basestation relay, vendor-cloud
@@ -50,7 +50,7 @@ pub enum Delivery {
     Dropped,
 }
 
-/// A simulated network hop with propagation latency and bandwidth.
+/// A simulated network hop with propagation latency.
 ///
 /// Links can also be lossy: a per-message drop probability, additive
 /// jitter on top of the base latency, and scheduled transient-outage
@@ -62,8 +62,6 @@ pub struct Link {
     pub name: String,
     /// Per-message propagation latency.
     pub latency: LatencyModel,
-    /// Bandwidth in bits per second; `None` means infinite (latency only).
-    pub bandwidth_bps: Option<f64>,
     /// Probability in `[0, 1]` that any given message is silently lost.
     pub drop_probability: f64,
     /// Extra per-message delay sampled on top of the base latency.
@@ -74,22 +72,15 @@ pub struct Link {
 }
 
 impl Link {
-    /// Creates a link with the given latency and unlimited bandwidth.
+    /// Creates a fault-free link with the given latency.
     pub fn new(name: impl Into<String>, latency: LatencyModel) -> Self {
         Link {
             name: name.into(),
             latency,
-            bandwidth_bps: None,
             drop_probability: 0.0,
             jitter: None,
             outages: Vec::new(),
         }
-    }
-
-    /// Sets the link bandwidth in bits per second.
-    pub fn with_bandwidth_bps(mut self, bps: f64) -> Self {
-        self.bandwidth_bps = Some(bps);
-        self
     }
 
     /// Sets the probability that any given message is silently dropped.
@@ -110,37 +101,29 @@ impl Link {
         self
     }
 
-    /// Returns the total transfer delay for a message of `bytes` bytes:
-    /// one latency sample, one jitter sample if configured, plus
-    /// serialization time at the link bandwidth.
-    pub fn delay(&self, bytes: usize, rng: &mut Rng) -> Time {
+    /// Returns the delivery delay for one message: one latency sample,
+    /// plus one jitter sample if configured.
+    pub fn delay(&self, rng: &mut Rng) -> Time {
         let prop = self.latency.sample(rng);
         let jit = match &self.jitter {
             Some(model) => model.sample(rng),
             None => 0,
         };
-        let ser = match self.bandwidth_bps {
-            Some(bps) if bps > 0.0 => {
-                let seconds = (bytes as f64 * 8.0) / bps;
-                (seconds * 1e9) as Time
-            }
-            _ => 0,
-        };
-        prop.saturating_add(jit).saturating_add(ser)
+        prop.saturating_add(jit)
     }
 
-    /// Offers a message of `bytes` bytes to the link at virtual time
-    /// `now`. An outage window covering `now` drops without consuming
-    /// randomness (outages are schedule-driven, not chance-driven); the
-    /// drop probability burns exactly one RNG draw when configured.
-    pub fn transfer(&self, bytes: usize, now: Time, rng: &mut Rng) -> Delivery {
+    /// Offers one message to the link at virtual time `now`. An outage
+    /// window covering `now` drops without consuming randomness (outages
+    /// are schedule-driven, not chance-driven); the drop probability burns
+    /// exactly one RNG draw when configured.
+    pub fn transfer(&self, now: Time, rng: &mut Rng) -> Delivery {
         if self.outages.iter().any(|&(s, e)| (s..e).contains(&now)) {
             return Delivery::Dropped;
         }
         if self.drop_probability > 0.0 && rng.chance(self.drop_probability) {
             return Delivery::Dropped;
         }
-        Delivery::After(self.delay(bytes, rng))
+        Delivery::After(self.delay(rng))
     }
 
     /// A deterministic retransmission timeout for this link: twice the
@@ -150,7 +133,7 @@ impl Link {
         from_millis_f64((self.latency.mean_ms() * 2.0).max(1.0))
     }
 
-    /// A zero-latency, infinite-bandwidth link (in-process communication).
+    /// A zero-latency link (in-process communication).
     pub fn instant() -> Self {
         Link::new("instant", LatencyModel::FixedMs(0.0))
     }
@@ -197,7 +180,7 @@ mod tests {
         let mut rng = Rng::new(1);
         let link = Link::new("lan", LatencyModel::FixedMs(10.0));
         for _ in 0..10 {
-            assert_eq!(link.delay(100, &mut rng), millis(10));
+            assert_eq!(link.delay(&mut rng), millis(10));
         }
     }
 
@@ -206,7 +189,7 @@ mod tests {
         let mut rng = Rng::new(2);
         let link = Link::new("lan", LatencyModel::UniformMs(5.0, 15.0));
         for _ in 0..1000 {
-            let d = link.delay(0, &mut rng);
+            let d = link.delay(&mut rng);
             assert!((millis(5)..millis(15)).contains(&d), "d={d}");
         }
     }
@@ -217,23 +200,14 @@ mod tests {
         let link = Link::new("wan", LatencyModel::NormalMs(1.0, 5.0));
         for _ in 0..1000 {
             // Would frequently be negative without truncation.
-            let _ = link.delay(0, &mut rng);
+            let _ = link.delay(&mut rng);
         }
-    }
-
-    #[test]
-    fn bandwidth_adds_serialization_delay() {
-        let mut rng = Rng::new(4);
-        // 8 Mbit/s: 1 MB takes 1 second.
-        let link = Link::new("uplink", LatencyModel::FixedMs(0.0)).with_bandwidth_bps(8e6);
-        let d = link.delay(1_000_000, &mut rng);
-        assert_eq!(d, crate::time::secs(1));
     }
 
     #[test]
     fn instant_link_is_free() {
         let mut rng = Rng::new(5);
-        assert_eq!(Link::instant().delay(1_000_000, &mut rng), 0);
+        assert_eq!(Link::instant().delay(&mut rng), 0);
     }
 
     #[test]
@@ -249,7 +223,7 @@ mod tests {
         let link = Link::new("lan", LatencyModel::FixedMs(10.0));
         for t in 0..100 {
             assert_eq!(
-                link.transfer(64, millis(t), &mut rng),
+                link.transfer(millis(t), &mut rng),
                 Delivery::After(millis(10))
             );
         }
@@ -260,7 +234,7 @@ mod tests {
         let mut rng = Rng::new(7);
         let link = Link::new("lossy", LatencyModel::FixedMs(1.0)).with_drop_probability(0.2);
         let dropped = (0..10_000)
-            .filter(|_| link.transfer(64, 0, &mut rng) == Delivery::Dropped)
+            .filter(|_| link.transfer(0, &mut rng) == Delivery::Dropped)
             .count();
         assert!((1_700..2_300).contains(&dropped), "dropped={dropped}");
     }
@@ -270,10 +244,10 @@ mod tests {
         let mut rng = Rng::new(8);
         let link =
             Link::new("flaky", LatencyModel::FixedMs(1.0)).with_outage(millis(10), millis(20));
-        assert_ne!(link.transfer(64, millis(9), &mut rng), Delivery::Dropped);
-        assert_eq!(link.transfer(64, millis(10), &mut rng), Delivery::Dropped);
-        assert_eq!(link.transfer(64, millis(19), &mut rng), Delivery::Dropped);
-        assert_ne!(link.transfer(64, millis(20), &mut rng), Delivery::Dropped);
+        assert_ne!(link.transfer(millis(9), &mut rng), Delivery::Dropped);
+        assert_eq!(link.transfer(millis(10), &mut rng), Delivery::Dropped);
+        assert_eq!(link.transfer(millis(19), &mut rng), Delivery::Dropped);
+        assert_ne!(link.transfer(millis(20), &mut rng), Delivery::Dropped);
     }
 
     #[test]
@@ -286,10 +260,10 @@ mod tests {
         let flaky =
             Link::new("flaky", LatencyModel::UniformMs(1.0, 5.0)).with_outage(millis(0), millis(1));
         let clean = Link::new("clean", LatencyModel::UniformMs(1.0, 5.0));
-        assert_eq!(flaky.transfer(64, 0, &mut a), Delivery::Dropped);
+        assert_eq!(flaky.transfer(0, &mut a), Delivery::Dropped);
         assert_eq!(
-            flaky.transfer(64, millis(2), &mut a),
-            clean.transfer(64, millis(2), &mut b)
+            flaky.transfer(millis(2), &mut a),
+            clean.transfer(millis(2), &mut b)
         );
     }
 
@@ -299,7 +273,7 @@ mod tests {
         let link = Link::new("jittery", LatencyModel::FixedMs(5.0))
             .with_jitter(LatencyModel::UniformMs(0.0, 3.0));
         for _ in 0..1000 {
-            let d = link.delay(0, &mut rng);
+            let d = link.delay(&mut rng);
             assert!((millis(5)..millis(8)).contains(&d), "d={d}");
         }
     }

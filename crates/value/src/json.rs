@@ -308,59 +308,6 @@ pub fn write_str_body_to(out: &mut String, s: &str) {
     write_string_body(out, s);
 }
 
-/// Returns the byte length of the compact serialization of `value`
-/// without materializing the string. Used by the simulator to size
-/// network transfers by the actual payload (`to_string(value).len()`
-/// would allocate per message on the hot path).
-pub fn encoded_len(value: &Value) -> usize {
-    match value {
-        Value::Null => 4,
-        Value::Bool(true) => 4,
-        Value::Bool(false) => 5,
-        Value::Num(n) => {
-            let mut s = String::new();
-            write_number(&mut s, *n);
-            s.len()
-        }
-        Value::Str(s) => string_encoded_len(s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                2
-            } else {
-                // brackets + (n-1) commas + elements
-                2 + items.len() - 1 + items.iter().map(encoded_len).sum::<usize>()
-            }
-        }
-        Value::Object(map) => {
-            if map.is_empty() {
-                2
-            } else {
-                // braces + (n-1) commas + per-entry key, colon, value
-                2 + map.len() - 1
-                    + map
-                        .iter()
-                        .map(|(k, v)| string_encoded_len(k) + 1 + encoded_len(v))
-                        .sum::<usize>()
-            }
-        }
-    }
-}
-
-/// Returns the byte length of the compact serialization of `s` as a JSON
-/// string (quotes and escapes included). Exposed so callers maintaining an
-/// incremental [`encoded_len`] for a mutating document can account for a
-/// key insertion without serializing anything.
-pub fn string_encoded_len(s: &str) -> usize {
-    2 + s
-        .chars()
-        .map(|c| match c {
-            '"' | '\\' | '\n' | '\r' | '\t' => 2,
-            c if (c as u32) < 0x20 => 6,
-            c => c.len_utf8(),
-        })
-        .sum::<usize>()
-}
-
 /// Serializes a [`Value`] to pretty-printed JSON with two-space indentation.
 pub fn to_string_pretty(value: &Value) -> String {
     let mut out = String::new();
@@ -484,7 +431,6 @@ mod tests {
         for v in [Value::Num(f64::INFINITY), Value::Num(f64::NEG_INFINITY)] {
             let s = to_string(&v);
             assert_eq!(parse(&s).unwrap(), v, "infinity roundtrip via {s}");
-            assert_eq!(encoded_len(&v), s.len());
         }
     }
 
@@ -560,27 +506,5 @@ mod tests {
     fn empty_containers() {
         assert_eq!(to_string(&parse("[]").unwrap()), "[]");
         assert_eq!(to_string(&parse("{}").unwrap()), "{}");
-    }
-
-    #[test]
-    fn encoded_len_matches_to_string() {
-        for s in [
-            "null",
-            "true",
-            "false",
-            "0",
-            "-1.5",
-            "1e3",
-            "\"hi\"",
-            "[]",
-            "{}",
-            r#""line\nbreak \"q\" \\ é 😀""#,
-            r#"{"a": [1, 2, {"c": null}], "b": "café ☕", "z": [true, false, []]}"#,
-            r#"{"meta": {"kind": "Lamp", "gen": 9007199254740993},
-                "control": {"brightness": {"intent": 0.42, "status": null}}}"#,
-        ] {
-            let v = parse(s).unwrap();
-            assert_eq!(encoded_len(&v), to_string(&v).len(), "mismatch for {s}");
-        }
     }
 }

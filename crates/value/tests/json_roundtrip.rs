@@ -67,13 +67,6 @@ proptest! {
         prop_assert_eq!(&v, &back, "serialized form: {}", s);
     }
 
-    /// The incremental size accounting agrees with the real serializer —
-    /// the WAL and the watch path both size payloads with `encoded_len`.
-    #[test]
-    fn encoded_len_matches_serialization(v in arb_value()) {
-        prop_assert_eq!(json::encoded_len(&v), json::to_string(&v).len());
-    }
-
     /// `from_exact_u64` values survive the trip and decode back exactly.
     #[test]
     fn exact_u64_roundtrip(n in any::<u64>()) {

@@ -11,8 +11,9 @@
 //! - [`value`] — attribute–value documents (JSON/YAML-subset, paths, diff,
 //!   schemas) used for digi models.
 //! - [`reflex`] — the jq-like embedded-policy language (§4.2, Fig. 3).
-//! - [`simnet`] — deterministic discrete-event simulation of clocks, links,
-//!   and latency/bandwidth, substituting for the paper's physical testbed.
+//! - [`simnet`] — deterministic discrete-event simulation of clocks and
+//!   links (latency, jitter, drops, outages), substituting for the paper's
+//!   physical testbed.
 //! - [`apiserver`] — a Kubernetes-style API server: object store with
 //!   optimistic concurrency, Watch with ordered gap-free delivery (§3.5),
 //!   admission webhooks, and RBAC (§3.6, §5.1).

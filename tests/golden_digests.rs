@@ -10,7 +10,8 @@
 //! full trace, and the store dump, and compared against the value
 //! recorded from the runtime — so any drift in what the runtime commits,
 //! traces, or counts fails here. The fleet's digest also folds in every
-//! delivery of a watch spanning all its namespaces.
+//! delivery of a watch spanning all its namespaces, and the fleet run
+//! audits the store's pending accounting after each of its polls.
 
 use dspace::apiserver::{ApiServer, ObjectRef, Query, WatchEvent};
 use dspace::core::{MountMode, Space, SpaceConfig};
@@ -158,6 +159,8 @@ fn dashboard(ns: &str) -> Query {
 /// predicate in every live home and is polled every 250 virtual ms; its
 /// deliveries are folded into the digest, so the cross-shard delivery
 /// order of the space-wide watchers is pinned alongside the runtime.
+/// After every poll the store's pending accounting is audited against a
+/// fresh recount, across the namespace deletion and the late join.
 fn fleet(config: SpaceConfig) -> u64 {
     const HOMES: usize = 16;
     const LEVELS: [f64; 6] = [0.1, 0.4, 0.7, 0.93, 0.97, 1.0];
@@ -205,9 +208,11 @@ fn fleet(config: SpaceConfig) -> u64 {
         set_brightness(&mut space, &room, level);
         space.run_for_ms(250);
         fold(space.sim.now(), space.world.api.poll(dash));
+        space.world.api.audit_sizes().expect("pending accounting");
     }
     space.run_for_ms(5_000);
     fold(space.sim.now(), space.world.api.poll(dash));
+    space.world.api.audit_sizes().expect("pending accounting");
     assert!(delivered > 0, "the dashboard never saw a lamp above 900");
     let mut h = Fnv(digest(&space));
     h.u64(seen.0);
