@@ -11,9 +11,8 @@ use dspace_value::Value;
 use crate::error::ApiError;
 use crate::object::{Object, ObjectRef};
 use crate::query::Query;
-use crate::rbac::Verb;
 use crate::server::ApiServer;
-use crate::store::{CoalescedEvent, StoreSnapshot, WatchEvent, WatchId};
+use crate::store::{CoalescedEvent, WatchEvent, WatchId};
 
 /// A client handle bound to one subject. Borrow the server mutably, pick a
 /// namespace, issue verbs, and drop it; the borrow is as short as a direct
@@ -169,127 +168,6 @@ impl NamespacedClient<'_> {
     /// Cancels a watch subscription.
     pub fn cancel_watch(&mut self, id: WatchId) {
         self.api.cancel_watch(id)
-    }
-}
-
-/// A read-only client handle bound to one subject. Unlike [`Client`] this
-/// borrows the server immutably, so many readers can coexist (and a reader
-/// can be held while inspecting results of a previous mutation).
-///
-/// Reads are served from a [`StoreSnapshot`] taken when the handle is
-/// created: they are consistent as of that commit boundary, never touch
-/// the store's own accessors, and therefore never contend with the write
-/// coordinator. RBAC is still enforced per read.
-pub struct ReadClient<'a> {
-    api: &'a ApiServer,
-    snap: StoreSnapshot,
-    subject: String,
-}
-
-impl<'a> ReadClient<'a> {
-    pub(crate) fn new(api: &'a ApiServer, subject: String) -> Self {
-        ReadClient {
-            snap: api.snapshot(),
-            api,
-            subject,
-        }
-    }
-
-    /// The subject this handle acts as.
-    pub fn subject(&self) -> &str {
-        &self.subject
-    }
-
-    /// Scopes the handle to one namespace.
-    pub fn namespace(self, namespace: impl Into<String>) -> NamespacedReadClient<'a> {
-        NamespacedReadClient {
-            api: self.api,
-            snap: self.snap,
-            subject: self.subject,
-            namespace: namespace.into(),
-        }
-    }
-}
-
-/// A read-only handle bound to one subject *and* one namespace, serving
-/// reads from the snapshot its parent [`ReadClient`] pinned.
-pub struct NamespacedReadClient<'a> {
-    api: &'a ApiServer,
-    snap: StoreSnapshot,
-    subject: String,
-    namespace: String,
-}
-
-impl NamespacedReadClient<'_> {
-    /// The subject this handle acts as.
-    pub fn subject(&self) -> &str {
-        &self.subject
-    }
-
-    /// The namespace this handle is scoped to.
-    pub fn namespace(&self) -> &str {
-        &self.namespace
-    }
-
-    /// Builds the full reference for `(kind, name)` in this namespace.
-    pub fn oref(&self, kind: &str, name: &str) -> ObjectRef {
-        ObjectRef::new(kind, self.namespace.clone(), name)
-    }
-
-    fn authorize(&self, verb: Verb, oref: &ObjectRef) -> Result<(), ApiError> {
-        if self.api.rbac().authorize(&self.subject, verb, oref) {
-            Ok(())
-        } else {
-            Err(ApiError::Forbidden {
-                subject: self.subject.clone(),
-                reason: format!("{verb:?} on {oref} not permitted"),
-            })
-        }
-    }
-
-    /// Reads an object (as of the handle's snapshot).
-    pub fn get(&self, kind: &str, name: &str) -> Result<Object, ApiError> {
-        let oref = self.oref(kind, name);
-        self.authorize(Verb::Get, &oref)?;
-        self.snap
-            .get(&oref)
-            .cloned()
-            .ok_or(ApiError::NotFound(oref))
-    }
-
-    /// Reads a single attribute from an object's model.
-    pub fn get_path(&self, kind: &str, name: &str, path: &str) -> Result<Value, ApiError> {
-        let obj = self.get(kind, name)?;
-        Ok(obj.model.get_path(path).cloned().unwrap_or(Value::Null))
-    }
-
-    /// Runs a [`Query`] pinned to this handle's namespace, served from the
-    /// snapshot. Snapshots carry no indexes, so this is always a filtered
-    /// scan — consistent, contention-free, and off the write coordinator.
-    pub fn query(&self, q: &Query) -> Result<Vec<Object>, ApiError> {
-        let q = q.clone().in_ns(self.namespace.as_str());
-        let probe = ObjectRef::new(
-            q.kind.as_deref().unwrap_or("*"),
-            self.namespace.clone(),
-            q.name.as_deref().unwrap_or("*"),
-        );
-        self.authorize(Verb::List, &probe)
-            .map_err(|_| ApiError::Forbidden {
-                subject: self.subject.clone(),
-                reason: format!(
-                    "List on kind {} in namespace {} not permitted",
-                    q.kind.as_deref().unwrap_or("*"),
-                    self.namespace
-                ),
-            })?;
-        Ok(self.snap.query(&q).into_iter().cloned().collect())
-    }
-
-    /// Returns `true` if the subscription has undelivered events. This is
-    /// watch state, not object state: it is read live, not from the
-    /// snapshot.
-    pub fn has_pending(&self, id: WatchId) -> bool {
-        self.api.has_pending(id)
     }
 }
 

@@ -53,14 +53,13 @@ pub mod store;
 pub mod wal;
 
 pub use admission::{AdmissionResponse, AdmissionReview, AdmissionWebhook};
-pub use client::{Client, NamespacedClient, NamespacedReadClient, ReadClient};
+pub use client::{Client, NamespacedClient};
 pub use error::ApiError;
 pub use object::{Object, ObjectRef};
 pub use query::{IndexKey, Plan, PredicateSelector, Query, QueryError, QueryPred};
 pub use rbac::{Role, RoleBinding, Rule, Verb};
 pub use server::ApiServer;
 pub use store::{
-    stamp_gen, CoalescedEvent, StoreSnapshot, WatchEvent, WatchEventKind, WatchId, WatchSelector,
-    WatchStats,
+    stamp_gen, CoalescedEvent, WatchEvent, WatchEventKind, WatchId, WatchSelector, WatchStats,
 };
 pub use wal::{DurabilityOptions, WalError, WalSync};

@@ -1,17 +1,15 @@
 //! The apiserver facade: verbs routed through RBAC, schema validation,
 //! and the admission chain before hitting the store.
 
-use dspace_value::{KindSchema, Value};
+use dspace_value::{KindSchema, Path, Value};
 
 use crate::admission::{AdmissionResponse, AdmissionReview, AdmissionWebhook};
-use crate::client::{Client, ReadClient};
+use crate::client::Client;
 use crate::error::ApiError;
 use crate::object::{Object, ObjectRef};
 use crate::query::{Query, QueryError};
 use crate::rbac::{Rbac, Role, Rule, Verb};
-use crate::store::{
-    CoalescedEvent, Store, StoreSnapshot, WatchEvent, WatchId, WatchSelector, WatchStats,
-};
+use crate::store::{CoalescedEvent, Store, WatchEvent, WatchId, WatchSelector, WatchStats};
 use crate::wal::{DurabilityOptions, WalError};
 
 /// The API server.
@@ -200,10 +198,13 @@ impl ApiServer {
             .ok_or_else(|| ApiError::NotFound(oref.clone()))
     }
 
-    /// Reads a single attribute from an object's model.
+    /// Reads a single attribute from an object's model. A missing
+    /// attribute reads as `Null`; a malformed path is a `BadRequest`, as
+    /// it is for [`patch_path`](Self::patch_path).
     pub fn get_path(&self, subject: &str, oref: &ObjectRef, path: &str) -> Result<Value, ApiError> {
         let obj = self.get(subject, oref)?;
-        Ok(obj.model.get_path(path).cloned().unwrap_or(Value::Null))
+        let parsed = parse_path(path)?;
+        Ok(obj.model.get(&parsed).cloned().unwrap_or(Value::Null))
     }
 
     /// Authorizes `List` against the narrowest ref a query covers.
@@ -225,8 +226,7 @@ impl ApiServer {
     /// the store's secondary indexes when plannable; the full predicate
     /// is always re-evaluated, so results match a brute-force scan
     /// exactly. Needs `&mut` because first use of a `(kind, path)` pair
-    /// builds its index; hot *read-only* paths should query a
-    /// [`StoreSnapshot`](crate::StoreSnapshot) instead.
+    /// builds its index.
     pub fn query(&mut self, subject: &str, q: &Query) -> Result<Vec<Object>, ApiError> {
         self.authorize_query(subject, q)?;
         Ok(self.store.query(q))
@@ -341,19 +341,14 @@ impl ApiServer {
             if self.store.get(oref).is_none() {
                 return Err(ApiError::NotFound(oref.clone()));
             }
-            let parsed: dspace_value::Path = path
-                .parse()
-                .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))?;
-            return self.store.update_via_set(oref, &parsed, &value);
+            return self.store.update_via_set(oref, &parse_path(path)?, &value);
         }
         let old = self
             .store
             .get(oref)
             .map(|o| o.model.clone())
             .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-        let parsed: dspace_value::Path = path
-            .parse()
-            .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))?;
+        let parsed = parse_path(path)?;
         let mut new = (*old).clone();
         new.set(&parsed, value.clone())
             .map_err(|e| ApiError::BadRequest(e.to_string()))?;
@@ -380,9 +375,7 @@ impl ApiServer {
             .get(oref)
             .map(|o| o.model.clone())
             .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-        let parsed: dspace_value::Path = path
-            .parse()
-            .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))?;
+        let parsed = parse_path(path)?;
         let mut new = (*old).clone();
         new.remove(&parsed);
         self.validate(oref, &new)?;
@@ -563,29 +556,17 @@ impl ApiServer {
         self.store.shard_count()
     }
 
-    /// Lists every stored object (admin/debug use).
+    /// Lists every stored object, sorted by reference (admin/debug use).
     pub fn dump(&self) -> Vec<Object> {
-        self.store.scan_all().into_iter().cloned().collect()
+        self.scan(&Query::all()).into_iter().cloned().collect()
     }
 
-    /// Takes a consistent, immutable snapshot of the whole store (see
-    /// [`Store::snapshot`](crate::store::Store::snapshot)): O(shards), no
-    /// model copies, detached from the server's borrow. This is the read
-    /// path for CLIs and scenario readers — a reader chewing on a snapshot
-    /// can never stall the write coordinator.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        self.store.snapshot()
-    }
-
-    /// Reads ever served by snapshots of this server's store.
-    pub fn snapshot_reads(&self) -> u64 {
-        self.store.snapshot_reads()
-    }
-
-    /// Reads ever served through the store's own accessors (on the
-    /// coordinator's borrow).
-    pub fn direct_reads(&self) -> u64 {
-        self.store.direct_reads()
+    /// Test and bench support: the brute-force reference for
+    /// [`query`](Self::query) (see [`Store::scan`](crate::store::Store::scan)),
+    /// borrowed rather than cloned and without an RBAC check.
+    #[doc(hidden)]
+    pub fn scan(&self, q: &Query) -> Vec<&Object> {
+        self.store.scan(q)
     }
 
     /// Opens a scoped client handle acting as `subject`. Chain with
@@ -596,13 +577,12 @@ impl ApiServer {
     pub fn client(&mut self, subject: impl Into<String>) -> Client<'_> {
         Client::new(self, subject.into())
     }
+}
 
-    /// Opens a read-only client handle acting as `subject`. Unlike
-    /// [`ApiServer::client`] this borrows the server immutably, so
-    /// controllers can hold one while something else drives mutations.
-    pub fn reader(&self, subject: impl Into<String>) -> ReadClient<'_> {
-        ReadClient::new(self, subject.into())
-    }
+/// Parses a model path, rejecting a malformed one as a `BadRequest`.
+fn parse_path(path: &str) -> Result<Path, ApiError> {
+    path.parse()
+        .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))
 }
 
 #[cfg(test)]
@@ -634,6 +614,24 @@ mod tests {
                 .as_str(),
             Some("Plug")
         );
+    }
+
+    #[test]
+    fn malformed_read_path_is_a_bad_request() {
+        let (mut api, oref) = server_with_plug();
+        for path in [".control..power", ".control.power[x]"] {
+            let err = api.get_path(ApiServer::ADMIN, &oref, path).unwrap_err();
+            assert!(matches!(err, ApiError::BadRequest(_)), "{path}: {err}");
+            let err = api
+                .patch_path(ApiServer::ADMIN, &oref, path, "on".into())
+                .unwrap_err();
+            assert!(matches!(err, ApiError::BadRequest(_)), "{path}: {err}");
+        }
+        // A well-formed path to a missing attribute still reads as Null.
+        assert!(api
+            .get_path(ApiServer::ADMIN, &oref, ".control.nope")
+            .unwrap()
+            .is_null());
     }
 
     #[test]

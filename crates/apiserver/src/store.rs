@@ -8,9 +8,7 @@
 //! subscription spanning every namespace pays per delivery what a
 //! single-namespace one does.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dspace_value::{json, Path, Segment, Shared, Value, ValueError};
@@ -372,9 +370,9 @@ struct ShardTally {
     compacted: u64,
     /// High-water mark of this shard's log during the slice.
     peak_log_len: usize,
-    /// Model deep-clones the copy-on-write path could not avoid (a live
-    /// snapshot, a delivered event, or an unstealable log entry still
-    /// held the `Arc`). Steady-state writes keep this at zero.
+    /// Model deep-clones the copy-on-write path could not avoid (a
+    /// delivered event or an unstealable log entry still held the `Arc`).
+    /// Steady-state writes keep this at zero.
     deep_clones: u64,
     /// `true` when the store journals: shard mutators render their own
     /// WAL op into `wal_ops` on success, in ticket order.
@@ -395,14 +393,7 @@ struct Shard {
     /// that list it.
     name: Arc<str>,
     /// The namespace's objects, keyed by full reference.
-    ///
-    /// The map lives behind an `Arc` so [`Store::snapshot`] can publish it
-    /// to readers in O(1). Mutations go through [`Arc::make_mut`]: while no
-    /// snapshot holds the map the write is in place (free), and when one
-    /// does, the map is cloned once — every entry's model is itself a
-    /// [`Shared`] value, so the clone is shallow — and the snapshot keeps
-    /// observing exactly the commit-boundary state it was taken at.
-    objects: Arc<BTreeMap<ObjectRef, Object>>,
+    objects: BTreeMap<ObjectRef, Object>,
     /// Tail of this namespace's event log still needed by some member. The
     /// first entry's revision is `committed - log.len() + 1`.
     log: VecDeque<LogEntry>,
@@ -507,13 +498,6 @@ struct PredWatcher {
 }
 
 impl Shard {
-    /// Mutable view of the object map. Copy-on-write against snapshots:
-    /// in place while unshared, one shallow map clone when a live
-    /// [`StoreSnapshot`] still holds the previous index.
-    fn objects_mut(&mut self) -> &mut BTreeMap<ObjectRef, Object> {
-        Arc::make_mut(&mut self.objects)
-    }
-
     /// The plain slot key a non-predicate selector registers under.
     /// `Kind` and `KindInNamespace` share a key deliberately: within one
     /// shard they match the same events, so a member holding both stays
@@ -829,10 +813,10 @@ pub struct WatchStats {
     /// coalescing (`raw - deliveries`, summed over polls).
     pub events_coalesced: u64,
     /// Model deep-clones the copy-on-write write path could not avoid: a
-    /// live [`StoreSnapshot`], a delivered event, or a log entry whose
-    /// snapshot could not be stolen still held the model's `Arc`. In
-    /// steady state (watchers keeping up, no snapshot pinned) this stays
-    /// zero — writes to watched objects are O(delta), never O(model).
+    /// delivered event or a log entry whose snapshot could not be stolen
+    /// still held the model's `Arc`. In steady state (watchers keeping
+    /// up) this stays zero — writes to watched objects are O(delta),
+    /// never O(model).
     pub deep_clones: u64,
 }
 
@@ -861,14 +845,6 @@ pub struct Store {
     /// join every shard, including shards created after they subscribed.
     global_watchers: BTreeSet<WatchId>,
     stats: WatchStats,
-    /// Reads served through the store itself (`get`/`list`/...), i.e. on
-    /// the coordinator's borrow. The snapshot read path must keep this
-    /// flat — that is what "readers never contend with the write
-    /// coordinator" means operationally, and tests assert it.
-    direct_reads: Cell<u64>,
-    /// Reads served by detached [`StoreSnapshot`] handles. The counter is
-    /// shared with every snapshot ever taken from this store.
-    snapshot_reads: Arc<AtomicU64>,
     /// The write-ahead log, when this store is durable ([`Store::open`]).
     /// `None` keeps the store purely in-memory with zero overhead.
     wal: Option<Wal>,
@@ -947,7 +923,7 @@ impl Store {
             }
             let shard = Shard {
                 name: Arc::from(cs.namespace.as_str()),
-                objects: Arc::new(objects),
+                objects,
                 committed: cs.committed,
                 retiring: cs.retiring,
                 ..Shard::default()
@@ -1055,39 +1031,6 @@ impl Store {
         self.commits_since_ckpt = 0;
     }
 
-    /// Takes a consistent, immutable snapshot of every object in the
-    /// store, detached from the store's borrow: O(shards) `Arc` clones,
-    /// no model copies.
-    ///
-    /// The snapshot observes exactly the state at the last commit
-    /// boundary — never a half-applied write, because the per-shard maps
-    /// it pins are only ever replaced (copy-on-write), and every mutation
-    /// verb commits its whole op before it returns. Reads against it are
-    /// counted in [`Store::snapshot_reads`], not [`Store::direct_reads`].
-    pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            shards: self
-                .shards
-                .iter()
-                .map(|(ns, s)| (ns.clone(), Arc::clone(&s.objects)))
-                .collect(),
-            revision: self.committed_total,
-            reads: Arc::clone(&self.snapshot_reads),
-        }
-    }
-
-    /// Reads ever served by [`StoreSnapshot`] handles of this store.
-    pub fn snapshot_reads(&self) -> u64 {
-        self.snapshot_reads.load(Ordering::Relaxed)
-    }
-
-    /// Reads ever served through the store's own accessors (i.e. on the
-    /// coordinator's borrow). Hot read paths ported onto snapshots keep
-    /// this flat; tests assert it.
-    pub fn direct_reads(&self) -> u64 {
-        self.direct_reads.get()
-    }
-
     /// Returns the current global revision (total committed events across
     /// all shards).
     pub fn revision(&self) -> u64 {
@@ -1096,17 +1039,29 @@ impl Store {
 
     /// Returns the stored object, if present.
     pub fn get(&self, oref: &ObjectRef) -> Option<&Object> {
-        self.direct_reads.set(self.direct_reads.get() + 1);
         self.shards.get(&oref.namespace)?.objects.get(oref)
     }
 
-    pub(crate) fn scan_all(&self) -> Vec<&Object> {
-        self.direct_reads.set(self.direct_reads.get() + 1);
-        let mut out: Vec<&Object> = self
-            .shards
-            .values()
-            .flat_map(|s| s.objects.values())
-            .collect();
+    /// Runs a [`Query`] by brute force: no index, the filter evaluated on
+    /// every object of the named namespace (or of all of them). This is
+    /// the semantics [`Store::query`]'s indexed path must reproduce, and
+    /// tests and benches compare the two. Results are sorted by object
+    /// reference.
+    pub fn scan(&self, q: &Query) -> Vec<&Object> {
+        let mut out: Vec<&Object> = match &q.namespace {
+            Some(ns) => self.shards.get(ns).map_or_else(Vec::new, |s| {
+                s.objects
+                    .values()
+                    .filter(|o| q.matches(&o.oref, &o.model))
+                    .collect()
+            }),
+            None => self
+                .shards
+                .values()
+                .flat_map(|s| s.objects.values())
+                .filter(|o| q.matches(&o.oref, &o.model))
+                .collect(),
+        };
         out.sort_by(|a, b| a.oref.cmp(&b.oref));
         out
     }
@@ -1115,11 +1070,10 @@ impl Store {
     /// `list_all` collapsed. Plannable filter predicates probe secondary
     /// indexes (built lazily on first use, maintained at commit) and the
     /// full predicate is re-evaluated on every candidate, so the result is
-    /// always identical to a brute-force scan — only faster.
+    /// always identical to [`Store::scan`]'s — only faster.
     ///
     /// Results are sorted by object reference (kind, namespace, name).
     pub fn query(&mut self, q: &Query) -> Vec<Object> {
-        self.direct_reads.set(self.direct_reads.get() + 1);
         let namespaces: Vec<String> = match &q.namespace {
             Some(ns) if self.shards.contains_key(ns) => vec![ns.clone()],
             Some(_) => Vec::new(),
@@ -2366,76 +2320,6 @@ fn recount_pending(shard: &Shard, id: WatchId) -> u64 {
     pending
 }
 
-/// A consistent, immutable view of every object in the store at one
-/// commit boundary, detached from the store's borrow.
-///
-/// Cloning is O(shards); the per-shard indexes and every model inside them
-/// are reference-counted and shared with the store. The view is `Send` and
-/// `Sync`, so slow readers (CLIs, scenario assertions, dashboards) can
-/// hold or even move it to another thread while the coordinator keeps
-/// committing — later writes copy-on-write around it, they never mutate
-/// it. A snapshot therefore always equals the exact commit-boundary state
-/// it was taken at: no torn writes, ever.
-#[derive(Debug, Clone)]
-pub struct StoreSnapshot {
-    shards: BTreeMap<String, Arc<BTreeMap<ObjectRef, Object>>>,
-    revision: u64,
-    /// Shared with the originating store: snapshot reads are counted
-    /// globally so tests can assert hot paths stay off the store borrow.
-    reads: Arc<AtomicU64>,
-}
-
-// Snapshots may be handed to reader threads; keep that statically true.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<StoreSnapshot>();
-};
-
-impl StoreSnapshot {
-    /// The store's global revision when the snapshot was taken.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    fn count_read(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Returns the object as of the snapshot, if present.
-    pub fn get(&self, oref: &ObjectRef) -> Option<&Object> {
-        self.count_read();
-        self.shards.get(&oref.namespace)?.get(oref)
-    }
-
-    /// Runs a [`Query`] against the snapshot. Snapshots are frozen views
-    /// without index state, so filters evaluate brute-force over the
-    /// matching kind/namespace slice — byte-for-byte the semantics the
-    /// store's indexed path must reproduce (tests compare the two).
-    /// Results are sorted by object reference.
-    pub fn query(&self, q: &Query) -> Vec<&Object> {
-        self.count_read();
-        let mut out: Vec<&Object> = match &q.namespace {
-            Some(ns) => self
-                .shards
-                .get(ns)
-                .map(|s| {
-                    s.values()
-                        .filter(|o| q.matches(&o.oref, &o.model))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            None => self
-                .shards
-                .values()
-                .flat_map(|s| s.values())
-                .filter(|o| q.matches(&o.oref, &o.model))
-                .collect(),
-        };
-        out.sort_by(|a, b| a.oref.cmp(&b.oref));
-        out
-    }
-}
-
 // ----- Shard-local mutation ops ------------------------------------------
 //
 // The serial verbs run these inside `Store::commit_slice`, WAL replay
@@ -2656,9 +2540,9 @@ fn steal_tail_snapshot(
 }
 
 /// Mutable access to the live model. When something else still holds the
-/// `Arc` — a reader's snapshot, a delivered event, an unstealable log
-/// entry — this deep-clones, and the tally counts it: the zero-copy
-/// bench asserts steady-state writes never pay that clone.
+/// `Arc` — a delivered event, an unstealable log entry — this deep-clones,
+/// and the tally counts it: the zero-copy bench asserts steady-state
+/// writes never pay that clone.
 fn cow_model<'a>(model: &'a mut Shared<Value>, tally: &mut ShardTally) -> &'a mut Value {
     if Shared::strong_count(model) > 1 {
         tally.deep_clones += 1;
@@ -2730,7 +2614,7 @@ fn shard_create(
             .push(wal_op_with_model("create", &oref, &model));
     }
     let shared = Shared::new(model);
-    shard.objects_mut().insert(
+    shard.objects.insert(
         oref.clone(),
         Object {
             oref: oref.clone(),
@@ -2750,7 +2634,7 @@ fn shard_update(
     tally: &mut ShardTally,
 ) -> Result<u64, ApiError> {
     let obj = shard
-        .objects_mut()
+        .objects
         .get_mut(oref)
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     if let Some(expected) = expected_rv {
@@ -2800,7 +2684,7 @@ fn shard_merge(
     // as it goes); `stamp_gen_with_inverse` inverts even its fallback shape.
     let model_ptr = Shared::as_ptr(&obj.model);
     let stolen = steal_tail_snapshot(shard, oref, model_ptr);
-    let obj = shard.objects_mut().get_mut(oref).expect("probed above");
+    let obj = shard.objects.get_mut(oref).expect("probed above");
     let m = cow_model(&mut obj.model, tally);
     let mut inv = Vec::new();
     merge_with_inverse(m, patch, &Path::root(), &mut inv);
@@ -2853,7 +2737,7 @@ fn shard_set_path(
     } else {
         None
     };
-    let obj = shard.objects_mut().get_mut(oref).expect("probed above");
+    let obj = shard.objects.get_mut(oref).expect("probed above");
     let m = cow_model(&mut obj.model, tally);
     let rec = tally.journal.then(|| wal_op_set(oref, path, &value));
     let mut inv: Vec<InverseOp> = Vec::new();
@@ -2902,7 +2786,7 @@ fn shard_delete(
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     let model_ptr = Shared::as_ptr(&obj.model);
     let stolen = steal_tail_snapshot(shard, oref, model_ptr);
-    let mut obj = shard.objects_mut().remove(oref).expect("probed above");
+    let mut obj = shard.objects.remove(oref).expect("probed above");
     obj.resource_version += 1;
     let rv = obj.resource_version;
     let m = cow_model(&mut obj.model, tally);
@@ -2943,7 +2827,7 @@ fn shard_fast_forward(
     }
     let model_ptr = Shared::as_ptr(&obj.model);
     let stolen = steal_tail_snapshot(shard, oref, model_ptr);
-    let obj = shard.objects_mut().get_mut(oref).expect("probed above");
+    let obj = shard.objects.get_mut(oref).expect("probed above");
     let m = cow_model(&mut obj.model, tally);
     let mut inv = Vec::new();
     stamp_gen_with_inverse(m, rv, &mut inv);

@@ -1,7 +1,7 @@
 //! Indexed queries are an optimization, not a semantics: under arbitrary
 //! churn (bursts of serial creates/patches/deletes, namespace drops,
 //! checkpoints) every filtered `Store::query` must return byte-for-byte
-//! what a brute-force scan over a snapshot returns, and the incrementally
+//! what the brute-force `Store::scan` returns, and the incrementally
 //! maintained index postings must stay identical to a from-scratch
 //! rebuild. A second property covers kill-and-restart: reopening a
 //! durable store from checkpoint + WAL replay and re-deriving the indexes
@@ -254,8 +254,7 @@ fn line(o: &Object) -> String {
 fn check_equivalence(store: &mut Store) -> Result<(), TestCaseError> {
     for q in query_pool() {
         let indexed: Vec<String> = store.query(&q).iter().map(line).collect();
-        let snap = store.snapshot();
-        let brute: Vec<String> = snap.query(&q).into_iter().map(line).collect();
+        let brute: Vec<String> = store.scan(&q).into_iter().map(line).collect();
         prop_assert_eq!(indexed, brute, "indexed query diverged from scan: {:?}", q);
     }
     if let Err(e) = store.indexes_consistent() {
@@ -272,7 +271,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// After every step of an arbitrary churn script, every query shape
-    /// returns exactly what the snapshot's brute-force evaluation returns,
+    /// returns exactly what `Store::scan`'s brute-force evaluation returns,
     /// and every live index matches a from-scratch rebuild. Querying
     /// *before* the churn matters: it builds the indexes early so the rest
     /// of the script exercises the incremental commit-time maintenance,
@@ -398,8 +397,7 @@ fn mixed_type_keys_filter_identically() {
     ] {
         let q = Query::kind("Lamp").filter(expr).unwrap();
         let indexed: Vec<String> = store.query(&q).iter().map(line).collect();
-        let snap = store.snapshot();
-        let brute: Vec<String> = snap.query(&q).into_iter().map(line).collect();
+        let brute: Vec<String> = store.scan(&q).into_iter().map(line).collect();
         assert_eq!(indexed, brute, "diverged on {expr}");
     }
     store.indexes_consistent().unwrap();

@@ -4,7 +4,7 @@
 //! per digi, so a range filter's selectivity is a dial: `< 4` matches
 //! 0.1% of the space, `< 41` matches 1%, `< 410` matches 10%. The sweep
 //! times the same [`Query`] through the store's indexed path and through
-//! a snapshot's brute-force scan (the semantics baseline), then scales a
+//! the store's brute-force scan (the semantics baseline), then scales a
 //! predicate-watch fan-out: W disjoint predicate subscriptions, a burst
 //! into one bucket, and the claim that the other W-1 watchers never even
 //! go pending. Emits `BENCH_query.json` at the repo root; a full run
@@ -61,14 +61,13 @@ fn time_indexed(api: &mut ApiServer, q: &Query, iters: usize) -> (f64, usize) {
     (start.elapsed().as_secs_f64() * 1e6 / iters as f64, found)
 }
 
-/// Mean microseconds per brute-force scan over a snapshot (reflex
-/// re-evaluated on every object of the kind slice).
+/// Mean microseconds per brute-force scan (reflex re-evaluated on every
+/// object of the namespace, nothing cloned).
 fn time_scan(api: &ApiServer, q: &Query, iters: usize) -> (f64, usize) {
-    let snap = api.snapshot();
     let mut found = 0;
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        found = std::hint::black_box(snap.query(q)).len();
+        found = std::hint::black_box(api.scan(q)).len();
     }
     (start.elapsed().as_secs_f64() * 1e6 / iters as f64, found)
 }
@@ -185,8 +184,8 @@ fn bench_query_1pct(c: &mut Criterion) {
     });
     group.bench_function("filtered/scan@1pct", |b| {
         b.iter_batched(
-            || build(DIGIS).snapshot(),
-            |snap| snap.query(&q).len(),
+            || build(DIGIS),
+            |api| api.scan(&q).len(),
             BatchSize::LargeInput,
         )
     });

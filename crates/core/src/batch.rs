@@ -81,8 +81,8 @@ pub struct WriteBatch {
     /// Simulated post-write state per object: `(stamped model, rv)`.
     overlay: BTreeMap<ObjectRef, (Shared<Value>, u64)>,
     /// Store resource version each written object's *first* read-for-write
-    /// observed — the snapshot this batch's decisions are based on.
-    /// [`commit_occ`](Self::commit_occ) re-validates against it.
+    /// observed — the state this batch's decisions are based on.
+    /// [`commit`](Self::commit) re-validates against it.
     base: BTreeMap<ObjectRef, u64>,
     pending: Vec<Pending>,
 }
@@ -138,8 +138,9 @@ impl WriteBatch {
         Ok((obj.model, obj.resource_version))
     }
 
-    /// Reads one attribute (see [`get`](Self::get)); missing paths read
-    /// as `Null`, like the serial `get_path` verb.
+    /// Reads one attribute (see [`get`](Self::get)) like the serial
+    /// `get_path` verb: a missing attribute reads as `Null`, a malformed
+    /// path is a `BadRequest`.
     pub fn get_path(
         &self,
         api: &ApiServer,
@@ -147,7 +148,8 @@ impl WriteBatch {
         path: &str,
     ) -> Result<Value, ApiError> {
         let (model, _) = self.get(api, oref)?;
-        Ok(model.get_path(path).cloned().unwrap_or(Value::Null))
+        let parsed = parse_path(path)?;
+        Ok(model.get(&parsed).cloned().unwrap_or(Value::Null))
     }
 
     /// Deep-merges a patch into an object's model. Returns the ticket to
@@ -185,13 +187,9 @@ impl WriteBatch {
             let result = api.patch_path(&self.subject, oref, path, value);
             return self.push(Pending::Done(result));
         }
-        let parsed: Path = match path.parse() {
+        let parsed = match parse_path(path) {
             Ok(p) => p,
-            Err(e) => {
-                return self.push(Pending::Failed(ApiError::BadRequest(format!(
-                    "bad path {path}: {e}"
-                ))))
-            }
+            Err(e) => return self.push(Pending::Failed(e)),
         };
         match self.read_for_write(api, oref) {
             Err(e) => self.push(Pending::Failed(e)),
@@ -308,6 +306,13 @@ impl WriteBatch {
     }
 }
 
+/// Parses a model path the way the serial verbs do: a malformed one is a
+/// `BadRequest`.
+fn parse_path(path: &str) -> Result<Path, ApiError> {
+    path.parse()
+        .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,6 +386,10 @@ mod tests {
             Some(2),
             "overlay model is stamped like the commit will stamp it"
         );
+        assert!(matches!(
+            b.get_path(&api, &oref, ".control..power"),
+            Err(ApiError::BadRequest(_))
+        ));
         // ...but the server does not, until commit.
         assert!(api
             .get_path(ApiServer::ADMIN, &oref, ".control.power.intent")
@@ -401,11 +410,11 @@ mod tests {
         let ghost = ObjectRef::default_ns("Plug", "ghost");
         let mut b = WriteBatch::new(ApiServer::ADMIN, true);
         let t = b.patch_path(&mut api, &ghost, ".control.power.intent", "on".into());
-        let rev_before = api.snapshot().revision();
+        let rev_before = api.revision();
         let (results, _) = b.commit(&mut api);
         assert!(matches!(results[t], Err(ApiError::NotFound(_))));
         assert_eq!(
-            api.snapshot().revision(),
+            api.revision(),
             rev_before,
             "an all-failed batch commits nothing"
         );

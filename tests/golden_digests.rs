@@ -11,9 +11,10 @@
 //! recorded from the runtime — so any drift in what the runtime commits,
 //! traces, or counts fails here. The fleet's digest also folds in every
 //! delivery of a watch spanning all its namespaces, and the fleet run
-//! audits the store's pending accounting after each of its polls.
+//! audits the store's pending accounting after each of its polls and
+//! checks that its indexed queries equal a brute-force scan.
 
-use dspace::apiserver::{ApiServer, ObjectRef, Query, WatchEvent};
+use dspace::apiserver::{ApiServer, Object, ObjectRef, Query, WatchEvent};
 use dspace::core::{MountMode, Space, SpaceConfig};
 use dspace::devices::{GeeniLamp, LifxLamp};
 use dspace::digis::scenarios::{s1::S1, s3::S3, s4::S4, s9::S9};
@@ -153,6 +154,20 @@ fn dashboard(ns: &str) -> Query {
         .unwrap()
 }
 
+/// Every live home's dashboard and one predicate spanning all namespaces
+/// must read the same through the store's indexes as by brute force.
+fn check_queries(space: &mut Space, rooms: &[Option<ObjectRef>]) {
+    let spanning = Query::kind("GeeniLamp")
+        .filter(".control.brightness.status > 900")
+        .unwrap();
+    let dashboards = rooms.iter().flatten().map(|r| dashboard(&r.namespace));
+    for q in dashboards.chain([spanning]) {
+        let indexed = space.world.api.query(ApiServer::ADMIN, &q).unwrap();
+        let scanned: Vec<Object> = space.world.api.scan(&q).into_iter().cloned().collect();
+        assert_eq!(indexed, scanned, "indexed query diverged from scan: {q:?}");
+    }
+}
+
 /// 16 S1 homes, one namespace each, driven from a fixed seed: a room
 /// intent every 250 virtual ms in a random live home, home 3 leaving at
 /// 5 s and a fresh home joining at 10 s. One watch spans the dashboard
@@ -160,7 +175,8 @@ fn dashboard(ns: &str) -> Query {
 /// deliveries are folded into the digest, so the cross-shard delivery
 /// order of the space-wide watchers is pinned alongside the runtime.
 /// After every poll the store's pending accounting is audited against a
-/// fresh recount, across the namespace deletion and the late join.
+/// fresh recount and the indexed queries are checked against a scan,
+/// across the namespace deletion and the late join.
 fn fleet(config: SpaceConfig) -> u64 {
     const HOMES: usize = 16;
     const LEVELS: [f64; 6] = [0.1, 0.4, 0.7, 0.93, 0.97, 1.0];
@@ -209,10 +225,12 @@ fn fleet(config: SpaceConfig) -> u64 {
         space.run_for_ms(250);
         fold(space.sim.now(), space.world.api.poll(dash));
         space.world.api.audit_sizes().expect("pending accounting");
+        check_queries(&mut space, &rooms);
     }
     space.run_for_ms(5_000);
     fold(space.sim.now(), space.world.api.poll(dash));
     space.world.api.audit_sizes().expect("pending accounting");
+    check_queries(&mut space, &rooms);
     assert!(delivered > 0, "the dashboard never saw a lamp above 900");
     let mut h = Fnv(digest(&space));
     h.u64(seen.0);
