@@ -480,12 +480,6 @@ impl Query {
         Ok(self)
     }
 
-    /// Attach an already-compiled predicate.
-    pub fn filter_pred(mut self, pred: QueryPred) -> Query {
-        self.pred = Some(pred);
-        self
-    }
-
     /// Does an object (by identity and model) fall inside this query?
     /// This is the brute-force semantics every indexed path must agree
     /// with.

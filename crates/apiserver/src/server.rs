@@ -289,16 +289,6 @@ impl ApiServer {
         }
     }
 
-    /// `true` when no coordinator-side pipeline stage needs the candidate
-    /// model for a patch to `oref`: no webhooks, kinds are not strict, and
-    /// no schema covers the kind. The patch verbs then skip materializing
-    /// old/new documents entirely, so a patch to a watched object is
-    /// O(delta) end to end — the store merges/sets in place and journals
-    /// only the patch.
-    fn patch_pipeline_idle(&self, oref: &ObjectRef) -> bool {
-        self.webhooks.is_empty() && !self.strict_kinds && !self.schemas.contains_key(&oref.kind)
-    }
-
     /// Merges `patch` into the current model (strategic-merge semantics of
     /// [`Value::merge`]). Runs as a read–modify–write without OCC — the
     /// merge is applied atomically on the server side.
@@ -309,9 +299,6 @@ impl ApiServer {
         patch: Value,
     ) -> Result<u64, ApiError> {
         self.authorize(subject, Verb::Patch, oref)?;
-        if self.patch_pipeline_idle(oref) {
-            return self.store.update_via_merge(oref, &patch);
-        }
         let old = self
             .store
             .get(oref)
@@ -337,12 +324,6 @@ impl ApiServer {
         value: Value,
     ) -> Result<u64, ApiError> {
         self.authorize(subject, Verb::Patch, oref)?;
-        if self.patch_pipeline_idle(oref) {
-            if self.store.get(oref).is_none() {
-                return Err(ApiError::NotFound(oref.clone()));
-            }
-            return self.store.update_via_set(oref, &parse_path(path)?, &value);
-        }
         let old = self
             .store
             .get(oref)

@@ -66,18 +66,13 @@ pub struct CoalescedEvent {
     pub coalesced: u64,
 }
 
-/// One entry of a shard's event log: the event identity plus either a
-/// shared model snapshot or a *rollback* recipe against the object's
-/// next-newer entry.
+/// One entry of a shard's event log: the event identity plus the model
+/// snapshot its commit made.
 ///
-/// The rollback form is what makes steady-state writes zero-copy: when a
-/// mutation finds that the only other holder of the current model `Arc`
-/// is this log's newest entry for the object, it steals the `Arc`,
-/// mutates the document in place, and leaves behind the inverse ops that
-/// recover the pre-write model from the post-write one. Invariant: the
-/// newest log entry for any object is always a `Snapshot`, so a rollback
-/// entry's successor is resident whenever the entry is (compaction only
-/// pops from the front).
+/// The snapshot is shared with the object map (until the object's next
+/// write) and with every delivery, so while an entry is resident a write
+/// to its object copies the model instead of mutating it in place (see
+/// [`cow_model`]).
 #[derive(Debug, Clone)]
 struct LogEntry {
     /// Strictly increasing revision within the shard.
@@ -86,61 +81,21 @@ struct LogEntry {
     kind: WatchEventKind,
     /// The object affected.
     oref: ObjectRef,
-    /// The model after the change, as a snapshot or a rollback recipe.
-    model: EntryModel,
+    /// The model after the change.
+    model: Shared<Value>,
     /// The object's resource version after the change.
     resource_version: u64,
 }
 
 impl LogEntry {
-    /// The delivered form of this entry, carrying `model` (the entry's own
-    /// snapshot, or its materialized rollback).
-    fn event(&self, model: &Shared<Value>) -> WatchEvent {
+    /// The delivered form of this entry, sharing its snapshot.
+    fn event(&self) -> WatchEvent {
         WatchEvent {
             revision: self.revision,
             kind: self.kind,
             oref: self.oref.clone(),
-            model: model.clone(),
+            model: self.model.clone(),
             resource_version: self.resource_version,
-        }
-    }
-}
-
-/// How a log entry stores its model: materialized, or as the inverse of
-/// the mutation relative to the object's next-newer log entry.
-#[derive(Debug, Clone)]
-enum EntryModel {
-    /// The model itself, shared with the object map and every delivery.
-    Snapshot(Shared<Value>),
-    /// Inverse ops that recover this entry's model from its successor's.
-    /// Only laggard polls pay the materialization; the hot path never
-    /// touches these again.
-    Rollback(Vec<InverseOp>),
-}
-
-/// One inverse step of a rollback entry: restore `path` to its pre-write
-/// value, or remove the key the write freshly inserted.
-#[derive(Debug, Clone)]
-struct InverseOp {
-    path: Path,
-    /// `Some(old)` restores the previous value; `None` removes a freshly
-    /// inserted key.
-    old: Option<Value>,
-}
-
-/// Recovers an entry's model from its successor's by applying the
-/// recorded inverse ops. All ops restore mutually consistent pre-state
-/// values, so application order is immaterial; failures (an inner path
-/// whose container an outer restore already replaced) are benign no-ops.
-fn apply_rollback(doc: &mut Value, ops: &[InverseOp]) {
-    for op in ops.iter().rev() {
-        match &op.old {
-            Some(v) => {
-                let _ = doc.set(&op.path, v.clone());
-            }
-            None => {
-                doc.remove(&op.path);
-            }
         }
     }
 }
@@ -370,9 +325,7 @@ struct ShardTally {
     compacted: u64,
     /// High-water mark of this shard's log during the slice.
     peak_log_len: usize,
-    /// Model deep-clones the copy-on-write path could not avoid (a
-    /// delivered event or an unstealable log entry still held the `Arc`).
-    /// Steady-state writes keep this at zero.
+    /// Model deep-clones by the copy-on-write path (see [`cow_model`]).
     deep_clones: u64,
     /// `true` when the store journals: shard mutators render their own
     /// WAL op into `wal_ops` on success, in ticket order.
@@ -397,11 +350,6 @@ struct Shard {
     /// Tail of this namespace's event log still needed by some member. The
     /// first entry's revision is `committed - log.len() + 1`.
     log: VecDeque<LogEntry>,
-    /// Revision of the newest resident log entry per object — the entry a
-    /// later write to the same object may *steal* its snapshot from (see
-    /// [`LogEntry`]). Pruned lazily against the compaction floor, dropped
-    /// wholesale when the log empties.
-    tail_revs: BTreeMap<ObjectRef, u64>,
     /// Events ever committed in this shard (== the newest revision).
     committed: u64,
     /// Selector slots: which watchers to notify per event, without
@@ -812,11 +760,11 @@ pub struct WatchStats {
     /// Raw events absorbed into an earlier delivery of the same object by
     /// coalescing (`raw - deliveries`, summed over polls).
     pub events_coalesced: u64,
-    /// Model deep-clones the copy-on-write write path could not avoid: a
-    /// delivered event or a log entry whose snapshot could not be stolen
-    /// still held the model's `Arc`. In steady state (watchers keeping
-    /// up) this stays zero — writes to watched objects are O(delta),
-    /// never O(model).
+    /// Model deep-clones by the in-place write path: the written object's
+    /// model was still shared — with a resident log entry, a delivered
+    /// event, or a caller holding the pre-write model — so the write
+    /// copied it. A write to a model nothing else holds mutates in place
+    /// and counts nothing.
     pub deep_clones: u64,
 }
 
@@ -898,11 +846,6 @@ impl Store {
         }
         store.wal = Some(wal);
         Ok(store)
-    }
-
-    /// `true` when mutations are journaled to a WAL directory.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// Installs the checkpointed shards; replay continues from here.
@@ -1215,11 +1158,11 @@ impl Store {
         self.commit_serial(oref, |shard, tally| shard_delete(shard, oref, tally))
     }
 
-    /// Sets `path` to `value` on the stored model, in place — the hot verb
-    /// behind `patch_path`. Zero-copy in steady state (the log-tail
-    /// snapshot is stolen and rewritten as a rollback entry), and only the
-    /// set itself is journaled. Replaying it against the same base
-    /// reproduces the model bit-for-bit (both paths stamp `meta.gen`
+    /// Sets `path` to `value` on the stored model — the hot verb behind
+    /// `patch_path`. The model is mutated in place when nothing else holds
+    /// it and copied first otherwise (see [`WatchStats::deep_clones`]);
+    /// only the set itself is journaled. Replaying it against the same
+    /// base reproduces the model bit-for-bit (both paths stamp `meta.gen`
     /// identically).
     pub fn update_via_set(
         &mut self,
@@ -1232,9 +1175,9 @@ impl Store {
         })
     }
 
-    /// Deep-merges `patch` into the stored model, in place — the verb
-    /// behind `patch`, with the same zero-copy machinery as
-    /// [`Store::update_via_set`]; only the patch is journaled.
+    /// Deep-merges `patch` into the stored model — the verb behind
+    /// `patch`, copying the model only when it is shared, as
+    /// [`Store::update_via_set`] does; only the patch is journaled.
     pub fn update_via_merge(&mut self, oref: &ObjectRef, patch: &Value) -> Result<u64, ApiError> {
         self.commit_serial(oref, |shard, tally| shard_merge(shard, oref, patch, tally))
     }
@@ -1460,7 +1403,7 @@ impl Store {
         let mut out = Vec::new();
         self.drain_watcher(id, |shard, filter, start| {
             let before = out.len();
-            scan_window(shard, start, filter, |e, model| out.push(e.event(model)));
+            out.extend(scan_window(shard, start, filter).map(LogEntry::event));
             (out.len() - before) as u64
         });
         self.stats.events_delivered += out.len() as u64;
@@ -1482,17 +1425,7 @@ impl Store {
         // Objects live in exactly one namespace, so per-shard coalescing
         // equals global coalescing.
         self.drain_watcher(id, |shard, filter, start| {
-            let raw = if filter.preds.is_some() {
-                // Predicates judge each event by its model, so the raw
-                // stream must be materialized first.
-                let mut raw = Vec::new();
-                scan_window(shard, start, filter, |e, model| raw.push(e.event(model)));
-                let n = raw.len() as u64;
-                coalesce_into(&mut out, raw);
-                n
-            } else {
-                coalesce_plain(shard, start, filter, &mut out)
-            };
+            let raw = coalesce(shard, start, filter, &mut out);
             raw_total += raw;
             raw
         });
@@ -1743,11 +1676,9 @@ impl Store {
                     };
                     registered.push((sel, since));
                 }
-                let mut truth = 0u64;
                 let start = shard.window_start(member.cursor);
-                scan_window(shard, start, &SelectorOracle(registered), |_, _| {
-                    truth += 1;
-                });
+                let oracle = SelectorOracle(registered);
+                let truth = scan_window(shard, start, &oracle).count() as u64;
                 if pending != truth {
                     return Err(format!(
                         "member {id:?} in {ns}: derived {pending} pending, true {truth}"
@@ -1833,13 +1764,6 @@ fn shard_append(
     }
     let members_empty = shard.members.is_empty();
     if !members_empty {
-        // Remember the newest entry per object so the next write can
-        // steal its snapshot (deletes end the chain).
-        if kind == WatchEventKind::Deleted {
-            shard.tail_revs.remove(&oref);
-        } else {
-            shard.tail_revs.insert(oref.clone(), revision);
-        }
         if !shard.all_watchers.subs.is_empty() {
             shard.all_watchers.charge += 1;
             if !shard.all_watchers.dirty {
@@ -1873,7 +1797,7 @@ fn shard_append(
         revision,
         kind,
         oref,
-        model: EntryModel::Snapshot(model),
+        model,
         resource_version: rv,
     });
     tally.peak_log_len = tally.peak_log_len.max(shard.log.len());
@@ -1881,40 +1805,15 @@ fn shard_append(
         // No watcher holds this shard: reclaim the tail eagerly.
         let n = shard.log.len() as u64;
         shard.log.clear();
-        shard.tail_revs.clear();
         tally.compacted += n;
     }
 }
 
-/// Appends the coalesced form of one shard's raw, revision-ordered
-/// events: one delivery per object, at its first occurrence, carrying its
-/// newest event.
-fn coalesce_into(out: &mut Vec<CoalescedEvent>, raw: Vec<WatchEvent>) {
-    let mut slots: BTreeMap<ObjectRef, usize> = BTreeMap::new();
-    for ev in raw {
-        match slots.get(&ev.oref) {
-            Some(&i) => {
-                // Newest snapshot wins; the count remembers the burst.
-                out[i].event = ev;
-                out[i].coalesced += 1;
-            }
-            None => {
-                slots.insert(ev.oref.clone(), out.len());
-                out.push(CoalescedEvent {
-                    event: ev,
-                    coalesced: 1,
-                });
-            }
-        }
-    }
-}
-
-/// [`coalesce_into`] for a member without predicates, with no model
-/// materialized: its slots match by identity, so an object's newest
-/// matching entry is its newest log entry, which is always a resident
-/// snapshot — a burst of rollback entries is skipped over without
-/// reconstructing any of them. Returns the raw events absorbed.
-fn coalesce_plain(
+/// Appends the coalesced form of one member's window: one delivery per
+/// object, at its first accepted occurrence, carrying its newest accepted
+/// entry and the count of accepted entries it absorbed. Returns the raw
+/// events absorbed.
+fn coalesce(
     shard: &Shard,
     start: usize,
     filter: &MemberFilter<'_>,
@@ -1923,31 +1822,21 @@ fn coalesce_plain(
     // Count matches per object and remember each object's newest entry,
     // keeping first-occurrence order.
     let mut slots: BTreeMap<&ObjectRef, usize> = BTreeMap::new();
-    let mut found: Vec<(u64, usize)> = Vec::new();
-    for (i, e) in shard.log.iter().enumerate().skip(start) {
-        if !filter.plain(e) {
-            continue;
-        }
+    let mut found: Vec<(u64, &LogEntry)> = Vec::new();
+    for e in scan_window(shard, start, filter) {
         match slots.get(&e.oref) {
-            Some(&slot) => {
-                found[slot].0 += 1;
-                found[slot].1 = i;
-            }
+            Some(&slot) => found[slot] = (found[slot].0 + 1, e),
             None => {
                 slots.insert(&e.oref, found.len());
-                found.push((1, i));
+                found.push((1, e));
             }
         }
     }
     let mut raw = 0;
-    for (coalesced, i) in found {
+    for (coalesced, e) in found {
         raw += coalesced;
-        let e = &shard.log[i];
-        let EntryModel::Snapshot(model) = &e.model else {
-            unreachable!("newest log entry per object is a snapshot")
-        };
         out.push(CoalescedEvent {
-            event: e.event(model),
+            event: e.event(),
             coalesced,
         });
     }
@@ -1956,11 +1845,8 @@ fn coalesce_plain(
 
 /// Which log entries a scan delivers.
 trait EntryFilter {
-    /// Judged from the entry's identity alone: may the entry belong?
-    /// Only entries in scope have their model materialized.
-    fn in_scope(&self, e: &LogEntry) -> bool;
-    /// The final judgement, on the entry's materialized model.
-    fn accepts(&self, e: &LogEntry, model: &Value) -> bool;
+    /// Does the entry belong, judged by its identity, revision and model?
+    fn accepts(&self, e: &LogEntry) -> bool;
 }
 
 /// One member's subscription as its own shard sees it: the member's plain
@@ -1983,29 +1869,19 @@ impl<'a> MemberFilter<'a> {
             preds: (m.pred_refs > 0).then_some(&shard.pred_watchers),
         }
     }
-
-    fn plain(&self, e: &LogEntry) -> bool {
-        self.slots
-            .iter()
-            .any(|s| e.revision >= s.since && s.key.covers(&e.oref))
-    }
-
-    fn preds(&self, e: &'a LogEntry) -> impl Iterator<Item = &'a PredWatcher> + '_ {
-        self.preds
-            .and_then(|p| p.get(&e.oref.kind))
-            .into_iter()
-            .flatten()
-            .filter(move |w| w.id == self.id && e.revision >= w.since)
-    }
 }
 
 impl EntryFilter for MemberFilter<'_> {
-    fn in_scope(&self, e: &LogEntry) -> bool {
-        self.plain(e) || self.preds(e).next().is_some()
-    }
-
-    fn accepts(&self, e: &LogEntry, model: &Value) -> bool {
-        self.plain(e) || self.preds(e).any(|w| w.pred.matches(model))
+    fn accepts(&self, e: &LogEntry) -> bool {
+        self.slots
+            .iter()
+            .any(|s| e.revision >= s.since && s.key.covers(&e.oref))
+            || self
+                .preds
+                .and_then(|p| p.get(&e.oref.kind))
+                .into_iter()
+                .flatten()
+                .any(|w| w.id == self.id && e.revision >= w.since && w.pred.matches(&e.model))
     }
 }
 
@@ -2015,65 +1891,21 @@ impl EntryFilter for MemberFilter<'_> {
 struct SelectorOracle<'a>(Vec<(&'a WatchSelector, u64)>);
 
 impl EntryFilter for SelectorOracle<'_> {
-    fn in_scope(&self, e: &LogEntry) -> bool {
+    fn accepts(&self, e: &LogEntry) -> bool {
         self.0
             .iter()
-            .any(|(s, since)| e.revision >= *since && s.matches(&e.oref))
-    }
-
-    fn accepts(&self, e: &LogEntry, model: &Value) -> bool {
-        self.0
-            .iter()
-            .any(|(s, since)| e.revision >= *since && s.event_matches(&e.oref, model))
+            .any(|(s, since)| e.revision >= *since && s.event_matches(&e.oref, &e.model))
     }
 }
 
-/// Walks the log window from index `start`, materializing each in-scope
-/// entry's model — rolling back from the entry's successor where it is
-/// stored in rollback form — and invokes `f` for every entry the filter
-/// accepts.
-///
-/// The backward pass reconstructs models newest-to-oldest per object (a
-/// rollback entry's successor is always resident, see [`LogEntry`]); the
-/// forward pass then emits in revision order. Hot-path polls touch only
-/// `Snapshot` entries and pay nothing; only laggards materialize.
-fn scan_window(
-    shard: &Shard,
+/// The log entries from index `start` on that the filter accepts, in
+/// revision order.
+fn scan_window<'a>(
+    shard: &'a Shard,
     start: usize,
-    filter: &impl EntryFilter,
-    mut f: impl FnMut(&LogEntry, &Shared<Value>),
-) {
-    let n = shard.log.len();
-    if start >= n {
-        return;
-    }
-    let mut models: Vec<Option<Shared<Value>>> = vec![None; n - start];
-    let mut successors: BTreeMap<&ObjectRef, Shared<Value>> = BTreeMap::new();
-    for (i, e) in shard.log.iter().enumerate().skip(start).rev() {
-        if !filter.in_scope(e) {
-            continue;
-        }
-        let model = match &e.model {
-            EntryModel::Snapshot(m) => m.clone(),
-            EntryModel::Rollback(ops) => {
-                let succ = successors
-                    .get(&e.oref)
-                    .expect("rollback entry has a resident successor");
-                let mut doc = (**succ).clone();
-                apply_rollback(&mut doc, ops);
-                Shared::new(doc)
-            }
-        };
-        successors.insert(&e.oref, model.clone());
-        models[i - start] = Some(model);
-    }
-    for (i, e) in shard.log.iter().enumerate().skip(start) {
-        if let Some(model) = &models[i - start] {
-            if filter.accepts(e, model) {
-                f(e, model);
-            }
-        }
-    }
+    filter: &'a impl EntryFilter,
+) -> impl Iterator<Item = &'a LogEntry> {
+    shard.log.iter().skip(start).filter(|e| filter.accepts(e))
 }
 
 /// Drops log entries that no member can still need, returning the count. A
@@ -2093,14 +1925,6 @@ fn compact(shard: &mut Shard) -> u64 {
         shard.log.pop_front();
         reclaimed += 1;
         first_rev += 1;
-    }
-    // Popping from the front never strands a rollback entry (its
-    // successor is always newer), but it can strand a `tail_revs` pointer
-    // at a reclaimed revision; `steal_tail_snapshot` bounds-checks, so the
-    // stale pointer is merely a missed steal, pruned lazily here.
-    if reclaimed > 0 {
-        let first_rev = shard.committed - shard.log.len() as u64 + 1;
-        shard.tail_revs.retain(|_, rev| *rev >= first_rev);
     }
     reclaimed
 }
@@ -2312,12 +2136,8 @@ fn resettle_exact(shard: &mut Shard, id: WatchId) {
 /// cancelled.
 fn recount_pending(shard: &Shard, id: WatchId) -> u64 {
     let m = shard.members.get(&id).expect("recounting a member");
-    let mut pending = 0u64;
     let filter = MemberFilter::new(shard, id, m);
-    scan_window(shard, shard.window_start(m.cursor), &filter, |_, _| {
-        pending += 1;
-    });
-    pending
+    scan_window(shard, shard.window_start(m.cursor), &filter).count() as u64
 }
 
 // ----- Shard-local mutation ops ------------------------------------------
@@ -2508,93 +2328,18 @@ fn checkpoint_shards_json(shards: &BTreeMap<String, Shard>) -> String {
     out.join(",")
 }
 
-/// Tries to convert the newest resident log entry for `oref` from
-/// snapshot to rollback form, returning its log index. Succeeds only
-/// when that entry's snapshot is pointer-identical to the live object's
-/// model (`model_ptr`): then the log holds the only other strong
-/// reference, and stealing it back lets the caller mutate the model in
-/// place with no deep clone. The caller **must** store the real inverse
-/// ops at the returned index (or restore a snapshot) before returning.
-fn steal_tail_snapshot(
-    shard: &mut Shard,
-    oref: &ObjectRef,
-    model_ptr: *const Value,
-) -> Option<usize> {
-    let rev = *shard.tail_revs.get(oref)?;
-    let first_rev = shard.committed + 1 - shard.log.len() as u64;
-    if rev < first_rev || rev > shard.committed {
-        // The entry was compacted away; prune the stale pointer lazily.
-        shard.tail_revs.remove(oref);
-        return None;
-    }
-    let idx = (rev - first_rev) as usize;
-    let entry = &mut shard.log[idx];
-    debug_assert_eq!(entry.oref, *oref, "tail_revs points at the wrong object");
-    match &entry.model {
-        EntryModel::Snapshot(m) if std::ptr::eq(Shared::as_ptr(m), model_ptr) => {
-            entry.model = EntryModel::Rollback(Vec::new());
-            Some(idx)
-        }
-        _ => None,
-    }
-}
-
-/// Mutable access to the live model. When something else still holds the
-/// `Arc` — a delivered event, an unstealable log entry — this deep-clones,
-/// and the tally counts it: the zero-copy bench asserts steady-state
-/// writes never pay that clone.
+/// Mutable access to the live model: in place when nothing else holds the
+/// `Arc`, otherwise a deep clone, which the tally counts. A resident log
+/// entry, a delivered event, or a caller still holding the pre-write
+/// model (as admission does across every [`ApiServer`] patch) each force
+/// the copy.
+///
+/// [`ApiServer`]: crate::ApiServer
 fn cow_model<'a>(model: &'a mut Shared<Value>, tally: &mut ShardTally) -> &'a mut Value {
     if Shared::strong_count(model) > 1 {
         tally.deep_clones += 1;
     }
     Shared::make_mut(model)
-}
-
-/// `true` when `a` is a proper (strictly shorter) prefix of `b`.
-fn proper_prefix(a: &Path, b: &Path) -> bool {
-    a.len() < b.len() && a.is_prefix_of(b)
-}
-
-/// Stamps `meta.gen = rv` exactly like [`stamp_gen`], first pushing the
-/// inverse op. When `.meta` is missing or not an object (e.g. a patch just
-/// replaced it wholesale) the inverse restores the whole `.meta`.
-fn stamp_gen_with_inverse(m: &mut Value, rv: u64, inv: &mut Vec<InverseOp>) {
-    let path = if settable_in_place(m, gen_path()) {
-        gen_path().clone()
-    } else {
-        gen_path().prefix(1)
-    };
-    inv.push(InverseOp {
-        old: m.get(&path).cloned(),
-        path,
-    });
-    stamp_gen(m, rv);
-}
-
-/// Deep-merges `patch` into `slot` with semantics identical to
-/// [`Value::merge`], pushing inverse ops (in application order) that
-/// restore the pre-merge state when applied in reverse.
-fn merge_with_inverse(slot: &mut Value, patch: &Value, at: &Path, inv: &mut Vec<InverseOp>) {
-    if let (Value::Object(dst), Value::Object(src)) = (&mut *slot, patch) {
-        for (k, pv) in src {
-            match dst.get_mut(k) {
-                Some(dv) => merge_with_inverse(dv, pv, &at.child(k.clone()), inv),
-                None => {
-                    inv.push(InverseOp {
-                        path: at.child(k.clone()),
-                        old: None,
-                    });
-                    dst.insert(k.clone(), pv.clone());
-                }
-            }
-        }
-        return;
-    }
-    let old = std::mem::replace(slot, patch.clone());
-    inv.push(InverseOp {
-        path: at.clone(),
-        old: Some(old),
-    });
 }
 
 fn shard_create(
@@ -2665,10 +2410,8 @@ fn shard_update(
     Ok(rv)
 }
 
-/// Deep-merges a patch into the stored model **in place**. In steady
-/// state the log-tail snapshot is *stolen* — rewritten as a rollback
-/// entry holding only the patch's inverse — so no deep clone fires: the
-/// write is O(patch), not O(model).
+/// Deep-merges a patch into the stored model, through [`cow_model`]: in
+/// place when nothing else holds the model, on a copy otherwise.
 fn shard_merge(
     shard: &mut Shard,
     oref: &ObjectRef,
@@ -2677,23 +2420,14 @@ fn shard_merge(
 ) -> Result<u64, ApiError> {
     let obj = shard
         .objects
-        .get(oref)
+        .get_mut(oref)
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     let rv = obj.resource_version + 1;
-    // The merge walk itself is always invertible (it captures inverse ops
-    // as it goes); `stamp_gen_with_inverse` inverts even its fallback shape.
-    let model_ptr = Shared::as_ptr(&obj.model);
-    let stolen = steal_tail_snapshot(shard, oref, model_ptr);
-    let obj = shard.objects.get_mut(oref).expect("probed above");
     let m = cow_model(&mut obj.model, tally);
-    let mut inv = Vec::new();
-    merge_with_inverse(m, patch, &Path::root(), &mut inv);
-    stamp_gen_with_inverse(m, rv, &mut inv);
+    m.merge(patch);
+    stamp_gen(m, rv);
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
-    if let Some(idx) = stolen {
-        shard.log[idx].model = EntryModel::Rollback(inv);
-    }
     if tally.journal {
         tally.wal_ops.push(wal_op_merge(oref, patch));
     }
@@ -2708,9 +2442,9 @@ fn shard_merge(
     Ok(rv)
 }
 
-/// Sets one attribute **in place** — the hot path of every intent/status
-/// toggle. In steady state the log-tail snapshot is stolen and rewritten
-/// as a two-op rollback entry, so the commit pays no deep clone.
+/// Sets one attribute — the hot path of every intent/status toggle —
+/// through [`cow_model`]: in place when nothing else holds the model, on a
+/// copy otherwise. A failed set leaves the model untouched.
 fn shard_set_path(
     shard: &mut Shard,
     oref: &ObjectRef,
@@ -2720,47 +2454,17 @@ fn shard_set_path(
 ) -> Result<u64, ApiError> {
     let obj = shard
         .objects
-        .get(oref)
+        .get_mut(oref)
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     let rv = obj.resource_version + 1;
-    // Steal only when both writes are guaranteed to set in place (so
-    // neither can fail mid-mutation) and neither path routes through a
-    // container the other replaces — otherwise the captured inverses
-    // could not restore the pre-state.
-    let stealable = settable_in_place(&obj.model, path)
-        && settable_in_place(&obj.model, gen_path())
-        && !proper_prefix(path, gen_path())
-        && !proper_prefix(gen_path(), path);
-    let model_ptr = Shared::as_ptr(&obj.model);
-    let stolen = if stealable {
-        steal_tail_snapshot(shard, oref, model_ptr)
-    } else {
-        None
-    };
-    let obj = shard.objects.get_mut(oref).expect("probed above");
     let m = cow_model(&mut obj.model, tally);
     let rec = tally.journal.then(|| wal_op_set(oref, path, &value));
-    let mut inv: Vec<InverseOp> = Vec::new();
-    if stolen.is_some() {
-        inv.push(InverseOp {
-            path: path.clone(),
-            old: m.get(path).cloned(),
-        });
-        inv.push(InverseOp {
-            path: gen_path().clone(),
-            old: m.get(gen_path()).cloned(),
-        });
-    }
-    // A stolen write sets in place, so only an unstolen one can fail here.
     if let Err(e) = checked_set(m, path, value) {
         return Err(ApiError::BadRequest(e.to_string()));
     }
     let _ = checked_set(m, gen_path(), Value::from_exact_u64(rv));
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
-    if let Some(idx) = stolen {
-        shard.log[idx].model = EntryModel::Rollback(inv);
-    }
     if let Some(rec) = rec {
         tally.wal_ops.push(rec);
     }
@@ -2780,21 +2484,13 @@ fn shard_delete(
     oref: &ObjectRef,
     tally: &mut ShardTally,
 ) -> Result<Object, ApiError> {
-    let obj = shard
+    let mut obj = shard
         .objects
-        .get(oref)
+        .remove(oref)
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-    let model_ptr = Shared::as_ptr(&obj.model);
-    let stolen = steal_tail_snapshot(shard, oref, model_ptr);
-    let mut obj = shard.objects.remove(oref).expect("probed above");
     obj.resource_version += 1;
     let rv = obj.resource_version;
-    let m = cow_model(&mut obj.model, tally);
-    let mut inv = Vec::new();
-    stamp_gen_with_inverse(m, rv, &mut inv);
-    if let Some(idx) = stolen {
-        shard.log[idx].model = EntryModel::Rollback(inv);
-    }
+    stamp_gen(cow_model(&mut obj.model, tally), rv);
     if tally.journal {
         tally.wal_ops.push(wal_op_delete(oref));
     }
@@ -2817,7 +2513,7 @@ fn shard_fast_forward(
 ) -> Result<u64, ApiError> {
     let obj = shard
         .objects
-        .get(oref)
+        .get_mut(oref)
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     if rv <= obj.resource_version {
         return Err(ApiError::Invalid(format!(
@@ -2825,17 +2521,9 @@ fn shard_fast_forward(
             oref, obj.resource_version
         )));
     }
-    let model_ptr = Shared::as_ptr(&obj.model);
-    let stolen = steal_tail_snapshot(shard, oref, model_ptr);
-    let obj = shard.objects.get_mut(oref).expect("probed above");
-    let m = cow_model(&mut obj.model, tally);
-    let mut inv = Vec::new();
-    stamp_gen_with_inverse(m, rv, &mut inv);
+    stamp_gen(cow_model(&mut obj.model, tally), rv);
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
-    if let Some(idx) = stolen {
-        shard.log[idx].model = EntryModel::Rollback(inv);
-    }
     if tally.journal {
         tally.wal_ops.push(wal_op_ff(oref, rv));
     }

@@ -51,10 +51,19 @@ proptest! {
         ];
         // seen[w][obj] = versions delivered so far to watcher w.
         let mut seen: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); 3]; 2];
-        let run_step = |api: &mut ApiServer, step: &Step, seen: &mut Vec<Vec<Vec<u64>>>| {
+        let mut writes = [0u64; 3];
+        // Each write stores the object's own write count in `.n`, so every
+        // version has distinct content: a lagging watcher must receive
+        // each version's own model, not a later one.
+        let run_step = |api: &mut ApiServer,
+                        step: &Step,
+                        seen: &mut Vec<Vec<Vec<u64>>>,
+                        writes: &mut [u64; 3]| {
             match step {
                 Step::Write(i) => {
-                    api.patch_path(ApiServer::ADMIN, &objects[*i], ".n", Value::from(1.0)).unwrap();
+                    writes[*i] += 1;
+                    let n = Value::from(writes[*i] as f64);
+                    api.patch_path(ApiServer::ADMIN, &objects[*i], ".n", n).unwrap();
                 }
                 Step::Poll(j) => {
                     let mut last_rev = 0;
@@ -62,21 +71,29 @@ proptest! {
                         prop_assert!(ev.revision > last_rev, "revisions out of order");
                         last_rev = ev.revision;
                         prop_assert_eq!(ev.kind, WatchEventKind::Modified);
+                        let rv = ev.resource_version;
+                        prop_assert_eq!(
+                            ev.model.get_path(".n").and_then(Value::as_f64),
+                            Some((rv - 1) as f64),
+                            "version {} carries another version's model", rv
+                        );
+                        prop_assert_eq!(
+                            ev.model.get_path(".meta.gen").and_then(Value::as_exact_u64),
+                            Some(rv)
+                        );
                         let idx = objects.iter().position(|o| *o == ev.oref).unwrap();
-                        seen[*j][idx].push(ev.resource_version);
+                        seen[*j][idx].push(rv);
                     }
                 }
             }
             Ok(())
         };
-        let mut writes = [0u64; 3];
         for step in &steps {
-            if let Step::Write(i) = step { writes[*i] += 1; }
-            run_step(&mut api, step, &mut seen)?;
+            run_step(&mut api, step, &mut seen, &mut writes)?;
         }
         // Final drain so every watcher catches up.
         for j in 0..2 {
-            run_step(&mut api, &Step::Poll(j), &mut seen)?;
+            run_step(&mut api, &Step::Poll(j), &mut seen, &mut writes)?;
         }
         for (w, streams) in seen.iter().enumerate() {
             for (i, versions) in streams.iter().enumerate() {

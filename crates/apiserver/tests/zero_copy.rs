@@ -1,9 +1,9 @@
-//! The zero-copy event path and the derived pending counts are
-//! optimizations with exactness contracts: every watcher's pending count,
-//! whether derived from a shared slot cell or kept per member, must equal
-//! the events its next poll delivers (the runtime's pump decides wakes
-//! from it), and steady-state writes to watched objects must never
-//! deep-clone the model. This suite churns a store through arbitrary
+//! The derived pending counts and the copy-on-write write path have
+//! exactness contracts: every watcher's pending count, whether derived
+//! from a shared slot cell or kept per member, must equal the events its
+//! next poll delivers (the runtime's pump decides wakes from it), and a
+//! write to a model nothing else holds must mutate it in place rather
+//! than deep-clone it. This suite churns a store through arbitrary
 //! create/put/merge/set-path/delete(+recreate) scripts with watchers
 //! joining, polling, widening, narrowing, and leaving mid-stream and the
 //! runtime's dirty-watcher feed drained between them, auditing the
@@ -56,7 +56,7 @@ enum Op {
         brightness: u32,
         on: bool,
     },
-    /// Full-model replace (`shard_update`): a fresh snapshot, no steal.
+    /// Full-model replace (`shard_update`): a fresh snapshot.
     Put {
         kind: usize,
         ns: usize,
@@ -64,7 +64,7 @@ enum Op {
         brightness: u32,
         on: bool,
     },
-    /// Deep merge (`shard_merge`): inverse ops captured key-by-key.
+    /// Deep merge (`shard_merge`), adding a key as well as setting one.
     Merge {
         kind: usize,
         ns: usize,
@@ -354,10 +354,9 @@ fn apply(store: &mut Store, watchers: &mut Vec<WatchId>, step: &Step) {
 }
 
 /// `audit_sizes` recomputes each member's pending count from scratch — a
-/// scan of its log window, materializing rollback entries, matched against
-/// the watcher's selectors — and compares it with what the incremental
-/// path maintained, including that every shard with pending events is one
-/// the watcher's next poll visits.
+/// scan of its log window matched against the watcher's selectors — and
+/// compares it with what the incremental path maintained, including that
+/// every shard with pending events is one the watcher's next poll visits.
 fn audit(store: &Store, watchers: &[WatchId]) -> Result<(), TestCaseError> {
     if let Err(e) = store.audit_sizes() {
         return Err(TestCaseError::fail(e));
@@ -401,16 +400,19 @@ proptest! {
 // Steady state: writes to a watched object never deep-clone the model
 // ---------------------------------------------------------------------------
 
-/// A watcher that keeps up (polls and drops its events) leaves only the
-/// event log holding the model's `Arc` — and the write path steals that
-/// snapshot back into rollback form, so create-then-churn over every
-/// verb performs zero `Shared::make_mut` deep-clones.
+/// A watcher that keeps up (polls and drops its events) leaves nothing
+/// holding the model's `Arc` but the object itself — the drained log
+/// compacts to empty — so create-then-churn over every verb mutates in
+/// place with zero `Shared::make_mut` deep-clones. A write while the
+/// watcher lags copies once: the pending entry keeps the previous
+/// snapshot, which the watcher then receives intact.
 #[test]
 fn steady_state_writes_never_deep_clone() {
     let mut store = Store::new();
     let w = store.watch_query(&Query::kind("Lamp")).unwrap();
     let o = oref(0, 0, 0);
     store.create(o.clone(), model(0, 0, 0, 10, true)).unwrap();
+    assert_eq!(store.poll(w).len(), 1, "catch up before the first write");
     let brightness: dspace_value::Path = BRIGHTNESS.parse().unwrap();
     for i in 0u32..200 {
         match i % 4 {
@@ -446,5 +448,34 @@ fn steady_state_writes_never_deep_clone() {
             "write {i} deep-cloned a watched model"
         );
     }
+    store.audit_sizes().unwrap();
+
+    // Two writes with no poll between: the second finds the first's
+    // snapshot pending in the log and copies the model exactly once.
+    let rv = store.get(&o).unwrap().resource_version;
+    for v in [1000.0, 2000.0] {
+        store
+            .update_via_set(&o, &brightness, &Value::from(v))
+            .unwrap();
+    }
+    assert_eq!(store.watch_stats().deep_clones, 1);
+    let events = store.poll(w);
+    let got: Vec<(u64, Option<f64>, Option<f64>)> = events
+        .iter()
+        .map(|e| {
+            (
+                e.resource_version,
+                e.model.get_path(".meta.gen").unwrap().as_f64(),
+                e.model.get(&brightness).unwrap().as_f64(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (rv + 1, Some((rv + 1) as f64), Some(1000.0)),
+            (rv + 2, Some((rv + 2) as f64), Some(2000.0)),
+        ]
+    );
     store.audit_sizes().unwrap();
 }

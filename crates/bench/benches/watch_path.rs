@@ -569,62 +569,37 @@ fn busy_burst_sweep() {
     println!();
 }
 
-/// A Lamp model padded with an opaque observation blob so its encoded
-/// size hits a target bracket (0 B pad ≈ the base ~200 B model, up to
-/// 64 KiB).
-fn padded_model(name: &str, pad: usize) -> Value {
-    json::parse(&format!(
-        r#"{{"meta": {{"kind": "Lamp", "name": "{name}", "namespace": "default"}},
-             "control": {{"power": {{"intent": null, "status": null}},
-                          "brightness": {{"intent": 0.5, "status": 0.5}}}},
-             "obs": {{"lumens": 120, "blob": "{}"}}}}"#,
-        "x".repeat(pad)
-    ))
-    .unwrap()
-}
-
-/// The zero-copy contract, measured: per-write cost of patching one
-/// watched object must be flat in both the watcher count (1 → 256, all
-/// sharing the object's group cell and one snapshot) and the model size
-/// (base → 64 KiB: the write is O(delta) — snapshot steal, no
-/// `Shared::make_mut` deep-clone).
+/// Per-write cost of patching one watched object as its watcher count
+/// grows (1 → 256 on the base model): every watcher shares the object's
+/// group cell and one snapshot, so a write charges one slot and the cost
+/// must stay flat in the watcher count.
 /// Writes are timed in chunks with untimed coalesced drains between
 /// them (the steady-state pump shape, which keeps the log window
-/// bounded); `deep_clones` is asserted zero throughout. Trials
-/// interleave across the whole matrix — each trial visits every cell
-/// once — so host-speed drift over the sweep's duration lands on all
-/// cells alike instead of skewing whichever ran first. Emits
-/// `BENCH_watch_zero_copy.json`; full mode asserts the max/min
-/// per-write spread across the whole matrix stays <= 1.2x.
-fn zero_copy_sweep(smoke: bool) {
+/// bounded). Trials interleave across the watcher counts — each trial
+/// visits every count once — so host-speed drift over the sweep's
+/// duration lands on all of them alike instead of skewing whichever ran
+/// first. Emits `BENCH_watch_fanout.json`; full mode asserts the max/min
+/// per-write spread across watcher counts stays <= 1.2x.
+fn fanout_sweep(smoke: bool) {
     let watcher_counts: &[usize] = if smoke { &[1, 16] } else { &[1, 16, 256] };
-    let pads: &[usize] = if smoke { &[0, 4096] } else { &[0, 4096, 65536] };
     let chunks: usize = if smoke { 4 } else { 16 };
     let per_chunk: usize = if smoke { 16 } else { 64 };
     let trials: usize = if smoke { 1 } else { 5 };
     let writes = chunks * per_chunk;
+    let model_bytes = json::to_string(&model("l0")).len();
     println!();
     println!(
-        "watch_path zero-copy sweep: {writes} writes/cell in {chunks} chunks, \
-         coalesced drain between chunks, best of {trials}"
+        "watch_path fan-out sweep: {writes} writes/cell on a {model_bytes} B model \
+         in {chunks} chunks, coalesced drain between chunks, best of {trials}"
     );
-    println!(
-        "{:>9} {:>12} {:>12} {:>12}",
-        "watchers", "model-B", "ns/write", "deep-clones"
-    );
-    let cells: Vec<(usize, usize)> = pads
-        .iter()
-        .flat_map(|&pad| watcher_counts.iter().map(move |&n| (pad, n)))
-        .collect();
-    let mut best = vec![f64::INFINITY; cells.len()];
-    let mut clones = vec![0u64; cells.len()];
+    println!("{:>9} {:>12} {:>12}", "watchers", "ns/write", "deep-clones");
+    let mut best = vec![f64::INFINITY; watcher_counts.len()];
+    let mut clones = vec![0u64; watcher_counts.len()];
     for _ in 0..trials {
-        for (ci, &(pad, n)) in cells.iter().enumerate() {
-            let model_bytes = json::to_string(&padded_model("l0", pad)).len();
+        for (ci, &n) in watcher_counts.iter().enumerate() {
             let mut api = ApiServer::new();
             let lamp = oref(0);
-            api.create(ApiServer::ADMIN, &lamp, padded_model("l0", pad))
-                .unwrap();
+            api.create(ApiServer::ADMIN, &lamp, model("l0")).unwrap();
             let watchers: Vec<WatchId> = (0..n)
                 .map(|_| {
                     api.watch_query(
@@ -660,45 +635,35 @@ fn zero_copy_sweep(smoke: bool) {
             }
             assert_eq!(api.log_len(), 0, "drained space must compact to empty");
             clones[ci] = api.watch_stats().deep_clones;
-            assert_eq!(
-                clones[ci], 0,
-                "steady-state writes to a watched object must never deep-clone \
-                 ({n} watchers, ~{model_bytes} B model)"
-            );
         }
     }
     let mut rows = Vec::new();
     let (mut min_ns, mut max_ns) = (f64::INFINITY, 0.0f64);
-    for (ci, &(pad, n)) in cells.iter().enumerate() {
-        let model_bytes = json::to_string(&padded_model("l0", pad)).len();
+    for (ci, &n) in watcher_counts.iter().enumerate() {
         let (best, clones) = (best[ci], clones[ci]);
-        println!("{n:>9} {model_bytes:>12} {best:>12.0} {clones:>12}");
+        println!("{n:>9} {best:>12.0} {clones:>12}");
         min_ns = min_ns.min(best);
         max_ns = max_ns.max(best);
         rows.push(format!(
-            r#"    {{"watchers": {n}, "model_bytes": {model_bytes}, "ns_per_write": {best:.1}, "deep_clones": {clones}}}"#
+            r#"    {{"watchers": {n}, "ns_per_write": {best:.1}, "deep_clones": {clones}}}"#
         ));
     }
     let spread = max_ns / min_ns;
     println!(
-        "per-write spread across the matrix: {spread:.2}x (max {max_ns:.0} / min {min_ns:.0} ns)"
+        "per-write spread across watcher counts: {spread:.2}x (max {max_ns:.0} / min {min_ns:.0} ns)"
     );
     if !smoke {
         assert!(
             spread <= 1.2,
-            "per-write cost must be flat (<=1.2x spread) across 1->256 watchers \
-             and base->64 KiB models, got {spread:.2}x"
+            "per-write cost must be flat (<=1.2x spread) across 1->256 watchers, got {spread:.2}x"
         );
     }
     let json = format!(
-        "{{\n  \"bench\": \"watch_zero_copy\",\n  \"smoke\": {smoke},\n  \"writes_per_cell\": {writes},\n  \"trials\": {trials},\n  \"spread\": {spread:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"watch_fanout\",\n  \"smoke\": {smoke},\n  \"model_bytes\": {model_bytes},\n  \"writes_per_cell\": {writes},\n  \"trials\": {trials},\n  \"spread\": {spread:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_watch_zero_copy.json"
-    );
-    std::fs::write(path, json).expect("write BENCH_watch_zero_copy.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_watch_fanout.json");
+    std::fs::write(path, json).expect("write BENCH_watch_fanout.json");
     println!("wrote {path}");
     println!();
 }
@@ -709,16 +674,16 @@ fn main() {
     // `cargo bench -- --test` (the CI smoke) shrinks the sweeps and skips
     // their timing floors; a full `cargo bench` enforces them.
     let smoke = std::env::args().any(|a| a == "--test");
-    // Focused runs while tuning one sweep: DSPACE_BENCH_ONLY=zero_copy
+    // Focused runs while tuning one sweep: DSPACE_BENCH_ONLY=fanout
     // or DSPACE_BENCH_ONLY=space_wide.
     match std::env::var("DSPACE_BENCH_ONLY").as_deref() {
-        Ok("zero_copy") => return zero_copy_sweep(smoke),
+        Ok("fanout") => return fanout_sweep(smoke),
         Ok("space_wide") => return space_wide_sweep(smoke),
         _ => {}
     }
     benches();
     sweep();
-    zero_copy_sweep(smoke);
+    fanout_sweep(smoke);
     ns_sweep();
     space_wide_sweep(smoke);
     coalesce_demo();
