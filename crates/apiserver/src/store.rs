@@ -327,12 +327,12 @@ struct ShardTally {
     peak_log_len: usize,
     /// Model deep-clones by the copy-on-write path (see [`cow_model`]).
     deep_clones: u64,
-    /// `true` when the store journals: shard mutators render their own
-    /// WAL op into `wal_ops` on success, in ticket order.
+    /// `true` when the store journals: the shard mutator renders its
+    /// WAL op into `wal_op` on success.
     journal: bool,
-    /// Pre-serialized WAL forms of the slice's *successful* ops, in
-    /// ticket order. Empty unless `journal` is set.
-    wal_ops: Vec<String>,
+    /// Pre-serialized WAL form of the slice's op, once it succeeded.
+    /// `None` unless `journal` is set.
+    wal_op: Option<String>,
 }
 
 /// One namespace's slice of the store: its objects, event log, revision
@@ -813,9 +813,9 @@ impl Store {
     }
 
     /// Opens a durable store rooted at `opts.dir`: loads the newest
-    /// checkpoint, replays each namespace's log tail onto it (stopping
-    /// cleanly at a torn final record), and keeps journaling there. An
-    /// empty or missing directory yields an empty, journaled store.
+    /// checkpoint, replays the log's tail onto it (stopping cleanly at a
+    /// torn final record), and keeps journaling there. An empty or
+    /// missing directory yields an empty, journaled store.
     ///
     /// Recovery is bit-identical to the committed state at the moment of
     /// the crash, with one deliberate exception: watch subscriptions die
@@ -828,23 +828,18 @@ impl Store {
         let (wal, recovered) = Wal::open(&opts)?;
         let mut store = Store::new();
         store.install_checkpoint(recovered.checkpoint);
-        for (ns, records) in recovered.records {
-            for record in records {
-                store.replay_record(&ns, record)?;
-            }
+        for (ns, record) in recovered.records {
+            store.replay_record(&ns, record)?;
         }
         // Nothing can be holding a drained, retiring shard (watchers do
-        // not survive a restart): drop them like the live store would.
-        let drained: Vec<String> = store
-            .shards
-            .iter()
-            .filter(|(_, s)| s.retiring && s.objects.is_empty() && s.log.is_empty())
-            .map(|(ns, _)| ns.clone())
-            .collect();
-        for ns in drained {
-            store.shards.remove(&ns);
-        }
+        // not survive a restart): drop them like the live store would,
+        // journaling each drop, so that a namespace created again later
+        // replays onto a fresh shard.
         store.wal = Some(wal);
+        let namespaces: Vec<String> = store.shards.keys().cloned().collect();
+        for ns in namespaces {
+            store.maybe_drop_shard(&ns);
+        }
         Ok(store)
     }
 
@@ -893,7 +888,7 @@ impl Store {
                 base,
                 ensure,
                 appended,
-                ops,
+                op,
             } => {
                 if ensure {
                     self.ensure_shard(ns);
@@ -910,7 +905,7 @@ impl Store {
                     )));
                 }
                 let mut tally = ShardTally::default();
-                for op in ops {
+                if let Some(op) = op {
                     replay_op(shard, op, &mut tally).map_err(|e| {
                         WalError::corrupt(format!("replay failed in '{ns}' (seq {seq}): {e}"))
                     })?;
@@ -930,16 +925,16 @@ impl Store {
 
     /// Journals one shard slice: its base revision, whether the verb
     /// (re)ensured the shard (clearing a pending retirement), the events
-    /// it appended, and the successful ops in ticket order. Slices that
-    /// neither appended nor ensured leave no record.
-    fn wal_commit(&mut self, ns: &str, base: u64, ensure: bool, appended: u64, ops: Vec<String>) {
+    /// it appended, and its op if the op succeeded. Slices that neither
+    /// appended nor ensured leave no record.
+    fn wal_commit(&mut self, ns: &str, base: u64, ensure: bool, appended: u64, op: Option<&str>) {
         let Some(w) = self.wal.as_mut() else {
             return;
         };
         if !ensure && appended == 0 {
             return;
         }
-        w.commit(ns, base, ensure, appended, &ops);
+        w.commit(ns, base, ensure, appended, op);
         self.commits_since_ckpt += 1;
     }
 
@@ -956,21 +951,13 @@ impl Store {
     }
 
     /// Writes a durable checkpoint of the whole store (objects, per-shard
-    /// revisions, the global commit counter) and truncates the logs it
+    /// revisions, the global commit counter) and truncates the log it
     /// supersedes. A no-op for in-memory stores.
     pub fn checkpoint(&mut self) {
-        if self.wal.is_none() {
+        let Some(w) = self.wal.as_mut() else {
             return;
-        }
-        let shards_json = checkpoint_shards_json(&self.shards);
-        let w = self.wal.as_mut().expect("checked above");
-        let doc = format!(
-            "{{\"committed_total\":{},\"seqs\":{},\"shards\":[{}]}}",
-            wal::exact(self.committed_total),
-            w.seqs_json(),
-            shards_json
-        );
-        w.write_checkpoint(&doc);
+        };
+        w.write_checkpoint(self.committed_total, &checkpoint_shards_json(&self.shards));
         self.commits_since_ckpt = 0;
     }
 
@@ -1093,9 +1080,9 @@ impl Store {
             ..ShardTally::default()
         };
         let result = op(shard, &mut tally);
-        let (appended, ops) = (tally.appended, std::mem::take(&mut tally.wal_ops));
+        let (appended, wal_op) = (tally.appended, tally.wal_op.take());
         self.finish_serial(ns, tally);
-        self.wal_commit(ns, base, ensure, appended, ops);
+        self.wal_commit(ns, base, ensure, appended, wal_op.as_deref());
         Some(result)
     }
 
@@ -2004,12 +1991,6 @@ impl Store {
     /// Completes a namespace deletion: once the terminal events drain, the
     /// shard is dropped (immediately, if nobody is lagging).
     pub fn finish_delete_namespace(&mut self, ns: &str) {
-        if let Some(shard) = self.shards.get_mut(ns) {
-            shard.retiring = true;
-            if let Some(w) = self.wal.as_mut() {
-                w.retire(ns);
-            }
-        }
         self.compact_shard(ns);
         self.wal_seal();
     }
@@ -2354,9 +2335,7 @@ fn shard_create(
     let rv = 1;
     stamp_gen(&mut model, rv);
     if tally.journal {
-        tally
-            .wal_ops
-            .push(wal_op_with_model("create", &oref, &model));
+        tally.wal_op = Some(wal_op_with_model("create", &oref, &model));
     }
     let shared = Shared::new(model);
     shard.objects.insert(
@@ -2397,7 +2376,7 @@ fn shard_update(
     obj.model = shared.clone();
     obj.resource_version = rv;
     if tally.journal {
-        tally.wal_ops.push(wal_op_with_model("put", oref, &shared));
+        tally.wal_op = Some(wal_op_with_model("put", oref, &shared));
     }
     shard_append(
         shard,
@@ -2429,7 +2408,7 @@ fn shard_merge(
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
     if tally.journal {
-        tally.wal_ops.push(wal_op_merge(oref, patch));
+        tally.wal_op = Some(wal_op_merge(oref, patch));
     }
     shard_append(
         shard,
@@ -2465,9 +2444,7 @@ fn shard_set_path(
     let _ = checked_set(m, gen_path(), Value::from_exact_u64(rv));
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
-    if let Some(rec) = rec {
-        tally.wal_ops.push(rec);
-    }
+    tally.wal_op = rec;
     shard_append(
         shard,
         WatchEventKind::Modified,
@@ -2492,7 +2469,7 @@ fn shard_delete(
     let rv = obj.resource_version;
     stamp_gen(cow_model(&mut obj.model, tally), rv);
     if tally.journal {
-        tally.wal_ops.push(wal_op_delete(oref));
+        tally.wal_op = Some(wal_op_delete(oref));
     }
     shard_append(
         shard,
@@ -2525,7 +2502,7 @@ fn shard_fast_forward(
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
     if tally.journal {
-        tally.wal_ops.push(wal_op_ff(oref, rv));
+        tally.wal_op = Some(wal_op_ff(oref, rv));
     }
     shard_append(
         shard,

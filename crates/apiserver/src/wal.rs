@@ -1,9 +1,9 @@
-//! Per-namespace write-ahead log and snapshot checkpoints for the store.
+//! Write-ahead log and snapshot checkpoints for the store.
 //!
-//! Each namespace shard journals to its own append-only file
-//! (`wal-<ns>.log`), so the log inherits the store's sharding: writers in
-//! different namespaces never contend for a file, and a namespace's
-//! history is totally ordered within one file. Records are framed as
+//! Every commit, whatever its namespace, appends to one append-only file
+//! (`wal.log`), as etcd journals its whole keyspace into one sequential
+//! WAL: the store commits serially, so the log is its history in commit
+//! order. Records are framed as
 //!
 //! ```text
 //! [u32 le payload length][u32 le checksum][JSON payload]
@@ -13,26 +13,26 @@
 //! or checksum mismatch) ends the readable prefix, and recovery truncates
 //! the file there so appends resume on a whole-record boundary.
 //!
-//! Payloads are one of three record types, each carrying the namespace
-//! and a per-namespace monotonic sequence number (the `seq` survives
-//! shard drop/recreate cycles, which is what lets a checkpoint state
-//! exactly how much of each file it has absorbed):
+//! Payloads are one of three record types, each carrying its namespace
+//! and a sequence number that rises across the whole log, checkpoints
+//! and restarts (which is what lets a checkpoint state exactly how much
+//! of the log it has absorbed):
 //!
-//! - `commit` — one shard slice of a mutation verb: the shard revision it
-//!   started from (`base`), whether the verb (re)ensured the shard (which
-//!   clears a pending retirement), how many events it appended, and the
-//!   successful ops in order. Every live verb journals at most one op per
-//!   record; replay still applies records holding several (logs written
-//!   while the store also committed multi-op batches).
+//! - `commit` — one mutation verb's slice of a shard: the shard revision
+//!   it started from (`base`), whether the verb (re)ensured the shard
+//!   (which clears a pending retirement), how many events it appended,
+//!   and its op if the op succeeded. A failed `create` still ensures the
+//!   shard, so it journals a record without an op.
 //! - `retire` — the namespace entered deletion draining.
 //! - `drop` — the drained shard was dropped (its revision counter resets
 //!   if the namespace is ever recreated).
 //!
 //! A checkpoint (`checkpoint.json`, written to a temp file, fsynced, and
 //! renamed) captures every shard's objects and revision counter plus the
-//! per-namespace sequence floor; records at or below the floor are
-//! skipped on replay, and the logs are truncated once the checkpoint is
-//! durable. Recovery is therefore checkpoint-load + tail-replay.
+//! sequence floor, and the log is truncated once the checkpoint is
+//! durable. Records at or below the floor are skipped on replay, so a
+//! crash between the rename and the truncation replays nothing twice.
+//! Recovery is therefore checkpoint-load + tail-replay.
 //!
 //! Append and flush failures panic: a store that silently stops
 //! journaling is strictly worse than one that crashes and recovers.
@@ -45,16 +45,20 @@ use std::path::{Path, PathBuf};
 
 use dspace_value::{json, Value};
 
+/// The log's file name inside the durability directory.
+const LOG: &str = "wal.log";
+
 /// When appended records are pushed toward disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalSync {
     /// Buffer appends in user space (the default): bytes reach the
-    /// operating system when the writer's buffer drains, at checkpoints,
-    /// and when the store is dropped. A hard kill can lose the buffered
-    /// tail, and recovery then stops cleanly at the last whole record —
-    /// the same contract as losing the OS page cache to a power cut.
+    /// operating system when the writer's 64 KiB buffer fills, at
+    /// checkpoints, and when the store is dropped. A hard kill can lose
+    /// the buffered tail, and recovery then stops cleanly at the last
+    /// whole record — the same contract as losing the OS page cache to a
+    /// power cut.
     Batch,
-    /// Additionally `fdatasync` every touched log once per mutation verb.
+    /// Additionally flush and `fdatasync` the log once per mutation verb.
     /// Survives power loss, at a large per-commit cost.
     Commit,
 }
@@ -62,7 +66,7 @@ pub enum WalSync {
 /// Where and how a [`crate::store::Store`] journals.
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
-    /// Directory holding the `wal-*.log` files and `checkpoint.json`.
+    /// Directory holding `wal.log` and `checkpoint.json`.
     pub dir: PathBuf,
     /// Sync policy for appends.
     pub sync: WalSync,
@@ -71,8 +75,8 @@ pub struct DurabilityOptions {
 }
 
 impl DurabilityOptions {
-    /// Durability rooted at `dir` with the default policy: per-verb OS
-    /// flush, checkpoint every 1024 commits.
+    /// Durability rooted at `dir` with the default policy: buffered
+    /// appends ([`WalSync::Batch`]), checkpoint every 1024 commits.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityOptions {
             dir: dir.into(),
@@ -113,13 +117,13 @@ impl From<io::Error> for WalError {
     }
 }
 
-/// One replayable log record (the namespace is the map key in
+/// One replayable log record (its namespace travels beside it in
 /// [`Recovered::records`]).
 #[derive(Debug)]
-pub enum WalRecord {
-    /// One shard slice of a mutation verb.
+pub(crate) enum WalRecord {
+    /// One mutation verb's slice of a shard.
     Commit {
-        /// Per-namespace sequence number.
+        /// Sequence number in the log.
         seq: u64,
         /// Shard revision when the slice began; replay asserts it.
         base: u64,
@@ -128,17 +132,18 @@ pub enum WalRecord {
         ensure: bool,
         /// Events the slice appended (replay cross-checks its own count).
         appended: u64,
-        /// Successful ops in ticket order, as parsed JSON payloads.
-        ops: Vec<Value>,
+        /// The successful op as a parsed JSON payload; `None` when the
+        /// verb only ensured the shard (a failed `create`).
+        op: Option<Value>,
     },
     /// The namespace entered deletion draining.
     Retire {
-        /// Per-namespace sequence number.
+        /// Sequence number in the log.
         seq: u64,
     },
     /// The drained shard was dropped (revision resets on recreation).
     Drop {
-        /// Per-namespace sequence number.
+        /// Sequence number in the log.
         seq: u64,
     },
 }
@@ -155,7 +160,7 @@ impl WalRecord {
 
 /// One object in a checkpoint.
 #[derive(Debug)]
-pub struct CheckpointObject {
+pub(crate) struct CheckpointObject {
     /// Object kind.
     pub kind: String,
     /// Object namespace.
@@ -170,7 +175,7 @@ pub struct CheckpointObject {
 
 /// One shard in a checkpoint.
 #[derive(Debug)]
-pub struct CheckpointShard {
+pub(crate) struct CheckpointShard {
     /// The shard's namespace.
     pub namespace: String,
     /// Events ever committed in the shard.
@@ -183,97 +188,81 @@ pub struct CheckpointShard {
 
 /// A parsed `checkpoint.json` (empty when none was ever written).
 #[derive(Debug, Default)]
-pub struct Checkpoint {
+pub(crate) struct Checkpoint {
     /// Global commit counter at checkpoint time.
     pub committed_total: u64,
-    /// Per-namespace sequence floor: records at or below it are already
-    /// reflected in the checkpoint state.
-    pub seqs: BTreeMap<String, u64>,
+    /// Sequence floor: records at or below it are already reflected in
+    /// the checkpoint state.
+    pub seq: u64,
     /// Every live shard at checkpoint time.
     pub shards: Vec<CheckpointShard>,
 }
 
 /// Everything [`Wal::open`] read back from the durability directory.
 #[derive(Debug)]
-pub struct Recovered {
+pub(crate) struct Recovered {
     /// The newest durable checkpoint (default/empty when none exists).
     pub checkpoint: Checkpoint,
-    /// Per-namespace log tails, each in file (= commit) order, already
-    /// filtered down to records above the checkpoint's sequence floor.
-    pub records: BTreeMap<String, Vec<WalRecord>>,
+    /// The log's records above the checkpoint's sequence floor, each with
+    /// its namespace, in file (= commit) order.
+    pub records: Vec<(String, WalRecord)>,
 }
 
-/// One namespace's open appender.
+/// The open journal: the `wal.log` appender and the sequence counter.
 #[derive(Debug)]
-struct NsLog {
-    w: io::BufWriter<File>,
-    /// Appends since the last commit-mode sync.
-    dirty: bool,
-    /// The namespace pre-escaped as a JSON string, reused by every
-    /// record so the hot path never re-escapes it.
-    ns_json: String,
-}
-
-/// The open journal: per-namespace appenders plus the sequence counters.
-#[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     dir: PathBuf,
     sync: WalSync,
     checkpoint_every: u64,
-    /// Open appenders, keyed by namespace (opened lazily on first append).
-    files: BTreeMap<String, NsLog>,
-    /// Last sequence number handed out per namespace. Monotonic across
-    /// shard drop/recreate cycles and across restarts.
-    seqs: BTreeMap<String, u64>,
+    /// The log, opened with `O_APPEND`. 64 KiB: batch mode drains on
+    /// buffer fill, so a bigger buffer means fewer write syscalls per
+    /// verb (the buffered tail is already forfeit on hard kill).
+    w: io::BufWriter<File>,
+    /// Appends since the last commit-mode sync.
+    dirty: bool,
+    /// Last sequence number handed out. Monotonic across checkpoints and
+    /// restarts.
+    seq: u64,
     /// Reusable payload buffer for the commit hot path: grows to the
     /// working record size once, then every commit builds in place.
     scratch: String,
 }
 
 impl Wal {
-    /// Opens the durability directory: loads the checkpoint, scans every
-    /// log (truncating torn tails in place), and returns the journal
+    /// Opens the durability directory: loads the checkpoint, scans the
+    /// log (truncating a torn tail in place), and returns the journal
     /// handle alongside everything the store must replay.
-    pub fn open(opts: &DurabilityOptions) -> Result<(Wal, Recovered), WalError> {
+    pub(crate) fn open(opts: &DurabilityOptions) -> Result<(Wal, Recovered), WalError> {
         fs::create_dir_all(&opts.dir)?;
         // A leftover temp file is a checkpoint that never got renamed
-        // into place; its state is fully covered by the logs.
+        // into place; its state is fully covered by the log.
         let _ = fs::remove_file(opts.dir.join("checkpoint.json.tmp"));
         let checkpoint = load_checkpoint(&opts.dir)?;
-        let mut records: BTreeMap<String, Vec<WalRecord>> = BTreeMap::new();
-        let mut seqs = checkpoint.seqs.clone();
-        // One scratch buffer serves every log file: recovery of a
-        // many-namespace space re-reads into the same allocation instead
-        // of paying a fresh `Vec` per shard log.
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(opts.dir.join(LOG))?;
         let mut buf = Vec::new();
-        for path in wal_files(&opts.dir)? {
-            buf.clear();
-            File::open(&path)?.read_to_end(&mut buf)?;
-            let (recs, valid_len) = scan_records(&buf);
-            if valid_len < buf.len() {
-                // Torn tail: drop the partial record so future appends
-                // start on a whole-record boundary.
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(valid_len as u64)?;
-            }
-            for (ns, rec) in recs {
-                let floor = checkpoint.seqs.get(&ns).copied().unwrap_or(0);
-                let seq = rec.seq();
-                let s = seqs.entry(ns.clone()).or_insert(0);
-                *s = (*s).max(seq);
-                if seq > floor {
-                    records.entry(ns).or_default().push(rec);
-                }
-            }
+        file.read_to_end(&mut buf)?;
+        let (mut records, valid_len) = scan_records(&buf);
+        if valid_len < buf.len() {
+            // Torn tail: drop the partial record so future appends start
+            // on a whole-record boundary.
+            file.set_len(valid_len as u64)?;
         }
+        let floor = checkpoint.seq;
+        let seq = records.iter().map(|(_, r)| r.seq()).fold(floor, u64::max);
+        // Records at or below the floor survive only a crash between the
+        // checkpoint's rename and the log's truncation.
+        records.retain(|(_, r)| r.seq() > floor);
         let wal = Wal {
             dir: opts.dir.clone(),
             sync: opts.sync,
             checkpoint_every: opts.checkpoint_every.max(1),
-            files: BTreeMap::new(),
-            seqs,
+            w: io::BufWriter::with_capacity(64 << 10, file),
+            dirty: false,
+            seq,
             scratch: String::new(),
         };
         Ok((
@@ -286,109 +275,97 @@ impl Wal {
     }
 
     /// The configured checkpoint interval (in commit records).
-    pub fn checkpoint_every(&self) -> u64 {
+    pub(crate) fn checkpoint_every(&self) -> u64 {
         self.checkpoint_every
     }
 
-    /// Appends a `commit` record for one shard slice from op strings the
-    /// mutators rendered at commit time. One call per journaled verb; the
-    /// payload is built in a single reused buffer.
-    pub fn commit(&mut self, ns: &str, base: u64, ensure: bool, appended: u64, ops: &[String]) {
-        let seq = self.next_seq(ns);
+    /// Appends a `commit` record for one shard slice, with the op string
+    /// the mutator rendered at commit time. One call per journaled verb;
+    /// the payload is built in a single reused buffer.
+    pub(crate) fn commit(
+        &mut self,
+        ns: &str,
+        base: u64,
+        ensure: bool,
+        appended: u64,
+        op: Option<&str>,
+    ) {
+        self.seq += 1;
         let mut payload = std::mem::take(&mut self.scratch);
         payload.clear();
-        let log = self.log_mut(ns);
         payload.push_str("{\"t\":\"commit\",\"seq\":");
-        push_exact(&mut payload, seq);
+        push_exact(&mut payload, self.seq);
         payload.push_str(",\"ns\":");
-        payload.push_str(&log.ns_json);
+        json::write_str_to(&mut payload, ns);
         payload.push_str(",\"base\":");
         push_exact(&mut payload, base);
         payload.push_str(",\"ensure\":");
         payload.push_str(if ensure { "true" } else { "false" });
         payload.push_str(",\"appended\":");
         push_exact(&mut payload, appended);
-        payload.push_str(",\"ops\":[");
-        for (i, op) in ops.iter().enumerate() {
-            if i > 0 {
-                payload.push(',');
-            }
+        if let Some(op) = op {
+            payload.push_str(",\"op\":");
             payload.push_str(op);
         }
-        payload.push_str("]}");
-        write_frame(&mut log.w, ns, &payload);
-        log.dirty = true;
+        payload.push('}');
+        self.append(&payload);
         self.scratch = payload;
     }
 
     /// Appends a `retire` record (the namespace entered deletion).
-    pub fn retire(&mut self, ns: &str) {
-        let seq = self.next_seq(ns);
-        let payload = format!(r#"{{"t":"retire","seq":{},"ns":{}}}"#, exact(seq), jstr(ns));
-        self.append(ns, &payload);
+    pub(crate) fn retire(&mut self, ns: &str) {
+        self.mark("retire", ns);
     }
 
     /// Appends a `drop` record (the drained shard was removed).
-    pub fn drop_shard(&mut self, ns: &str) {
-        let seq = self.next_seq(ns);
-        let payload = format!(r#"{{"t":"drop","seq":{},"ns":{}}}"#, exact(seq), jstr(ns));
-        self.append(ns, &payload);
+    pub(crate) fn drop_shard(&mut self, ns: &str) {
+        self.mark("drop", ns);
+    }
+
+    fn mark(&mut self, tag: &str, ns: &str) {
+        self.seq += 1;
+        let payload = format!(
+            r#"{{"t":"{tag}","seq":{},"ns":{}}}"#,
+            exact(self.seq),
+            jstr(ns)
+        );
+        self.append(&payload);
     }
 
     /// Pushes appended records toward disk per the sync policy. Called
     /// once per mutation verb by the store: a no-op in batch mode (the
     /// buffer drains on its own schedule), flush + `fdatasync` in commit
     /// mode.
-    pub fn flush(&mut self) {
-        if self.sync != WalSync::Commit {
+    pub(crate) fn flush(&mut self) {
+        if self.sync != WalSync::Commit || !self.dirty {
             return;
         }
-        for (ns, log) in &mut self.files {
-            if !log.dirty {
-                continue;
-            }
-            log.w
-                .flush()
-                .unwrap_or_else(|e| panic!("wal: flush for namespace '{ns}' failed: {e}"));
-            log.w
-                .get_ref()
-                .sync_data()
-                .unwrap_or_else(|e| panic!("wal: fsync for namespace '{ns}' failed: {e}"));
-            log.dirty = false;
-        }
+        self.w
+            .flush()
+            .unwrap_or_else(|e| panic!("wal: flush failed: {e}"));
+        self.w
+            .get_ref()
+            .sync_data()
+            .unwrap_or_else(|e| panic!("wal: fsync failed: {e}"));
+        self.dirty = false;
     }
 
-    /// Unconditionally drains every writer's buffer to the OS. Runs
-    /// before a checkpoint truncates the logs, so no buffered pre-
-    /// checkpoint record can land after the truncation point.
-    fn flush_all(&mut self) {
-        for (ns, log) in &mut self.files {
-            log.w
-                .flush()
-                .unwrap_or_else(|e| panic!("wal: flush for namespace '{ns}' failed: {e}"));
-            log.dirty = false;
-        }
-    }
-
-    /// The per-namespace sequence floor as a JSON object, for embedding
-    /// into a checkpoint document.
-    pub fn seqs_json(&self) -> String {
-        let entries: Vec<String> = self
-            .seqs
-            .iter()
-            .map(|(ns, s)| format!("{}:{}", jstr(ns), exact(*s)))
-            .collect();
-        format!("{{{}}}", entries.join(","))
-    }
-
-    /// Durably installs `doc` as the newest checkpoint (write-temp,
-    /// fsync, rename, fsync-dir) and truncates every log: all their
-    /// records are at or below the floor the document embeds.
-    pub fn write_checkpoint(&mut self, doc: &str) {
-        self.flush_all();
+    /// Durably installs a checkpoint of `shards` (rendered shard entries)
+    /// with the current sequence floor (write-temp, fsync, rename,
+    /// fsync-dir), then truncates the log: all its records are at or
+    /// below that floor.
+    pub(crate) fn write_checkpoint(&mut self, committed_total: u64, shards: &str) {
+        let doc = format!(
+            r#"{{"committed_total":{},"seq":{},"shards":[{shards}]}}"#,
+            exact(committed_total),
+            exact(self.seq)
+        );
         let tmp = self.dir.join("checkpoint.json.tmp");
         let target = self.dir.join("checkpoint.json");
-        let write = || -> io::Result<()> {
+        let mut write = || -> io::Result<()> {
+            // Drain the buffer first, so no pre-checkpoint record can
+            // land after the truncation point.
+            self.w.flush()?;
             let mut f = File::create(&tmp)?;
             f.write_all(doc.as_bytes())?;
             f.sync_all()?;
@@ -398,67 +375,25 @@ impl Wal {
             if let Ok(d) = File::open(&self.dir) {
                 let _ = d.sync_all();
             }
-            // Every logged record is covered by the checkpoint now. Open
-            // appenders use O_APPEND, so they keep writing at the (new)
-            // end after the truncate.
-            for path in wal_files(&self.dir)? {
-                OpenOptions::new().write(true).open(&path)?.set_len(0)?;
-            }
-            Ok(())
+            // The appender uses O_APPEND, so it keeps writing at the
+            // (new) end after the truncate.
+            self.w.get_ref().set_len(0)
         };
         write().unwrap_or_else(|e| panic!("wal: checkpoint failed: {e}"));
+        self.dirty = false;
     }
 
-    fn next_seq(&mut self, ns: &str) -> u64 {
-        if let Some(s) = self.seqs.get_mut(ns) {
-            *s += 1;
-            return *s;
-        }
-        self.seqs.insert(ns.to_string(), 1);
-        1
+    /// Writes one length-prefixed, checksummed frame.
+    fn append(&mut self, payload: &str) {
+        let bytes = payload.as_bytes();
+        let mut frame = || -> io::Result<()> {
+            self.w.write_all(&(bytes.len() as u32).to_le_bytes())?;
+            self.w.write_all(&checksum(bytes).to_le_bytes())?;
+            self.w.write_all(bytes)
+        };
+        frame().unwrap_or_else(|e| panic!("wal: append failed: {e}"));
+        self.dirty = true;
     }
-
-    /// The namespace's appender, opened (and its JSON name cached) on
-    /// first use.
-    fn log_mut(&mut self, ns: &str) -> &mut NsLog {
-        if !self.files.contains_key(ns) {
-            let path = self.dir.join(format!("wal-{}.log", escape_ns(ns)));
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .unwrap_or_else(|e| panic!("wal: cannot open {}: {e}", path.display()));
-            self.files.insert(
-                ns.to_string(),
-                NsLog {
-                    // 64 KiB: batch mode drains on buffer fill, so a
-                    // bigger buffer means fewer write syscalls per verb
-                    // (the buffered tail is already forfeit on hard kill).
-                    w: io::BufWriter::with_capacity(64 << 10, file),
-                    dirty: false,
-                    ns_json: jstr(ns),
-                },
-            );
-        }
-        self.files.get_mut(ns).expect("just inserted")
-    }
-
-    fn append(&mut self, ns: &str, payload: &str) {
-        let log = self.log_mut(ns);
-        write_frame(&mut log.w, ns, payload);
-        log.dirty = true;
-    }
-}
-
-/// Writes one length-prefixed, checksummed frame.
-fn write_frame(w: &mut io::BufWriter<File>, ns: &str, payload: &str) {
-    let bytes = payload.as_bytes();
-    let frame = |w: &mut io::BufWriter<File>| -> io::Result<()> {
-        w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        w.write_all(&checksum(bytes).to_le_bytes())?;
-        w.write_all(bytes)
-    };
-    frame(w).unwrap_or_else(|e| panic!("wal: append for namespace '{ns}' failed: {e}"));
 }
 
 /// Appends `n` in the journal's exact-u64 encoding: plain decimal while
@@ -505,36 +440,7 @@ fn checksum(bytes: &[u8]) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-/// Escapes a namespace into a filename: `[A-Za-z0-9_-]` verbatim,
-/// everything else `%XX`. Collisions are impossible and the mapping need
-/// not be reversed — every record carries its namespace.
-fn escape_ns(ns: &str) -> String {
-    let mut out = String::with_capacity(ns.len());
-    for b in ns.bytes() {
-        if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
-            out.push(b as char);
-        } else {
-            out.push_str(&format!("%{b:02X}"));
-        }
-    }
-    out
-}
-
-/// Lists the `wal-*.log` files under `dir`, sorted for determinism.
-fn wal_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("wal-") && name.ends_with(".log") {
-            out.push(entry.path());
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// Scans one log's bytes into records, returning them with the length of
+/// Scans the log's bytes into records, returning them with the length of
 /// the valid prefix. A short frame, checksum mismatch, or unparseable
 /// payload ends the scan — by construction that is a torn tail.
 fn scan_records(data: &[u8]) -> (Vec<(String, WalRecord)>, usize) {
@@ -593,16 +499,12 @@ fn parse_record(payload: &[u8]) -> Option<(String, WalRecord)> {
             let base = map.get("base")?.as_exact_u64()?;
             let ensure = map.get("ensure")?.as_bool()?;
             let appended = map.get("appended")?.as_exact_u64()?;
-            let ops = match map.remove("ops") {
-                Some(Value::Array(a)) => a,
-                _ => return None,
-            };
             WalRecord::Commit {
                 seq,
                 base,
                 ensure,
                 appended,
-                ops,
+                op: map.remove("op"),
             }
         }
         Tag::Retire => WalRecord::Retire { seq },
@@ -626,18 +528,10 @@ fn load_checkpoint(dir: &Path) -> Result<Checkpoint, WalError> {
         .get("committed_total")
         .and_then(Value::as_exact_u64)
         .ok_or_else(|| corrupt("missing committed_total"))?;
-    let mut seqs = BTreeMap::new();
-    match map.remove("seqs") {
-        Some(Value::Object(m)) => {
-            for (ns, v) in m {
-                let seq = v
-                    .as_exact_u64()
-                    .ok_or_else(|| corrupt("non-integer sequence floor"))?;
-                seqs.insert(ns, seq);
-            }
-        }
-        _ => return Err(corrupt("missing seqs")),
-    }
+    let seq = map
+        .get("seq")
+        .and_then(Value::as_exact_u64)
+        .ok_or_else(|| corrupt("missing seq"))?;
     let mut shards = Vec::new();
     let Some(Value::Array(shard_docs)) = map.remove("shards") else {
         return Err(corrupt("missing shards"));
@@ -700,7 +594,7 @@ fn load_checkpoint(dir: &Path) -> Result<Checkpoint, WalError> {
     }
     Ok(Checkpoint {
         committed_total,
-        seqs,
+        seq,
         shards,
     })
 }
@@ -722,14 +616,15 @@ mod tests {
                 0,
                 true,
                 1,
-                &[r#"{"op":"del","kind":"K","ns":"default","name":"n"}"#.to_string()],
+                Some(r#"{"op":"del","kind":"K","ns":"default","name":"n"}"#),
             );
+            wal.commit("other", 0, true, 0, None);
             wal.retire("default");
             wal.drop_shard("default");
             wal.flush();
         }
         // Append a torn frame: a header promising more bytes than exist.
-        let path = dir.join("wal-default.log");
+        let path = dir.join(LOG);
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&1000u32.to_le_bytes()).unwrap();
@@ -737,20 +632,27 @@ mod tests {
         }
         let len_with_torn = fs::metadata(&path).unwrap().len();
         let (_, recovered) = Wal::open(&opts).unwrap();
-        let recs = &recovered.records["default"];
-        assert_eq!(recs.len(), 3);
+        let recs = &recovered.records;
+        assert_eq!(recs.len(), 4);
         assert!(matches!(
             recs[0],
-            WalRecord::Commit {
-                seq: 1,
-                base: 0,
-                ensure: true,
-                appended: 1,
-                ..
-            }
+            (
+                ref ns,
+                WalRecord::Commit {
+                    seq: 1,
+                    base: 0,
+                    ensure: true,
+                    appended: 1,
+                    op: Some(_),
+                }
+            ) if ns == "default"
         ));
-        assert!(matches!(recs[1], WalRecord::Retire { seq: 2 }));
-        assert!(matches!(recs[2], WalRecord::Drop { seq: 3 }));
+        assert!(matches!(
+            recs[1],
+            (ref ns, WalRecord::Commit { seq: 2, op: None, .. }) if ns == "other"
+        ));
+        assert!(matches!(recs[2].1, WalRecord::Retire { seq: 3 }));
+        assert!(matches!(recs[3].1, WalRecord::Drop { seq: 4 }));
         // The torn tail was truncated away in place.
         assert!(fs::metadata(&path).unwrap().len() < len_with_torn);
         let _ = fs::remove_dir_all(&dir);
@@ -770,12 +672,5 @@ mod tests {
         let (recs, valid) = scan_records(&data);
         assert_eq!(recs.len(), 1);
         assert_eq!(valid, good_len);
-    }
-
-    #[test]
-    fn namespace_escaping() {
-        assert_eq!(escape_ns("tenant-7"), "tenant-7");
-        assert_eq!(escape_ns("a/b c"), "a%2Fb%20c");
-        assert_eq!(escape_ns("é"), "%C3%A9");
     }
 }

@@ -2,7 +2,8 @@
 //! directory is bit-identical to the store that crashed — same per-shard
 //! revisions, same `committed_total`, same models and resource versions,
 //! same compaction floors — including after a torn final record, a
-//! checkpoint rolled mid-stream, or a namespace delete/recreate cycle.
+//! checkpoint rolled mid-stream, a crash between a checkpoint and the
+//! log's truncation, or a namespace delete/recreate cycle.
 //!
 //! One deliberate carve-out, documented on `Store::open`: watch
 //! subscriptions die with the process, so both sides are compared with
@@ -17,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
 use dspace_apiserver::store::{Store, WatchId};
-use dspace_apiserver::wal::{DurabilityOptions, Wal, WalSync};
+use dspace_apiserver::wal::{DurabilityOptions, WalSync};
 use dspace_apiserver::{ApiError, ObjectRef, Query};
 use dspace_value::{json, Value};
 
@@ -74,6 +75,11 @@ fn fingerprint(store: &mut Store) -> Vec<String> {
 
 fn opts(dir: &Path) -> DurabilityOptions {
     DurabilityOptions::new(dir.to_path_buf())
+}
+
+/// The one log every namespace journals to.
+fn log_path(dir: &Path) -> PathBuf {
+    dir.join("wal.log")
 }
 
 // ---------------------------------------------------------------------------
@@ -189,15 +195,11 @@ proptest! {
         let dir = scratch_dir("prop");
         let live = run_script(&script, &dir);
 
-        // Crash: the store is dropped; simulate a torn in-flight append
-        // on whatever log happens to exist.
-        if let Some(entry) = fs::read_dir(&dir).unwrap().flatten().find(|e| {
-            e.file_name().to_string_lossy().starts_with("wal-")
-        }) {
-            let mut f = OpenOptions::new().append(true).open(entry.path()).unwrap();
-            f.write_all(&2000u32.to_le_bytes()).unwrap();
-            f.write_all(b"torn").unwrap();
-        }
+        // Crash: the store is dropped; simulate a torn in-flight append.
+        let mut f = OpenOptions::new().append(true).open(log_path(&dir)).unwrap();
+        f.write_all(&2000u32.to_le_bytes()).unwrap();
+        f.write_all(b"torn").unwrap();
+        drop(f);
 
         let mut recovered = Store::open(opts(&dir)).unwrap();
         prop_assert_eq!(&fingerprint(&mut recovered), &live, "recovery diverged");
@@ -243,39 +245,6 @@ fn restart_recovers_serial_history() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Live verbs journal one op per record, but a record may hold several
-/// (logs written while the store also committed multi-op batches). Such
-/// a record replays its ops in order, exactly like the serial verbs.
-#[test]
-fn multi_op_record_replays_like_serial_verbs() {
-    let dir = scratch_dir("multi-op");
-    let (mut wal, _) = Wal::open(&opts(&dir)).unwrap();
-    let create = |obj: usize| {
-        format!(
-            r#"{{"op":"create","kind":"Thing","ns":"alpha","name":"t{obj}","model":{}}}"#,
-            json::to_string(&model(0, obj))
-        )
-    };
-    let set = r#"{"op":"set","kind":"Thing","ns":"alpha","name":"t0","path":".n","value":7}"#;
-    wal.commit(
-        "alpha",
-        0,
-        true,
-        3,
-        &[create(0), set.to_string(), create(1)],
-    );
-    drop(wal);
-
-    let mut serial = Store::new();
-    serial.create(oref(0, 0), model(0, 0)).unwrap();
-    set_n(&mut serial, 0, 0, 7).unwrap();
-    serial.create(oref(0, 1), model(0, 1)).unwrap();
-
-    let mut recovered = Store::open(opts(&dir)).unwrap();
-    assert_eq!(fingerprint(&mut recovered), fingerprint(&mut serial));
-    let _ = fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn torn_final_record_truncates_to_previous_commit() {
     let dir = scratch_dir("torn");
@@ -283,13 +252,13 @@ fn torn_final_record_truncates_to_previous_commit() {
     store.create(oref(0, 0), model(0, 0)).unwrap();
     store.update(&oref(0, 0), model(0, 0), None).unwrap();
     let before_last = fingerprint(&mut store);
-    // The final op lands in alpha's log as exactly one more record.
+    // The final op lands in the log as exactly one more record.
     store.update(&oref(0, 0), model(0, 0), None).unwrap();
     drop(store);
 
     // Tear the last record in half: walk whole frames, stop before the
     // final one, cut mid-payload.
-    let path = dir.join("wal-alpha.log");
+    let path = log_path(&dir);
     let data = fs::read(&path).unwrap();
     let mut frames = Vec::new();
     let mut pos = 0usize;
@@ -298,7 +267,7 @@ fn torn_final_record_truncates_to_previous_commit() {
         frames.push(pos);
         pos += 8 + len;
     }
-    assert!(frames.len() >= 2, "expected several records in alpha's log");
+    assert!(frames.len() >= 2, "expected several records in the log");
     let last = *frames.last().unwrap();
     OpenOptions::new()
         .write(true)
@@ -333,17 +302,41 @@ fn checkpoint_truncates_logs_and_recovery_prefers_it() {
         dir.join("checkpoint.json").exists(),
         "interval checkpoints must have rolled"
     );
-    let log_bytes: u64 = fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
-        .map(|e| e.metadata().unwrap().len())
-        .sum();
-    // Only the post-checkpoint tail remains in the logs.
+    let log_bytes = fs::metadata(log_path(&dir)).unwrap().len();
+    // Only the post-checkpoint tail remains in the log.
     assert!(
         log_bytes < 2048,
-        "checkpoint must truncate logs ({log_bytes} bytes left)"
+        "checkpoint must truncate the log ({log_bytes} bytes left)"
     );
+
+    let mut recovered = Store::open(o).unwrap();
+    assert_eq!(fingerprint(&mut recovered), live);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash after `checkpoint.json` is renamed into place but before the
+/// log is truncated leaves records the checkpoint already holds in front
+/// of the later tail. Replay skips them by the checkpoint's sequence
+/// floor; replaying them again would fail the first record's `base` check.
+#[test]
+fn crash_between_checkpoint_and_truncation_skips_absorbed_records() {
+    let dir = scratch_dir("floor");
+    let mut o = opts(&dir);
+    o.sync = WalSync::Commit; // every verb reaches the file
+    let mut store = Store::open(o.clone()).unwrap();
+    seed_history(&mut store);
+    let absorbed = fs::read(log_path(&dir)).unwrap();
+    assert!(!absorbed.is_empty(), "the history is on disk");
+    store.checkpoint();
+    set_n(&mut store, 0, 0, 9).unwrap();
+    store.create(oref(1, 1), model(1, 1)).unwrap();
+    store.delete_namespace(NAMESPACES[2]);
+    let live = fingerprint(&mut store);
+    drop(store);
+
+    // Undo the truncation: the absorbed records, then the tail.
+    let tail = fs::read(log_path(&dir)).unwrap();
+    fs::write(log_path(&dir), [absorbed, tail].concat()).unwrap();
 
     let mut recovered = Store::open(o).unwrap();
     assert_eq!(fingerprint(&mut recovered), live);

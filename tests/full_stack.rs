@@ -3,10 +3,10 @@
 //! data pipeline, adaptive-composition policies, and delegation.
 
 use dspace::analytics::OccupancySchedule;
-use dspace::apiserver::{ApiError, ApiServer, ObjectRef};
+use dspace::apiserver::{ApiError, ApiServer, DurabilityOptions, ObjectRef};
 use dspace::core::batch::WriteBatch;
 use dspace::core::graph::MountMode;
-use dspace::core::Driver;
+use dspace::core::{Driver, Space, SpaceConfig};
 use dspace::devices::{GeeniLamp, LifxLamp, RingMotionSensor, Roomba, TeckinPlug, WyzeCam};
 use dspace::digis::{data, home, lamps, media, room, sensors, vacuum};
 use dspace::simnet::secs;
@@ -257,4 +257,46 @@ fn plug_meters_energy_through_the_stack() {
     let w = space.obs("plug1/power_w").unwrap().as_f64().unwrap();
     assert_eq!(w, 45.0);
     let _ = Value::Null;
+}
+
+/// A namespace deleted while a space-wide watcher still lags stays
+/// retiring until that watcher drains. If the space is dropped first, the
+/// next open drops the drained namespace; creating it again must then
+/// survive a further reopen, which needs the drop journaled as the live
+/// path journals it. Without it the new incarnation's first record
+/// replays onto the dead one and recovery fails its `base` check.
+#[test]
+fn namespace_recreated_after_reopen_recovers() {
+    let dir = std::env::temp_dir().join(format!("dspace-ns-recreate-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let mut space = Space::open(SpaceConfig {
+            durability: Some(DurabilityOptions::new(&dir)),
+            ..SpaceConfig::default()
+        })
+        .expect("recovery");
+        dspace::digis::register_all(&mut space);
+        space
+    };
+    let mut space = open();
+    space
+        .create_digi_in("GeeniLamp", "h1", "l1", lamps::geeni_driver())
+        .unwrap();
+    space.delete_namespace("h1").unwrap();
+    assert!(
+        space.world.api.shard_log_len("h1") > 0,
+        "the user CLI has not drained the deletion yet"
+    );
+    drop(space);
+
+    let mut space = open();
+    space
+        .create_digi_in("GeeniLamp", "h1", "l1", lamps::geeni_driver())
+        .unwrap();
+    let live = space.world.api.dump();
+    drop(space);
+
+    let space = open();
+    assert_eq!(space.world.api.dump(), live);
+    let _ = std::fs::remove_dir_all(&dir);
 }

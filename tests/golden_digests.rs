@@ -12,9 +12,11 @@
 //! traces, or counts fails here. The fleet's digest also folds in every
 //! delivery of a watch spanning all its namespaces, and the fleet run
 //! audits the store's pending accounting after each of its polls and
-//! checks that its indexed queries equal a brute-force scan.
+//! checks that its indexed queries equal a brute-force scan. The fleet
+//! also runs once on a durable store, which must leave its digest alone
+//! and recover into the same store.
 
-use dspace::apiserver::{ApiServer, Object, ObjectRef, Query, WatchEvent};
+use dspace::apiserver::{ApiServer, DurabilityOptions, Object, ObjectRef, Query, WatchEvent};
 use dspace::core::{MountMode, Space, SpaceConfig};
 use dspace::devices::{GeeniLamp, LifxLamp};
 use dspace::digis::scenarios::{s1::S1, s3::S3, s4::S4, s9::S9};
@@ -178,6 +180,11 @@ fn check_queries(space: &mut Space, rooms: &[Option<ObjectRef>]) {
 /// fresh recount and the indexed queries are checked against a scan,
 /// across the namespace deletion and the late join.
 fn fleet(config: SpaceConfig) -> u64 {
+    fleet_space(config).1
+}
+
+/// [`fleet`]'s run, returning the space beside its digest.
+fn fleet_space(config: SpaceConfig) -> (Space, u64) {
     const HOMES: usize = 16;
     const LEVELS: [f64; 6] = [0.1, 0.4, 0.7, 0.93, 0.97, 1.0];
     let mut space = dspace::digis::new_space_with(config);
@@ -234,8 +241,11 @@ fn fleet(config: SpaceConfig) -> u64 {
     assert!(delivered > 0, "the dashboard never saw a lamp above 900");
     let mut h = Fnv(digest(&space));
     h.u64(seen.0);
-    h.0
+    (space, h.0)
 }
+
+/// The fleet's digest on the inline controller path.
+const FLEET_INLINE: u64 = 0x9db6bc93641c003a;
 
 #[test]
 fn scenario_digests_are_golden() {
@@ -246,7 +256,7 @@ fn scenario_digests_are_golden() {
         ("S3", s3, 0xa9430768e3374a12, 0x76eaebd0dfa51f1e),
         ("S4", s4, 0xb6a5b59a01feb552, 0xa4c6bccc435b7221),
         ("S9", s9, 0xbc3e787bac04c78c, 0x83581d9f85eaa84f),
-        ("Fleet", fleet, 0x9db6bc93641c003a, 0xc0a3ab0a54a4c338),
+        ("Fleet", fleet, FLEET_INLINE, 0xc0a3ab0a54a4c338),
     ];
     let mut drift = Vec::new();
     for (name, run, want_inline, want_deferred) in cases {
@@ -261,4 +271,33 @@ fn scenario_digests_are_golden() {
         }
     }
     assert!(drift.is_empty(), "runtime drift:\n{}", drift.join("\n"));
+}
+
+/// The fleet on a durable store: journaling leaves the digest alone, a
+/// space reopened from the directory recovers the live store, and the
+/// directory holds one log and one checkpoint however many namespaces
+/// came and went.
+#[test]
+fn durable_fleet_recovers_from_one_log() {
+    let dir = std::env::temp_dir().join(format!("dspace-durable-fleet-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || SpaceConfig {
+        durability: Some(DurabilityOptions::new(&dir)),
+        ..SpaceConfig::default()
+    };
+    let (space, got) = fleet_space(config());
+    assert_eq!(got, FLEET_INLINE, "journaling changed the fleet's digest");
+    let live = space.world.api.dump();
+    drop(space);
+
+    let recovered = Space::open(config()).expect("recovery");
+    assert_eq!(recovered.world.api.dump(), live);
+    drop(recovered);
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["checkpoint.json", "wal.log"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
