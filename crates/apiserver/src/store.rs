@@ -325,7 +325,8 @@ struct ShardTally {
     compacted: u64,
     /// High-water mark of this shard's log during the slice.
     peak_log_len: usize,
-    /// Model deep-clones by the copy-on-write path (see [`cow_model`]).
+    /// Writes to a shared snapshot, each of which copied the maps along
+    /// its path (see [`cow_model`]).
     deep_clones: u64,
     /// `true` when the store journals: the shard mutator renders its
     /// WAL op into `wal_op` on success.
@@ -760,11 +761,12 @@ pub struct WatchStats {
     /// Raw events absorbed into an earlier delivery of the same object by
     /// coalescing (`raw - deliveries`, summed over polls).
     pub events_coalesced: u64,
-    /// Model deep-clones by the in-place write path: the written object's
-    /// model was still shared — with a resident log entry, a delivered
-    /// event, or a caller holding the pre-write model — so the write
-    /// copied it. A write to a model nothing else holds mutates in place
-    /// and counts nothing.
+    /// Writes that found the object's model still shared — with a resident
+    /// log entry, a delivered event, or a caller holding the pre-write
+    /// model — and so wrote a copy. A copy is one map per level of the
+    /// written path, not the whole document: every other subtree stays
+    /// shared with the old snapshot. A write to a model nothing else holds
+    /// mutates in place and counts nothing.
     pub deep_clones: u64,
 }
 
@@ -2310,10 +2312,12 @@ fn checkpoint_shards_json(shards: &BTreeMap<String, Shard>) -> String {
 }
 
 /// Mutable access to the live model: in place when nothing else holds the
-/// `Arc`, otherwise a deep clone, which the tally counts. A resident log
-/// entry, a delivered event, or a caller still holding the pre-write
-/// model (as admission does across every [`ApiServer`] patch) each force
-/// the copy.
+/// snapshot, otherwise on a copy, which the tally counts as a deep clone.
+/// The copy is O(1) — it shares every map with the old snapshot — and the
+/// write then copies one map per level of the path it writes (see
+/// [`dspace_value::Map`]). A resident log entry, a delivered event, or a
+/// caller still holding the pre-write model (as admission does across
+/// every [`ApiServer`] patch) each force the copy.
 ///
 /// [`ApiServer`]: crate::ApiServer
 fn cow_model<'a>(model: &'a mut Shared<Value>, tally: &mut ShardTally) -> &'a mut Value {
@@ -2441,7 +2445,7 @@ fn shard_set_path(
     if let Err(e) = checked_set(m, path, value) {
         return Err(ApiError::BadRequest(e.to_string()));
     }
-    let _ = checked_set(m, gen_path(), Value::from_exact_u64(rv));
+    stamp_gen(m, rv);
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
     tally.wal_op = rec;
@@ -2532,48 +2536,18 @@ pub fn stamp_gen(model: &mut Value, rv: u64) {
     let _ = model.set(gen_path(), Value::from_exact_u64(rv));
 }
 
-// ----- In-place sets -------------------------------------------------------
+// ----- Checked sets --------------------------------------------------------
 
 /// Sets `path` to `value` with the semantics and error values of
-/// [`Value::set`], except that errors leave the document untouched (which
-/// the in-place write path requires — `set` itself may create
-/// intermediates before failing). A write [`settable_in_place`] accepts
-/// cannot fail and runs directly; anything else runs on a scratch copy.
+/// [`Value::set`], except that errors leave the document untouched (`set`
+/// itself may create intermediates before failing). The set runs on a clone
+/// of `doc`, which shares every subtree with it, so it copies only the maps
+/// along `path`; the result replaces `doc` on success.
 fn checked_set(doc: &mut Value, path: &Path, value: Value) -> Result<(), ValueError> {
-    if settable_in_place(doc, path) {
-        return doc.set(path, value);
-    }
     let mut next = doc.clone();
     next.set(path, value)?;
     *doc = next;
     Ok(())
-}
-
-/// Can [`Value::set`] write `path` in place? True when every segment
-/// resolves through an existing container and the final slot either exists
-/// or is a fresh object key: the set then creates no intermediates and
-/// cannot fail.
-fn settable_in_place(doc: &Value, path: &Path) -> bool {
-    if path.is_empty() {
-        return false;
-    }
-    let segs = path.segments();
-    let mut cur = doc;
-    for (i, seg) in segs.iter().enumerate() {
-        let last = i + 1 == segs.len();
-        match (seg, cur) {
-            (Segment::Key(k), Value::Object(map)) => match map.get(k) {
-                Some(v) => cur = v,
-                None => return last,
-            },
-            (Segment::Index(ix), Value::Array(arr)) => match arr.get(*ix) {
-                Some(v) => cur = v,
-                None => return false,
-            },
-            _ => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]

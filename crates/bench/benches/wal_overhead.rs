@@ -7,9 +7,13 @@
 //! of the in-memory write path. The bound is a ratio of the absolute WAL
 //! render+append cost to whatever the base write path costs, so every
 //! speedup to the in-memory path (cheaper watch probes, interned query
-//! keys) tightens it for free — the ceiling carries headroom for that.
-//! Commit mode is reported but not bounded — an fdatasync per verb costs
-//! whatever the disk says it costs.
+//! keys, structurally shared models) tightens it for free — the ceiling
+//! carries headroom for that. The gated statistic is the median of the
+//! per-trial batch/off ratios: each trial times the two legs back to back,
+//! alternating which goes first, and each leg runs ~50 ms or more on a
+//! 2-core host, so one load spike moves one trial's ratio rather than the
+//! gate. Commit mode is reported but not bounded — an fdatasync per verb
+//! costs whatever the disk says it costs.
 
 use dspace_apiserver::{ApiServer, DurabilityOptions, ObjectRef, Query, WalSync, WatchId};
 use dspace_value::json;
@@ -131,72 +135,102 @@ fn run_once(mode: Mode, t: usize, namespaces: usize, digis: usize, rounds: usize
 }
 
 /// Times `trials` full runs per mode and keeps each mode's fastest.
-/// Trials are interleaved across modes (off, batch, commit, off, ...)
-/// so slow drift in machine load lands on every mode equally instead of
-/// penalizing whichever mode happens to run last.
-fn time_modes(
-    modes: &[Mode],
+fn best_of(mode: Mode, namespaces: usize, digis: usize, rounds: usize, trials: usize) -> f64 {
+    (0..trials)
+        .map(|t| run_once(mode, t, namespaces, digis, rounds))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times `trials` pairs of off and batch runs. The two legs of a pair run
+/// back to back, alternating which goes first, so a load spike lands on
+/// one pair's ratio instead of on one mode's best. Returns each mode's
+/// fastest run and every pair's batch/off ratio.
+fn paired_trials(
     namespaces: usize,
     digis: usize,
     rounds: usize,
     trials: usize,
-) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; modes.len()];
+) -> (f64, f64, Vec<f64>) {
+    let (mut best_off, mut best_batch) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(trials);
     for t in 0..trials {
-        for (i, &mode) in modes.iter().enumerate() {
-            let ms = run_once(mode, t, namespaces, digis, rounds);
-            best[i] = best[i].min(ms);
-        }
+        let (off, batch) = if t % 2 == 0 {
+            let off = run_once(Mode::Off, t, namespaces, digis, rounds);
+            (off, run_once(Mode::Batch, t, namespaces, digis, rounds))
+        } else {
+            let batch = run_once(Mode::Batch, t, namespaces, digis, rounds);
+            (run_once(Mode::Off, t, namespaces, digis, rounds), batch)
+        };
+        best_off = best_off.min(off);
+        best_batch = best_batch.min(batch);
+        ratios.push(batch / off);
     }
-    best
+    (best_off, best_batch, ratios)
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
 }
 
 fn sweep(smoke: bool) {
     let namespaces: usize = 8;
     let digis: usize = if smoke { 32 } else { 256 };
-    let rounds: usize = if smoke { 2 } else { 16 };
+    let rounds: usize = if smoke { 2 } else { 96 };
     let trials: usize = if smoke { 1 } else { 7 };
     println!();
     println!(
         "wal overhead sweep: {digis} digis / {namespaces} namespaces, \
-         {rounds} rounds x 1 journaled verb per digi, best of {trials} (interleaved)"
+         {rounds} rounds x 1 journaled verb per digi, {trials} off/batch pairs"
     );
-    println!("{:>8} {:>10} {:>9}", "mode", "ms", "vs-off");
-    // Off and batch interleave for the full trial count — theirs is the
-    // asserted ratio, so both must see the same load profile. Commit mode
-    // is report-only and pays an fdatasync per verb; two trials suffice.
-    let modes = [Mode::Off, Mode::Batch, Mode::Commit];
-    let mut times = time_modes(&[Mode::Off, Mode::Batch], namespaces, digis, rounds, trials);
-    times.extend(time_modes(
-        &[Mode::Commit],
+    // Off and batch pair up for the full trial count — theirs is the
+    // asserted ratio. Commit mode is report-only and pays an fdatasync per
+    // verb; the best of two runs suffices.
+    let (off_ms, batch_ms, ratios) = paired_trials(namespaces, digis, rounds, trials);
+    let commit_ms = best_of(
+        Mode::Commit,
         namespaces,
         digis,
         rounds,
         if smoke { 1 } else { 2 },
-    ));
-    let off_ms = times[0];
+    );
+    let batch_ratio = median(&ratios);
+    let best_of_ratio = batch_ms / off_ms;
+    println!("{:>8} {:>10} {:>9}", "mode", "best ms", "vs-off");
     let mut rows = Vec::new();
-    let mut batch_ratio = 0.0;
-    for (mode, ms) in modes.into_iter().zip(times) {
+    for (mode, ms) in [
+        (Mode::Off, off_ms),
+        (Mode::Batch, batch_ms),
+        (Mode::Commit, commit_ms),
+    ] {
         let ratio = ms / off_ms;
-        if mode == Mode::Batch {
-            batch_ratio = ratio;
-        }
         println!("{:>8} {:>10.2} {:>8.2}x", mode.name(), ms, ratio);
         rows.push(format!(
             r#"    {{"mode": "{}", "ms": {ms:.3}, "ratio_vs_off": {ratio:.3}}}"#,
             mode.name()
         ));
     }
+    let shown: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
+    println!(
+        "batch/off per pair: [{}]; median {batch_ratio:.3}x (gated), best-of {best_of_ratio:.3}x",
+        shown.join(", ")
+    );
     if !smoke {
         assert!(
             batch_ratio <= 1.5,
             "batch-mode WAL must stay within 1.5x of the in-memory write \
-             path, got {batch_ratio:.2}x"
+             path, got a median of {batch_ratio:.2}x over {trials} pairs"
         );
     }
     let json = format!(
-        "{{\n  \"bench\": \"wal_overhead\",\n  \"namespaces\": {namespaces},\n  \"digis\": {digis},\n  \"rounds\": {rounds},\n  \"trials\": {trials},\n  \"smoke\": {smoke},\n  \"batch_ratio_vs_off\": {batch_ratio:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"wal_overhead\",\n  \"namespaces\": {namespaces},\n  \"digis\": {digis},\n  \"rounds\": {rounds},\n  \"trials\": {trials},\n  \"smoke\": {smoke},\n  \"batch_ratio_vs_off\": {batch_ratio:.3},\n  \"batch_ratio_statistic\": \"median of per-pair batch/off ratios\",\n  \"pair_ratios\": [{}],\n  \"best_of_ratio\": {best_of_ratio:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
+        shown.join(", "),
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wal_overhead.json");

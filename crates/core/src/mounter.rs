@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent};
 use dspace_simnet::Time;
-use dspace_value::{Path, Segment, Value};
+use dspace_value::{Map, Path, Value};
 
 use crate::batch::WriteBatch;
 use crate::graph::{DigiGraph, EdgeState, MountEdge, MountMode};
@@ -176,15 +176,11 @@ impl Mounter {
         }
         // Release the parent read handle before any write: the batch
         // overlay mutates in place only while no reader still holds the
-        // model, so keeping this alive would force a deep clone of the
-        // whole parent model on every northbound refresh.
+        // model, so keeping this alive would make every queued northbound
+        // refresh copy the parent's root map and the maps along the
+        // replica path.
         drop(parent_model);
         let key = (parent.clone(), child.clone());
-        let shadow = self
-            .shadows
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(dspace_value::obj);
 
         // --- Northbound: build the replica candidate from the child. -----
         // Generations are compared exactly as u64: an f64 round-trip
@@ -222,10 +218,9 @@ impl Mounter {
         // Three-way merge: parent writes pending since the last mounter
         // write survive the refresh.
         let mut pending: Vec<(Path, Value)> = Vec::new();
-        collect_southbound_leaves(&replica_cur, &Path::root(), &mut |path, v| {
-            let in_shadow = shadow.get(path).cloned().unwrap_or(Value::Null);
-            if *v != in_shadow && !v.is_null() {
-                pending.push((path.clone(), v.clone()));
+        southbound_diffs(&replica_cur, self.shadows.get(&key), &mut |path, v| {
+            if !v.is_null() {
+                pending.push((path, v.clone()));
             }
         });
         for (path, v) in &pending {
@@ -253,17 +248,15 @@ impl Mounter {
             synced_south = true;
             let mut patch = dspace_value::obj();
             let mut wrote = false;
-            collect_southbound_leaves(&candidate, &Path::root(), &mut |path, v| {
-                if v.is_null() {
-                    return;
-                }
-                let child_val = child_model.get(path).cloned().unwrap_or(Value::Null);
-                if *v != child_val {
-                    let _ = patch.set(path, v.clone());
+            southbound_diffs(&candidate, Some(&child_model), &mut |path, v| {
+                if !v.is_null() {
+                    let _ = patch.set(&path, v.clone());
                     wrote = true;
                 }
             });
-            // Same copy-on-write discipline as the parent handle above.
+            // Same copy-on-write discipline as the parent handle above: a
+            // live read handle would make a queued child write copy the
+            // child's root map and the maps along its path.
             drop(child_model);
             if wrote {
                 // The trace entry is deferred: it only appears if the op
@@ -289,81 +282,104 @@ fn set(doc: &mut Value, path: &str, v: Value) {
     doc.set(&p, v).expect("object document");
 }
 
-/// Visits every leaf under `doc` whose path is *southbound-capable*:
-/// `control.<attr>.intent`, `data.input.<...>`, possibly nested below one
-/// or more `mount.<Kind>.<name>` prefixes (writes through exposed
-/// grandchild replicas).
-fn collect_southbound_leaves(doc: &Value, base: &Path, visit: &mut impl FnMut(&Path, &Value)) {
-    fn walk(v: &Value, path: &Path, visit: &mut impl FnMut(&Path, &Value)) {
-        if is_southbound(path) {
-            // Leaves only: intent scalars or anything under data.input.
-            match v {
-                Value::Object(map) => {
-                    for (k, child) in map {
-                        walk(child, &path.child(k.clone()), visit);
-                    }
-                }
-                other => visit(path, other),
+/// Visits every *southbound-capable* leaf of `doc` — `control.<attr>.intent`
+/// or under `data.input`, possibly nested below one or more
+/// `mount.<Kind>.<name>` prefixes (writes through exposed grandchild
+/// replicas) — whose value differs from `base` at the same path, where a
+/// path missing from `base` reads as `Null`. The two documents are walked
+/// side by side, and a subtree they share is skipped without a look.
+fn southbound_diffs(doc: &Value, base: Option<&Value>, visit: &mut impl FnMut(Path, &Value)) {
+    fn walk<'a>(
+        keys: &mut Vec<&'a str>,
+        v: &'a Value,
+        base: Option<&Value>,
+        visit: &mut impl FnMut(Path, &Value),
+    ) {
+        let Value::Object(map) = v else {
+            if is_southbound(keys) && base.unwrap_or(&Value::Null) != v {
+                visit(Path::keys(keys.iter().copied()), v);
             }
             return;
-        }
-        if let Value::Object(map) = v {
-            for (k, child) in map {
-                let p = path.child(k.clone());
-                if could_lead_southbound(&p) {
-                    walk(child, &p, visit);
-                }
+        };
+        let base = match base {
+            Some(Value::Object(b)) if Map::ptr_eq(map, b) => return,
+            Some(Value::Object(b)) => Some(b),
+            _ => None,
+        };
+        for (k, child) in map {
+            keys.push(k);
+            if could_lead_southbound(keys) {
+                walk(keys, child, base.and_then(|b| b.get(k)), visit);
             }
+            keys.pop();
         }
     }
-    walk(doc, base, visit)
+    walk(&mut Vec::new(), doc, base, visit)
 }
 
-/// Returns `true` when `path` (relative to a replica root) addresses a
-/// southbound-writable location.
-fn is_southbound(path: &Path) -> bool {
-    let segs = strip_mount_prefixes(path.segments());
-    match segs {
-        [Segment::Key(c), Segment::Key(_attr), Segment::Key(i), ..]
-            if c == "control" && i == "intent" =>
-        {
-            true
-        }
-        [Segment::Key(d), Segment::Key(i), _, ..] if d == "data" && i == "input" => true,
-        _ => false,
-    }
+/// Returns `true` when the key path (relative to a replica root)
+/// addresses a southbound-writable location.
+fn is_southbound(keys: &[&str]) -> bool {
+    matches!(
+        strip_mount_prefixes(keys),
+        ["control", _, "intent", ..] | ["data", "input", _, ..]
+    )
 }
 
-/// Returns `true` if descending further below `path` could still reach a
-/// southbound location (used to prune the walk).
-fn could_lead_southbound(path: &Path) -> bool {
-    let segs = strip_mount_prefixes(path.segments());
-    match segs {
-        [] => true,
-        [Segment::Key(k)] => k == "control" || k == "data" || k == "mount",
-        [Segment::Key(c), _] if c == "control" => true,
-        [Segment::Key(c), _, Segment::Key(i)] if c == "control" => i == "intent",
-        [Segment::Key(d), Segment::Key(i)] if d == "data" => i == "input",
-        [Segment::Key(m), _] if m == "mount" => true,
-        _ => is_southbound(path),
+/// Returns `true` if descending further below the key path could still
+/// reach a southbound location (used to prune the walk).
+fn could_lead_southbound(keys: &[&str]) -> bool {
+    match strip_mount_prefixes(keys) {
+        [] | ["control" | "data" | "mount"] | ["control", _] | ["control", _, "intent"] => true,
+        ["data", "input"] | ["mount", _] => true,
+        _ => is_southbound(keys),
     }
 }
 
 /// Strips leading `mount.<Kind>.<name>` triples.
-fn strip_mount_prefixes(mut segs: &[Segment]) -> &[Segment] {
-    loop {
-        match segs {
-            [Segment::Key(m), _, _, rest @ ..] if m == "mount" => {
-                segs = rest;
-            }
-            _ => return segs,
-        }
+fn strip_mount_prefixes<'k, 'a>(mut keys: &'k [&'a str]) -> &'k [&'a str] {
+    while let ["mount", _, _, rest @ ..] = keys {
+        keys = rest;
     }
+    keys
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dspace_value::json::parse;
+
+    fn keys(p: &str) -> Vec<&str> {
+        p.trim_start_matches('.').split('.').collect()
+    }
+
+    /// Every `(path, value)` that [`southbound_diffs`] visits, in order.
+    fn diffs(doc: &Value, base: Option<&Value>) -> Vec<(String, Value)> {
+        let mut found = Vec::new();
+        southbound_diffs(doc, base, &mut |p, v| {
+            found.push((p.to_string(), v.clone()))
+        });
+        found
+    }
+
+    fn set(doc: &mut Value, path: &str, v: Value) {
+        doc.set(&path.parse().unwrap(), v).unwrap();
+    }
+
+    fn replica() -> Value {
+        parse(
+            r#"{
+                "mode": "expose", "status": "active", "gen": 3,
+                "control": {"power": {"intent": "on", "status": "off"}},
+                "data": {"input": {"url": "rtsp://x"}, "output": {"objects": []}},
+                "mount": {"Room": {"r1": {"gen": 2,
+                    "control": {"brightness": {"intent": 0.5, "status": 0.5}},
+                    "mount": {"Speaker": {"s1": {"gen": 1,
+                        "control": {"mode": {"intent": "pause", "status": "play"}}}}}}}}
+            }"#,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn southbound_classification() {
@@ -376,8 +392,7 @@ mod tests {
             ".mount.Scene.sc.data.input.url",
         ];
         for p in yes {
-            let path: Path = p.parse().unwrap();
-            assert!(is_southbound(&path), "{p} should be southbound");
+            assert!(is_southbound(&keys(p)), "{p} should be southbound");
         }
         let no = [
             ".control.power.status",
@@ -389,35 +404,80 @@ mod tests {
             ".status",
         ];
         for p in no {
-            let path: Path = p.parse().unwrap();
-            assert!(!is_southbound(&path), "{p} should not be southbound");
+            assert!(!is_southbound(&keys(p)), "{p} should not be southbound");
         }
     }
 
     #[test]
-    fn collect_southbound_finds_nested_leaves() {
-        let doc = dspace_value::json::parse(
-            r#"{
-                "mode": "expose", "status": "active", "gen": 3,
-                "control": {"power": {"intent": "on", "status": "off"}},
-                "data": {"input": {"url": "rtsp://x"}, "output": {"objects": []}},
-                "mount": {"Speaker": {"s1": {"control": {"mode": {"intent": "pause", "status": "play"}}}}}
-            }"#,
-        )
-        .unwrap();
-        let mut found = Vec::new();
-        collect_southbound_leaves(&doc, &Path::root(), &mut |p, v| {
-            found.push((p.to_string(), v.clone()));
-        });
-        found.sort_by(|a, b| a.0.cmp(&b.0));
-        let paths: Vec<&str> = found.iter().map(|(p, _)| p.as_str()).collect();
+    fn southbound_diffs_finds_nested_leaves() {
+        let paths: Vec<String> = diffs(&replica(), Some(&dspace_value::obj()))
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
         assert_eq!(
             paths,
             vec![
                 ".control.power.intent",
                 ".data.input.url",
-                ".mount.Speaker.s1.control.mode.intent",
+                ".mount.Room.r1.control.brightness.intent",
+                ".mount.Room.r1.mount.Speaker.s1.control.mode.intent",
             ]
         );
+        // A missing base reads as `Null` throughout, like an empty one.
+        assert_eq!(diffs(&replica(), None).len(), 4);
+    }
+
+    #[test]
+    fn shared_base_yields_nothing_without_a_walk() {
+        let doc = replica();
+        assert!(diffs(&doc, Some(&doc.clone())).is_empty());
+        // A NaN intent differs from itself, so only a skipped subtree can
+        // yield nothing here: an unshared copy reports it.
+        let mut nan = replica();
+        set(&mut nan, ".control.power.intent", Value::Num(f64::NAN));
+        assert!(diffs(&nan, Some(&nan.clone())).is_empty());
+        let mut nan_copy = replica();
+        set(&mut nan_copy, ".control.power.intent", Value::Num(f64::NAN));
+        assert_eq!(diffs(&nan, Some(&nan_copy)).len(), 1);
+    }
+
+    #[test]
+    fn one_changed_nested_intent_yields_that_leaf() {
+        let base = replica();
+        let mut doc = base.clone();
+        let leaf = ".mount.Room.r1.mount.Speaker.s1.control.mode.intent";
+        set(&mut doc, leaf, Value::from("play"));
+        assert_eq!(
+            diffs(&doc, Some(&base)),
+            vec![(leaf.to_string(), Value::from("play"))]
+        );
+    }
+
+    #[test]
+    fn status_gen_mode_and_output_are_never_visited() {
+        let base = replica();
+        let mut doc = base.clone();
+        for (path, v) in [
+            (".status", Value::from("yielded")),
+            (".gen", Value::from(9.0)),
+            (".mode", Value::from("hide")),
+            (".control.power.status", Value::from("on")),
+            (".data.output.objects", Value::from(vec!["cat"])),
+            (".data.output.fresh", Value::from(1.0)),
+            (".mount.Room.r1.gen", Value::from(7.0)),
+            (".mount.Room.r1.control.brightness.status", Value::from(0.9)),
+            (
+                ".mount.Room.r1.mount.Speaker.s1.status",
+                Value::from("active"),
+            ),
+            (
+                ".mount.Room.r1.mount.Speaker.s1.control.mode.status",
+                Value::from("stop"),
+            ),
+        ] {
+            set(&mut doc, path, v);
+        }
+        assert!(diffs(&doc, Some(&base)).is_empty());
+        assert!(diffs(&base, Some(&doc)).is_empty());
     }
 }

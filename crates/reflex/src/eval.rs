@@ -172,7 +172,7 @@ pub fn eval(expr: &Expr, input: &Value, env: &Env) -> Result<Value, EvalError> {
             for (k, e) in fields {
                 map.insert(k.clone(), eval(e, input, env)?);
             }
-            Ok(Value::Object(map))
+            Ok(Value::Object(map.into()))
         }
     }
 }
@@ -677,7 +677,7 @@ fn call(name: &str, args: &[Expr], input: &Value, env: &Env) -> Result<Value, Ev
                 let value = entry.get_path("value").cloned().unwrap_or(Value::Null);
                 map.insert(key.to_string(), value);
             }
-            Ok(Value::Object(map))
+            Ok(Value::Object(map.into()))
         }
         "ascii_downcase" => {
             arity(0)?;

@@ -6,7 +6,7 @@
 //! matches handler filters against it.
 
 use crate::path::Path;
-use crate::value::Value;
+use crate::value::{Map, Value};
 
 /// The kind of change at a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +44,8 @@ impl Change {
 /// Object attributes are compared recursively. Arrays are treated as leaves:
 /// any difference produces a single `Updated` change at the array's path,
 /// which matches how digi models treat list attributes (e.g. `obs.objects`)
-/// as atomic observations.
+/// as atomic observations. A subtree both documents share (the same
+/// [`Map`] allocation) has no changes and is not walked.
 ///
 /// # Examples
 ///
@@ -57,42 +58,45 @@ impl Change {
 /// ```
 pub fn diff(old: &Value, new: &Value) -> Vec<Change> {
     let mut out = Vec::new();
-    walk(&Path::root(), old, new, &mut out);
+    walk(&mut Vec::new(), old, new, &mut out);
     out
 }
 
-fn walk(path: &Path, old: &Value, new: &Value, out: &mut Vec<Change>) {
+/// Appends the changes below the path spelled by the key stack `keys`; a
+/// [`Path`] is built only for an emitted change.
+fn walk<'a>(keys: &mut Vec<&'a str>, old: &'a Value, new: &'a Value, out: &mut Vec<Change>) {
     match (old, new) {
         (Value::Object(a), Value::Object(b)) => {
+            if Map::ptr_eq(a, b) {
+                return;
+            }
             for (k, va) in a {
+                keys.push(k);
                 match b.get(k) {
-                    Some(vb) => walk(&path.child(k.clone()), va, vb, out),
-                    None => out.push(Change {
-                        path: path.child(k.clone()),
-                        op: ChangeOp::Removed,
-                        old: va.clone(),
-                        new: Value::Null,
-                    }),
+                    Some(vb) => walk(keys, va, vb, out),
+                    None => out.push(change(keys, ChangeOp::Removed, va.clone(), Value::Null)),
                 }
+                keys.pop();
             }
             for (k, vb) in b {
                 if !a.contains_key(k) {
-                    out.push(Change {
-                        path: path.child(k.clone()),
-                        op: ChangeOp::Added,
-                        old: Value::Null,
-                        new: vb.clone(),
-                    });
+                    keys.push(k);
+                    out.push(change(keys, ChangeOp::Added, Value::Null, vb.clone()));
+                    keys.pop();
                 }
             }
         }
         (a, b) if a == b => {}
-        (a, b) => out.push(Change {
-            path: path.clone(),
-            op: ChangeOp::Updated,
-            old: a.clone(),
-            new: b.clone(),
-        }),
+        (a, b) => out.push(change(keys, ChangeOp::Updated, a.clone(), b.clone())),
+    }
+}
+
+fn change(keys: &[&str], op: ChangeOp, old: Value, new: Value) -> Change {
+    Change {
+        path: Path::keys(keys.iter().copied()),
+        op,
+        old,
+        new,
     }
 }
 

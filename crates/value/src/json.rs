@@ -99,7 +99,7 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(map.into()));
         }
         loop {
             self.skip_ws();
@@ -111,7 +111,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
+                Some(b'}') => return Ok(Value::Object(map.into())),
                 _ => return self.err("expected ',' or '}'"),
             }
         }

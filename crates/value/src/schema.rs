@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::value::Value;
+use crate::value::{Map, Value};
 
 /// The declared type of a model attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +257,7 @@ impl KindSchema {
         meta.insert("name".to_string(), Value::from(name));
         meta.insert("namespace".to_string(), Value::from(namespace));
         meta.insert("gen".to_string(), Value::from(0.0));
-        root.insert("meta".to_string(), Value::Object(meta));
+        root.insert("meta".to_string(), Value::Object(meta.into()));
         match self.class {
             DigiClass::Digivice => {
                 let mut control = BTreeMap::new();
@@ -265,10 +265,10 @@ impl KindSchema {
                     let mut pair = BTreeMap::new();
                     pair.insert("intent".to_string(), Value::Null);
                     pair.insert("status".to_string(), Value::Null);
-                    control.insert(attr.clone(), Value::Object(pair));
+                    control.insert(attr.clone(), Value::Object(pair.into()));
                 }
-                root.insert("control".to_string(), Value::Object(control));
-                root.insert("mount".to_string(), Value::Object(BTreeMap::new()));
+                root.insert("control".to_string(), Value::Object(control.into()));
+                root.insert("mount".to_string(), Value::Object(Map::new()));
             }
             DigiClass::Digidata => {
                 let mut data = BTreeMap::new();
@@ -277,16 +277,16 @@ impl KindSchema {
                 };
                 data.insert("input".to_string(), mk(&self.input));
                 data.insert("output".to_string(), mk(&self.output));
-                root.insert("data".to_string(), Value::Object(data));
+                root.insert("data".to_string(), Value::Object(data.into()));
             }
         }
         let mut obs = BTreeMap::new();
         for attr in self.obs.keys() {
             obs.insert(attr.clone(), Value::Null);
         }
-        root.insert("obs".to_string(), Value::Object(obs));
-        root.insert("reflex".to_string(), Value::Object(BTreeMap::new()));
-        Value::Object(root)
+        root.insert("obs".to_string(), Value::Object(obs.into()));
+        root.insert("reflex".to_string(), Value::Object(Map::new()));
+        Value::Object(root.into())
     }
 
     /// Validates a model document against this schema.

@@ -1,15 +1,26 @@
 //! The [`Value`] type: a JSON-like attribute–value tree.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::path::{Path, Segment};
+use crate::Shared;
 
 /// A JSON-like value with deterministic object ordering.
 ///
-/// Objects use [`BTreeMap`] so that serialization, diffing, and hashing are
-/// deterministic — a requirement for the reproducible experiments in this
-/// repository (every run of a scenario must produce identical model states).
+/// Objects are copy-on-write [`Map`]s over a [`BTreeMap`], so that
+/// serialization, diffing, and hashing are deterministic — a requirement
+/// for the reproducible experiments in this repository (every run of a
+/// scenario must produce identical model states) — and so that cloning a
+/// model or any object subtree costs O(1). Arrays and strings are still
+/// copied whole.
+///
+/// Equality is structural, except that an object compares equal to itself
+/// without being walked: a subtree shared by both sides is equal even if it
+/// holds a `NaN`, which a walk would report unequal. No model can hold
+/// `NaN` in practice (the JSON codec cannot spell it and reflex rejects
+/// division by zero).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     /// The null value.
@@ -24,7 +35,88 @@ pub enum Value {
     /// An ordered sequence of values.
     Array(Vec<Value>),
     /// A key-sorted map of attribute names to values.
-    Object(BTreeMap<String, Value>),
+    Object(Map),
+}
+
+/// The map behind [`Value::Object`]: a [`BTreeMap`] behind a [`Shared`]
+/// handle, copied on write.
+///
+/// Cloning is O(1). A write through [`DerefMut`] copies this one map if
+/// another handle still shares it, and leaves its entries shared, so a
+/// write to a path copies only the maps along that path. Two handles to
+/// the same allocation compare equal without a walk (see [`Value`] on
+/// `NaN`), and [`diff`](crate::diff()) and [`Value::merge`] skip such
+/// subtrees.
+#[derive(Clone, Default)]
+pub struct Map(Shared<BTreeMap<String, Value>>);
+
+impl Map {
+    /// An empty map.
+    pub fn new() -> Self {
+        Map::default()
+    }
+
+    /// Returns `true` if both handles share one allocation, which implies
+    /// equal contents.
+    pub fn ptr_eq(a: &Map, b: &Map) -> bool {
+        Shared::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for Map {
+    type Target = BTreeMap<String, Value>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Map {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        Shared::make_mut(&mut self.0)
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl PartialEq for Map {
+    fn eq(&self, other: &Self) -> bool {
+        Map::ptr_eq(self, other) || self.0 == other.0
+    }
+}
+
+impl From<BTreeMap<String, Value>> for Map {
+    fn from(map: BTreeMap<String, Value>) -> Self {
+        Map(Shared::new(map))
+    }
+}
+
+impl FromIterator<(String, Value)> for Map {
+    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
+        Map::from(iter.into_iter().collect::<BTreeMap<_, _>>())
+    }
+}
+
+impl<'a> IntoIterator for &'a Map {
+    type Item = (&'a String, &'a Value);
+    type IntoIter = btree_map::Iter<'a, String, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl IntoIterator for Map {
+    type Item = (String, Value);
+    type IntoIter = btree_map::IntoIter<String, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Shared::unwrap_or_clone(self.0).into_iter()
+    }
 }
 
 /// Errors produced by path-based access on a [`Value`].
@@ -136,7 +228,8 @@ impl Value {
         }
     }
 
-    /// Returns the mutable object map if this value is an object.
+    /// Returns the mutable object map if this value is an object, copying
+    /// it first if it is shared.
     pub fn as_object_mut(&mut self) -> Option<&mut BTreeMap<String, Value>> {
         match self {
             Value::Object(o) => Some(o),
@@ -172,7 +265,7 @@ impl Value {
         self.get(&p)
     }
 
-    /// Mutable lookup by [`Path`].
+    /// Mutable lookup by [`Path`]; copies the shared maps along the path.
     pub fn get_mut(&mut self, path: &Path) -> Option<&mut Value> {
         let mut cur = self;
         for seg in path.segments() {
@@ -186,6 +279,8 @@ impl Value {
     }
 
     /// Sets the value at `path`, creating intermediate objects as needed.
+    /// Only the maps along `path` are copied; every other subtree stays
+    /// shared with the values this one was cloned from.
     ///
     /// Creating intermediate values only happens for key segments; writing
     /// through a missing array index is an error, as is descending through
@@ -202,7 +297,7 @@ impl Value {
             match seg {
                 Segment::Key(k) => {
                     if cur.is_null() {
-                        *cur = Value::Object(BTreeMap::new());
+                        *cur = Value::Object(Map::new());
                     }
                     let map = match cur {
                         Value::Object(m) => m,
@@ -249,9 +344,11 @@ impl Value {
     ///
     /// Objects merge recursively; every other kind of value (including
     /// arrays) replaces the existing value wholesale, matching the
-    /// strategic-merge behaviour digi models rely on.
+    /// strategic-merge behaviour digi models rely on. A subtree `other`
+    /// shares with `self` is already merged and is skipped.
     pub fn merge(&mut self, other: &Value) {
         match (self, other) {
+            (Value::Object(a), Value::Object(b)) if Map::ptr_eq(a, b) => {}
             (Value::Object(a), Value::Object(b)) => {
                 for (k, v) in b {
                     match a.get_mut(k) {
@@ -498,5 +595,50 @@ mod tests {
         let mut v = sample();
         v.set(&Path::root(), Value::Num(3.0)).unwrap();
         assert_eq!(v, Value::Num(3.0));
+    }
+
+    #[test]
+    fn a_shared_subtree_holding_nan_equals_itself() {
+        let nan = crate::object([("x", Value::Num(f64::NAN))]);
+        // Leaves keep IEEE semantics...
+        assert_ne!(Value::Num(f64::NAN), Value::Num(f64::NAN));
+        // ...but one map compares equal to itself without a walk...
+        assert_eq!(nan, nan.clone());
+        let (a, b) = (
+            crate::object([("n", nan.clone())]),
+            crate::object([("n", nan)]),
+        );
+        assert_eq!(a, b);
+        assert!(crate::diff(&a, &b).is_empty());
+        // ...while two separately built ones are walked and differ.
+        let other = crate::object([("n", crate::object([("x", Value::Num(f64::NAN))]))]);
+        assert_ne!(a, other);
+        assert_eq!(crate::diff(&a, &other).len(), 1);
+    }
+
+    #[test]
+    fn a_write_copies_only_its_path() {
+        let old = sample();
+        let mut new = old.clone();
+        new.set(&".control.power.intent".parse().unwrap(), "off".into())
+            .unwrap();
+        let map = |v: &Value, p: &str| match v.get_path(p) {
+            Some(Value::Object(m)) => m.clone(),
+            other => panic!("no object at {p}: {other:?}"),
+        };
+        assert!(Map::ptr_eq(&map(&old, "obs"), &map(&new, "obs")));
+        assert!(Map::ptr_eq(
+            &map(&old, "control.brightness"),
+            &map(&new, "control.brightness")
+        ));
+        assert!(!Map::ptr_eq(&map(&old, "control"), &map(&new, "control")));
+        assert!(!Map::ptr_eq(
+            &map(&old, "control.power"),
+            &map(&new, "control.power")
+        ));
+        assert_eq!(
+            old.get_path("control.power.intent").and_then(Value::as_str),
+            Some("on")
+        );
     }
 }

@@ -225,7 +225,7 @@ fn parse_mapping(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Value
         };
         map.insert(key, value);
     }
-    Ok(Value::Object(map))
+    Ok(Value::Object(map.into()))
 }
 
 /// Splits `key: value` handling quoted keys and missing values.
@@ -413,7 +413,7 @@ impl FlowParser {
         self.skip_ws();
         if self.chars.get(self.pos) == Some(&'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(map.into()));
         }
         loop {
             self.skip_ws();
@@ -435,7 +435,7 @@ impl FlowParser {
                 }
                 Some('}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(Value::Object(map.into()));
                 }
                 _ => return self.err("expected ',' or '}' in flow mapping"),
             }

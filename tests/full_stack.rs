@@ -10,7 +10,7 @@ use dspace::core::{Driver, Space, SpaceConfig};
 use dspace::devices::{GeeniLamp, LifxLamp, RingMotionSensor, Roomba, TeckinPlug, WyzeCam};
 use dspace::digis::{data, home, lamps, media, room, sensors, vacuum};
 use dspace::simnet::secs;
-use dspace::value::{AttrType, KindSchema, Value};
+use dspace::value::{AttrType, KindSchema, Map, Value};
 
 /// Builds a two-room home with lamps, a plug, a motion sensor, a camera
 /// pipeline, and a roomba; returns the space.
@@ -299,4 +299,36 @@ fn namespace_recreated_after_reopen_recovers() {
     let space = open();
     assert_eq!(space.world.api.dump(), live);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `Space` write copies only the maps along the path it writes: the new
+/// snapshot shares every other subtree with the old one, and the store
+/// counts the one copy it made because the old snapshot was still held.
+#[test]
+fn space_write_copies_only_its_path() {
+    let mut s1 = dspace::digis::scenarios::s1::S1::build();
+    s1.space.settle(10_000);
+    let api = &mut s1.space.world.api;
+    let old = api.get(Space::USER, &s1.room).unwrap().model;
+    let clones = api.watch_stats().deep_clones;
+    api.patch_path(
+        Space::USER,
+        &s1.room,
+        ".control.brightness.intent",
+        0.37.into(),
+    )
+    .unwrap();
+    let new = api.get(Space::USER, &s1.room).unwrap().model;
+    let map = |doc: &Value, key: &str| match doc.get_path(key) {
+        Some(Value::Object(m)) => m.clone(),
+        other => panic!("no map at .{key}: {other:?}"),
+    };
+    for key in ["mount", "obs", "reflex"] {
+        assert!(
+            Map::ptr_eq(&map(&old, key), &map(&new, key)),
+            ".{key} was copied"
+        );
+    }
+    assert!(!Map::ptr_eq(&map(&old, "control"), &map(&new, "control")));
+    assert_eq!(api.watch_stats().deep_clones, clones + 1);
 }
