@@ -51,6 +51,7 @@ pub mod rbac;
 pub mod server;
 pub mod store;
 pub mod wal;
+pub mod write;
 
 pub use admission::{AdmissionResponse, AdmissionReview, AdmissionWebhook};
 pub use client::{Client, NamespacedClient};
@@ -58,8 +59,7 @@ pub use error::ApiError;
 pub use object::{Object, ObjectRef};
 pub use query::{IndexKey, Plan, PredicateSelector, Query, QueryError, QueryPred};
 pub use rbac::{Role, RoleBinding, Rule, Verb};
-pub use server::ApiServer;
-pub use store::{
-    stamp_gen, CoalescedEvent, WatchEvent, WatchEventKind, WatchId, WatchSelector, WatchStats,
-};
+pub use server::{parse_path, ApiServer};
+pub use store::{CoalescedEvent, WatchEvent, WatchEventKind, WatchId, WatchSelector, WatchStats};
 pub use wal::{DurabilityOptions, WalError, WalSync};
+pub use write::WriteOp;

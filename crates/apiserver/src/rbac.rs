@@ -1,10 +1,12 @@
 //! Role-based access control (§3.6 of the paper).
 //!
 //! Each digi driver is associated with a role that constrains its access to
-//! its own model; dSpace controllers get roles granting the access needed
-//! to enforce composition (the mounter gets write access to parents and
-//! their children); users and third-party digis are granted access by the
-//! admin following standard k8s RBAC practice.
+//! its own model — one kind, namespace and name, like a Kubernetes
+//! namespaced `Role`; dSpace controllers get space-wide roles granting the
+//! access needed to enforce composition (the mounter gets write access to
+//! parents and their children), like `ClusterRole`s; users and third-party
+//! digis are granted access by the admin following standard k8s RBAC
+//! practice.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -50,21 +52,24 @@ impl Verb {
     }
 }
 
-/// One RBAC rule: a set of verbs over kinds (and optionally names).
+/// One RBAC rule: a set of verbs over kinds, namespaces and names.
 ///
-/// `kinds`/`names` support the wildcard `"*"`.
+/// `kinds`/`namespaces`/`names` support the wildcard `"*"`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// Granted verbs.
     pub verbs: BTreeSet<Verb>,
     /// Kinds the rule applies to (`"*"` = all).
     pub kinds: BTreeSet<String>,
+    /// Namespaces the rule applies to (`"*"` = all).
+    pub namespaces: BTreeSet<String>,
     /// Object names the rule applies to (`"*"` = all).
     pub names: BTreeSet<String>,
 }
 
 impl Rule {
-    /// Builds a rule from iterators; pass `["*"]` for wildcards.
+    /// Builds a rule over every namespace from iterators; pass `["*"]` for
+    /// wildcards.
     pub fn new<V, K, N>(verbs: V, kinds: K, names: N) -> Self
     where
         V: IntoIterator<Item = Verb>,
@@ -74,6 +79,7 @@ impl Rule {
         Rule {
             verbs: verbs.into_iter().collect(),
             kinds: kinds.into_iter().map(str::to_string).collect(),
+            namespaces: std::iter::once("*".to_string()).collect(),
             names: names.into_iter().map(str::to_string).collect(),
         }
     }
@@ -88,24 +94,24 @@ impl Rule {
         Rule::new([Verb::Get, Verb::List, Verb::Watch], kinds, ["*"])
     }
 
-    /// A rule scoped to one object (runtime-computed kind and name).
-    pub fn for_object<V: IntoIterator<Item = Verb>>(
-        verbs: V,
-        kind: impl Into<String>,
-        name: impl Into<String>,
-    ) -> Self {
+    /// A rule scoped to one object: its kind, namespace and name.
+    pub fn for_object<V: IntoIterator<Item = Verb>>(verbs: V, oref: &ObjectRef) -> Self {
+        let one = |s: &str| std::iter::once(s.to_string()).collect();
         Rule {
             verbs: verbs.into_iter().collect(),
-            kinds: std::iter::once(kind.into()).collect(),
-            names: std::iter::once(name.into()).collect(),
+            kinds: one(&oref.kind),
+            namespaces: one(&oref.namespace),
+            names: one(&oref.name),
         }
     }
 
     /// Returns `true` if this rule permits `verb` on `oref`.
     pub fn permits(&self, verb: Verb, oref: &ObjectRef) -> bool {
+        let covers = |set: &BTreeSet<String>, s: &str| set.contains("*") || set.contains(s);
         self.verbs.contains(&verb)
-            && (self.kinds.contains("*") || self.kinds.contains(&oref.kind))
-            && (self.names.contains("*") || self.names.contains(&oref.name))
+            && covers(&self.kinds, &oref.kind)
+            && covers(&self.namespaces, &oref.namespace)
+            && covers(&self.names, &oref.name)
     }
 }
 
@@ -239,6 +245,18 @@ mod tests {
         assert!(rbac.authorize("lamp-driver", Verb::Patch, &lamp()));
         let other = ObjectRef::default_ns("Lamp", "l2");
         assert!(!rbac.authorize("lamp-driver", Verb::Patch, &other));
+    }
+
+    #[test]
+    fn object_rule_is_confined_to_its_namespace() {
+        let own = ObjectRef::new("Lamp", "h0", "l1");
+        let rule = Rule::for_object([Verb::Get, Verb::Patch], &own);
+        assert!(rule.permits(Verb::Patch, &own));
+        // The same kind and name in another home is someone else's lamp.
+        assert!(!rule.permits(Verb::Patch, &ObjectRef::new("Lamp", "h1", "l1")));
+        // A probe spanning every namespace is not covered either.
+        assert!(!rule.permits(Verb::Get, &ObjectRef::new("Lamp", "*", "l1")));
+        assert!(Rule::allow_all().permits(Verb::Patch, &ObjectRef::new("Lamp", "h1", "l1")));
     }
 
     #[test]

@@ -11,12 +11,14 @@ use crate::query::{Query, QueryError};
 use crate::rbac::{Rbac, Role, Rule, Verb};
 use crate::store::{CoalescedEvent, Store, WatchEvent, WatchId, WatchSelector, WatchStats};
 use crate::wal::{DurabilityOptions, WalError};
+use crate::write::WriteOp;
 
 /// The API server.
 ///
 /// Every request names its *subject* (the authenticated caller, §3.6); the
 /// request pipeline is: RBAC check → schema validation → admission chain →
-/// store commit → webhook `observe` notifications.
+/// store commit → webhook `observe` notifications. Every modify verb is
+/// one [`WriteOp`] and runs the same pipeline ([`ApiServer::write`]).
 pub struct ApiServer {
     store: Store,
     rbac: Rbac,
@@ -240,18 +242,7 @@ impl ApiServer {
         model: Value,
         expected_rv: Option<u64>,
     ) -> Result<u64, ApiError> {
-        self.authorize(subject, Verb::Update, oref)?;
-        self.validate(oref, &model)?;
-        let old = self
-            .store
-            .get(oref)
-            .map(|o| o.model.clone())
-            .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-        self.admit(subject, Verb::Update, oref, Some(&*old), Some(&model))?;
-        let rv = self.store.update(oref, model, expected_rv)?;
-        let committed = self.store.get(oref).expect("just updated").model.clone();
-        self.observe(subject, Verb::Update, oref, Some(&*old), Some(&*committed));
-        Ok(rv)
+        self.write(subject, oref, WriteOp::Put(model), expected_rv)
     }
 
     /// Deletes a namespace: every object in it is deleted through the
@@ -298,21 +289,7 @@ impl ApiServer {
         oref: &ObjectRef,
         patch: Value,
     ) -> Result<u64, ApiError> {
-        self.authorize(subject, Verb::Patch, oref)?;
-        let old = self
-            .store
-            .get(oref)
-            .map(|o| o.model.clone())
-            .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-        let mut new = (*old).clone();
-        new.merge(&patch);
-        self.validate(oref, &new)?;
-        self.admit(subject, Verb::Patch, oref, Some(&*old), Some(&new))?;
-        // Journals the patch, not the merged document.
-        let rv = self.store.update_via_merge(oref, &patch)?;
-        let committed = self.store.get(oref).expect("just patched").model.clone();
-        self.observe(subject, Verb::Patch, oref, Some(&*old), Some(&*committed));
-        Ok(rv)
+        self.write(subject, oref, WriteOp::Merge(patch), None)
     }
 
     /// Sets one attribute of an object's model.
@@ -323,24 +300,8 @@ impl ApiServer {
         path: &str,
         value: Value,
     ) -> Result<u64, ApiError> {
-        self.authorize(subject, Verb::Patch, oref)?;
-        let old = self
-            .store
-            .get(oref)
-            .map(|o| o.model.clone())
-            .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-        let parsed = parse_path(path)?;
-        let mut new = (*old).clone();
-        new.set(&parsed, value.clone())
-            .map_err(|e| ApiError::BadRequest(e.to_string()))?;
-        self.validate(oref, &new)?;
-        self.admit(subject, Verb::Patch, oref, Some(&*old), Some(&new))?;
-        // Journals path + value — a few dozen bytes for the hottest verb
-        // in the system, instead of the whole model.
-        let rv = self.store.update_via_set(oref, &parsed, &value)?;
-        let committed = self.store.get(oref).expect("just patched").model.clone();
-        self.observe(subject, Verb::Patch, oref, Some(&*old), Some(&*committed));
-        Ok(rv)
+        let op = parse_path(path).map(|p| WriteOp::Set(p, value));
+        self.commit_op(subject, Verb::Patch, oref, op, None)
     }
 
     /// Removes an attribute from an object's model.
@@ -350,20 +311,53 @@ impl ApiServer {
         oref: &ObjectRef,
         path: &str,
     ) -> Result<u64, ApiError> {
-        self.authorize(subject, Verb::Patch, oref)?;
-        let old = self
+        let op = parse_path(path).map(WriteOp::Remove);
+        self.commit_op(subject, Verb::Patch, oref, op, None)
+    }
+
+    /// Commits one [`WriteOp`] to an existing object through the whole
+    /// request pipeline, authorized as `Update` for a put or a
+    /// fast-forward and as `Patch` for the partial edits. `expected_rv`
+    /// implements optimistic concurrency, as for [`update`](Self::update).
+    pub fn write(
+        &mut self,
+        subject: &str,
+        oref: &ObjectRef,
+        op: WriteOp,
+        expected_rv: Option<u64>,
+    ) -> Result<u64, ApiError> {
+        self.commit_op(subject, op.verb(), oref, Ok(op), expected_rv)
+    }
+
+    /// The one pipeline of every modify verb. It applies the op once, to a
+    /// copy of the stored model, and the store commits that model as is.
+    /// Failures come in one order whatever the verb: `Forbidden`,
+    /// `NotFound`, `BadRequest` (a malformed path, which `op` carries, or
+    /// a failed set), `Invalid`, `AdmissionDenied`, then `Conflict`.
+    fn commit_op(
+        &mut self,
+        subject: &str,
+        verb: Verb,
+        oref: &ObjectRef,
+        op: Result<WriteOp, ApiError>,
+        expected_rv: Option<u64>,
+    ) -> Result<u64, ApiError> {
+        self.authorize(subject, verb, oref)?;
+        let (old, current) = self
             .store
             .get(oref)
-            .map(|o| o.model.clone())
+            .map(|o| (o.model.clone(), o.resource_version))
             .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-        let parsed = parse_path(path)?;
+        let op = op?;
         let mut new = (*old).clone();
-        new.remove(&parsed);
+        op.apply(&mut new, op.next_rv(oref, current)?)?;
         self.validate(oref, &new)?;
-        self.admit(subject, Verb::Patch, oref, Some(&*old), Some(&new))?;
-        let rv = self.store.update(oref, new, None)?;
-        let committed = self.store.get(oref).expect("just patched").model.clone();
-        self.observe(subject, Verb::Patch, oref, Some(&*old), Some(&*committed));
+        self.admit(subject, verb, oref, Some(&*old), Some(&new))?;
+        // The server holds `old` across the commit for `observe`, so the
+        // store counts this write as a copy of a held model.
+        let rv = self.store.write_built(oref, &op, new, expected_rv)?;
+        let committed = self.store.get(oref).expect("just written").model.clone();
+        self.observe(subject, verb, oref, Some(&*old), Some(&*committed));
         Ok(rv)
     }
 
@@ -381,10 +375,12 @@ impl ApiServer {
         Ok(gone)
     }
 
-    /// Jumps an object's resource version forward without changing its
-    /// model (see [`Store::fast_forward`](crate::store::Store::fast_forward)).
-    /// A simulation aid for placing an object deep into its mutation
-    /// history; requires update rights.
+    /// Jumps an object's resource version forward to `rv` without
+    /// changing its model, re-stamping `meta.gen` and emitting a `Modified`
+    /// event ([`WriteOp::FastForward`]). A simulation aid: a real
+    /// deployment reaches generation 2^53 only after years of mutations,
+    /// but the version-gate arithmetic must be exact there. Requires
+    /// update rights; it skips schema validation and admission.
     pub fn fast_forward(
         &mut self,
         subject: &str,
@@ -392,7 +388,7 @@ impl ApiServer {
         rv: u64,
     ) -> Result<u64, ApiError> {
         self.authorize(subject, Verb::Update, oref)?;
-        self.store.fast_forward(oref, rv)
+        self.store.write(oref, &WriteOp::FastForward(rv), None)
     }
 
     /// Authorizes a watch by probing the narrowest ref the selector
@@ -561,7 +557,7 @@ impl ApiServer {
 }
 
 /// Parses a model path, rejecting a malformed one as a `BadRequest`.
-fn parse_path(path: &str) -> Result<Path, ApiError> {
+pub fn parse_path(path: &str) -> Result<Path, ApiError> {
     path.parse()
         .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))
 }
@@ -571,7 +567,10 @@ mod tests {
 
     use super::*;
     use crate::admission::testing::RejectForbiddenFlag;
-    use dspace_value::{AttrType, KindSchema};
+    use crate::admission::{AdmissionResponse, AdmissionReview};
+    use dspace_value::{AttrType, KindSchema, Map};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn server_with_plug() -> (ApiServer, ObjectRef) {
         let mut api = ApiServer::new();
@@ -760,6 +759,104 @@ mod tests {
             .query(ApiServer::ADMIN, &Query::kind("Room"))
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn modify_verbs_fail_in_one_order() {
+        let (mut api, oref) = server_with_plug();
+        api.register_webhook(Box::new(RejectForbiddenFlag));
+        let ghost = ObjectRef::default_ns("Plug", "ghost");
+        let admin = ApiServer::ADMIN;
+        let invalid = |m: &mut Value| {
+            m.set(&".control.power.intent".parse().unwrap(), 5.0.into())
+                .unwrap();
+        };
+        let mut bad = api.schema("Plug").unwrap().new_model("ghost", "default");
+        invalid(&mut bad);
+        // Forbidden before NotFound.
+        let err = api
+            .update("intruder", &ghost, bad.clone(), None)
+            .unwrap_err();
+        assert!(matches!(err, ApiError::Forbidden { .. }), "{err}");
+        // NotFound before Invalid, and before a malformed path's BadRequest.
+        let err = api.update(admin, &ghost, bad, None).unwrap_err();
+        assert!(matches!(err, ApiError::NotFound(_)), "{err}");
+        let err = api
+            .patch_path(admin, &ghost, ".control..power", "on".into())
+            .unwrap_err();
+        assert!(matches!(err, ApiError::NotFound(_)), "{err}");
+        // A set through a scalar is a BadRequest.
+        let err = api
+            .patch_path(admin, &oref, ".meta.kind.deeper", "on".into())
+            .unwrap_err();
+        assert!(matches!(err, ApiError::BadRequest(_)), "{err}");
+        // Invalid before AdmissionDenied, and AdmissionDenied before
+        // Conflict.
+        let mut vetoed = (*api.get(admin, &oref).unwrap().model).clone();
+        vetoed
+            .set(&".forbidden".parse().unwrap(), true.into())
+            .unwrap();
+        let mut both = vetoed.clone();
+        invalid(&mut both);
+        let err = api.update(admin, &oref, both, Some(0)).unwrap_err();
+        assert!(matches!(err, ApiError::Invalid(_)), "{err}");
+        let err = api.update(admin, &oref, vetoed, Some(0)).unwrap_err();
+        assert!(matches!(err, ApiError::AdmissionDenied { .. }), "{err}");
+        let model = (*api.get(admin, &oref).unwrap().model).clone();
+        let err = api.update(admin, &oref, model, Some(0)).unwrap_err();
+        assert!(matches!(err, ApiError::Conflict { .. }), "{err}");
+    }
+
+    /// Records, per committed write, whether the model committed is the
+    /// very model admission reviewed (the same root map).
+    struct SameModel {
+        admitted: Option<Map>,
+        seen: Rc<RefCell<Vec<bool>>>,
+    }
+
+    fn root(model: Option<&Value>) -> Option<&Map> {
+        match model {
+            Some(Value::Object(m)) => Some(m),
+            _ => None,
+        }
+    }
+
+    impl crate::admission::AdmissionWebhook for SameModel {
+        fn name(&self) -> &str {
+            "same-model"
+        }
+
+        fn review(&mut self, review: &AdmissionReview<'_>) -> AdmissionResponse {
+            self.admitted = root(review.new).cloned();
+            AdmissionResponse::Allow
+        }
+
+        fn observe(&mut self, review: &AdmissionReview<'_>) {
+            let same = match (&self.admitted, root(review.new)) {
+                (Some(admitted), Some(committed)) => Map::ptr_eq(admitted, committed),
+                _ => false,
+            };
+            self.seen.borrow_mut().push(same);
+        }
+    }
+
+    #[test]
+    fn the_store_commits_the_model_the_server_built() {
+        let (mut api, oref) = server_with_plug();
+        let seen = Rc::default();
+        api.register_webhook(Box::new(SameModel {
+            admitted: None,
+            seen: Rc::clone(&seen),
+        }));
+        let admin = ApiServer::ADMIN;
+        let model = (*api.get(admin, &oref).unwrap().model).clone();
+        api.update(admin, &oref, model, None).unwrap();
+        let patch = dspace_value::json::parse(r#"{"obs": {"note": "x"}}"#).unwrap();
+        api.patch(admin, &oref, patch).unwrap();
+        api.patch_path(admin, &oref, ".control.power.intent", "on".into())
+            .unwrap();
+        api.delete_path(admin, &oref, ".obs.note").unwrap();
+        assert_eq!(*seen.borrow(), [true; 4]);
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! single-namespace one does.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use dspace_value::{json, Path, Segment, Shared, Value, ValueError};
+use dspace_value::{json, Path, Shared, Value};
 
 use crate::error::ApiError;
 use crate::object::{Object, ObjectRef};
 use crate::query::{IndexKey, Plan, PredicateSelector, Query, QueryError, QueryPred};
 use crate::wal::{self, Checkpoint, DurabilityOptions, Wal, WalError, WalRecord};
+use crate::write::{self, stamp_gen, WriteOp};
 
 /// What happened to an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +73,7 @@ pub struct CoalescedEvent {
 /// The snapshot is shared with the object map (until the object's next
 /// write) and with every delivery, so while an entry is resident a write
 /// to its object copies the model instead of mutating it in place (see
-/// [`cow_model`]).
+/// [`shard_write`]).
 #[derive(Debug, Clone)]
 struct LogEntry {
     /// Strictly increasing revision within the shard.
@@ -326,7 +327,7 @@ struct ShardTally {
     /// High-water mark of this shard's log during the slice.
     peak_log_len: usize,
     /// Writes to a shared snapshot, each of which copied the maps along
-    /// its path (see [`cow_model`]).
+    /// its path (see [`shard_write`]).
     deep_clones: u64,
     /// `true` when the store journals: the shard mutator renders its
     /// WAL op into `wal_op` on success.
@@ -761,12 +762,14 @@ pub struct WatchStats {
     /// Raw events absorbed into an earlier delivery of the same object by
     /// coalescing (`raw - deliveries`, summed over polls).
     pub events_coalesced: u64,
-    /// Writes that found the object's model still shared — with a resident
-    /// log entry, a delivered event, or a caller holding the pre-write
-    /// model — and so wrote a copy. A copy is one map per level of the
-    /// written path, not the whole document: every other subtree stays
-    /// shared with the old snapshot. A write to a model nothing else holds
-    /// mutates in place and counts nothing.
+    /// Ops that edited a model something else still held — a resident log
+    /// entry, a delivered event, or the server holding the pre-write model
+    /// across its pipeline — each counted once, as is a delete that stamps
+    /// such a model. The edit wrote a copy: one map per level of the
+    /// written path, not the whole document; every other subtree stays
+    /// shared with the old snapshot. An edit of a model nothing else holds
+    /// mutates it in place and counts nothing. A put ([`WriteOp::Put`])
+    /// replaces the model, copies nothing and never counts.
     pub deep_clones: u64,
 }
 
@@ -872,8 +875,9 @@ impl Store {
         }
     }
 
-    /// Replays one WAL record through the same shard-local mutation
-    /// functions the live path uses, so revisions, `meta.gen` stamps, and
+    /// Replays one WAL record through the same shard-local mutators the
+    /// live path commits through, applying each journaled [`WriteOp`] with
+    /// the one [`WriteOp::apply`], so revisions, `meta.gen` stamps, and
     /// event accounting come out identical.
     fn replay_record(&mut self, ns: &str, record: WalRecord) -> Result<(), WalError> {
         match record {
@@ -1122,19 +1126,38 @@ impl Store {
             .expect("just inserted"))
     }
 
-    /// Replaces an object's model.
+    /// Commits one [`WriteOp`] to an existing object, applying it to the
+    /// stored model: in place when nothing else holds the model, on a copy
+    /// otherwise (see [`WatchStats::deep_clones`]). The op's own record is
+    /// journaled — for a set, a few dozen bytes instead of the whole model.
     ///
     /// `expected_rv` implements optimistic concurrency: when `Some`, the
     /// write only commits if it matches the stored version; on mismatch the
     /// caller gets [`ApiError::Conflict`] and must re-read and retry.
-    pub fn update(
+    pub fn write(
         &mut self,
         oref: &ObjectRef,
+        op: &WriteOp,
+        expected_rv: Option<u64>,
+    ) -> Result<u64, ApiError> {
+        self.commit_serial(oref, |shard, tally| {
+            shard_write(shard, oref, op, None, expected_rv, tally)
+        })
+    }
+
+    /// [`Store::write`] for a model the caller already built by applying
+    /// `op` to the stored model at its next version (the server's write
+    /// pipeline, which validates and admits that model first): the store
+    /// installs it as is and journals `op`, without applying it again.
+    pub(crate) fn write_built(
+        &mut self,
+        oref: &ObjectRef,
+        op: &WriteOp,
         model: Value,
         expected_rv: Option<u64>,
     ) -> Result<u64, ApiError> {
         self.commit_serial(oref, |shard, tally| {
-            shard_update(shard, oref, model, expected_rv, tally)
+            shard_write(shard, oref, op, Some(model), expected_rv, tally)
         })
     }
 
@@ -1145,43 +1168,6 @@ impl Store {
     /// order the delete against the modifications that preceded it.
     pub fn delete(&mut self, oref: &ObjectRef) -> Result<Object, ApiError> {
         self.commit_serial(oref, |shard, tally| shard_delete(shard, oref, tally))
-    }
-
-    /// Sets `path` to `value` on the stored model — the hot verb behind
-    /// `patch_path`. The model is mutated in place when nothing else holds
-    /// it and copied first otherwise (see [`WatchStats::deep_clones`]);
-    /// only the set itself is journaled. Replaying it against the same
-    /// base reproduces the model bit-for-bit (both paths stamp `meta.gen`
-    /// identically).
-    pub fn update_via_set(
-        &mut self,
-        oref: &ObjectRef,
-        path: &Path,
-        value: &Value,
-    ) -> Result<u64, ApiError> {
-        self.commit_serial(oref, |shard, tally| {
-            shard_set_path(shard, oref, path, value.clone(), tally)
-        })
-    }
-
-    /// Deep-merges `patch` into the stored model — the verb behind
-    /// `patch`, copying the model only when it is shared, as
-    /// [`Store::update_via_set`] does; only the patch is journaled.
-    pub fn update_via_merge(&mut self, oref: &ObjectRef, patch: &Value) -> Result<u64, ApiError> {
-        self.commit_serial(oref, |shard, tally| shard_merge(shard, oref, patch, tally))
-    }
-
-    /// Jumps an object's resource version forward to `rv` without changing
-    /// its model, re-stamping `meta.gen` and emitting a `Modified` event.
-    ///
-    /// A simulation aid: a real deployment reaches generation 2^53 only
-    /// after years of mutations, but the version-gate arithmetic must be
-    /// exact there. Tests use this to place an object deep into its
-    /// mutation history in one step.
-    pub fn fast_forward(&mut self, oref: &ObjectRef, rv: u64) -> Result<u64, ApiError> {
-        self.commit_serial(oref, |shard, tally| {
-            shard_fast_forward(shard, oref, rv, tally)
-        })
     }
 
     /// Folds a slice's tally into the store's global counters. A slice
@@ -2123,100 +2109,27 @@ fn recount_pending(shard: &Shard, id: WatchId) -> u64 {
     scan_window(shard, shard.window_start(m.cursor), &filter).count() as u64
 }
 
-// ----- Shard-local mutation ops ------------------------------------------
-//
-// The serial verbs run these inside `Store::commit_slice`, WAL replay
-// through `replay_op`. They may touch only the shard and the tally.
-
-// ----- WAL op serialization / replay ---------------------------------------
+// ----- WAL op records and replay ------------------------------------------
 //
 // Successful ops are journaled as small JSON documents; replay routes them
-// back through the shard-local mutation functions above, so a recovered
+// back through the shard-local mutation functions below, so a recovered
 // shard is bit-identical to the one that logged them. `expected_rv` guards
 // are dropped on serialization: only ops that already committed are
 // logged, and replay starts from the identical base state.
 
-/// Starts an op record in `out`: `{"op":"<verb>","kind":…,"ns":…,"name":…`
-/// — one buffer, no intermediate strings (op serialization runs once per
-/// journaled write).
-fn wal_op_open(out: &mut String, verb: &str, oref: &ObjectRef) {
-    out.push_str("{\"op\":\"");
-    out.push_str(verb);
-    out.push_str("\",\"kind\":");
-    json::write_str_to(out, &oref.kind);
-    out.push_str(",\"ns\":");
-    json::write_str_to(out, &oref.namespace);
-    out.push_str(",\"name\":");
-    json::write_str_to(out, &oref.name);
-}
-
-/// Renders a `{"op":…,"model":<model>}` record. Journaling `create`/`put`
-/// verbs write the committed (post-stamp) model, which replays identically
-/// because `meta.gen` stamping is idempotent.
-fn wal_op_with_model(verb: &str, oref: &ObjectRef, model: &Value) -> String {
+/// Renders a `create` record: the committed (post-stamp) model.
+fn wal_op_create(oref: &ObjectRef, model: &Value) -> String {
     let mut out = String::with_capacity(96);
-    wal_op_open(&mut out, verb, oref);
+    write::record_open(&mut out, "create", oref);
     out.push_str(",\"model\":");
     json::write_to(&mut out, model);
     out.push('}');
     out
 }
 
-/// Renders a `merge` op — the journal hot path for `patch`, so no
-/// intermediate strings.
-fn wal_op_merge(oref: &ObjectRef, patch: &Value) -> String {
-    let mut out = String::with_capacity(96);
-    wal_op_open(&mut out, "merge", oref);
-    out.push_str(",\"patch\":");
-    json::write_to(&mut out, patch);
-    out.push('}');
-    out
-}
-
-/// Appends a `set` op to `out` — the journal hot path for `patch_path`.
-/// The path renders segment by segment straight into the buffer (its
-/// canonical `.a.b[0]` form), escaped as it goes: no `path.to_string()`.
-fn wal_op_set_into(out: &mut String, oref: &ObjectRef, path: &Path, value: &Value) {
-    use std::fmt::Write as _;
-    wal_op_open(out, "set", oref);
-    out.push_str(",\"path\":\"");
-    if path.is_empty() {
-        out.push('.');
-    }
-    for seg in path.segments() {
-        match seg {
-            Segment::Key(k) => {
-                out.push('.');
-                json::write_str_body_to(out, k);
-            }
-            Segment::Index(i) => {
-                let _ = write!(out, "[{i}]");
-            }
-        }
-    }
-    out.push_str("\",\"value\":");
-    json::write_to(out, value);
-    out.push('}');
-}
-
-fn wal_op_set(oref: &ObjectRef, path: &Path, value: &Value) -> String {
-    let mut out = String::with_capacity(96);
-    wal_op_set_into(&mut out, oref, path, value);
-    out
-}
-
 fn wal_op_delete(oref: &ObjectRef) -> String {
     let mut out = String::with_capacity(64);
-    wal_op_open(&mut out, "del", oref);
-    out.push('}');
-    out
-}
-
-fn wal_op_ff(oref: &ObjectRef, rv: u64) -> String {
-    let mut out = String::with_capacity(72);
-    wal_op_open(&mut out, "ff", oref);
-    out.push_str(",\"rv\":");
-    out.push_str(&wal::exact(rv));
+    write::record_open(&mut out, "del", oref);
     out.push('}');
     out
 }
@@ -2228,8 +2141,8 @@ fn replay_op(shard: &mut Shard, op: Value, tally: &mut ShardTally) -> Result<(),
     let Value::Object(mut map) = op else {
         return Err("op is not an object".to_string());
     };
-    let verb = match map.get("op") {
-        Some(Value::Str(s)) => s.clone(),
+    let verb = match map.remove("op") {
+        Some(Value::Str(s)) => s,
         _ => return Err("op missing verb".to_string()),
     };
     let mut take_str = |k: &str| match map.remove(k) {
@@ -2246,39 +2159,13 @@ fn replay_op(shard: &mut Shard, op: Value, tally: &mut ShardTally) -> Result<(),
                 .map(|_| ())
                 .map_err(fail)
         }
-        "put" => {
-            let model = map.remove("model").ok_or("op missing 'model'")?;
-            shard_update(shard, &oref, model, None, tally)
-                .map(|_| ())
-                .map_err(fail)
-        }
-        "merge" => {
-            let patch = map.remove("patch").ok_or("op missing 'patch'")?;
-            shard_merge(shard, &oref, &patch, tally)
-                .map(|_| ())
-                .map_err(fail)
-        }
-        "set" => {
-            let path: Path = match map.get("path") {
-                Some(Value::Str(s)) => s.parse().map_err(|e| format!("bad path: {e}"))?,
-                _ => return Err("op missing 'path'".to_string()),
-            };
-            let value = map.remove("value").ok_or("op missing 'value'")?;
-            shard_set_path(shard, &oref, &path, value, tally)
-                .map(|_| ())
-                .map_err(fail)
-        }
         "del" => shard_delete(shard, &oref, tally).map(|_| ()).map_err(fail),
-        "ff" => {
-            let rv = map
-                .get("rv")
-                .and_then(Value::as_exact_u64)
-                .ok_or("op missing 'rv'")?;
-            shard_fast_forward(shard, &oref, rv, tally)
+        other => match WriteOp::from_record(other, &mut map)? {
+            Some(op) => shard_write(shard, &oref, &op, None, None, tally)
                 .map(|_| ())
-                .map_err(fail)
-        }
-        other => Err(format!("unknown wal op '{other}'")),
+                .map_err(fail),
+            None => Err(format!("unknown wal op '{other}'")),
+        },
     }
 }
 
@@ -2311,21 +2198,10 @@ fn checkpoint_shards_json(shards: &BTreeMap<String, Shard>) -> String {
     out.join(",")
 }
 
-/// Mutable access to the live model: in place when nothing else holds the
-/// snapshot, otherwise on a copy, which the tally counts as a deep clone.
-/// The copy is O(1) — it shares every map with the old snapshot — and the
-/// write then copies one map per level of the path it writes (see
-/// [`dspace_value::Map`]). A resident log entry, a delivered event, or a
-/// caller still holding the pre-write model (as admission does across
-/// every [`ApiServer`] patch) each force the copy.
-///
-/// [`ApiServer`]: crate::ApiServer
-fn cow_model<'a>(model: &'a mut Shared<Value>, tally: &mut ShardTally) -> &'a mut Value {
-    if Shared::strong_count(model) > 1 {
-        tally.deep_clones += 1;
-    }
-    Shared::make_mut(model)
-}
+// ----- Shard-local mutation ops ------------------------------------------
+//
+// The serial verbs run these inside `Store::commit_slice`, WAL replay
+// through `replay_op`. They may touch only the shard and the tally.
 
 fn shard_create(
     shard: &mut Shard,
@@ -2339,7 +2215,7 @@ fn shard_create(
     let rv = 1;
     stamp_gen(&mut model, rv);
     if tally.journal {
-        tally.wal_op = Some(wal_op_with_model("create", &oref, &model));
+        tally.wal_op = Some(wal_op_create(&oref, &model));
     }
     let shared = Shared::new(model);
     shard.objects.insert(
@@ -2354,10 +2230,24 @@ fn shard_create(
     Ok(rv)
 }
 
-fn shard_update(
+/// Commits one [`WriteOp`] to a stored object: the one mutator behind
+/// every modify verb, live and on WAL replay. With `built`, the caller
+/// already applied the op to a copy of the stored model at the next
+/// version, and that model is installed as is; otherwise the op is
+/// applied here, in place when nothing else holds the model and on a copy
+/// otherwise. A failed op changes nothing and journals nothing.
+///
+/// An op that edits a model something else still holds — a resident log
+/// entry, a delivered event, or the server holding the pre-write model
+/// across its pipeline for webhook `observe` — counts one deep clone. The
+/// copy is O(1) and the edit then copies one map per level of the path it
+/// writes (see [`dspace_value::Map`]). A put replaces the model, copies
+/// nothing and never counts.
+fn shard_write(
     shard: &mut Shard,
     oref: &ObjectRef,
-    mut model: Value,
+    op: &WriteOp,
+    built: Option<Value>,
     expected_rv: Option<u64>,
     tally: &mut ShardTally,
 ) -> Result<u64, ApiError> {
@@ -2374,45 +2264,19 @@ fn shard_update(
             });
         }
     }
-    let rv = obj.resource_version + 1;
-    stamp_gen(&mut model, rv);
-    let shared = Shared::new(model);
-    obj.model = shared.clone();
-    obj.resource_version = rv;
-    if tally.journal {
-        tally.wal_op = Some(wal_op_with_model("put", oref, &shared));
+    let rv = op.next_rv(oref, obj.resource_version)?;
+    let held = Shared::strong_count(&obj.model) > 1;
+    match built {
+        Some(model) => obj.model = Shared::new(model),
+        None => op.apply(Shared::make_mut(&mut obj.model), rv)?,
     }
-    shard_append(
-        shard,
-        WatchEventKind::Modified,
-        oref.clone(),
-        shared,
-        rv,
-        tally,
-    );
-    Ok(rv)
-}
-
-/// Deep-merges a patch into the stored model, through [`cow_model`]: in
-/// place when nothing else holds the model, on a copy otherwise.
-fn shard_merge(
-    shard: &mut Shard,
-    oref: &ObjectRef,
-    patch: &Value,
-    tally: &mut ShardTally,
-) -> Result<u64, ApiError> {
-    let obj = shard
-        .objects
-        .get_mut(oref)
-        .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-    let rv = obj.resource_version + 1;
-    let m = cow_model(&mut obj.model, tally);
-    m.merge(patch);
-    stamp_gen(m, rv);
+    if held && !matches!(op, WriteOp::Put(_)) {
+        tally.deep_clones += 1;
+    }
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
     if tally.journal {
-        tally.wal_op = Some(wal_op_merge(oref, patch));
+        tally.wal_op = Some(op.record(oref, &snapshot));
     }
     shard_append(
         shard,
@@ -2425,41 +2289,9 @@ fn shard_merge(
     Ok(rv)
 }
 
-/// Sets one attribute — the hot path of every intent/status toggle —
-/// through [`cow_model`]: in place when nothing else holds the model, on a
-/// copy otherwise. A failed set leaves the model untouched.
-fn shard_set_path(
-    shard: &mut Shard,
-    oref: &ObjectRef,
-    path: &Path,
-    value: Value,
-    tally: &mut ShardTally,
-) -> Result<u64, ApiError> {
-    let obj = shard
-        .objects
-        .get_mut(oref)
-        .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-    let rv = obj.resource_version + 1;
-    let m = cow_model(&mut obj.model, tally);
-    let rec = tally.journal.then(|| wal_op_set(oref, path, &value));
-    if let Err(e) = checked_set(m, path, value) {
-        return Err(ApiError::BadRequest(e.to_string()));
-    }
-    stamp_gen(m, rv);
-    obj.resource_version = rv;
-    let snapshot = obj.model.clone();
-    tally.wal_op = rec;
-    shard_append(
-        shard,
-        WatchEventKind::Modified,
-        oref.clone(),
-        snapshot,
-        rv,
-        tally,
-    );
-    Ok(rv)
-}
-
+/// Removes an object. Its final snapshot is stamped with the bumped
+/// version, on a copy (counted as a deep clone) when something else still
+/// holds the model.
 fn shard_delete(
     shard: &mut Shard,
     oref: &ObjectRef,
@@ -2471,7 +2303,10 @@ fn shard_delete(
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     obj.resource_version += 1;
     let rv = obj.resource_version;
-    stamp_gen(cow_model(&mut obj.model, tally), rv);
+    if Shared::strong_count(&obj.model) > 1 {
+        tally.deep_clones += 1;
+    }
+    stamp_gen(Shared::make_mut(&mut obj.model), rv);
     if tally.journal {
         tally.wal_op = Some(wal_op_delete(oref));
     }
@@ -2484,70 +2319,6 @@ fn shard_delete(
         tally,
     );
     Ok(obj)
-}
-
-fn shard_fast_forward(
-    shard: &mut Shard,
-    oref: &ObjectRef,
-    rv: u64,
-    tally: &mut ShardTally,
-) -> Result<u64, ApiError> {
-    let obj = shard
-        .objects
-        .get_mut(oref)
-        .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-    if rv <= obj.resource_version {
-        return Err(ApiError::Invalid(format!(
-            "fast_forward to {rv} would not advance {} (at {})",
-            oref, obj.resource_version
-        )));
-    }
-    stamp_gen(cow_model(&mut obj.model, tally), rv);
-    obj.resource_version = rv;
-    let snapshot = obj.model.clone();
-    if tally.journal {
-        tally.wal_op = Some(wal_op_ff(oref, rv));
-    }
-    shard_append(
-        shard,
-        WatchEventKind::Modified,
-        oref.clone(),
-        snapshot,
-        rv,
-        tally,
-    );
-    Ok(rv)
-}
-
-/// The parsed `.meta.gen` path (parsed once per process).
-fn gen_path() -> &'static Path {
-    static GEN: OnceLock<Path> = OnceLock::new();
-    GEN.get_or_init(|| ".meta.gen".parse().expect("static path"))
-}
-
-/// Keeps `meta.gen` in the model equal to the resource version, so the
-/// version number of §3.5 is visible to drivers and the mounter. Encoded
-/// via [`Value::from_exact_u64`]: generations beyond 2^53 survive without
-/// `f64` rounding, so the mounter's version gate stays exact.
-///
-/// Public because write-batching controllers simulate pending writes in a
-/// local overlay and must stamp exactly like the server will at commit.
-pub fn stamp_gen(model: &mut Value, rv: u64) {
-    let _ = model.set(gen_path(), Value::from_exact_u64(rv));
-}
-
-// ----- Checked sets --------------------------------------------------------
-
-/// Sets `path` to `value` with the semantics and error values of
-/// [`Value::set`], except that errors leave the document untouched (`set`
-/// itself may create intermediates before failing). The set runs on a clone
-/// of `doc`, which shares every subtree with it, so it copies only the maps
-/// along `path`; the result replaces `doc` on success.
-fn checked_set(doc: &mut Value, path: &Path, value: Value) -> Result<(), ValueError> {
-    let mut next = doc.clone();
-    next.set(path, value)?;
-    *doc = next;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2564,6 +2335,11 @@ mod tests {
             r#"{{"meta": {{"kind": "{kind}", "name": "{name}", "namespace": "{ns}"}}, "x": 0}}"#
         ))
         .unwrap()
+    }
+
+    /// Replaces a model through the store's put op.
+    fn put(s: &mut Store, oref: &ObjectRef, model: Value) -> Result<u64, ApiError> {
+        s.write(oref, &WriteOp::Put(model), None)
     }
 
     fn lamp_ref() -> ObjectRef {
@@ -2600,7 +2376,7 @@ mod tests {
     fn update_bumps_version_and_stamps_gen() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        let rv = s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        let rv = put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         assert_eq!(rv, 2);
         assert_eq!(
             s.get(&lamp_ref())
@@ -2617,10 +2393,11 @@ mod tests {
     fn occ_conflict_detected() {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
-        s.update(&lamp_ref(), model("Lamp", "l1"), Some(1)).unwrap();
+        s.write(&lamp_ref(), &WriteOp::Put(model("Lamp", "l1")), Some(1))
+            .unwrap();
         // A writer that read version 1 now loses.
         let err = s
-            .update(&lamp_ref(), model("Lamp", "l1"), Some(1))
+            .write(&lamp_ref(), &WriteOp::Put(model("Lamp", "l1")), Some(1))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -2648,7 +2425,7 @@ mod tests {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w = s.watch_query(&Query::kind("Lamp")).unwrap();
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap(); // rv 2
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap(); // rv 2
         s.delete(&lamp_ref()).unwrap(); // rv 3
         let evs = s.poll(w);
         assert_eq!(evs.len(), 2);
@@ -2672,7 +2449,7 @@ mod tests {
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w = s.watch_query(&Query::all()).unwrap();
         assert!(s.poll(w).is_empty());
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         let evs = s.poll(w);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, WatchEventKind::Modified);
@@ -2701,12 +2478,12 @@ mod tests {
         s.create(l1.clone(), model("Lamp", "l1")).unwrap();
         s.create(l2.clone(), model("Lamp", "l2")).unwrap();
         let w = s.watch_query(&object_query(&l1.clone())).unwrap();
-        s.update(&l2, model("Lamp", "l2"), None).unwrap();
+        put(&mut s, &l2, model("Lamp", "l2")).unwrap();
         assert!(
             !s.has_pending(w),
             "same-kind sibling must not wake the watcher"
         );
-        s.update(&l1, model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &l1, model("Lamp", "l1")).unwrap();
         assert!(s.has_pending(w));
         let evs = s.poll(w);
         assert_eq!(evs.len(), 1);
@@ -2720,7 +2497,7 @@ mod tests {
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         for _ in 0..50 {
-            s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+            put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         }
         let evs = s.poll(w);
         let versions: Vec<u64> = evs.iter().map(|e| e.resource_version).collect();
@@ -2732,9 +2509,9 @@ mod tests {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w1 = s.watch_query(&Query::all()).unwrap();
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         let w2 = s.watch_query(&Query::all()).unwrap();
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         assert_eq!(s.poll(w1).len(), 2);
         assert_eq!(s.poll(w2).len(), 1);
     }
@@ -2756,13 +2533,13 @@ mod tests {
         assert_eq!(s.pending_events(w), 0);
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         assert_eq!(s.pending_events(w), 1);
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         assert_eq!(s.pending_events(w), 2, "second event adds one");
         s.poll(w);
         assert_eq!(s.pending_events(w), 0, "poll drains the counter");
         // An uninterested watcher is never charged.
         let other = s.watch_query(&Query::kind("Room")).unwrap();
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         assert_eq!(s.pending_events(other), 0);
     }
 
@@ -2772,7 +2549,11 @@ mod tests {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w = s.watch_query(&Query::kind("Lamp")).unwrap();
-        assert_eq!(s.fast_forward(&lamp_ref(), BIG).unwrap(), BIG);
+        assert_eq!(
+            s.write(&lamp_ref(), &WriteOp::FastForward(BIG), None)
+                .unwrap(),
+            BIG
+        );
         let obj = s.get(&lamp_ref()).unwrap();
         assert_eq!(obj.resource_version, BIG);
         // Past 2^53 the generation is stored exactly (string-encoded).
@@ -2785,11 +2566,13 @@ mod tests {
         assert_eq!(evs[0].resource_version, BIG);
         // Subsequent normal updates keep counting from the new version.
         assert_eq!(
-            s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap(),
+            put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap(),
             BIG + 1
         );
         // Regression can't rewind.
-        assert!(s.fast_forward(&lamp_ref(), 5).is_err());
+        assert!(s
+            .write(&lamp_ref(), &WriteOp::FastForward(5), None)
+            .is_err());
     }
 
     #[test]
@@ -2810,7 +2593,7 @@ mod tests {
         let fast = s.watch_query(&Query::kind("Lamp")).unwrap();
         let slow = s.watch_query(&Query::kind("Lamp")).unwrap();
         for i in 0..100 {
-            s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+            put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
             // The fast watcher drains every 10 events; the slow one lags.
             if i % 10 == 9 {
                 assert_eq!(s.poll(fast).len(), 10);
@@ -2829,7 +2612,7 @@ mod tests {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         for _ in 0..50 {
-            s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+            put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         }
         assert_eq!(s.log_len(), 0, "no watcher, nothing to hold");
         assert_eq!(s.revision(), 51, "revision still counts all commits");
@@ -2841,7 +2624,7 @@ mod tests {
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let laggard = s.watch_query(&Query::kind("Lamp")).unwrap();
         for _ in 0..30 {
-            s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+            put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         }
         assert_eq!(s.log_len(), 30);
         s.cancel_watch(laggard);
@@ -2854,7 +2637,7 @@ mod tests {
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w1 = s.watch_query(&Query::kind("Lamp")).unwrap();
         let w2 = s.watch_query(&Query::kind("Lamp")).unwrap();
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         let e1 = s.poll(w1);
         let e2 = s.poll(w2);
         assert!(
@@ -2875,11 +2658,11 @@ mod tests {
         let wa = s.watch_query(&Query::kind("Lamp").in_ns("ns-a")).unwrap();
         // A burst entirely inside ns-b never touches the ns-a watcher.
         for _ in 0..100 {
-            s.update(&b, model_in("Lamp", "ns-b", "l1"), None).unwrap();
+            put(&mut s, &b, model_in("Lamp", "ns-b", "l1")).unwrap();
         }
         assert!(!s.has_pending(wa), "cross-namespace burst leaked a wake");
         assert!(s.poll(wa).is_empty());
-        s.update(&a, model_in("Lamp", "ns-a", "l1"), None).unwrap();
+        put(&mut s, &a, model_in("Lamp", "ns-a", "l1")).unwrap();
         let evs = s.poll(wa);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].oref, a);
@@ -2894,8 +2677,8 @@ mod tests {
         s.create(b.clone(), model_in("Lamp", "ns-b", "l1")).unwrap();
         let w = s.watch_query(&Query::kind("Lamp")).unwrap(); // global: joined to both shards
         for _ in 0..5 {
-            s.update(&a, model_in("Lamp", "ns-a", "l1"), None).unwrap();
-            s.update(&b, model_in("Lamp", "ns-b", "l1"), None).unwrap();
+            put(&mut s, &a, model_in("Lamp", "ns-a", "l1")).unwrap();
+            put(&mut s, &b, model_in("Lamp", "ns-b", "l1")).unwrap();
         }
         let evs = s.poll(w);
         assert_eq!(evs.len(), 10);
@@ -2936,8 +2719,8 @@ mod tests {
         s.create(b.clone(), model_in("Lamp", "ns-b", "l1")).unwrap();
         let _laggard = s.watch_query(&Query::kind("Lamp").in_ns("ns-a")).unwrap();
         for _ in 0..20 {
-            s.update(&a, model_in("Lamp", "ns-a", "l1"), None).unwrap();
-            s.update(&b, model_in("Lamp", "ns-b", "l1"), None).unwrap();
+            put(&mut s, &a, model_in("Lamp", "ns-a", "l1")).unwrap();
+            put(&mut s, &b, model_in("Lamp", "ns-b", "l1")).unwrap();
         }
         assert_eq!(s.shard_log_len("ns-a"), 20, "laggard holds its shard");
         assert_eq!(s.shard_log_len("ns-b"), 0, "other shard compacts freely");
@@ -2952,7 +2735,7 @@ mod tests {
         let w = s
             .watch_queries(&[Query::kind("Lamp"), object_query(&l1)])
             .unwrap();
-        s.update(&l1, model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &l1, model("Lamp", "l1")).unwrap();
         let evs = s.poll(w);
         assert_eq!(evs.len(), 1, "overlapping selectors must not duplicate");
         assert!(!s.has_pending(w));
@@ -2967,7 +2750,7 @@ mod tests {
         assert!(s
             .extend_watch(w, &Query::kind("Lamp").in_ns("default"))
             .unwrap());
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         let evs = s.poll(w);
         assert_eq!(evs.len(), 1);
         // Unknown ids are reported, not panicked on.
@@ -2982,7 +2765,7 @@ mod tests {
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w = s.watch_query(&object_query(&lamp_ref())).unwrap();
         for _ in 0..100 {
-            s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+            put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         }
         let evs = s.poll_coalesced(w);
         assert_eq!(evs.len(), 1, "one burst, one delivery");
@@ -3006,9 +2789,9 @@ mod tests {
         s.create(l1.clone(), model("Lamp", "l1")).unwrap();
         s.create(l2.clone(), model("Lamp", "l2")).unwrap();
         let w = s.watch_query(&Query::kind("Lamp")).unwrap();
-        s.update(&l2, model("Lamp", "l2"), None).unwrap();
-        s.update(&l1, model("Lamp", "l1"), None).unwrap();
-        s.update(&l2, model("Lamp", "l2"), None).unwrap();
+        put(&mut s, &l2, model("Lamp", "l2")).unwrap();
+        put(&mut s, &l1, model("Lamp", "l1")).unwrap();
+        put(&mut s, &l2, model("Lamp", "l2")).unwrap();
         let evs = s.poll_coalesced(w);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].event.oref, l2, "l2 changed first");
@@ -3023,7 +2806,7 @@ mod tests {
         let mut s = Store::new();
         s.create(lamp_ref(), model("Lamp", "l1")).unwrap();
         let w = s.watch_query(&Query::kind("Lamp")).unwrap();
-        s.update(&lamp_ref(), model("Lamp", "l1"), None).unwrap();
+        put(&mut s, &lamp_ref(), model("Lamp", "l1")).unwrap();
         s.delete(&lamp_ref()).unwrap();
         let evs = s.poll_coalesced(w);
         assert_eq!(evs.len(), 1);
@@ -3044,8 +2827,7 @@ mod tests {
         // one: cancellation exercises both deregistration paths.
         let scoped = s.watch_query(&Query::kind("Lamp").in_ns("room")).unwrap();
         let global = s.watch_query(&Query::all()).unwrap();
-        s.update(&oref, model_in("Lamp", "room", "l1"), None)
-            .unwrap();
+        put(&mut s, &oref, model_in("Lamp", "room", "l1")).unwrap();
         assert!(s.pending_events(scoped) > 0);
         assert!(s.pending_events(global) > 0);
         // Begin the namespace deletion: scoped selectors are cancelled and
@@ -3088,10 +2870,8 @@ mod tests {
         let w = s.watch_query(&Query::kind("Lamp")).unwrap();
         s.extend_watch(w, &Query::kind("Lamp").in_ns("room"))
             .unwrap();
-        s.update(&room, model_in("Lamp", "room", "l1"), None)
-            .unwrap();
-        s.update(&hall, model_in("Lamp", "hall", "l2"), None)
-            .unwrap();
+        put(&mut s, &room, model_in("Lamp", "room", "l1")).unwrap();
+        put(&mut s, &hall, model_in("Lamp", "hall", "l2")).unwrap();
         assert_eq!(s.pending_events(w), 2);
         // Deleting "room" cancels the scoped selector; the watcher stays a
         // member through Kind("Lamp") and its counts are re-settled.
@@ -3134,7 +2914,7 @@ mod tests {
         // Matching update: delivered.
         let mut m = model("Lamp", "l1");
         m.set(&".x".parse().unwrap(), 9.0.into()).unwrap();
-        s.update(&lamp_ref(), m, None).unwrap();
+        put(&mut s, &lamp_ref(), m).unwrap();
         let evs = s.poll(w);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].oref, lamp_ref());
@@ -3143,7 +2923,7 @@ mod tests {
         // stateless semantics — so the exit commit is not delivered either.
         let mut m = model("Lamp", "l1");
         m.set(&".x".parse().unwrap(), 2.0.into()).unwrap();
-        s.update(&lamp_ref(), m, None).unwrap();
+        put(&mut s, &lamp_ref(), m).unwrap();
         assert!(!s.has_pending(w));
         assert_eq!(s.pending_events(w), 0);
 
@@ -3192,7 +2972,7 @@ mod tests {
         // The predicate selector still works.
         let mut m = model("Lamp", "l1");
         m.set(&".x".parse().unwrap(), 8.0.into()).unwrap();
-        s.update(&lamp_ref(), m, None).unwrap();
+        put(&mut s, &lamp_ref(), m).unwrap();
         assert_eq!(s.poll(w).len(), 1);
     }
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use dspace_apiserver::store::Store;
 use dspace_apiserver::wal::DurabilityOptions;
-use dspace_apiserver::{Object, ObjectRef, Query};
+use dspace_apiserver::{Object, ObjectRef, Query, WriteOp};
 use dspace_value::{json, Value};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -170,18 +170,15 @@ fn apply_op(store: &mut Store, op: &Op) {
             obj,
             value,
         } => {
-            let _ = store.update_via_set(
-                &oref(kind, ns, obj),
-                &BRIGHTNESS.parse().unwrap(),
-                &Value::from(value as f64),
-            );
+            let op = WriteOp::Set(BRIGHTNESS.parse().unwrap(), Value::from(value as f64));
+            let _ = store.write(&oref(kind, ns, obj), &op, None);
         }
         Op::SetPower { kind, ns, obj, on } => {
-            let _ = store.update_via_set(
-                &oref(kind, ns, obj),
-                &POWER.parse().unwrap(),
-                &Value::from(if on { "on" } else { "off" }),
+            let op = WriteOp::Set(
+                POWER.parse().unwrap(),
+                Value::from(if on { "on" } else { "off" }),
             );
+            let _ = store.write(&oref(kind, ns, obj), &op, None);
         }
         Op::Delete { kind, ns, obj } => {
             let _ = store.delete(&oref(kind, ns, obj));

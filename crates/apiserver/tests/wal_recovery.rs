@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use dspace_apiserver::store::{Store, WatchId};
 use dspace_apiserver::wal::{DurabilityOptions, WalSync};
-use dspace_apiserver::{ApiError, ObjectRef, Query};
+use dspace_apiserver::{ApiError, ApiServer, ObjectRef, Query, WriteOp};
 use dspace_value::{json, Value};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -86,12 +86,58 @@ fn log_path(dir: &Path) -> PathBuf {
 // Scripted proptest: mutations + checkpoints + polls, then kill & restart
 // ---------------------------------------------------------------------------
 
+/// One script step's store verb. Every [`WriteOp`] kind appears, and so
+/// do writes that fail and must journal nothing.
 #[derive(Debug, Clone)]
 enum Op {
-    SetN { ns: usize, obj: usize, value: u32 },
-    Create { ns: usize, obj: usize },
-    Delete { ns: usize, obj: usize },
-    DeleteNamespace { ns: usize },
+    SetN {
+        ns: usize,
+        obj: usize,
+        value: u32,
+    },
+    /// A set through the string at `.meta.kind`: it fails, journaling
+    /// nothing.
+    SetThroughScalar {
+        ns: usize,
+        obj: usize,
+    },
+    /// A deep merge that sets `.n` and adds `.x.m`.
+    Merge {
+        ns: usize,
+        obj: usize,
+        value: u32,
+    },
+    /// A put guarded by the object's current version, or with `stale`
+    /// by the one before it, which conflicts and journals nothing.
+    Put {
+        ns: usize,
+        obj: usize,
+        value: u32,
+        stale: bool,
+    },
+    /// Removes `.n`, which every other write of the object sets.
+    Remove {
+        ns: usize,
+        obj: usize,
+    },
+    /// Jumps the version `ahead` past the current one; `ahead = 0` would
+    /// not advance it, so it fails and journals nothing.
+    FastForward {
+        ns: usize,
+        obj: usize,
+        ahead: u64,
+    },
+    Create {
+        ns: usize,
+        obj: usize,
+    },
+    Delete {
+        ns: usize,
+        obj: usize,
+    },
+    DeleteNamespace {
+        ns: usize,
+    },
     Checkpoint,
     Poll,
 }
@@ -105,11 +151,21 @@ enum Step {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    let target = || ((0usize..3), (0usize..OBJECTS_PER_NS));
     prop_oneof![
-        ((0usize..3), (0usize..OBJECTS_PER_NS), (0u32..100))
-            .prop_map(|(ns, obj, value)| Op::SetN { ns, obj, value }),
-        ((0usize..3), (0usize..OBJECTS_PER_NS)).prop_map(|(ns, obj)| Op::Create { ns, obj }),
-        ((0usize..3), (0usize..OBJECTS_PER_NS)).prop_map(|(ns, obj)| Op::Delete { ns, obj }),
+        (target(), (0u32..100)).prop_map(|((ns, obj), value)| Op::SetN { ns, obj, value }),
+        target().prop_map(|(ns, obj)| Op::SetThroughScalar { ns, obj }),
+        (target(), (0u32..100)).prop_map(|((ns, obj), value)| Op::Merge { ns, obj, value }),
+        (target(), (0u32..100), any::<bool>()).prop_map(|((ns, obj), value, stale)| Op::Put {
+            ns,
+            obj,
+            value,
+            stale
+        }),
+        target().prop_map(|(ns, obj)| Op::Remove { ns, obj }),
+        (target(), (0u64..3)).prop_map(|((ns, obj), ahead)| Op::FastForward { ns, obj, ahead }),
+        target().prop_map(|(ns, obj)| Op::Create { ns, obj }),
+        target().prop_map(|(ns, obj)| Op::Delete { ns, obj }),
     ]
 }
 
@@ -127,21 +183,62 @@ fn arb_script() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(arb_step(), 1..24)
 }
 
-/// Sets `.n` on one object through the serial set-path verb.
+/// Sets `.n` on one object through the store's set op.
 fn set_n(store: &mut Store, ns: usize, obj: usize, value: u32) -> Result<u64, ApiError> {
-    store.update_via_set(
-        &oref(ns, obj),
-        &".n".parse().unwrap(),
-        &Value::from(value as f64),
-    )
+    let op = WriteOp::Set(".n".parse().unwrap(), Value::from(value as f64));
+    store.write(&oref(ns, obj), &op, None)
 }
 
-/// Applies one op through its serial store verb; failures (a set on a
-/// deleted object, a duplicate create) are part of the script.
+/// Replaces one object's model through the store's put op.
+fn put(
+    store: &mut Store,
+    ns: usize,
+    obj: usize,
+    expected_rv: Option<u64>,
+) -> Result<u64, ApiError> {
+    store.write(&oref(ns, obj), &WriteOp::Put(model(ns, obj)), expected_rv)
+}
+
+/// Applies one op through its store verb; failures (a write to a deleted
+/// object, a duplicate create, a conflict, a failed set) are part of the
+/// script.
 fn apply_op(store: &mut Store, w1: WatchId, op: &Op) {
+    let write = |store: &mut Store, ns, obj, op: WriteOp, expected_rv| {
+        store.write(&oref(ns, obj), &op, expected_rv)
+    };
+    let rv_of = |store: &Store, ns, obj| store.get(&oref(ns, obj)).map(|o| o.resource_version);
     match *op {
         Op::SetN { ns, obj, value } => {
             let _ = set_n(store, ns, obj, value);
+        }
+        Op::SetThroughScalar { ns, obj } => {
+            let before = store.revision();
+            let op = WriteOp::Set(".meta.kind.deeper".parse().unwrap(), true.into());
+            assert!(write(store, ns, obj, op, None).is_err());
+            assert_eq!(store.revision(), before, "a failed set commits nothing");
+        }
+        Op::Merge { ns, obj, value } => {
+            let patch = json::parse(&format!(r#"{{"n": {value}, "x": {{"m": {value}}}}}"#));
+            let _ = write(store, ns, obj, WriteOp::Merge(patch.unwrap()), None);
+        }
+        Op::Put {
+            ns,
+            obj,
+            value,
+            stale,
+        } => {
+            let mut m = model(ns, obj);
+            m.set(&".n".parse().unwrap(), Value::from(value as f64))
+                .unwrap();
+            let expected = rv_of(store, ns, obj).map(|rv| rv - u64::from(stale));
+            let _ = write(store, ns, obj, WriteOp::Put(m), expected);
+        }
+        Op::Remove { ns, obj } => {
+            let _ = write(store, ns, obj, WriteOp::Remove(".n".parse().unwrap()), None);
+        }
+        Op::FastForward { ns, obj, ahead } => {
+            let target = rv_of(store, ns, obj).unwrap_or(0) + ahead;
+            let _ = write(store, ns, obj, WriteOp::FastForward(target), None);
         }
         Op::Create { ns, obj } => {
             let _ = store.create(oref(ns, obj), model(ns, obj));
@@ -220,8 +317,8 @@ proptest! {
 fn seed_history(store: &mut Store) {
     store.create(oref(0, 0), model(0, 0)).unwrap();
     store.create(oref(1, 0), model(1, 0)).unwrap();
-    store.update(&oref(0, 0), model(0, 0), Some(1)).unwrap();
-    assert!(store.update(&oref(0, 0), model(0, 0), Some(1)).is_err());
+    put(store, 0, 0, Some(1)).unwrap();
+    assert!(put(store, 0, 0, Some(1)).is_err());
     assert!(store.create(oref(0, 0), model(0, 0)).is_err());
     set_n(store, 0, 0, 7).unwrap();
     store.create(oref(2, 0), model(2, 0)).unwrap();
@@ -240,7 +337,7 @@ fn restart_recovers_serial_history() {
     assert_eq!(fingerprint(&mut recovered), live);
     // And the recovered store keeps working: version history continues.
     let mut recovered = recovered;
-    let rv = recovered.update(&oref(0, 0), model(0, 0), None).unwrap();
+    let rv = put(&mut recovered, 0, 0, None).unwrap();
     assert_eq!(rv, 4, "create, update, patch, then this");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -250,10 +347,10 @@ fn torn_final_record_truncates_to_previous_commit() {
     let dir = scratch_dir("torn");
     let mut store = Store::open(opts(&dir)).unwrap();
     store.create(oref(0, 0), model(0, 0)).unwrap();
-    store.update(&oref(0, 0), model(0, 0), None).unwrap();
+    put(&mut store, 0, 0, None).unwrap();
     let before_last = fingerprint(&mut store);
     // The final op lands in the log as exactly one more record.
-    store.update(&oref(0, 0), model(0, 0), None).unwrap();
+    put(&mut store, 0, 0, None).unwrap();
     drop(store);
 
     // Tear the last record in half: walk whole frames, stop before the
@@ -360,13 +457,7 @@ fn explicit_checkpoint_concurrent_with_writes_recovers() {
             // checkpoint captures objects/revisions, not subscriptions.
             store.checkpoint();
         }
-        store
-            .update(
-                &oref(round % 3, round % OBJECTS_PER_NS),
-                model(round % 3, round % OBJECTS_PER_NS),
-                None,
-            )
-            .unwrap();
+        put(&mut store, round % 3, round % OBJECTS_PER_NS, None).unwrap();
     }
     let _ = store.poll(w);
     store.cancel_watch(w);
@@ -383,7 +474,7 @@ fn namespace_delete_and_recreate_survives_restart() {
     let dir = scratch_dir("nsdel");
     let mut store = Store::open(opts(&dir)).unwrap();
     store.create(oref(0, 0), model(0, 0)).unwrap();
-    store.update(&oref(0, 0), model(0, 0), None).unwrap();
+    put(&mut store, 0, 0, None).unwrap();
     // Drop the namespace (revision counter resets with the shard), then
     // recreate the same oref: rv starts over at 1.
     store.delete_namespace(NAMESPACES[0]);
@@ -404,7 +495,9 @@ fn fast_forward_past_2_53_recovers_exactly() {
     let big = (1u64 << 53) + 5;
     let mut store = Store::open(opts(&dir)).unwrap();
     store.create(oref(0, 0), model(0, 0)).unwrap();
-    store.fast_forward(&oref(0, 0), big).unwrap();
+    store
+        .write(&oref(0, 0), &WriteOp::FastForward(big), None)
+        .unwrap();
     let live = fingerprint(&mut store);
     drop(store);
 
@@ -424,7 +517,7 @@ fn resumed_watchers_see_no_gaps_and_no_duplicates() {
     let mut store = Store::open(opts(&dir)).unwrap();
     let doomed = store.watch_query(&Query::all()).unwrap();
     store.create(oref(0, 0), model(0, 0)).unwrap();
-    store.update(&oref(0, 0), model(0, 0), None).unwrap();
+    put(&mut store, 0, 0, None).unwrap();
     assert!(
         store.has_pending(doomed),
         "events were pending at crash time"
@@ -437,7 +530,7 @@ fn resumed_watchers_see_no_gaps_and_no_duplicates() {
     assert!(store.poll(w).is_empty(), "no duplicates from the old life");
     // ...and everything after arrives exactly once, in revision order
     // continuing the recovered counter (no gap, no restart from 1).
-    store.update(&oref(0, 0), model(0, 0), None).unwrap();
+    put(&mut store, 0, 0, None).unwrap();
     store.create(oref(0, 1), model(0, 1)).unwrap();
     let evs = store.poll(w);
     assert_eq!(evs.len(), 2);
@@ -461,5 +554,50 @@ fn commit_sync_mode_also_recovers() {
     drop(store);
     let mut recovered = Store::open(o).unwrap();
     assert_eq!(fingerprint(&mut recovered), live);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The payload of every whole frame in a log, in file order.
+fn payloads(data: &[u8]) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    while pos + 8 <= data.len() {
+        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
+        out.push(String::from_utf8(data[pos + 8..pos + 8 + len].to_vec()).unwrap());
+        pos += 8 + len;
+    }
+    out
+}
+
+/// Every kind of op journals exactly these bytes: one record per kind
+/// over a fixed history through the server's verbs, and none for a failed
+/// set. A put, and a remove, journal the committed model with `meta.gen`
+/// stamped.
+#[test]
+fn each_op_kind_journals_its_pinned_record() {
+    let dir = scratch_dir("records");
+    let mut api = ApiServer::open(opts(&dir)).unwrap();
+    let (admin, t) = (ApiServer::ADMIN, oref(0, 0));
+    api.create(admin, &t, model(0, 0)).unwrap();
+    api.update(admin, &t, model(0, 0), Some(1)).unwrap();
+    let patch = json::parse(r#"{"n": 1, "x": {"y": true}}"#).unwrap();
+    api.patch(admin, &t, patch).unwrap();
+    api.patch_path(admin, &t, ".x.z", "a\"b".into()).unwrap();
+    assert!(api.patch_path(admin, &t, ".n.deeper", 1.0.into()).is_err());
+    api.delete_path(admin, &t, ".x.y").unwrap();
+    api.fast_forward(admin, &t, 9).unwrap();
+    api.delete(admin, &t).unwrap();
+    drop(api);
+
+    let expected = [
+        r#"{"t":"commit","seq":1,"ns":"alpha","base":0,"ensure":true,"appended":1,"op":{"op":"create","kind":"Thing","ns":"alpha","name":"t0","model":{"meta":{"gen":1,"kind":"Thing","name":"t0","namespace":"alpha"},"n":0}}}"#,
+        r#"{"t":"commit","seq":2,"ns":"alpha","base":1,"ensure":false,"appended":1,"op":{"op":"put","kind":"Thing","ns":"alpha","name":"t0","model":{"meta":{"gen":2,"kind":"Thing","name":"t0","namespace":"alpha"},"n":0}}}"#,
+        r#"{"t":"commit","seq":3,"ns":"alpha","base":2,"ensure":false,"appended":1,"op":{"op":"merge","kind":"Thing","ns":"alpha","name":"t0","patch":{"n":1,"x":{"y":true}}}}"#,
+        r#"{"t":"commit","seq":4,"ns":"alpha","base":3,"ensure":false,"appended":1,"op":{"op":"set","kind":"Thing","ns":"alpha","name":"t0","path":".x.z","value":"a\"b"}}"#,
+        r#"{"t":"commit","seq":5,"ns":"alpha","base":4,"ensure":false,"appended":1,"op":{"op":"put","kind":"Thing","ns":"alpha","name":"t0","model":{"meta":{"gen":5,"kind":"Thing","name":"t0","namespace":"alpha"},"n":1,"x":{"z":"a\"b"}}}}"#,
+        r#"{"t":"commit","seq":6,"ns":"alpha","base":5,"ensure":false,"appended":1,"op":{"op":"ff","kind":"Thing","ns":"alpha","name":"t0","rv":9}}"#,
+        r#"{"t":"commit","seq":7,"ns":"alpha","base":6,"ensure":false,"appended":1,"op":{"op":"del","kind":"Thing","ns":"alpha","name":"t0"}}"#,
+    ];
+    assert_eq!(payloads(&fs::read(log_path(&dir)).unwrap()), expected);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use dspace_apiserver::store::Store;
-use dspace_apiserver::{ObjectRef, Query, WatchId};
+use dspace_apiserver::{ObjectRef, Query, WatchId, WriteOp};
 use dspace_value::{json, Value};
 
 const NAMESPACES: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -56,7 +56,7 @@ enum Op {
         brightness: u32,
         on: bool,
     },
-    /// Full-model replace (`shard_update`): a fresh snapshot.
+    /// Full-model replace (`WriteOp::Put`): a fresh snapshot.
     Put {
         kind: usize,
         ns: usize,
@@ -64,7 +64,7 @@ enum Op {
         brightness: u32,
         on: bool,
     },
-    /// Deep merge (`shard_merge`), adding a key as well as setting one.
+    /// Deep merge (`WriteOp::Merge`), adding a key as well as setting one.
     Merge {
         kind: usize,
         ns: usize,
@@ -256,11 +256,8 @@ fn serial_apply(store: &mut Store, op: &Op) {
             brightness,
             on,
         } => {
-            let _ = store.update(
-                &oref(kind, ns, obj),
-                model(kind, ns, obj, brightness, on),
-                None,
-            );
+            let op = WriteOp::Put(model(kind, ns, obj, brightness, on));
+            let _ = store.write(&oref(kind, ns, obj), &op, None);
         }
         Op::Merge {
             kind,
@@ -273,7 +270,7 @@ fn serial_apply(store: &mut Store, op: &Op) {
                     "annotations": {{"note": "merge-{brightness}"}}}}"#
             ))
             .unwrap();
-            let _ = store.update_via_merge(&oref(kind, ns, obj), &patch);
+            let _ = store.write(&oref(kind, ns, obj), &WriteOp::Merge(patch), None);
         }
         Op::SetBrightness {
             kind,
@@ -281,18 +278,15 @@ fn serial_apply(store: &mut Store, op: &Op) {
             obj,
             value,
         } => {
-            let _ = store.update_via_set(
-                &oref(kind, ns, obj),
-                &BRIGHTNESS.parse().unwrap(),
-                &Value::from(value as f64),
-            );
+            let op = WriteOp::Set(BRIGHTNESS.parse().unwrap(), Value::from(value as f64));
+            let _ = store.write(&oref(kind, ns, obj), &op, None);
         }
         Op::SetPower { kind, ns, obj, on } => {
-            let _ = store.update_via_set(
-                &oref(kind, ns, obj),
-                &POWER.parse().unwrap(),
-                &Value::from(if on { "on" } else { "off" }),
+            let op = WriteOp::Set(
+                POWER.parse().unwrap(),
+                Value::from(if on { "on" } else { "off" }),
             );
+            let _ = store.write(&oref(kind, ns, obj), &op, None);
         }
         Op::Delete { kind, ns, obj } => {
             let _ = store.delete(&oref(kind, ns, obj));
@@ -402,10 +396,11 @@ proptest! {
 
 /// A watcher that keeps up (polls and drops its events) leaves nothing
 /// holding the model's `Arc` but the object itself — the drained log
-/// compacts to empty — so create-then-churn over every verb mutates in
-/// place with zero `Shared::make_mut` deep-clones. A write while the
-/// watcher lags copies once: the pending entry keeps the previous
-/// snapshot, which the watcher then receives intact.
+/// compacts to empty — so create-then-churn over every [`WriteOp`] kind
+/// edits the model in place, in the same allocation, with zero
+/// deep-clones. A write while the watcher lags copies once: the pending
+/// entry keeps the previous snapshot, which the watcher then receives
+/// intact.
 #[test]
 fn steady_state_writes_never_deep_clone() {
     let mut store = Store::new();
@@ -414,39 +409,32 @@ fn steady_state_writes_never_deep_clone() {
     store.create(o.clone(), model(0, 0, 0, 10, true)).unwrap();
     assert_eq!(store.poll(w).len(), 1, "catch up before the first write");
     let brightness: dspace_value::Path = BRIGHTNESS.parse().unwrap();
+    let at = |store: &Store| std::sync::Arc::as_ptr(&store.get(&o).unwrap().model);
+    let home = at(&store);
     for i in 0u32..200 {
-        match i % 4 {
-            0 => {
-                store
-                    .update_via_set(&o, &brightness, &Value::from(f64::from(i)))
-                    .unwrap();
-            }
-            1 => {
-                let patch = json::parse(&format!(
+        let op = match i % 5 {
+            0 => WriteOp::Set(brightness.clone(), Value::from(f64::from(i))),
+            1 => WriteOp::Merge(
+                json::parse(&format!(
                     r#"{{"control": {{"power": {{"intent": "{}"}}}}}}"#,
-                    if i % 8 == 1 { "on" } else { "off" }
+                    if i % 10 == 1 { "on" } else { "off" }
                 ))
-                .unwrap();
-                store.update_via_merge(&o, &patch).unwrap();
-            }
-            2 => {
-                store
-                    .update(&o, model(0, 0, 0, i % 100, i % 3 == 0), None)
-                    .unwrap();
-            }
-            _ => {
-                let rv = store.get(&o).unwrap().resource_version;
-                store.fast_forward(&o, rv + 1).unwrap();
-            }
-        }
+                .unwrap(),
+            ),
+            2 => WriteOp::Put(model(0, 0, 0, i % 100, i % 3 == 0)),
+            3 => WriteOp::Remove(POWER.parse().unwrap()),
+            _ => WriteOp::FastForward(store.get(&o).unwrap().resource_version + 1),
+        };
+        store.write(&o, &op, None).unwrap();
         let events = store.poll(w);
         assert!(!events.is_empty());
         drop(events); // release the shared snapshots before the next write
         assert_eq!(
             store.watch_stats().deep_clones,
             0,
-            "write {i} deep-cloned a watched model"
+            "write {i} ({op:?}) deep-cloned a watched model"
         );
+        assert_eq!(at(&store), home, "write {i} ({op:?}) moved the model");
     }
     store.audit_sizes().unwrap();
 
@@ -454,9 +442,8 @@ fn steady_state_writes_never_deep_clone() {
     // snapshot pending in the log and copies the model exactly once.
     let rv = store.get(&o).unwrap().resource_version;
     for v in [1000.0, 2000.0] {
-        store
-            .update_via_set(&o, &brightness, &Value::from(v))
-            .unwrap();
+        let op = WriteOp::Set(brightness.clone(), Value::from(v));
+        store.write(&o, &op, None).unwrap();
     }
     assert_eq!(store.watch_stats().deep_clones, 1);
     let events = store.poll(w);

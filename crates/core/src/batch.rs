@@ -1,27 +1,27 @@
 //! Write batching for controllers.
 //!
-//! A [`WriteBatch`] is the write surface of one controller cycle. An
-//! inline cycle (zero latency) issues each write per-op, as it is
-//! decided. A deferred cycle accumulates every write and lands them after
-//! its simulated delays, committing each surviving op through the same
-//! serial verb an inline cycle calls ([`ApiServer::patch`] or
-//! [`ApiServer::patch_path`]), in issue order — so RBAC, schema
-//! validation, admission, and webhook observation run per op against the
-//! topology the previous op left. The call site picks the mode.
+//! A [`WriteBatch`] is the write surface of one controller cycle. Each
+//! write is a [`WriteOp`]. An inline cycle (zero latency) issues each op
+//! as it is decided. A deferred cycle accumulates every op and lands them
+//! after its simulated delays, committing each surviving op through the
+//! same server pipeline an inline cycle calls ([`ApiServer::write`]), in
+//! issue order — so RBAC, schema validation, admission, and webhook
+//! observation run per op against the topology the previous op left. The
+//! call site picks the mode.
 //!
 //! **Decision parity.** A controller must make byte-identical decisions
 //! whether its writes are batched or issued per-op. Per-op, a write is
 //! visible to the controller's next read; batched, it is not committed
 //! yet. The batch therefore keeps a *read-through overlay*: each queued
-//! write is simulated against the overlay exactly the way the serial verb
-//! will apply it at commit (same merge/set, same `rv + 1`, same
-//! [`stamp_gen`] stamping), and [`WriteBatch::get`] serves overlay
-//! entries before consulting the server. The overlay is optimistic: an
-//! op denied by admission at commit time was still visible to later
-//! same-cycle reads. The dSpace controllers only issue writes that pass
-//! the topology webhook (it validates mount-topology changes, which
-//! controllers never make), so in practice the overlay and the committed
-//! state agree — and the inline-vs-deferred determinism tests assert it.
+//! op is applied to the overlay with [`WriteOp::apply`], the same edit
+//! and `meta.gen` stamp the server will make at commit, and
+//! [`WriteBatch::get`] serves overlay entries before consulting the
+//! server. The overlay is optimistic: an op denied by admission at commit
+//! time was still visible to later same-cycle reads. The dSpace
+//! controllers only issue writes that pass the topology webhook (it
+//! validates mount-topology changes, which controllers never make), so in
+//! practice the overlay and the committed state agree — and the
+//! inline-vs-deferred determinism tests assert it.
 //!
 //! **Deferred effects.** Controller side-effects that were gated on a
 //! write's success (a trace entry, a dedup-cache insert) cannot happen
@@ -33,33 +33,12 @@
 
 use std::collections::BTreeMap;
 
-use dspace_apiserver::{stamp_gen, ApiError, ApiServer, ObjectRef, Verb};
-use dspace_value::{Path, Shared, Value};
+use dspace_apiserver::{parse_path, ApiError, ApiServer, ObjectRef, Verb, WriteOp};
+use dspace_value::{Shared, Value};
 
 /// The result of one queued write: the committed resource version on
 /// success, mirroring the serial verbs.
 pub type WriteResult = Result<u64, ApiError>;
-
-/// A write queued for a deferred commit: the two writes controllers
-/// queue, each landing through its serial verb.
-enum QueuedOp {
-    /// Deep-merge a patch ([`ApiServer::patch`]).
-    Merge { oref: ObjectRef, patch: Value },
-    /// Set one attribute ([`ApiServer::patch_path`]).
-    Set {
-        oref: ObjectRef,
-        path: String,
-        value: Value,
-    },
-}
-
-impl QueuedOp {
-    fn oref(&self) -> &ObjectRef {
-        match self {
-            QueuedOp::Merge { oref, .. } | QueuedOp::Set { oref, .. } => oref,
-        }
-    }
-}
 
 /// How a ticket resolves at commit time.
 enum Pending {
@@ -77,7 +56,8 @@ enum Pending {
 pub struct WriteBatch {
     subject: String,
     batched: bool,
-    ops: Vec<QueuedOp>,
+    /// Ops queued for the deferred commit, in issue order.
+    ops: Vec<(ObjectRef, WriteOp)>,
     /// Simulated post-write state per object: `(stamped model, rv)`.
     overlay: BTreeMap<ObjectRef, (Shared<Value>, u64)>,
     /// Store resource version each written object's *first* read-for-write
@@ -155,23 +135,7 @@ impl WriteBatch {
     /// Deep-merges a patch into an object's model. Returns the ticket to
     /// look up in [`commit`](Self::commit)'s results.
     pub fn patch(&mut self, api: &mut ApiServer, oref: &ObjectRef, patch: Value) -> usize {
-        if !self.batched {
-            let result = api.patch(&self.subject, oref, patch);
-            return self.push(Pending::Done(result));
-        }
-        match self.read_for_write(api, oref) {
-            Err(e) => self.push(Pending::Failed(e)),
-            Ok((mut model, rv)) => {
-                let m = Shared::make_mut(&mut model);
-                m.merge(&patch);
-                stamp_gen(m, rv + 1);
-                self.overlay.insert(oref.clone(), (model, rv + 1));
-                self.queue(QueuedOp::Merge {
-                    oref: oref.clone(),
-                    patch,
-                })
-            }
-        }
+        self.write(api, oref, WriteOp::Merge(patch))
     }
 
     /// Sets one attribute path. Returns the ticket to look up in
@@ -183,29 +147,34 @@ impl WriteBatch {
         path: &str,
         value: Value,
     ) -> usize {
+        match parse_path(path) {
+            Ok(path) => self.write(api, oref, WriteOp::Set(path, value)),
+            Err(e) => self.push(Pending::Failed(e)),
+        }
+    }
+
+    /// Issues one op: through the server at once in per-op mode; queued,
+    /// and applied to the overlay, when batched.
+    fn write(&mut self, api: &mut ApiServer, oref: &ObjectRef, op: WriteOp) -> usize {
         if !self.batched {
-            let result = api.patch_path(&self.subject, oref, path, value);
+            let result = api.write(&self.subject, oref, op, None);
             return self.push(Pending::Done(result));
         }
-        let parsed = match parse_path(path) {
-            Ok(p) => p,
+        let (mut model, rv) = match self.read_for_write(api, oref) {
+            Ok(read) => read,
             Err(e) => return self.push(Pending::Failed(e)),
         };
-        match self.read_for_write(api, oref) {
-            Err(e) => self.push(Pending::Failed(e)),
-            Ok((mut model, rv)) => {
-                let m = Shared::make_mut(&mut model);
-                if let Err(e) = m.set(&parsed, value.clone()) {
-                    return self.push(Pending::Failed(ApiError::BadRequest(e.to_string())));
-                }
-                stamp_gen(m, rv + 1);
-                self.overlay.insert(oref.clone(), (model, rv + 1));
-                self.queue(QueuedOp::Set {
-                    oref: oref.clone(),
-                    path: path.to_string(),
-                    value,
-                })
+        let applied = op.next_rv(oref, rv).and_then(|rv| {
+            op.apply(Shared::make_mut(&mut model), rv)?;
+            Ok(rv)
+        });
+        match applied {
+            Ok(rv) => {
+                self.overlay.insert(oref.clone(), (model, rv));
+                self.ops.push((oref.clone(), op));
+                self.push(Pending::Queued)
             }
+            Err(e) => self.push(Pending::Failed(e)),
         }
     }
 
@@ -216,10 +185,10 @@ impl WriteBatch {
     /// traveled a link — the store may have moved on; ops against a moved
     /// (or vanished) object resolve `Err(Conflict)` / `Err(NotFound)`
     /// without reaching the server, exactly like a driver's OCC `update`.
-    /// Every other op then commits through its serial verb, in issue
-    /// order. Returns the per-ticket results and the number of objects
-    /// whose validation failed. A per-op batch queues nothing, so this
-    /// only resolves its tickets.
+    /// Every other op then commits through the server's pipeline, in
+    /// issue order. Returns the per-ticket results and the number of
+    /// objects whose validation failed. A per-op batch queues nothing, so
+    /// this only resolves its tickets.
     ///
     /// Convergence is preserved because a failed validation implies a
     /// newer committed event on that object, which retriggers the watcher
@@ -255,15 +224,10 @@ impl WriteBatch {
                 Pending::Failed(e) => Err(e),
                 Pending::Done(r) => r,
                 Pending::Queued => {
-                    let op = ops.next().expect("one op per queued ticket");
-                    match (stale.get(op.oref()), op) {
-                        (Some(e), _) => Err(e.clone()),
-                        (None, QueuedOp::Merge { oref, patch }) => {
-                            api.patch(&self.subject, &oref, patch)
-                        }
-                        (None, QueuedOp::Set { oref, path, value }) => {
-                            api.patch_path(&self.subject, &oref, &path, value)
-                        }
+                    let (oref, op) = ops.next().expect("one op per queued ticket");
+                    match stale.get(&oref) {
+                        Some(e) => Err(e.clone()),
+                        None => api.write(&self.subject, &oref, op, None),
                     }
                 }
             })
@@ -284,7 +248,7 @@ impl WriteBatch {
             return Ok((Shared::clone(model), *rv));
         }
         // Unauthenticated raw read: RBAC for the write itself is checked
-        // by the serial verb the op commits through.
+        // by the server pipeline the op commits through.
         let obj = api
             .get(ApiServer::ADMIN, oref)
             .map_err(|_| ApiError::NotFound(oref.clone()))?;
@@ -299,18 +263,6 @@ impl WriteBatch {
         self.pending.push(p);
         self.pending.len() - 1
     }
-
-    fn queue(&mut self, op: QueuedOp) -> usize {
-        self.ops.push(op);
-        self.push(Pending::Queued)
-    }
-}
-
-/// Parses a model path the way the serial verbs do: a malformed one is a
-/// `BadRequest`.
-fn parse_path(path: &str) -> Result<Path, ApiError> {
-    path.parse()
-        .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))
 }
 
 #[cfg(test)]

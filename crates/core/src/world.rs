@@ -555,19 +555,20 @@ impl World {
             .expect("controller subscription is live");
     }
 
-    /// Registers a digi driver component with its RBAC identity.
+    /// Registers a digi driver component with its RBAC identity: subject
+    /// `driver:<ns>/<name>`, bound to role `digi:<ns>/<name>`. Its slot
+    /// keeps the name `driver:<name>`.
     pub fn add_driver(&mut self, oref: ObjectRef, driver: Driver) {
-        let subject = format!("driver:{}", oref.name);
-        let role = format!("digi:{}", oref.name);
+        let subject = driver_subject(&oref);
+        let role = format!("digi:{}/{}", oref.namespace, oref.name);
         self.api.rbac_mut().add_role(Role::new(
             role.clone(),
-            // A digi driver may only access its own model (§3.6) — the
-            // Watch verb included, so its subscription can cover nothing
-            // beyond its own change stream.
+            // A digi driver may only access its own model (§3.6), in its
+            // own namespace — the Watch verb included, so its subscription
+            // can cover nothing beyond its own change stream.
             vec![Rule::for_object(
                 [Verb::Get, Verb::Update, Verb::Patch, Verb::Watch],
-                oref.kind.clone(),
-                oref.name.clone(),
+                &oref,
             )],
         ));
         self.api.rbac_mut().bind(subject.clone(), role);
@@ -603,15 +604,11 @@ impl World {
         oref: ObjectRef,
         actuator: Box<dyn Actuator>,
     ) {
-        let subject = format!("device:{}", oref.name);
-        let role = format!("device-role:{}", oref.name);
+        let subject = device_subject(&oref);
+        let role = format!("device-role:{}/{}", oref.namespace, oref.name);
         self.api.rbac_mut().add_role(Role::new(
             role.clone(),
-            vec![Rule::for_object(
-                [Verb::Get, Verb::Patch],
-                oref.kind.clone(),
-                oref.name.clone(),
-            )],
+            vec![Rule::for_object([Verb::Get, Verb::Patch], &oref)],
         ));
         self.api.rbac_mut().bind(subject, role);
         let interval = actuator.poll_interval();
@@ -1262,7 +1259,7 @@ impl World {
             let dev = device.clone();
             let delay_ms = act.delay as f64 / 1e6;
             sim.schedule(act.delay, move |w: &mut World, sim| {
-                let subject = format!("device:{}", target.name);
+                let subject = device_subject(&target);
                 let committed = w
                     .api
                     .client(subject)
@@ -1286,9 +1283,8 @@ impl World {
     /// Injects a physical-world event directly on a digi's model (e.g. a
     /// user manually flips the lamp switch — scenario S2).
     pub fn physical_event(&mut self, oref: &ObjectRef, patch: Value, sim: &Sim<World>) {
-        let subject = format!("device:{}", oref.name);
         let subject = if self.actuators.contains_key(oref) {
-            subject
+            device_subject(oref)
         } else {
             ApiServer::ADMIN.to_string()
         };
@@ -1312,6 +1308,18 @@ impl World {
     pub fn component_names(&self) -> Vec<&str> {
         self.slots.iter().map(|s| s.name.as_str()).collect()
     }
+}
+
+/// The RBAC subject a digi's driver acts as: `driver:<ns>/<name>`, so two
+/// homes' drivers of the same digi name are different subjects (§3.6).
+fn driver_subject(oref: &ObjectRef) -> String {
+    format!("driver:{}/{}", oref.namespace, oref.name)
+}
+
+/// The RBAC subject a digi's attached device acts as:
+/// `device:<ns>/<name>`.
+fn device_subject(oref: &ObjectRef) -> String {
+    format!("device:{}/{}", oref.namespace, oref.name)
 }
 
 #[cfg(test)]

@@ -130,14 +130,15 @@ fn full_home_mode_cascade_and_pipeline() {
 fn rbac_denies_foreign_driver_writes() {
     let space = build_full_home();
     // A digi driver may only access its own model (§3.6): the lamp
-    // driver's subject cannot write the room's model.
+    // driver's subject, `driver:<ns>/<name>`, cannot write the room's
+    // model.
     let mut api_space = space;
     let room_ref = ObjectRef::default_ns("Room", "lvroom");
     let err = api_space
         .world
         .api
         .patch_path(
-            "driver:l1",
+            "driver:default/l1",
             &room_ref,
             ".control.brightness.intent",
             1.0.into(),
@@ -149,7 +150,12 @@ fn rbac_denies_foreign_driver_writes() {
     api_space
         .world
         .api
-        .patch_path("driver:l1", &lamp_ref, ".control.power.intent", "on".into())
+        .patch_path(
+            "driver:default/l1",
+            &lamp_ref,
+            ".control.power.intent",
+            "on".into(),
+        )
         .unwrap();
 }
 
