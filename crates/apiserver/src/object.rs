@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use dspace_value::{Shared, Value};
+use dspace_value::Value;
 
 /// Uniquely identifies an API object: `(kind, namespace, name)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,11 +62,11 @@ pub struct Object {
     /// the version number that §3.5's intent-reconciliation guarantee is
     /// built on.
     ///
-    /// The snapshot is [`Shared`] with the watch events that announced it:
-    /// reading an object is O(1) in the model size, and the store only
-    /// deep-copies when it must mutate a snapshot that watchers still hold
-    /// (copy-on-write via `Shared::make_mut`).
-    pub model: Shared<Value>,
+    /// The model shares its maps with the watch events that announced it
+    /// (see [`dspace_value::Map`]): reading an object is O(1) in the model
+    /// size, and a write to a model that an event still holds copies only
+    /// the maps along the written path.
+    pub model: Value,
     /// Monotonic per-object version, incremented on every write.
     pub resource_version: u64,
 }

@@ -187,7 +187,7 @@ impl ApiServer {
         self.admit(subject, Verb::Create, oref, None, Some(&model))?;
         let obj = self.store.create(oref.clone(), model)?;
         let committed = obj.model.clone();
-        self.observe(subject, Verb::Create, oref, None, Some(&*committed));
+        self.observe(subject, Verb::Create, oref, None, Some(&committed));
         Ok(1)
     }
 
@@ -263,12 +263,12 @@ impl ApiServer {
             let Some(old) = self.store.get(oref).map(|o| o.model.clone()) else {
                 continue;
             };
-            if let Err(e) = self.admit(subject, Verb::Delete, oref, Some(&*old), None) {
+            if let Err(e) = self.admit(subject, Verb::Delete, oref, Some(&old), None) {
                 failure = Some(e);
                 break;
             }
             self.store.delete(oref)?;
-            self.observe(subject, Verb::Delete, oref, Some(&*old), None);
+            self.observe(subject, Verb::Delete, oref, Some(&old), None);
             deleted += 1;
         }
         // Finish even on a veto: the shard stays retiring and is dropped
@@ -349,15 +349,15 @@ impl ApiServer {
             .map(|o| (o.model.clone(), o.resource_version))
             .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
         let op = op?;
-        let mut new = (*old).clone();
+        let mut new = old.clone();
         op.apply(&mut new, op.next_rv(oref, current)?)?;
         self.validate(oref, &new)?;
-        self.admit(subject, verb, oref, Some(&*old), Some(&new))?;
+        self.admit(subject, verb, oref, Some(&old), Some(&new))?;
         // The server holds `old` across the commit for `observe`, so the
         // store counts this write as a copy of a held model.
         let rv = self.store.write_built(oref, &op, new, expected_rv)?;
         let committed = self.store.get(oref).expect("just written").model.clone();
-        self.observe(subject, verb, oref, Some(&*old), Some(&*committed));
+        self.observe(subject, verb, oref, Some(&old), Some(&committed));
         Ok(rv)
     }
 
@@ -369,9 +369,9 @@ impl ApiServer {
             .get(oref)
             .map(|o| o.model.clone())
             .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-        self.admit(subject, Verb::Delete, oref, Some(&*old), None)?;
+        self.admit(subject, Verb::Delete, oref, Some(&old), None)?;
         let gone = self.store.delete(oref)?;
-        self.observe(subject, Verb::Delete, oref, Some(&*old), None);
+        self.observe(subject, Verb::Delete, oref, Some(&old), None);
         Ok(gone)
     }
 
@@ -667,7 +667,7 @@ mod tests {
     fn update_with_occ() {
         let (mut api, oref) = server_with_plug();
         let obj = api.get(ApiServer::ADMIN, &oref).unwrap();
-        let mut m = (*obj.model).clone();
+        let mut m = obj.model.clone();
         m.set(&".control.power.intent".parse().unwrap(), "on".into())
             .unwrap();
         api.update(
@@ -792,7 +792,7 @@ mod tests {
         assert!(matches!(err, ApiError::BadRequest(_)), "{err}");
         // Invalid before AdmissionDenied, and AdmissionDenied before
         // Conflict.
-        let mut vetoed = (*api.get(admin, &oref).unwrap().model).clone();
+        let mut vetoed = api.get(admin, &oref).unwrap().model;
         vetoed
             .set(&".forbidden".parse().unwrap(), true.into())
             .unwrap();
@@ -802,7 +802,7 @@ mod tests {
         assert!(matches!(err, ApiError::Invalid(_)), "{err}");
         let err = api.update(admin, &oref, vetoed, Some(0)).unwrap_err();
         assert!(matches!(err, ApiError::AdmissionDenied { .. }), "{err}");
-        let model = (*api.get(admin, &oref).unwrap().model).clone();
+        let model = api.get(admin, &oref).unwrap().model;
         let err = api.update(admin, &oref, model, Some(0)).unwrap_err();
         assert!(matches!(err, ApiError::Conflict { .. }), "{err}");
     }
@@ -849,7 +849,7 @@ mod tests {
             seen: Rc::clone(&seen),
         }));
         let admin = ApiServer::ADMIN;
-        let model = (*api.get(admin, &oref).unwrap().model).clone();
+        let model = api.get(admin, &oref).unwrap().model;
         api.update(admin, &oref, model, None).unwrap();
         let patch = dspace_value::json::parse(r#"{"obs": {"note": "x"}}"#).unwrap();
         api.patch(admin, &oref, patch).unwrap();

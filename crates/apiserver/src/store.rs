@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use dspace_value::{json, Path, Shared, Value};
+use dspace_value::{json, Path, Value};
 
 use crate::error::ApiError;
 use crate::object::{Object, ObjectRef};
@@ -30,11 +30,15 @@ pub enum WatchEventKind {
     Deleted,
 }
 
-/// One entry of a namespace shard's ordered event log.
+/// One entry of a namespace shard's ordered event log, and one delivery
+/// of it.
 ///
-/// The model snapshot is reference-counted: a mutation materializes the
-/// snapshot once, and every watcher that receives the event shares it.
-/// Cloning a `WatchEvent` is O(1) in the model size.
+/// A commit makes the model snapshot once. The log entry, the stored
+/// object (until its next write) and every delivery share its maps (see
+/// [`dspace_value::Map`]), so cloning a `WatchEvent` is O(1) in the model
+/// size. While an entry is resident, a write to its object therefore
+/// copies the written path instead of editing it in place
+/// ([`WatchStats::deep_clones`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchEvent {
     /// Strictly increasing revision *within the event's namespace shard*.
@@ -46,7 +50,7 @@ pub struct WatchEvent {
     /// The object affected.
     pub oref: ObjectRef,
     /// Model snapshot after the change (for deletes: the last model).
-    pub model: Shared<Value>,
+    pub model: Value,
     /// The object's resource version after the change.
     pub resource_version: u64,
 }
@@ -65,40 +69,6 @@ pub struct CoalescedEvent {
     pub event: WatchEvent,
     /// Raw events collapsed into this delivery (>= 1).
     pub coalesced: u64,
-}
-
-/// One entry of a shard's event log: the event identity plus the model
-/// snapshot its commit made.
-///
-/// The snapshot is shared with the object map (until the object's next
-/// write) and with every delivery, so while an entry is resident a write
-/// to its object copies the model instead of mutating it in place (see
-/// [`shard_write`]).
-#[derive(Debug, Clone)]
-struct LogEntry {
-    /// Strictly increasing revision within the shard.
-    revision: u64,
-    /// What happened.
-    kind: WatchEventKind,
-    /// The object affected.
-    oref: ObjectRef,
-    /// The model after the change.
-    model: Shared<Value>,
-    /// The object's resource version after the change.
-    resource_version: u64,
-}
-
-impl LogEntry {
-    /// The delivered form of this entry, sharing its snapshot.
-    fn event(&self) -> WatchEvent {
-        WatchEvent {
-            revision: self.revision,
-            kind: self.kind,
-            oref: self.oref.clone(),
-            model: self.model.clone(),
-            resource_version: self.resource_version,
-        }
-    }
 }
 
 /// Handle to a watch subscription.
@@ -316,27 +286,6 @@ fn is_queued(list: &[Arc<str>], ns: &str) -> bool {
     list.binary_search_by(|n| (**n).cmp(ns)).is_ok()
 }
 
-/// Per-shard side effects of one slice of a mutation, accumulated while
-/// the slice runs and folded into `Store`-level counters when it commits.
-#[derive(Debug, Default)]
-struct ShardTally {
-    /// Events appended (each is one global commit ticket).
-    appended: u64,
-    /// Log entries reclaimed by eager compaction.
-    compacted: u64,
-    /// High-water mark of this shard's log during the slice.
-    peak_log_len: usize,
-    /// Writes to a shared snapshot, each of which copied the maps along
-    /// its path (see [`shard_write`]).
-    deep_clones: u64,
-    /// `true` when the store journals: the shard mutator renders its
-    /// WAL op into `wal_op` on success.
-    journal: bool,
-    /// Pre-serialized WAL form of the slice's op, once it succeeded.
-    /// `None` unless `journal` is set.
-    wal_op: Option<String>,
-}
-
 /// One namespace's slice of the store: its objects, event log, revision
 /// counter, selector indexes, and member cursors.
 ///
@@ -351,7 +300,7 @@ struct Shard {
     objects: BTreeMap<ObjectRef, Object>,
     /// Tail of this namespace's event log still needed by some member. The
     /// first entry's revision is `committed - log.len() + 1`.
-    log: VecDeque<LogEntry>,
+    log: VecDeque<WatchEvent>,
     /// Events ever committed in this shard (== the newest revision).
     committed: u64,
     /// Selector slots: which watchers to notify per event, without
@@ -762,14 +711,15 @@ pub struct WatchStats {
     /// Raw events absorbed into an earlier delivery of the same object by
     /// coalescing (`raw - deliveries`, summed over polls).
     pub events_coalesced: u64,
-    /// Ops that edited a model something else still held — a resident log
-    /// entry, a delivered event, or the server holding the pre-write model
-    /// across its pipeline — each counted once, as is a delete that stamps
-    /// such a model. The edit wrote a copy: one map per level of the
-    /// written path, not the whole document; every other subtree stays
-    /// shared with the old snapshot. An edit of a model nothing else holds
-    /// mutates it in place and counts nothing. A put ([`WriteOp::Put`])
-    /// replaces the model, copies nothing and never counts.
+    /// Ops that edited a model whose root map something else still shared
+    /// — a resident log entry, a delivered event, or the server holding
+    /// the pre-write model across its pipeline — each counted once, as is
+    /// a delete that stamps such a model. The edit wrote a copy: one map
+    /// per level of the written path, not the whole document; every other
+    /// subtree stays shared with the old snapshot. An edit of a model
+    /// nothing else holds mutates it in place and counts nothing. A put
+    /// ([`WriteOp::Put`]) replaces the model, copies nothing and never
+    /// counts.
     pub deep_clones: u64,
 }
 
@@ -859,7 +809,7 @@ impl Store {
                     oref.clone(),
                     Object {
                         oref,
-                        model: Shared::new(co.model),
+                        model: co.model,
                         resource_version: co.resource_version,
                     },
                 );
@@ -910,29 +860,30 @@ impl Store {
                         shard.committed
                     )));
                 }
-                let mut tally = ShardTally::default();
                 if let Some(op) = op {
-                    replay_op(shard, op, &mut tally).map_err(|e| {
+                    replay_op(shard, op, &mut self.stats).map_err(|e| {
                         WalError::corrupt(format!("replay failed in '{ns}' (seq {seq}): {e}"))
                     })?;
                 }
-                if tally.appended != appended {
+                let replayed = shard.committed - base;
+                if replayed != appended {
                     return Err(WalError::corrupt(format!(
                         "replay diverged in '{ns}' (seq {seq}): record appended {appended}, \
-                         replay appended {}",
-                        tally.appended
+                         replay appended {replayed}"
                     )));
                 }
-                self.finish_serial(ns, tally);
+                // No watcher survives a restart, so no shard is marked
+                // dirty: nothing can be pending.
+                self.committed_total += appended;
             }
         }
         Ok(())
     }
 
-    /// Journals one shard slice: its base revision, whether the verb
-    /// (re)ensured the shard (clearing a pending retirement), the events
-    /// it appended, and its op if the op succeeded. Slices that neither
-    /// appended nor ensured leave no record.
+    /// Journals one mutation verb: its shard's base revision, whether the
+    /// verb (re)ensured the shard (clearing a pending retirement), the
+    /// events it appended, and its op if the op succeeded. Verbs that
+    /// neither appended nor ensured leave no record.
     fn wal_commit(&mut self, ns: &str, base: u64, ensure: bool, appended: u64, op: Option<&str>) {
         let Some(w) = self.wal.as_mut() else {
             return;
@@ -1064,44 +1015,38 @@ impl Store {
             .collect()
     }
 
-    /// The commit step every mutation shares, for one shard's slice:
-    /// capture the shard's base revision, run `op` against a fresh tally,
-    /// fold the tally into the store's counters, and journal the slice.
-    /// With `ensure` the shard is created (or un-retired) first and the
-    /// WAL record says so; without it a missing shard yields `None` and
-    /// nothing runs.
-    fn commit_slice<R>(
+    /// The one commit step of every mutation verb. Runs `op` on the
+    /// object's shard, created (or un-retired) first with `ensure`;
+    /// without it a missing shard is a missing object. The events `op`
+    /// appended are the shard's revision delta: they advance the global
+    /// revision and mark the shard dirty, so
+    /// [`Store::drain_dirty_watchers`] surfaces the charged watchers. The
+    /// verb is then journaled (see [`Store::wal_commit`]), with the record
+    /// `render` makes of the committed shard if `op` succeeded.
+    fn commit<R>(
         &mut self,
-        ns: &str,
+        oref: &ObjectRef,
         ensure: bool,
-        op: impl FnOnce(&mut Shard, &mut ShardTally) -> R,
-    ) -> Option<R> {
+        op: impl FnOnce(&mut Shard, &mut WatchStats) -> Result<R, ApiError>,
+        render: impl FnOnce(&Shard) -> String,
+    ) -> Result<R, ApiError> {
+        let ns = oref.namespace.as_str();
         if ensure {
             self.ensure_shard(ns);
         }
-        let shard = self.shards.get_mut(ns)?;
-        let base = shard.committed;
-        let mut tally = ShardTally {
-            journal: self.wal.is_some(),
-            ..ShardTally::default()
-        };
-        let result = op(shard, &mut tally);
-        let (appended, wal_op) = (tally.appended, tally.wal_op.take());
-        self.finish_serial(ns, tally);
-        self.wal_commit(ns, base, ensure, appended, wal_op.as_deref());
-        Some(result)
-    }
-
-    /// A serial verb on an existing object: one slice in its shard, then
-    /// the WAL seal. A missing shard means a missing object.
-    fn commit_serial<R>(
-        &mut self,
-        oref: &ObjectRef,
-        op: impl FnOnce(&mut Shard, &mut ShardTally) -> Result<R, ApiError>,
-    ) -> Result<R, ApiError> {
-        let result = self
-            .commit_slice(&oref.namespace, false, op)
+        let shard = self
+            .shards
+            .get_mut(ns)
             .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
+        let base = shard.committed;
+        let result = op(shard, &mut self.stats);
+        let appended = shard.committed - base;
+        let record = (result.is_ok() && self.wal.is_some()).then(|| render(shard));
+        if appended > 0 && !self.dirty_shards.contains(ns) {
+            self.dirty_shards.insert(ns.to_string());
+        }
+        self.committed_total += appended;
+        self.wal_commit(ns, base, ensure, appended, record.as_deref());
         self.wal_seal();
         result
     }
@@ -1110,26 +1055,20 @@ impl Store {
     pub fn create(&mut self, oref: ObjectRef, model: Value) -> Result<&Object, ApiError> {
         // `ensure` is always set: `create` resurrects a retiring namespace
         // even when the op itself fails, and replay must mirror that.
-        let result = self
-            .commit_slice(&oref.namespace, true, |shard, tally| {
-                shard_create(shard, oref.clone(), model, tally)
-            })
-            .expect("ensured shard");
-        self.wal_seal();
-        result?;
-        Ok(self
-            .shards
-            .get(&oref.namespace)
-            .expect("just ensured")
-            .objects
-            .get(&oref)
-            .expect("just inserted"))
+        self.commit(
+            &oref,
+            true,
+            |shard, stats| shard_create(shard, oref.clone(), model, stats),
+            |shard| wal_op_create(&oref, &shard.objects[&oref].model),
+        )?;
+        Ok(self.get(&oref).expect("just inserted"))
     }
 
     /// Commits one [`WriteOp`] to an existing object, applying it to the
-    /// stored model: in place when nothing else holds the model, on a copy
-    /// otherwise (see [`WatchStats::deep_clones`]). The op's own record is
-    /// journaled — for a set, a few dozen bytes instead of the whole model.
+    /// stored model: in place when nothing else shares the model's root
+    /// map, on a copy otherwise (see [`WatchStats::deep_clones`]). The
+    /// op's own record is journaled — for a set, a few dozen bytes instead
+    /// of the whole model.
     ///
     /// `expected_rv` implements optimistic concurrency: when `Some`, the
     /// write only commits if it matches the stored version; on mismatch the
@@ -1140,9 +1079,12 @@ impl Store {
         op: &WriteOp,
         expected_rv: Option<u64>,
     ) -> Result<u64, ApiError> {
-        self.commit_serial(oref, |shard, tally| {
-            shard_write(shard, oref, op, None, expected_rv, tally)
-        })
+        self.commit(
+            oref,
+            false,
+            |shard, stats| shard_write(shard, oref, op, None, expected_rv, stats),
+            |shard| op.record(oref, &shard.objects[oref].model),
+        )
     }
 
     /// [`Store::write`] for a model the caller already built by applying
@@ -1156,9 +1098,12 @@ impl Store {
         model: Value,
         expected_rv: Option<u64>,
     ) -> Result<u64, ApiError> {
-        self.commit_serial(oref, |shard, tally| {
-            shard_write(shard, oref, op, Some(model), expected_rv, tally)
-        })
+        self.commit(
+            oref,
+            false,
+            |shard, stats| shard_write(shard, oref, op, Some(model), expected_rv, stats),
+            |shard| op.record(oref, &shard.objects[oref].model),
+        )
     }
 
     /// Removes an object, returning its final state.
@@ -1167,21 +1112,12 @@ impl Store {
     /// `Deleted` event carry a *bumped* resource version, so watchers can
     /// order the delete against the modifications that preceded it.
     pub fn delete(&mut self, oref: &ObjectRef) -> Result<Object, ApiError> {
-        self.commit_serial(oref, |shard, tally| shard_delete(shard, oref, tally))
-    }
-
-    /// Folds a slice's tally into the store's global counters. A slice
-    /// that appended events marks its shard dirty so
-    /// [`Store::drain_dirty_watchers`] surfaces the charged watchers.
-    fn finish_serial(&mut self, ns: &str, tally: ShardTally) {
-        if tally.appended > 0 && !self.dirty_shards.contains(ns) {
-            self.dirty_shards.insert(ns.to_string());
-        }
-        self.committed_total += tally.appended;
-        self.stats.events_appended += tally.appended;
-        self.stats.events_compacted += tally.compacted;
-        self.stats.deep_clones += tally.deep_clones;
-        self.stats.peak_log_len = self.stats.peak_log_len.max(tally.peak_log_len);
+        self.commit(
+            oref,
+            false,
+            |shard, stats| shard_delete(shard, oref, stats),
+            |_| wal_op_delete(oref),
+        )
     }
 
     /// Drains the set of watchers that *may* have gone pending since the
@@ -1378,7 +1314,7 @@ impl Store {
         let mut out = Vec::new();
         self.drain_watcher(id, |shard, filter, start| {
             let before = out.len();
-            out.extend(scan_window(shard, start, filter).map(LogEntry::event));
+            out.extend(scan_window(shard, start, filter).cloned());
             (out.len() - before) as u64
         });
         self.stats.events_delivered += out.len() as u64;
@@ -1679,18 +1615,17 @@ impl Store {
 }
 
 /// Appends one committed event to a shard: bump its revision, push the
-/// log entry, and charge interested members. The `tally` carries the
-/// slice's counters back to the store.
+/// log entry, and charge interested members.
 fn shard_append(
     shard: &mut Shard,
     kind: WatchEventKind,
     oref: ObjectRef,
-    model: Shared<Value>,
+    model: Value,
     rv: u64,
-    tally: &mut ShardTally,
+    stats: &mut WatchStats,
 ) {
     shard.committed += 1;
-    tally.appended += 1;
+    stats.events_appended += 1;
     let revision = shard.committed;
     // Maintain the secondary indexes covering this kind, remembering the
     // new keys. Replay performs these identical updates, and the predicate
@@ -1768,19 +1703,18 @@ fn shard_append(
             }
         }
     }
-    shard.log.push_back(LogEntry {
+    shard.log.push_back(WatchEvent {
         revision,
         kind,
         oref,
         model,
         resource_version: rv,
     });
-    tally.peak_log_len = tally.peak_log_len.max(shard.log.len());
+    stats.peak_log_len = stats.peak_log_len.max(shard.log.len());
     if members_empty {
         // No watcher holds this shard: reclaim the tail eagerly.
-        let n = shard.log.len() as u64;
+        stats.events_compacted += shard.log.len() as u64;
         shard.log.clear();
-        tally.compacted += n;
     }
 }
 
@@ -1797,7 +1731,7 @@ fn coalesce(
     // Count matches per object and remember each object's newest entry,
     // keeping first-occurrence order.
     let mut slots: BTreeMap<&ObjectRef, usize> = BTreeMap::new();
-    let mut found: Vec<(u64, &LogEntry)> = Vec::new();
+    let mut found: Vec<(u64, &WatchEvent)> = Vec::new();
     for e in scan_window(shard, start, filter) {
         match slots.get(&e.oref) {
             Some(&slot) => found[slot] = (found[slot].0 + 1, e),
@@ -1811,7 +1745,7 @@ fn coalesce(
     for (coalesced, e) in found {
         raw += coalesced;
         out.push(CoalescedEvent {
-            event: e.event(),
+            event: e.clone(),
             coalesced,
         });
     }
@@ -1821,7 +1755,7 @@ fn coalesce(
 /// Which log entries a scan delivers.
 trait EntryFilter {
     /// Does the entry belong, judged by its identity, revision and model?
-    fn accepts(&self, e: &LogEntry) -> bool;
+    fn accepts(&self, e: &WatchEvent) -> bool;
 }
 
 /// One member's subscription as its own shard sees it: the member's plain
@@ -1847,7 +1781,7 @@ impl<'a> MemberFilter<'a> {
 }
 
 impl EntryFilter for MemberFilter<'_> {
-    fn accepts(&self, e: &LogEntry) -> bool {
+    fn accepts(&self, e: &WatchEvent) -> bool {
         self.slots
             .iter()
             .any(|s| e.revision >= s.since && s.key.covers(&e.oref))
@@ -1866,7 +1800,7 @@ impl EntryFilter for MemberFilter<'_> {
 struct SelectorOracle<'a>(Vec<(&'a WatchSelector, u64)>);
 
 impl EntryFilter for SelectorOracle<'_> {
-    fn accepts(&self, e: &LogEntry) -> bool {
+    fn accepts(&self, e: &WatchEvent) -> bool {
         self.0
             .iter()
             .any(|(s, since)| e.revision >= *since && s.event_matches(&e.oref, &e.model))
@@ -1879,7 +1813,7 @@ fn scan_window<'a>(
     shard: &'a Shard,
     start: usize,
     filter: &'a impl EntryFilter,
-) -> impl Iterator<Item = &'a LogEntry> {
+) -> impl Iterator<Item = &'a WatchEvent> {
     shard.log.iter().skip(start).filter(|e| filter.accepts(e))
 }
 
@@ -2137,7 +2071,7 @@ fn wal_op_delete(oref: &ObjectRef) -> String {
 /// Re-applies one journaled op to a recovering shard. Every logged op
 /// committed once, so failure here means the log and the recovered state
 /// disagree — surfaced as corruption by the caller.
-fn replay_op(shard: &mut Shard, op: Value, tally: &mut ShardTally) -> Result<(), String> {
+fn replay_op(shard: &mut Shard, op: Value, stats: &mut WatchStats) -> Result<(), String> {
     let Value::Object(mut map) = op else {
         return Err("op is not an object".to_string());
     };
@@ -2155,13 +2089,13 @@ fn replay_op(shard: &mut Shard, op: Value, tally: &mut ShardTally) -> Result<(),
     match verb.as_str() {
         "create" => {
             let model = map.remove("model").ok_or("op missing 'model'")?;
-            shard_create(shard, oref, model, tally)
+            shard_create(shard, oref, model, stats)
                 .map(|_| ())
                 .map_err(fail)
         }
-        "del" => shard_delete(shard, &oref, tally).map(|_| ()).map_err(fail),
+        "del" => shard_delete(shard, &oref, stats).map(|_| ()).map_err(fail),
         other => match WriteOp::from_record(other, &mut map)? {
-            Some(op) => shard_write(shard, &oref, &op, None, None, tally)
+            Some(op) => shard_write(shard, &oref, &op, None, None, stats)
                 .map(|_| ())
                 .map_err(fail),
             None => Err(format!("unknown wal op '{other}'")),
@@ -2200,34 +2134,37 @@ fn checkpoint_shards_json(shards: &BTreeMap<String, Shard>) -> String {
 
 // ----- Shard-local mutation ops ------------------------------------------
 //
-// The serial verbs run these inside `Store::commit_slice`, WAL replay
-// through `replay_op`. They may touch only the shard and the tally.
+// The mutation verbs run these inside `Store::commit`, WAL replay through
+// `replay_op`. They may touch only the shard and the watch counters.
 
 fn shard_create(
     shard: &mut Shard,
     oref: ObjectRef,
     mut model: Value,
-    tally: &mut ShardTally,
+    stats: &mut WatchStats,
 ) -> Result<u64, ApiError> {
     if shard.objects.contains_key(&oref) {
         return Err(ApiError::AlreadyExists(oref));
     }
     let rv = 1;
     stamp_gen(&mut model, rv);
-    if tally.journal {
-        tally.wal_op = Some(wal_op_create(&oref, &model));
-    }
-    let shared = Shared::new(model);
     shard.objects.insert(
         oref.clone(),
         Object {
             oref: oref.clone(),
-            model: shared.clone(),
+            model: model.clone(),
             resource_version: rv,
         },
     );
-    shard_append(shard, WatchEventKind::Added, oref, shared, rv, tally);
+    shard_append(shard, WatchEventKind::Added, oref, model, rv, stats);
     Ok(rv)
+}
+
+/// Whether something besides the stored object still holds `model` — a
+/// resident log entry, a delivered event, or the server's pre-write copy:
+/// its root map is shared, so an edit copies it first.
+fn held(model: &Value) -> bool {
+    matches!(model, Value::Object(map) if map.is_shared())
 }
 
 /// Commits one [`WriteOp`] to a stored object: the one mutator behind
@@ -2235,21 +2172,21 @@ fn shard_create(
 /// already applied the op to a copy of the stored model at the next
 /// version, and that model is installed as is; otherwise the op is
 /// applied here, in place when nothing else holds the model and on a copy
-/// otherwise. A failed op changes nothing and journals nothing.
+/// otherwise. A failed op changes nothing.
 ///
 /// An op that edits a model something else still holds — a resident log
 /// entry, a delivered event, or the server holding the pre-write model
 /// across its pipeline for webhook `observe` — counts one deep clone. The
-/// copy is O(1) and the edit then copies one map per level of the path it
-/// writes (see [`dspace_value::Map`]). A put replaces the model, copies
-/// nothing and never counts.
+/// edit copies one map per level of the path it writes (see
+/// [`dspace_value::Map`]). A put replaces the model, copies nothing and
+/// never counts.
 fn shard_write(
     shard: &mut Shard,
     oref: &ObjectRef,
     op: &WriteOp,
     built: Option<Value>,
     expected_rv: Option<u64>,
-    tally: &mut ShardTally,
+    stats: &mut WatchStats,
 ) -> Result<u64, ApiError> {
     let obj = shard
         .objects
@@ -2265,26 +2202,23 @@ fn shard_write(
         }
     }
     let rv = op.next_rv(oref, obj.resource_version)?;
-    let held = Shared::strong_count(&obj.model) > 1;
+    let was_held = held(&obj.model);
     match built {
-        Some(model) => obj.model = Shared::new(model),
-        None => op.apply(Shared::make_mut(&mut obj.model), rv)?,
+        Some(model) => obj.model = model,
+        None => op.apply(&mut obj.model, rv)?,
     }
-    if held && !matches!(op, WriteOp::Put(_)) {
-        tally.deep_clones += 1;
+    if was_held && !matches!(op, WriteOp::Put(_)) {
+        stats.deep_clones += 1;
     }
     obj.resource_version = rv;
     let snapshot = obj.model.clone();
-    if tally.journal {
-        tally.wal_op = Some(op.record(oref, &snapshot));
-    }
     shard_append(
         shard,
         WatchEventKind::Modified,
         oref.clone(),
         snapshot,
         rv,
-        tally,
+        stats,
     );
     Ok(rv)
 }
@@ -2295,7 +2229,7 @@ fn shard_write(
 fn shard_delete(
     shard: &mut Shard,
     oref: &ObjectRef,
-    tally: &mut ShardTally,
+    stats: &mut WatchStats,
 ) -> Result<Object, ApiError> {
     let mut obj = shard
         .objects
@@ -2303,20 +2237,17 @@ fn shard_delete(
         .ok_or_else(|| ApiError::NotFound(oref.clone()))?;
     obj.resource_version += 1;
     let rv = obj.resource_version;
-    if Shared::strong_count(&obj.model) > 1 {
-        tally.deep_clones += 1;
+    if held(&obj.model) {
+        stats.deep_clones += 1;
     }
-    stamp_gen(Shared::make_mut(&mut obj.model), rv);
-    if tally.journal {
-        tally.wal_op = Some(wal_op_delete(oref));
-    }
+    stamp_gen(&mut obj.model, rv);
     shard_append(
         shard,
         WatchEventKind::Deleted,
         oref.clone(),
         obj.model.clone(),
         rv,
-        tally,
+        stats,
     );
     Ok(obj)
 }
@@ -2641,7 +2572,10 @@ mod tests {
         let e1 = s.poll(w1);
         let e2 = s.poll(w2);
         assert!(
-            Shared::ptr_eq(&e1[0].model, &e2[0].model),
+            matches!(
+                (&e1[0].model, &e2[0].model),
+                (Value::Object(a), Value::Object(b)) if dspace_value::Map::ptr_eq(a, b)
+            ),
             "watchers must share one snapshot, not deep copies"
         );
     }
@@ -2974,5 +2908,38 @@ mod tests {
         m.set(&".x".parse().unwrap(), 8.0.into()).unwrap();
         put(&mut s, &lamp_ref(), m).unwrap();
         assert_eq!(s.poll(w).len(), 1);
+    }
+
+    // ----- WAL replay ----------------------------------------------------
+
+    /// Replay refuses a commit record that disagrees with the shard it
+    /// lands on: one whose `base` is not the shard's revision, and one
+    /// whose `appended` count its op does not reproduce.
+    #[test]
+    fn replay_rejects_a_record_that_disagrees_with_the_shard() {
+        let oref = lamp_ref();
+        let create = wal_op_create(&oref, &model("Lamp", "l1"));
+        let set = WriteOp::Set(".x".parse().unwrap(), 1.0.into());
+        let set = set.record(&oref, &model("Lamp", "l1"));
+        // (tag, the set record's base, its appended): the create leaves
+        // the shard at revision 1, and a set appends one event.
+        for (tag, base, appended, want) in [
+            ("base", 0, 1, "record base 0, shard at 1"),
+            ("appended", 1, 2, "record appended 2, replay appended 1"),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("dspace-store-diverge-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let opts = DurabilityOptions::new(&dir);
+            {
+                let (mut wal, _) = Wal::open(&opts).unwrap();
+                wal.commit("default", 0, true, 1, Some(&create));
+                wal.commit("default", base, false, appended, Some(&set));
+            }
+            let err = Store::open(opts).expect_err(tag).to_string();
+            assert!(err.contains("replay diverged"), "{tag}: {err}");
+            assert!(err.contains(want), "{tag}: {err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -18,8 +18,8 @@
 //! and restarts (which is what lets a checkpoint state exactly how much
 //! of the log it has absorbed):
 //!
-//! - `commit` — one mutation verb's slice of a shard: the shard revision
-//!   it started from (`base`), whether the verb (re)ensured the shard
+//! - `commit` — one mutation verb in its object's shard: the shard
+//!   revision it started from (`base`), whether the verb (re)ensured the shard
 //!   (which clears a pending retirement), how many events it appended,
 //!   and its op if the op succeeded. A failed `create` still ensures the
 //!   shard, so it journals a record without an op.
@@ -121,16 +121,16 @@ impl From<io::Error> for WalError {
 /// [`Recovered::records`]).
 #[derive(Debug)]
 pub(crate) enum WalRecord {
-    /// One mutation verb's slice of a shard.
+    /// One mutation verb in its object's shard.
     Commit {
         /// Sequence number in the log.
         seq: u64,
-        /// Shard revision when the slice began; replay asserts it.
+        /// Shard revision when the verb began; replay asserts it.
         base: u64,
         /// The verb (re)ensured the shard: create it if absent and clear
         /// a pending retirement, exactly like the live path.
         ensure: bool,
-        /// Events the slice appended (replay cross-checks its own count).
+        /// Events the verb appended (replay cross-checks its own count).
         appended: u64,
         /// The successful op as a parsed JSON payload; `None` when the
         /// verb only ensured the shard (a failed `create`).
@@ -279,9 +279,9 @@ impl Wal {
         self.checkpoint_every
     }
 
-    /// Appends a `commit` record for one shard slice, with the op string
-    /// the mutator rendered at commit time. One call per journaled verb;
-    /// the payload is built in a single reused buffer.
+    /// Appends a `commit` record for one mutation verb, with the op
+    /// record the verb rendered once its op succeeded. One call per
+    /// journaled verb; the payload is built in a single reused buffer.
     pub(crate) fn commit(
         &mut self,
         ns: &str,

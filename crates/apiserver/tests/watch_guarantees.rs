@@ -128,7 +128,7 @@ proptest! {
                     snapshots[actor] = Some((obj.resource_version, n));
                 }
                 Some((rv, n)) => {
-                    let mut m = (*api.get(ApiServer::ADMIN, &oref).unwrap().model).clone();
+                    let mut m = api.get(ApiServer::ADMIN, &oref).unwrap().model;
                     m.set(&".n".parse().unwrap(), Value::from(n + 1.0)).unwrap();
                     match api.update(ApiServer::ADMIN, &oref, m, Some(rv)) {
                         Ok(_) => successful_increments += 1,

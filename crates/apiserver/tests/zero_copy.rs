@@ -395,12 +395,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// A watcher that keeps up (polls and drops its events) leaves nothing
-/// holding the model's `Arc` but the object itself — the drained log
+/// sharing the model's root map but the object itself — the drained log
 /// compacts to empty — so create-then-churn over every [`WriteOp`] kind
-/// edits the model in place, in the same allocation, with zero
-/// deep-clones. A write while the watcher lags copies once: the pending
-/// entry keeps the previous snapshot, which the watcher then receives
-/// intact.
+/// never deep-clones, and a merge, a remove and a fast-forward edit the
+/// root map in place. A set builds on a clone (so that a failed set
+/// changes nothing) and so moves it; a put installs a new document.
+/// A write while the watcher lags copies once: the pending entry keeps
+/// the previous snapshot, which the watcher then receives intact.
 #[test]
 fn steady_state_writes_never_deep_clone() {
     let mut store = Store::new();
@@ -409,9 +410,14 @@ fn steady_state_writes_never_deep_clone() {
     store.create(o.clone(), model(0, 0, 0, 10, true)).unwrap();
     assert_eq!(store.poll(w).len(), 1, "catch up before the first write");
     let brightness: dspace_value::Path = BRIGHTNESS.parse().unwrap();
-    let at = |store: &Store| std::sync::Arc::as_ptr(&store.get(&o).unwrap().model);
-    let home = at(&store);
+    // The root map's address: holding a clone of the map would itself
+    // make the model shared.
+    let at = |store: &Store| match &store.get(&o).unwrap().model {
+        Value::Object(map) => &**map as *const _,
+        other => panic!("not an object: {other:?}"),
+    };
     for i in 0u32..200 {
+        let before = at(&store);
         let op = match i % 5 {
             0 => WriteOp::Set(brightness.clone(), Value::from(f64::from(i))),
             1 => WriteOp::Merge(
@@ -434,7 +440,16 @@ fn steady_state_writes_never_deep_clone() {
             0,
             "write {i} ({op:?}) deep-cloned a watched model"
         );
-        assert_eq!(at(&store), home, "write {i} ({op:?}) moved the model");
+        match op {
+            // The set's copy is made while the old root map is alive.
+            WriteOp::Set(..) => {
+                assert_ne!(at(&store), before, "write {i} ({op:?}) kept the root map")
+            }
+            // A put frees the old root map before its new document is
+            // stamped, so the allocator may hand back the same address.
+            WriteOp::Put(_) => {}
+            _ => assert_eq!(at(&store), before, "write {i} ({op:?}) moved the root map"),
+        }
     }
     store.audit_sizes().unwrap();
 

@@ -416,7 +416,6 @@ fn coalesce_demo() {
 /// dedup takes milliseconds.
 fn mounter_dedup_sweep() {
     use dspace_core::mounter::Mounter;
-    use dspace_value::Shared;
     use std::cell::RefCell;
 
     println!();
@@ -425,7 +424,7 @@ fn mounter_dedup_sweep() {
         "{:>9} {:>9} {:>10} {:>12}",
         "events", "distinct", "ms", "us/event"
     );
-    let shared = Shared::new(model("l0"));
+    let shared = model("l0");
     let mut per_event_us = 0.0;
     for &events in &[25_000usize, 100_000] {
         let distinct = events / 4;
@@ -434,7 +433,7 @@ fn mounter_dedup_sweep() {
                 revision: i as u64 + 1,
                 kind: dspace_apiserver::WatchEventKind::Modified,
                 oref: oref(i % distinct),
-                model: Shared::clone(&shared),
+                model: shared.clone(),
                 resource_version: i as u64 + 1,
             })
             .collect();

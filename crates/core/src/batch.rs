@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use dspace_apiserver::{parse_path, ApiError, ApiServer, ObjectRef, Verb, WriteOp};
-use dspace_value::{Shared, Value};
+use dspace_value::Value;
 
 /// The result of one queued write: the committed resource version on
 /// success, mirroring the serial verbs.
@@ -59,7 +59,7 @@ pub struct WriteBatch {
     /// Ops queued for the deferred commit, in issue order.
     ops: Vec<(ObjectRef, WriteOp)>,
     /// Simulated post-write state per object: `(stamped model, rv)`.
-    overlay: BTreeMap<ObjectRef, (Shared<Value>, u64)>,
+    overlay: BTreeMap<ObjectRef, (Value, u64)>,
     /// Store resource version each written object's *first* read-for-write
     /// observed — the state this batch's decisions are based on.
     /// [`commit`](Self::commit) re-validates against it.
@@ -102,7 +102,7 @@ impl WriteBatch {
     /// Reads an object's `(model, resource_version)` as the controller
     /// must see it mid-cycle: through the overlay when batched, straight
     /// from the server otherwise. RBAC is enforced either way.
-    pub fn get(&self, api: &ApiServer, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
+    pub fn get(&self, api: &ApiServer, oref: &ObjectRef) -> Result<(Value, u64), ApiError> {
         if self.batched {
             if let Some((model, rv)) = self.overlay.get(oref) {
                 if !api.rbac().authorize(&self.subject, Verb::Get, oref) {
@@ -111,7 +111,7 @@ impl WriteBatch {
                         reason: format!("{:?} on {oref} not permitted", Verb::Get),
                     });
                 }
-                return Ok((Shared::clone(model), *rv));
+                return Ok((model.clone(), *rv));
             }
         }
         let obj = api.get(&self.subject, oref)?;
@@ -165,7 +165,7 @@ impl WriteBatch {
             Err(e) => return self.push(Pending::Failed(e)),
         };
         let applied = op.next_rv(oref, rv).and_then(|rv| {
-            op.apply(Shared::make_mut(&mut model), rv)?;
+            op.apply(&mut model, rv)?;
             Ok(rv)
         });
         match applied {
@@ -243,9 +243,9 @@ impl WriteBatch {
         &mut self,
         api: &ApiServer,
         oref: &ObjectRef,
-    ) -> Result<(Shared<Value>, u64), ApiError> {
+    ) -> Result<(Value, u64), ApiError> {
         if let Some((model, rv)) = self.overlay.get(oref) {
-            return Ok((Shared::clone(model), *rv));
+            return Ok((model.clone(), *rv));
         }
         // Unauthenticated raw read: RBAC for the write itself is checked
         // by the server pipeline the op commits through.

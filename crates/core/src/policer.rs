@@ -252,7 +252,7 @@ impl Policer {
         let mut models = Vec::new();
         for w in &policy.watch {
             let Ok(obj) = api.get(SUBJECT, w) else { return };
-            models.push((w.name.clone(), (*obj.model).clone()));
+            models.push((w.name.clone(), obj.model));
         }
         let ctx = policy.context(&models);
         let env = Env::new().with_var("time", now_s.into());

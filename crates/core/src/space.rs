@@ -4,7 +4,7 @@
 //! the declarative API exposed by the root digivice").
 
 use dspace_apiserver::{ApiError, ApiServer, DurabilityOptions, ObjectRef, WalError};
-use dspace_simnet::{millis, LatencyModel, RetryPolicy, Sim, Time};
+use dspace_simnet::{millis, LatencyModel, Sim, Time};
 use dspace_value::{KindSchema, Value};
 
 use std::collections::BTreeMap;
@@ -41,8 +41,6 @@ pub struct SpaceConfig {
     /// When set, deferred controller writes travel this link (with its
     /// full fault surface) instead of the controllers' wake link.
     pub controller_write: Option<dspace_simnet::Link>,
-    /// Backoff schedule for driver→apiserver commits over faulty links.
-    pub retry: RetryPolicy,
     /// Ignored: the apiserver commits every write on the calling thread.
     /// The field remains only for configurations that still set it.
     pub threads: usize,
@@ -61,7 +59,6 @@ impl Default for SpaceConfig {
             controller_reconcile: LatencyModel::FixedMs(0.0),
             admission: LatencyModel::FixedMs(0.0),
             controller_write: None,
-            retry: RetryPolicy::default(),
             threads: 0,
             durability: None,
         }
@@ -137,19 +134,7 @@ impl Space {
     /// and Sync port claims come back; drivers and devices do not —
     /// re-attach them (by the same names) after opening.
     pub fn open(config: SpaceConfig) -> Result<Self, WalError> {
-        let mut world = match config.durability {
-            Some(opts) => World::open(config.links, config.seed, opts)?,
-            None => World::new(config.links, config.seed),
-        };
-        world.set_reconcile_latency(config.reconcile);
-        world.set_controller_reconcile_latency(config.controller_reconcile);
-        world.set_admission_latency(config.admission);
-        if let Some(link) = config.controller_write {
-            for name in ["mounter", "syncer", "policer"] {
-                world.set_controller_write_link(name, link.clone());
-            }
-        }
-        world.set_retry_policy(config.retry);
+        let world = World::open(config)?;
         // Recovered digis are addressable by name again (system objects
         // aren't digis and never enter the name table).
         let mut names = BTreeMap::new();

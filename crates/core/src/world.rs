@@ -17,17 +17,17 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use dspace_apiserver::{
-    ApiServer, CoalescedEvent, DurabilityOptions, Object, ObjectRef, Query, Role, Rule, Verb,
-    WalError, WatchId,
+    ApiServer, CoalescedEvent, Object, ObjectRef, Query, Role, Rule, Verb, WalError, WatchId,
 };
 use dspace_simnet::{Delivery, LatencyModel, Link, Metrics, RetryPolicy, Rng, Sim, Stopwatch};
-use dspace_value::{KindSchema, Shared, Value};
+use dspace_value::{KindSchema, Value};
 
 use crate::actuator::Actuator;
 use crate::driver::{Driver, Effect};
 use crate::graph::DigiGraph;
 use crate::mounter::Mounter;
 use crate::policer::Policer;
+use crate::space::SpaceConfig;
 use crate::syncer::Syncer;
 use crate::topology::TopologyWebhook;
 use crate::trace::{Trace, TraceKind};
@@ -61,7 +61,7 @@ pub struct DriverRuntime {
     /// Authenticated subject of this driver.
     pub subject: String,
     driver: Driver,
-    last_model: Shared<Value>,
+    last_model: Value,
     last_written: Option<u64>,
 }
 
@@ -69,7 +69,7 @@ pub struct DriverRuntime {
 /// visible to the user (the BPT endpoint of Figure 7).
 #[derive(Default)]
 struct UserCli {
-    cache: BTreeMap<ObjectRef, Shared<Value>>,
+    cache: BTreeMap<ObjectRef, Value>,
 }
 
 enum Component {
@@ -154,7 +154,7 @@ fn run_driver_cycle(rt: &mut DriverRuntime, events: &[CoalescedEvent], now_s: f6
             .collect::<Vec<_>>()
             .join(";");
         rt.last_model = ev.model.clone();
-        if result.model != *ev.model {
+        if result.model != ev.model {
             cycle.commits.push_back(PendingCommit {
                 model: result.model,
                 expected: ev.resource_version,
@@ -207,16 +207,13 @@ struct ComponentSlot {
     /// cycle.
     dirty: bool,
     scope: SlotScope,
-    /// Link the slot's deferred writes travel (defaults to `link` when
-    /// unset). Only consulted by async controller cycles.
-    write_link: Option<Link>,
     /// Per-slot counter keys, interned at registration so the hot drop/
     /// retry paths never re-allocate the `"metric:{name}"` strings.
     wake_drops_key: String,
     retries_key: String,
     gave_up_key: String,
     followups_key: String,
-    kind: Option<Component>,
+    kind: Component,
 }
 
 /// A model write a driver decided on during a reconcile, waiting to
@@ -233,9 +230,9 @@ pub struct World {
     pub api: ApiServer,
     /// The digi-graph, shared with the topology webhook.
     ///
-    /// Deliberately `Rc`, not [`Shared`]: admission (and thus every
-    /// webhook) runs on the thread that drives the world, the same one
-    /// that commits every write, so the graph needs no `Send` bound.
+    /// Deliberately `Rc`, not `Arc`: admission (and thus every webhook)
+    /// runs on the thread that drives the world, the same one that
+    /// commits every write, so the graph needs no `Send` bound.
     pub graph: Rc<RefCell<DigiGraph>>,
     /// Deterministic randomness for links and devices.
     pub rng: Rng,
@@ -262,8 +259,9 @@ pub struct World {
     /// modeled separately from the link so the two delays are
     /// independently attributable.
     admission: LatencyModel,
-    /// Backoff schedule for driver→apiserver commits over a faulty link.
-    retry: RetryPolicy,
+    /// Link the controllers' deferred writes travel (their wake link when
+    /// unset).
+    controller_write: Option<Link>,
     actuators: BTreeMap<ObjectRef, Option<Box<dyn Actuator>>>,
     /// Digi kinds registered so far; space-scoped controllers subscribe to
     /// each of them in every known namespace.
@@ -273,23 +271,19 @@ pub struct World {
 }
 
 impl World {
-    /// Builds a world with the three dSpace controllers, the topology
-    /// webhook, and a user CLI component already registered.
-    pub fn new(links: LinkSet, seed: u64) -> Self {
-        Self::assemble(ApiServer::new(), links, seed)
-    }
-
-    /// Builds a world on a durable apiserver, recovering any state a
-    /// previous incarnation committed to `opts.dir`: recovered models come
-    /// back through the store, and the digi-graph plus Sync port claims are
-    /// rebuilt from them before the topology webhook starts reviewing new
-    /// writes. Components (drivers, devices) are *not* persisted — re-add
-    /// them after opening, exactly as on a fresh world.
-    pub fn open(links: LinkSet, seed: u64, opts: DurabilityOptions) -> Result<Self, WalError> {
-        Ok(Self::assemble(ApiServer::open(opts)?, links, seed))
-    }
-
-    fn assemble(mut api: ApiServer, links: LinkSet, seed: u64) -> Self {
+    /// Builds a world from `config`: the three dSpace controllers, the
+    /// topology webhook and a user CLI component, on an in-memory
+    /// apiserver or, with `config.durability`, on a durable one that
+    /// recovers whatever a previous incarnation committed there. Recovered
+    /// models come back through the store, and the digi-graph plus Sync
+    /// port claims are rebuilt from them before the topology webhook starts
+    /// reviewing new writes. Components (drivers, devices) are *not*
+    /// persisted — re-add them after opening, exactly as on a fresh world.
+    pub fn open(config: SpaceConfig) -> Result<Self, WalError> {
+        let mut api = match config.durability {
+            Some(opts) => ApiServer::open(opts)?,
+            None => ApiServer::new(),
+        };
         let graph = Rc::new(RefCell::new(DigiGraph::new()));
         let mut topology = TopologyWebhook::new(graph.clone());
         // A recovered store already holds committed models; rebuild the
@@ -331,17 +325,17 @@ impl World {
         let mut world = World {
             api,
             graph: graph.clone(),
-            rng: Rng::new(seed),
+            rng: Rng::new(config.seed),
             metrics: Metrics::new(),
             trace: Trace::new(),
-            links,
+            links: config.links,
             slots: Vec::new(),
             pending_slots: BTreeSet::new(),
             watch_slots: BTreeMap::new(),
-            reconcile_latency: LatencyModel::FixedMs(0.0),
-            controller_reconcile: LatencyModel::FixedMs(0.0),
-            admission: LatencyModel::FixedMs(0.0),
-            retry: RetryPolicy::default(),
+            reconcile_latency: config.reconcile,
+            controller_reconcile: config.controller_reconcile,
+            admission: config.admission,
+            controller_write: config.controller_write,
             actuators: BTreeMap::new(),
             digi_kinds: BTreeSet::new(),
             namespaces: BTreeSet::new(),
@@ -394,7 +388,7 @@ impl World {
         for obj in &recovered {
             world.ensure_namespace(&obj.oref.namespace);
         }
-        world
+        Ok(world)
     }
 
     fn add_slot(
@@ -424,46 +418,12 @@ impl World {
             busy: false,
             dirty: false,
             scope,
-            write_link: None,
             wake_drops_key: format!("wake_drops:{name}"),
             retries_key: format!("{tier}_retries:{name}"),
             gave_up_key: format!("{tier}_gave_up:{name}"),
             followups_key: format!("{tier}_followups:{name}"),
-            kind: Some(kind),
+            kind,
         });
-    }
-
-    /// Sets the duration model for driver reconcile cycles.
-    pub fn set_reconcile_latency(&mut self, latency: LatencyModel) {
-        self.reconcile_latency = latency;
-    }
-
-    /// Sets the retry policy for driver→apiserver commits.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// Sets the duration model for controller reconcile cycles.
-    pub fn set_controller_reconcile_latency(&mut self, latency: LatencyModel) {
-        self.controller_reconcile = latency;
-    }
-
-    /// Sets the apiserver-side admission stage for deferred controller
-    /// batches.
-    pub fn set_admission_latency(&mut self, latency: LatencyModel) {
-        self.admission = latency;
-    }
-
-    /// Overrides the link a controller slot's deferred writes travel
-    /// (faults included). `name` is the slot name (`mounter`, `syncer`,
-    /// `policer`).
-    pub fn set_controller_write_link(&mut self, name: &str, link: Link) {
-        let slot = self
-            .slots
-            .iter_mut()
-            .find(|s| s.name == name)
-            .expect("known controller slot name");
-        slot.write_link = Some(link);
     }
 
     /// Returns `true` while the named driver has a reconcile in flight.
@@ -576,7 +536,7 @@ impl World {
             .api
             .get(ApiServer::ADMIN, &oref)
             .map(|o| o.model)
-            .unwrap_or_else(|_| Shared::new(Value::Null));
+            .unwrap_or_default();
         let link = self.links.driver.clone();
         self.add_slot(
             &format!("driver:{}", oref.name),
@@ -691,7 +651,7 @@ impl World {
             return;
         }
         self.slots[i].woken = false;
-        if matches!(self.slots[i].kind, Some(Component::Driver(_))) {
+        if matches!(self.slots[i].kind, Component::Driver(_)) {
             // Drivers drain coalesced: a burst of N writes to the digi is
             // one wake, one reconcile, against the newest snapshot.
             let events = self.api.poll_coalesced(self.slots[i].watch);
@@ -706,32 +666,24 @@ impl World {
         if events.is_empty() {
             return;
         }
-        if matches!(self.slots[i].kind, Some(Component::User(_))) {
-            let mut component = self.slots[i].kind.take().expect("component present");
-            if let Component::User(u) = &mut component {
-                for ev in &events {
-                    let old = u
-                        .cache
-                        .get(&ev.oref)
-                        .cloned()
-                        .unwrap_or_else(|| Shared::new(Value::Null));
-                    let changes = dspace_value::diff(&old, &ev.model);
-                    let detail = changes
-                        .iter()
-                        .take(8)
-                        .map(|c| c.path.to_string())
-                        .collect::<Vec<_>>()
-                        .join(";");
-                    self.trace.push(
-                        sim.now(),
-                        TraceKind::UserObserved,
-                        ev.oref.to_string(),
-                        detail,
-                    );
-                    u.cache.insert(ev.oref.clone(), ev.model.clone());
-                }
+        if let Component::User(u) = &mut self.slots[i].kind {
+            for ev in &events {
+                let old = u.cache.get(&ev.oref).unwrap_or(&Value::Null);
+                let changes = dspace_value::diff(old, &ev.model);
+                let detail = changes
+                    .iter()
+                    .take(8)
+                    .map(|c| c.path.to_string())
+                    .collect::<Vec<_>>()
+                    .join(";");
+                self.trace.push(
+                    sim.now(),
+                    TraceKind::UserObserved,
+                    ev.oref.to_string(),
+                    detail,
+                );
+                u.cache.insert(ev.oref.clone(), ev.model.clone());
             }
-            self.slots[i].kind = Some(component);
             return;
         }
         self.controller_cycle(i, events, sim);
@@ -765,9 +717,9 @@ impl World {
                 .count() as u64
         };
         let (metric, n) = match &self.slots[i].kind {
-            Some(Component::Mounter(_)) => ("mounter_foreign_events", foreign(&["Sync", "Policy"])),
-            Some(Component::Syncer(_)) => ("syncer_foreign_events", foreign(&["Policy"])),
-            Some(Component::Policer(_)) => ("policer_foreign_events", foreign(&["Sync"])),
+            Component::Mounter(_) => ("mounter_foreign_events", foreign(&["Sync", "Policy"])),
+            Component::Syncer(_) => ("syncer_foreign_events", foreign(&["Policy"])),
+            Component::Policer(_) => ("policer_foreign_events", foreign(&["Sync"])),
             _ => unreachable!("only controller slots reach controller_cycle"),
         };
         if n > 0 {
@@ -785,7 +737,7 @@ impl World {
         }
         let d = self.controller_reconcile.sample(&mut self.rng);
         let deferred = d > 0
-            || self.slots[i].write_link.is_some()
+            || self.controller_write.is_some()
             || self.admission != LatencyModel::FixedMs(0.0);
         if !deferred {
             self.controller_inline(i, &events, sim);
@@ -793,28 +745,27 @@ impl World {
         }
         self.metrics
             .record("controller_reconcile_ms", d as f64 / 1e6);
-        self.slots[i].busy = true;
-        let mut component = self.slots[i].kind.take().expect("component present");
+        let slot = &mut self.slots[i];
+        slot.busy = true;
         // Plan against the wake-time live store; writes queue on the plan's
         // batch overlay and land, one serial verb each, at the end of the
         // cycle.
         let sw = Stopwatch::start();
-        let plan = match &mut component {
+        let plan = match &mut slot.kind {
             Component::Mounter(m) => {
                 ControllerPlan::Mounter(m.plan(&mut self.api, &self.graph, &events, true))
             }
             Component::Syncer(s) => ControllerPlan::Syncer(s.plan(&mut self.api, &events, true)),
-            Component::Policer(p) => {
-                let watch = self.slots[i].watch;
-                let mut trace = std::mem::take(&mut self.trace);
-                let plan = p.plan(&mut self.api, watch, &events, &mut trace, sim.now());
-                self.trace = trace;
-                ControllerPlan::Policer(plan)
-            }
+            Component::Policer(p) => ControllerPlan::Policer(p.plan(
+                &mut self.api,
+                slot.watch,
+                &events,
+                &mut self.trace,
+                sim.now(),
+            )),
             _ => unreachable!("only controller slots defer"),
         };
         self.metrics.record_elapsed("plan_ns", sw);
-        self.slots[i].kind = Some(component);
         if d == 0 {
             // Schedule-or-inline: an event scheduled at delay 0 would land
             // after other same-timestamp events and change batching.
@@ -834,30 +785,26 @@ impl World {
         events: &[dspace_apiserver::WatchEvent],
         sim: &mut Sim<World>,
     ) {
-        let mut component = self.slots[i].kind.take().expect("component present");
-        match &mut component {
-            Component::Mounter(m) => {
-                let mut trace = std::mem::take(&mut self.trace);
-                m.process(&mut self.api, &self.graph, events, &mut trace, sim.now());
-                self.trace = trace;
-            }
+        let slot = &mut self.slots[i];
+        match &mut slot.kind {
+            Component::Mounter(m) => m.process(
+                &mut self.api,
+                &self.graph,
+                events,
+                &mut self.trace,
+                sim.now(),
+            ),
             Component::Syncer(s) => s.process(&mut self.api, events),
-            Component::Policer(p) => {
-                let watch = self.slots[i].watch;
-                let mut trace = std::mem::take(&mut self.trace);
-                p.process(
-                    &mut self.api,
-                    &self.graph,
-                    watch,
-                    events,
-                    &mut trace,
-                    sim.now(),
-                );
-                self.trace = trace;
-            }
+            Component::Policer(p) => p.process(
+                &mut self.api,
+                &self.graph,
+                slot.watch,
+                events,
+                &mut self.trace,
+                sim.now(),
+            ),
             _ => unreachable!("only controller slots reach controller_inline"),
         }
-        self.slots[i].kind = Some(component);
     }
 
     /// Offers a planned controller batch to the slot's write link.
@@ -877,8 +824,11 @@ impl World {
             self.controller_land(i, plan, sim);
             return;
         }
-        let slot = &self.slots[i];
-        let link = slot.write_link.as_ref().unwrap_or(&slot.link);
+        let link = self
+            .controller_write
+            .as_ref()
+            .unwrap_or(&self.slots[i].link);
+        let retry = RetryPolicy::default();
         match link.transfer(sim.now(), &mut self.rng) {
             Delivery::After(0) => self.controller_admit(i, plan, sim),
             Delivery::After(delay) => {
@@ -886,10 +836,10 @@ impl World {
                     w.controller_admit(i, plan, sim);
                 });
             }
-            Delivery::Dropped if attempt < self.retry.budget => {
+            Delivery::Dropped if attempt < retry.budget => {
                 self.metrics.count("controller_retries", 1);
                 self.metrics.count(&self.slots[i].retries_key, 1);
-                let backoff = self.retry.backoff(attempt);
+                let backoff = retry.backoff(attempt);
                 sim.schedule(backoff, move |w: &mut World, sim| {
                     w.controller_transmit(i, plan, attempt + 1, sim);
                 });
@@ -932,24 +882,17 @@ impl World {
     /// success-gated effects — then the cycle completes.
     fn controller_land(&mut self, i: usize, plan: ControllerPlan, sim: &mut Sim<World>) {
         let sw = Stopwatch::start();
-        let mut component = self.slots[i].kind.take().expect("component present");
-        let conflicts = match (&mut component, plan) {
+        let conflicts = match (&mut self.slots[i].kind, plan) {
             (Component::Mounter(_), ControllerPlan::Mounter(p)) => {
-                let mut trace = std::mem::take(&mut self.trace);
-                let conflicts = p.land(&mut self.api, &mut trace, sim.now());
-                self.trace = trace;
-                conflicts
+                p.land(&mut self.api, &mut self.trace, sim.now())
             }
             (Component::Syncer(s), ControllerPlan::Syncer(p)) => s.land(&mut self.api, p),
             (Component::Policer(p), ControllerPlan::Policer(plan)) => {
-                let mut trace = std::mem::take(&mut self.trace);
-                p.land(&mut self.api, &self.graph, plan, &mut trace, sim.now());
-                self.trace = trace;
+                p.land(&mut self.api, &self.graph, plan, &mut self.trace, sim.now());
                 0
             }
             _ => unreachable!("plan variant matches its slot's component"),
         };
-        self.slots[i].kind = Some(component);
         self.metrics.record_elapsed("land_ns", sw);
         if conflicts > 0 {
             self.metrics.count("controller_conflicts", conflicts);
@@ -1011,7 +954,7 @@ impl World {
     /// Completion of the reconcile work: runs the driver logic against the
     /// snapshots drained at wake time, then lands the cycle.
     fn finish_reconcile(&mut self, i: usize, events: Vec<CoalescedEvent>, sim: &mut Sim<World>) {
-        let Some(Component::Driver(rt)) = &mut self.slots[i].kind else {
+        let Component::Driver(rt) = &mut self.slots[i].kind else {
             unreachable!("only driver slots run reconcile cycles");
         };
         let sw = Stopwatch::start();
@@ -1104,6 +1047,7 @@ impl World {
         rest: VecDeque<PendingCommit>,
         sim: &mut Sim<World>,
     ) {
+        let retry = RetryPolicy::default();
         match self.slots[i].link.transfer(sim.now(), &mut self.rng) {
             Delivery::After(delay) => {
                 sim.schedule(delay, move |w: &mut World, sim| {
@@ -1111,10 +1055,10 @@ impl World {
                     w.run_commits(i, rest, sim);
                 });
             }
-            Delivery::Dropped if attempt < self.retry.budget => {
+            Delivery::Dropped if attempt < retry.budget => {
                 self.metrics.count("driver_retries", 1);
                 self.metrics.count(&self.slots[i].retries_key, 1);
-                let backoff = self.retry.backoff(attempt);
+                let backoff = retry.backoff(attempt);
                 sim.schedule(backoff, move |w: &mut World, sim| {
                     w.attempt_commit(i, commit, attempt + 1, rest, sim);
                 });
@@ -1137,37 +1081,36 @@ impl World {
     /// A commit arrived at the apiserver: apply it with OCC. A conflict
     /// means a newer event is already queued and will retrigger the cycle.
     fn apply_commit(&mut self, i: usize, commit: PendingCommit, sim: &mut Sim<World>) {
-        let mut component = self.slots[i].kind.take().expect("component present");
-        if let Component::Driver(rt) = &mut component {
-            match self
-                .api
-                .client(&rt.subject)
-                .namespace(&rt.oref.namespace)
-                .update(
-                    &rt.oref.kind,
-                    &rt.oref.name,
-                    commit.model.clone(),
-                    Some(commit.expected),
-                ) {
-                Ok(rv) => {
-                    rt.last_written = Some(rv);
-                    rt.last_model = Shared::new(commit.model);
-                }
-                Err(dspace_apiserver::ApiError::Conflict { .. }) => {
-                    self.metrics.count("reconcile_conflicts", 1);
-                }
-                Err(e) => {
-                    self.metrics.count("driver_errors", 1);
-                    self.trace.push(
-                        sim.now(),
-                        TraceKind::DriverReconciled,
-                        rt.oref.to_string(),
-                        format!("write failed: {e}"),
-                    );
-                }
+        let Component::Driver(rt) = &mut self.slots[i].kind else {
+            unreachable!("only driver slots commit");
+        };
+        match self
+            .api
+            .client(&rt.subject)
+            .namespace(&rt.oref.namespace)
+            .update(
+                &rt.oref.kind,
+                &rt.oref.name,
+                commit.model.clone(),
+                Some(commit.expected),
+            ) {
+            Ok(rv) => {
+                rt.last_written = Some(rv);
+                rt.last_model = commit.model;
+            }
+            Err(dspace_apiserver::ApiError::Conflict { .. }) => {
+                self.metrics.count("reconcile_conflicts", 1);
+            }
+            Err(e) => {
+                self.metrics.count("driver_errors", 1);
+                self.trace.push(
+                    sim.now(),
+                    TraceKind::DriverReconciled,
+                    rt.oref.to_string(),
+                    format!("write failed: {e}"),
+                );
             }
         }
-        self.slots[i].kind = Some(component);
     }
 
     /// Ends a reconcile cycle. If wakes arrived while busy, everything
@@ -1220,7 +1163,7 @@ impl World {
             .api
             .get(ApiServer::ADMIN, &oref)
             .map(|o| o.model)
-            .unwrap_or_else(|_| Shared::new(Value::Null));
+            .unwrap_or_default();
         let acts = actuator.step(sim.now(), &model, &mut self.rng);
         let name = actuator.name().to_string();
         let interval = actuator.poll_interval();
@@ -1331,7 +1274,7 @@ mod tests {
     // slot is refused, counted, and deferred via the dirty bit.
     #[test]
     fn double_cycle_is_refused_and_counted() {
-        let mut world = World::new(LinkSet::default(), 1);
+        let mut world = World::open(SpaceConfig::default()).unwrap();
         let mut sim: Sim<World> = Sim::new();
         let mounter = world
             .slots

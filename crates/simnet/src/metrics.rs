@@ -154,12 +154,15 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a histogram sample.
+    /// Records a histogram sample. Like [`Metrics::count`], only the first
+    /// sample of a name allocates its key.
     pub fn record(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.record(value);
+        } else {
+            let h = self.histograms.entry(name.to_string()).or_default();
+            h.record(value);
+        }
     }
 
     /// Records the wall time elapsed on `sw` as a nanosecond sample.

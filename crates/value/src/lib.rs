@@ -41,16 +41,6 @@ pub use path::{Path, Segment};
 pub use schema::{AttrType, KindSchema, SchemaError};
 pub use value::{Map, Value, ValueError};
 
-/// Reference-counted shared handle, for whole model snapshots and for the
-/// object maps inside every [`Value`].
-///
-/// Model snapshots are shared between the store, its event logs, and every
-/// watcher that receives them, and each snapshot shares its unchanged
-/// subtrees with the snapshots before it (see [`Map`]); `Shared` is the one
-/// place that choice is spelled. It is an `Arc`, so `Value` stays
-/// `Send + Sync`.
-pub type Shared<T = Value> = std::sync::Arc<T>;
-
 /// Convenience constructor for an empty object value.
 pub fn obj() -> Value {
     Value::Object(Default::default())

@@ -3,9 +3,9 @@
 use std::collections::{btree_map, BTreeMap};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use crate::path::{Path, Segment};
-use crate::Shared;
 
 /// A JSON-like value with deterministic object ordering.
 ///
@@ -38,8 +38,8 @@ pub enum Value {
     Object(Map),
 }
 
-/// The map behind [`Value::Object`]: a [`BTreeMap`] behind a [`Shared`]
-/// handle, copied on write.
+/// The map behind [`Value::Object`]: a [`BTreeMap`] behind a reference
+/// count (an [`Arc`], so `Value` stays `Send + Sync`), copied on write.
 ///
 /// Cloning is O(1). A write through [`DerefMut`] copies this one map if
 /// another handle still shares it, and leaves its entries shared, so a
@@ -48,7 +48,7 @@ pub enum Value {
 /// `NaN`), and [`diff`](crate::diff()) and [`Value::merge`] skip such
 /// subtrees.
 #[derive(Clone, Default)]
-pub struct Map(Shared<BTreeMap<String, Value>>);
+pub struct Map(Arc<BTreeMap<String, Value>>);
 
 impl Map {
     /// An empty map.
@@ -59,7 +59,13 @@ impl Map {
     /// Returns `true` if both handles share one allocation, which implies
     /// equal contents.
     pub fn ptr_eq(a: &Map, b: &Map) -> bool {
-        Shared::ptr_eq(&a.0, &b.0)
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// Returns `true` if another handle shares this map, so that a write
+    /// through [`DerefMut`] would copy it first.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.0) > 1
     }
 }
 
@@ -73,7 +79,7 @@ impl Deref for Map {
 
 impl DerefMut for Map {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        Shared::make_mut(&mut self.0)
+        Arc::make_mut(&mut self.0)
     }
 }
 
@@ -91,7 +97,7 @@ impl PartialEq for Map {
 
 impl From<BTreeMap<String, Value>> for Map {
     fn from(map: BTreeMap<String, Value>) -> Self {
-        Map(Shared::new(map))
+        Map(Arc::new(map))
     }
 }
 
@@ -115,7 +121,7 @@ impl IntoIterator for Map {
     type IntoIter = btree_map::IntoIter<String, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
-        Shared::unwrap_or_clone(self.0).into_iter()
+        Arc::unwrap_or_clone(self.0).into_iter()
     }
 }
 
