@@ -154,8 +154,9 @@ impl WriteBatch {
     }
 
     /// Issues one op: through the server at once in per-op mode; queued,
-    /// and applied to the overlay, when batched.
-    fn write(&mut self, api: &mut ApiServer, oref: &ObjectRef, op: WriteOp) -> usize {
+    /// and applied to the overlay, when batched. Returns the ticket to look
+    /// up in [`commit`](Self::commit)'s results.
+    pub(crate) fn write(&mut self, api: &mut ApiServer, oref: &ObjectRef, op: WriteOp) -> usize {
         if !self.batched {
             let result = api.write(&self.subject, oref, op, None);
             return self.push(Pending::Done(result));

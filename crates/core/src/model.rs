@@ -63,84 +63,52 @@ impl<'a> DigiModel<'a> {
 
     /// Reads `control.<attr>.intent`.
     pub fn intent(&self, attr: &str) -> Value {
-        self.model
-            .get_path(&format!(".control.{attr}.intent"))
-            .cloned()
-            .unwrap_or(Value::Null)
+        self.read(&["control", attr, "intent"])
     }
 
     /// Reads `control.<attr>.status`.
     pub fn status(&self, attr: &str) -> Value {
-        self.model
-            .get_path(&format!(".control.{attr}.status"))
-            .cloned()
-            .unwrap_or(Value::Null)
+        self.read(&["control", attr, "status"])
     }
 
     /// Writes `control.<attr>.intent`.
     pub fn set_intent(&mut self, attr: &str, value: Value) {
-        let p: Path = format!(".control.{attr}.intent")
-            .parse()
-            .expect("valid path");
-        self.model
-            .set(&p, value)
-            .expect("control section is an object");
+        self.write(&["control", attr, "intent"], value);
     }
 
     /// Writes `control.<attr>.status`.
     pub fn set_status(&mut self, attr: &str, value: Value) {
-        let p: Path = format!(".control.{attr}.status")
-            .parse()
-            .expect("valid path");
-        self.model
-            .set(&p, value)
-            .expect("control section is an object");
+        self.write(&["control", attr, "status"], value);
     }
 
     /// Reads `obs.<attr>`.
     pub fn obs(&self, attr: &str) -> Value {
-        self.model
-            .get_path(&format!(".obs.{attr}"))
-            .cloned()
-            .unwrap_or(Value::Null)
+        self.read(&["obs", attr])
     }
 
     /// Writes `obs.<attr>`.
     pub fn set_obs(&mut self, attr: &str, value: Value) {
-        let p: Path = format!(".obs.{attr}").parse().expect("valid path");
-        self.model.set(&p, value).expect("obs section is an object");
+        self.write(&["obs", attr], value);
     }
 
     /// Reads `data.input.<attr>` (digidata).
     pub fn input(&self, attr: &str) -> Value {
-        self.model
-            .get_path(&format!(".data.input.{attr}"))
-            .cloned()
-            .unwrap_or(Value::Null)
+        self.read(&["data", "input", attr])
     }
 
     /// Writes `data.input.<attr>` (digidata).
     pub fn set_input(&mut self, attr: &str, value: Value) {
-        let p: Path = format!(".data.input.{attr}").parse().expect("valid path");
-        self.model
-            .set(&p, value)
-            .expect("data section is an object");
+        self.write(&["data", "input", attr], value);
     }
 
     /// Reads `data.output.<attr>` (digidata).
     pub fn output(&self, attr: &str) -> Value {
-        self.model
-            .get_path(&format!(".data.output.{attr}"))
-            .cloned()
-            .unwrap_or(Value::Null)
+        self.read(&["data", "output", attr])
     }
 
     /// Writes `data.output.<attr>` (digidata).
     pub fn set_output(&mut self, attr: &str, value: Value) {
-        let p: Path = format!(".data.output.{attr}").parse().expect("valid path");
-        self.model
-            .set(&p, value)
-            .expect("data section is an object");
+        self.write(&["data", "output", attr], value);
     }
 
     /// Lists `(kind, name)` of every mount reference in this model.
@@ -159,19 +127,19 @@ impl<'a> DigiModel<'a> {
     }
 
     /// Reads an attribute inside a mounted child's replica, e.g.
-    /// `replica_path("UniLamp", "ul1", ".control.power.status")`.
+    /// `replica("UniLamp", "ul1", ".control.power.status")`.
     pub fn replica(&self, kind: &str, name: &str, path: &str) -> Value {
-        let base = replica_path(kind, name);
-        let full = format!("{base}{path}");
-        self.model.get_path(&full).cloned().unwrap_or(Value::Null)
+        at(self.model, &["mount", kind, name])
+            .and_then(|replica| replica.get_path(path))
+            .cloned()
+            .unwrap_or(Value::Null)
     }
 
     /// Writes into a mounted child's replica (typically `.control.*.intent`);
     /// the Mounter then syncs the write southbound to the child (§5.2).
     pub fn set_replica(&mut self, kind: &str, name: &str, path: &str, value: Value) {
-        let full: Path = format!("{}{}", replica_path(kind, name), path)
-            .parse()
-            .expect("valid replica path");
+        let path: Path = path.parse().expect("valid replica path");
+        let full = Path::keys(["mount", kind, name]).join(&path);
         self.model
             .set(&full, value)
             .expect("mount section is an object");
@@ -179,12 +147,30 @@ impl<'a> DigiModel<'a> {
 
     /// Lists names of children of `kind` currently mounted.
     pub fn mounted_names(&self, kind: &str) -> Vec<String> {
-        self.model
-            .get_path(&format!(".mount.{kind}"))
+        at(self.model, &["mount", kind])
             .and_then(Value::as_object)
             .map(|m| m.keys().cloned().collect())
             .unwrap_or_default()
     }
+
+    /// The value under `keys`, or `Null` where it is missing.
+    fn read(&self, keys: &[&str]) -> Value {
+        at(self.model, keys).cloned().unwrap_or(Value::Null)
+    }
+
+    /// Sets the value under `keys`, creating missing objects on the way.
+    fn write(&mut self, keys: &[&str], value: Value) {
+        self.model
+            .set(&Path::keys(keys.iter().copied()), value)
+            .expect("the model's sections are objects");
+    }
+}
+
+/// The value under `keys`, each one key of an object: the model path
+/// `.<k1>.<k2>…` addressed without building it.
+pub(crate) fn at<'v>(model: &'v Value, keys: &[&str]) -> Option<&'v Value> {
+    keys.iter()
+        .try_fold(model, |v, k| v.as_object().and_then(|m| m.get(*k)))
 }
 
 /// Returns the model path of the replica of child `(kind, name)`.

@@ -23,13 +23,13 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent};
+use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent, WriteOp};
 use dspace_simnet::Time;
 use dspace_value::{Map, Path, Value};
 
 use crate::batch::WriteBatch;
 use crate::graph::{DigiGraph, EdgeState, MountEdge, MountMode};
-use crate::model::{MOUNT_ACTIVE, MOUNT_YIELDED};
+use crate::model::{at, MOUNT_ACTIVE, MOUNT_YIELDED};
 use crate::trace::{Trace, TraceKind};
 
 /// The apiserver subject the mounter authenticates as.
@@ -164,9 +164,8 @@ impl Mounter {
         let Ok((child_model, _)) = batch.get(api, child) else {
             return;
         };
-        let replica_path = crate::model::replica_path(&child.kind, &child.name);
-        let replica_cur = parent_model
-            .get_path(&replica_path)
+        let replica_keys = ["mount", child.kind.as_str(), child.name.as_str()];
+        let replica_cur = at(&parent_model, &replica_keys)
             .cloned()
             .unwrap_or(Value::Null);
         if replica_cur.is_null() {
@@ -185,31 +184,25 @@ impl Mounter {
         // --- Northbound: build the replica candidate from the child. -----
         // Generations are compared exactly as u64: an f64 round-trip
         // collapses adjacent versions past 2^53 and mis-orders the gate.
-        let child_gen = child_model
-            .get_path(".meta.gen")
+        let child_gen = at(&child_model, &["meta", "gen"])
             .and_then(Value::as_exact_u64)
             .unwrap_or(0);
-        let mut candidate = dspace_value::obj();
-        set(&mut candidate, ".mode", Value::from(edge.mode.as_str()));
-        set(
-            &mut candidate,
-            ".status",
-            Value::from(match edge.state {
-                EdgeState::Active => MOUNT_ACTIVE,
-                EdgeState::Yielded => MOUNT_YIELDED,
-            }),
-        );
-        set(&mut candidate, ".gen", Value::from_exact_u64(child_gen));
-        for section in ["control", "obs", "data"] {
-            if let Some(v) = child_model.get_path(section) {
-                set(&mut candidate, &format!(".{section}"), v.clone());
+        let status = match edge.state {
+            EdgeState::Active => MOUNT_ACTIVE,
+            EdgeState::Yielded => MOUNT_YIELDED,
+        };
+        let mut fields = BTreeMap::from([
+            ("mode".to_string(), Value::from(edge.mode.as_str())),
+            ("status".to_string(), Value::from(status)),
+            ("gen".to_string(), Value::from_exact_u64(child_gen)),
+        ]);
+        let exposed = (edge.mode == MountMode::Expose).then_some("mount");
+        for section in ["control", "obs", "data"].into_iter().chain(exposed) {
+            if let Some(v) = at(&child_model, &[section]) {
+                fields.insert(section.to_string(), v.clone());
             }
         }
-        if edge.mode == MountMode::Expose {
-            if let Some(v) = child_model.get_path("mount") {
-                set(&mut candidate, ".mount", v.clone());
-            }
-        }
+        let mut candidate = Value::Object(fields.into());
         // The northbound-only view, before parent-pending writes are
         // merged in: this is what the shadow reverts to when the version
         // gate blocks, so blocked writes stay pending instead of being
@@ -229,7 +222,8 @@ impl Mounter {
 
         if candidate != replica_cur {
             // Errors are ignored (as before): no effect rides on this op.
-            let _ = batch.patch_path(api, parent, &replica_path, candidate.clone());
+            let set = WriteOp::Set(Path::keys(replica_keys), candidate.clone());
+            let _ = batch.write(api, parent, set);
         }
 
         // --- Southbound: apply parent-pending intent/input writes. -------
@@ -238,8 +232,7 @@ impl Mounter {
         // parent acted on an outdated view of the child; the northbound
         // refresh above (which advances `.gen` to the child's version)
         // must land first, and the retry happens on its event.
-        let stored_gen = replica_cur
-            .get_path(".gen")
+        let stored_gen = at(&replica_cur, &["gen"])
             .and_then(Value::as_exact_u64)
             .unwrap_or(0);
         let gate_ok = stored_gen >= child_gen;
@@ -275,11 +268,6 @@ impl Mounter {
         self.shadows
             .insert(key, if synced_south { candidate } else { fresh });
     }
-}
-
-fn set(doc: &mut Value, path: &str, v: Value) {
-    let p: Path = path.parse().expect("static path");
-    doc.set(&p, v).expect("object document");
 }
 
 /// Visits every *southbound-capable* leaf of `doc` — `control.<attr>.intent`

@@ -17,7 +17,8 @@ use std::rc::Rc;
 use dspace_apiserver::{
     AdmissionResponse, AdmissionReview, AdmissionWebhook, Object, ObjectRef, Verb,
 };
-use dspace_value::Value;
+use dspace_value::path::is_key;
+use dspace_value::{Map, Value};
 
 use crate::graph::{DigiGraph, EdgeState, MountMode};
 #[cfg(test)]
@@ -68,6 +69,40 @@ pub fn mount_refs(model: &Value, namespace: &str) -> Vec<MountRef> {
     out
 }
 
+/// Returns `true` when `old` and `new` hold the same mount references:
+/// the same children, each with equal raw `mode` and `status` values, so
+/// that [`mount_refs`] would return equal lists for the two and neither
+/// review nor observe has anything to do. A map both sides share is equal
+/// at once. Conservative: `false` means only that the lists may differ.
+fn same_mounts(old: Option<&Value>, new: Option<&Value>) -> bool {
+    /// Both objects with the same keys whose values pair up under `same`,
+    /// or neither an object (`mount_refs` reads nothing from either).
+    fn same_map(a: &Value, b: &Value, same: fn(&Value, &Value) -> bool) -> bool {
+        match (a, b) {
+            (Value::Object(a), Value::Object(b)) => {
+                Map::ptr_eq(a, b)
+                    || (a.len() == b.len()
+                        && a.iter()
+                            .zip(b)
+                            .all(|((ka, va), (kb, vb))| ka == kb && same(va, vb)))
+            }
+            (a, b) => a.as_object().is_none() && b.as_object().is_none(),
+        }
+    }
+    fn mounts(model: Option<&Value>) -> &Value {
+        model
+            .and_then(|m| m.get_path("mount"))
+            .unwrap_or(&Value::Null)
+    }
+    same_map(mounts(old), mounts(new), |a, b| {
+        same_map(a, b, |a, b| {
+            ["mode", "status"]
+                .iter()
+                .all(|f| a.get_path(f) == b.get_path(f))
+        })
+    })
+}
+
 /// A pipe target, used for the single-writer-per-port check.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Port {
@@ -114,6 +149,9 @@ impl TopologyWebhook {
     }
 
     fn review_digi(&self, review: &AdmissionReview<'_>) -> AdmissionResponse {
+        if same_mounts(review.old, review.new) {
+            return AdmissionResponse::Allow;
+        }
         let parent = review.oref.clone();
         let ns = &parent.namespace;
         let old_refs = review.old.map(|m| mount_refs(m, ns)).unwrap_or_default();
@@ -183,6 +221,9 @@ impl TopologyWebhook {
     }
 
     fn observe_digi(&mut self, review: &AdmissionReview<'_>) {
+        if same_mounts(review.old, review.new) {
+            return;
+        }
         let parent = review.oref.clone();
         let ns = &parent.namespace;
         let old_refs = review.old.map(|m| mount_refs(m, ns)).unwrap_or_default();
@@ -268,17 +309,26 @@ impl AdmissionWebhook for TopologyWebhook {
     }
 
     fn review(&mut self, review: &AdmissionReview<'_>) -> AdmissionResponse {
-        // Digi names become path segments of the parent's replica
-        // (`.mount.<Kind>.<name>`): a dot inside the name splits the
-        // segment and corrupts every replica-path parse downstream, so
-        // such names never enter the space.
-        if review.verb == Verb::Create
-            && (review.oref.name.contains('.') || review.oref.kind.contains('.'))
-        {
-            return AdmissionResponse::Deny(format!(
-                "name {} contains '.', which is reserved as the model path separator",
-                review.oref
-            ));
+        // Digi kinds and names become path keys of the parent's replica
+        // (`.mount.<Kind>.<name>`): a dot inside one splits the key, and
+        // any other character outside the key grammar makes the replica
+        // path unparseable (`[1]` even reads as an index), so such names
+        // never enter the space.
+        if review.verb == Verb::Create {
+            let (kind, name) = (&review.oref.kind, &review.oref.name);
+            if name.contains('.') || kind.contains('.') {
+                return AdmissionResponse::Deny(format!(
+                    "name {} contains '.', which is reserved as the model path separator",
+                    review.oref
+                ));
+            }
+            if !is_key(kind) || !is_key(name) {
+                return AdmissionResponse::Deny(format!(
+                    "name {} is not a model path key: a kind or name must be non-empty \
+                     and hold only letters, digits, '_', '-', '/' or ':'",
+                    review.oref
+                ));
+            }
         }
         match review.oref.kind.as_str() {
             "Sync" => self.review_sync(review),
@@ -372,6 +422,179 @@ mod tests {
             digi_model("Lamp", "dot-free"),
         )
         .unwrap();
+    }
+
+    #[test]
+    fn names_outside_the_key_grammar_are_rejected_at_admission() {
+        let (mut api, _graph) = setup();
+        // Each would make `.mount.Node.<name>` unparseable (`[1]` even
+        // reads as an index), so the digi could never be mounted.
+        for (kind, name) in [
+            ("Node", "c h"),
+            ("Node", "c[1]"),
+            ("Node", "c#1"),
+            ("Node", ""),
+            ("No de", "ok"),
+        ] {
+            let err = api
+                .create(
+                    ApiServer::ADMIN,
+                    &ObjectRef::default_ns(kind, name),
+                    digi_model(kind, name),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(&err, ApiError::AdmissionDenied { webhook, reason }
+                    if webhook == "topology" && reason.contains("not a model path key")),
+                "{kind}/{name:?}: got {err:?}"
+            );
+        }
+        // Every character the key grammar holds is fine.
+        for name in ["c-1", "c_1", "a/b:c", "é1", "42"] {
+            api.create(
+                ApiServer::ADMIN,
+                &ObjectRef::default_ns("Node", name),
+                digi_model("Node", name),
+            )
+            .unwrap();
+        }
+    }
+
+    /// A replica body as the Mounter writes it.
+    fn replica(mode: &str, status: &str, gen: f64, brightness: f64) -> Value {
+        json::parse(&format!(
+            r#"{{"mode": "{mode}", "status": "{status}", "gen": {gen},
+                 "control": {{"brightness": {{"intent": {brightness}}}}}}}"#
+        ))
+        .unwrap()
+    }
+
+    fn with_mounts(mounts: Value) -> Value {
+        let mut m = digi_model("Room", "r1");
+        m.set(&".mount".parse().unwrap(), mounts).unwrap();
+        m
+    }
+
+    #[test]
+    fn same_mounts_sees_every_mount_ref_change() {
+        let base = with_mounts(dspace_value::object([(
+            "Lamp",
+            dspace_value::object([
+                ("l1", replica("expose", "active", 1.0, 0.5)),
+                ("l2", replica("expose", "yielded", 1.0, 0.5)),
+            ]),
+        )]));
+        let edit = |path: &str, v: Value| {
+            let mut m = base.clone();
+            m.set(&path.parse().unwrap(), v).unwrap();
+            m
+        };
+        // Equal mount references: a shared map, or replica fields other
+        // than mode and status changed.
+        assert!(same_mounts(Some(&base), Some(&base.clone())));
+        assert!(same_mounts(
+            Some(&base),
+            Some(&edit(
+                ".mount.Lamp.l1.control.brightness.intent",
+                0.9.into()
+            ))
+        ));
+        assert!(same_mounts(
+            Some(&base),
+            Some(&edit(
+                ".mount.Lamp.l2",
+                replica("expose", "yielded", 7.0, 0.1)
+            ))
+        ));
+        assert!(same_mounts(Some(&base), Some(&edit(".obs.x", 1.0.into()))));
+        let unmounting = json::parse(r#"{"obs": {}}"#).unwrap();
+        assert!(same_mounts(None, Some(&unmounting)));
+        // Changed ones: a status flip, a mode change, an added, removed or
+        // renamed child, a kind whose entry stops being an object.
+        let changed = [
+            edit(".mount.Lamp.l2.status", MOUNT_ACTIVE.into()),
+            edit(".mount.Lamp.l1.mode", "hide".into()),
+            edit(".mount.Lamp.l3", replica("expose", "yielded", 0.0, 0.0)),
+            edit(
+                ".mount.Scene",
+                dspace_value::object([("s1", dspace_value::obj())]),
+            ),
+            edit(
+                ".mount.Lamp",
+                dspace_value::object([("l1", replica("expose", "active", 1.0, 0.5))]),
+            ),
+            edit(".mount.Lamp", Value::Null),
+            with_mounts(dspace_value::obj()),
+        ];
+        for new in &changed {
+            assert!(!same_mounts(Some(&base), Some(new)), "{new}");
+            assert!(!same_mounts(Some(new), Some(&base)), "{new}");
+        }
+        assert!(!same_mounts(Some(&base), None));
+    }
+
+    #[test]
+    fn whole_replica_writes_still_reach_review_and_observe() {
+        let (mut api, graph) = setup();
+        let r1 = ObjectRef::default_ns("Room", "r1");
+        let pc = ObjectRef::default_ns("Power", "pc");
+        let lamp = ObjectRef::default_ns("Lamp", "l1");
+        api.patch_path(
+            ApiServer::ADMIN,
+            &r1,
+            ".mount.Lamp.l1",
+            replica("expose", "active", 0.0, 0.5),
+        )
+        .unwrap();
+        api.patch_path(
+            ApiServer::ADMIN,
+            &pc,
+            ".mount.Lamp.l1",
+            replica("expose", "yielded", 0.0, 0.5),
+        )
+        .unwrap();
+        // Refreshing pc's yielded replica (new gen and intent) passes and
+        // leaves the edges as they were.
+        api.patch_path(
+            ApiServer::ADMIN,
+            &pc,
+            ".mount.Lamp.l1",
+            replica("expose", "yielded", 3.0, 0.8),
+        )
+        .unwrap();
+        assert_eq!(graph.borrow().active_parent(&lamp), Some(r1.clone()));
+        // The same refresh flipping the status to active while r1 holds
+        // the child is denied.
+        let err = api
+            .patch_path(
+                ApiServer::ADMIN,
+                &pc,
+                ".mount.Lamp.l1",
+                replica("expose", "active", 4.0, 0.8),
+            )
+            .unwrap_err();
+        assert!(err.to_string().contains("write access"), "{err}");
+        // Removing a mount in a write that also edits other sections still
+        // updates the graph, and so does adding one.
+        let mut model = api.get(ApiServer::ADMIN, &r1).unwrap().model;
+        model
+            .set(&".obs.note".parse().unwrap(), "x".into())
+            .unwrap();
+        model.remove(&".mount.Lamp.l1".parse().unwrap());
+        api.update(ApiServer::ADMIN, &r1, model.clone(), None)
+            .unwrap();
+        assert!(graph.borrow().active_parent(&lamp).is_none());
+        model
+            .set(
+                &".mount.Lamp.l1".parse().unwrap(),
+                replica("expose", "yielded", 0.0, 0.5),
+            )
+            .unwrap();
+        model
+            .set(&".obs.note".parse().unwrap(), "y".into())
+            .unwrap();
+        api.update(ApiServer::ADMIN, &r1, model, None).unwrap();
+        assert_eq!(graph.borrow().parents_of(&lamp).len(), 2);
     }
 
     #[test]

@@ -146,13 +146,8 @@ fn run_driver_cycle(rt: &mut DriverRuntime, events: &[CoalescedEvent], now_s: f6
             continue;
         }
         let result = rt.driver.reconcile(&rt.last_model, &ev.model, now_s);
-        let changed = result
-            .changes
-            .iter()
-            .take(8)
-            .map(|c| c.path.to_string())
-            .collect::<Vec<_>>()
-            .join(";");
+        // The first 8 of `result.changes`, rendered without their paths.
+        let changed = dspace_value::changed_paths(&rt.last_model, &ev.model, 8);
         rt.last_model = ev.model.clone();
         if result.model != ev.model {
             cycle.commits.push_back(PendingCommit {
@@ -216,6 +211,18 @@ struct ComponentSlot {
     kind: Component,
 }
 
+/// A simulated device or data engine attached to a leaf digi, with the
+/// names its actuations are counted under, built once when it is attached.
+struct Attached {
+    actuator: Box<dyn Actuator>,
+    /// The device name, for `DeviceDone` trace details.
+    device: Rc<str>,
+    /// `bytes:<device>`: the bytes its actuations transfer.
+    bytes_key: String,
+    /// `dt_ms:<digi>`: the device time of each actuation that lands.
+    dt_key: Rc<str>,
+}
+
 /// A model write a driver decided on during a reconcile, waiting to
 /// traverse the driver link (and survive its faults) before committing.
 struct PendingCommit {
@@ -262,7 +269,7 @@ pub struct World {
     /// Link the controllers' deferred writes travel (their wake link when
     /// unset).
     controller_write: Option<Link>,
-    actuators: BTreeMap<ObjectRef, Option<Box<dyn Actuator>>>,
+    actuators: BTreeMap<ObjectRef, Attached>,
     /// Digi kinds registered so far; space-scoped controllers subscribe to
     /// each of them in every known namespace.
     digi_kinds: BTreeSet<String>,
@@ -572,7 +579,14 @@ impl World {
         ));
         self.api.rbac_mut().bind(subject, role);
         let interval = actuator.poll_interval();
-        self.actuators.insert(oref.clone(), Some(actuator));
+        let device = actuator.name();
+        let attached = Attached {
+            device: device.into(),
+            bytes_key: format!("bytes:{device}"),
+            dt_key: format!("dt_ms:{}", oref.name).into(),
+            actuator,
+        };
+        self.actuators.insert(oref.clone(), attached);
         if let Some(interval) = interval {
             let target = oref.clone();
             // Background: the re-arming tick alone must not look like
@@ -669,13 +683,7 @@ impl World {
         if let Component::User(u) = &mut self.slots[i].kind {
             for ev in &events {
                 let old = u.cache.get(&ev.oref).unwrap_or(&Value::Null);
-                let changes = dspace_value::diff(old, &ev.model);
-                let detail = changes
-                    .iter()
-                    .take(8)
-                    .map(|c| c.path.to_string())
-                    .collect::<Vec<_>>()
-                    .join(";");
+                let detail = dspace_value::changed_paths(old, &ev.model, 8);
                 self.trace.push(
                     sim.now(),
                     TraceKind::UserObserved,
@@ -1137,38 +1145,29 @@ impl World {
     /// Sends a command to the actuator attached to `oref` and schedules the
     /// resulting patches.
     fn actuate(&mut self, oref: ObjectRef, cmd: Value, sim: &mut Sim<World>) {
-        let Some(slot) = self.actuators.get_mut(&oref) else {
+        let Some(attached) = self.actuators.get_mut(&oref) else {
             self.metrics.count("commands_without_actuator", 1);
             return;
         };
-        let Some(mut actuator) = slot.take() else {
-            return;
-        };
-        let acts = actuator.actuate(sim.now(), &cmd, &mut self.rng);
-        let name = actuator.name().to_string();
-        *self.actuators.get_mut(&oref).expect("slot exists") = Some(actuator);
-        self.schedule_actuations(oref, name, acts, sim);
+        let acts = attached.actuator.actuate(sim.now(), &cmd, &mut self.rng);
+        self.schedule_actuations(oref, acts, sim);
     }
 
     /// Periodic device poll: spontaneous physical events (motion, manual
     /// toggles, robot movement) surface here.
     fn device_tick(&mut self, oref: ObjectRef, sim: &mut Sim<World>) {
-        let Some(slot) = self.actuators.get_mut(&oref) else {
+        if !self.actuators.contains_key(&oref) {
             return;
-        };
-        let Some(mut actuator) = slot.take() else {
-            return;
-        };
+        }
         let model = self
             .api
             .get(ApiServer::ADMIN, &oref)
             .map(|o| o.model)
             .unwrap_or_default();
-        let acts = actuator.step(sim.now(), &model, &mut self.rng);
-        let name = actuator.name().to_string();
-        let interval = actuator.poll_interval();
-        *self.actuators.get_mut(&oref).expect("slot exists") = Some(actuator);
-        self.schedule_actuations(oref.clone(), name, acts, sim);
+        let attached = self.actuators.get_mut(&oref).expect("checked above");
+        let acts = attached.actuator.step(sim.now(), &model, &mut self.rng);
+        let interval = attached.actuator.poll_interval();
+        self.schedule_actuations(oref.clone(), acts, sim);
         if let Some(interval) = interval {
             sim.schedule_background(interval, move |w: &mut World, sim| {
                 w.device_tick(oref.clone(), sim);
@@ -1176,17 +1175,18 @@ impl World {
         }
     }
 
+    /// Counts the bytes of the actuations of the device attached to `oref`
+    /// and schedules their patches to land after their delays.
     fn schedule_actuations(
         &mut self,
         oref: ObjectRef,
-        device: String,
         acts: Vec<crate::actuator::Actuation>,
         sim: &mut Sim<World>,
     ) {
+        let attached = &self.actuators[&oref];
         for act in acts {
             if act.bytes > 0 {
-                self.metrics
-                    .count(&format!("bytes:{device}"), act.bytes as u64);
+                self.metrics.count(&attached.bytes_key, act.bytes as u64);
             }
             // Pure bandwidth-accounting actuations carry no model change;
             // committing them would spam every watcher with no-op events.
@@ -1199,7 +1199,8 @@ impl World {
                 continue;
             }
             let target = oref.clone();
-            let dev = device.clone();
+            let dev = attached.device.clone();
+            let dt_key = attached.dt_key.clone();
             let delay_ms = act.delay as f64 / 1e6;
             sim.schedule(act.delay, move |w: &mut World, sim| {
                 let subject = device_subject(&target);
@@ -1216,8 +1217,7 @@ impl World {
                         target.to_string(),
                         format!("{dev} {delay_ms:.1}ms"),
                     );
-                    w.metrics
-                        .record(&format!("dt_ms:{}", target.name), delay_ms);
+                    w.metrics.record(&dt_key, delay_ms);
                 }
             });
         }

@@ -5,6 +5,8 @@
 //! changed paths between the previous and the new model with [`diff`] and
 //! matches handler filters against it.
 
+use std::ops::ControlFlow;
+
 use crate::path::Path;
 use crate::value::{Map, Value};
 
@@ -58,45 +60,94 @@ impl Change {
 /// ```
 pub fn diff(old: &Value, new: &Value) -> Vec<Change> {
     let mut out = Vec::new();
-    walk(&mut Vec::new(), old, new, &mut out);
+    let _ = walk(&mut Vec::new(), old, new, &mut |keys, op, old, new| {
+        out.push(Change {
+            path: Path::keys(keys.iter().copied()),
+            op,
+            old: old.clone(),
+            new: new.clone(),
+        });
+        ControlFlow::Continue(())
+    });
     out
 }
 
-/// Appends the changes below the path spelled by the key stack `keys`; a
-/// [`Path`] is built only for an emitted change.
-fn walk<'a>(keys: &mut Vec<&'a str>, old: &'a Value, new: &'a Value, out: &mut Vec<Change>) {
+/// Renders the paths of the first `limit` changes [`diff`] would list,
+/// `;`-joined in the same order, without building the changes: a trace
+/// line's summary of what changed. The root path renders as `.`. The text
+/// is copied into a string of exactly its length before it is returned,
+/// since callers keep it.
+///
+/// # Examples
+///
+/// ```
+/// use dspace_value::{changed_paths, json};
+/// let old = json::parse(r#"{"a": 1, "b": {"c": 2}}"#).unwrap();
+/// let new = json::parse(r#"{"a": 1, "b": {"c": 3}, "d": 4}"#).unwrap();
+/// assert_eq!(changed_paths(&old, &new, 8), ".b.c;.d");
+/// assert_eq!(changed_paths(&old, &new, 1), ".b.c");
+/// ```
+pub fn changed_paths(old: &Value, new: &Value, limit: usize) -> String {
+    let mut out = String::with_capacity(64);
+    let mut left = limit;
+    if left > 0 {
+        let _ = walk(&mut Vec::new(), old, new, &mut |keys, _, _, _| {
+            if left < limit {
+                out.push(';');
+            }
+            if keys.is_empty() {
+                out.push('.');
+            }
+            for k in keys {
+                out.push('.');
+                out.push_str(k);
+            }
+            left -= 1;
+            if left == 0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+    }
+    out.as_str().to_owned()
+}
+
+/// Visits, in order, each change below the path spelled by the key stack
+/// `keys` with its key path, kind, old value and new value (`Null` where
+/// absent). Stops when `visit` breaks.
+fn walk<'a>(
+    keys: &mut Vec<&'a str>,
+    old: &'a Value,
+    new: &'a Value,
+    visit: &mut impl FnMut(&[&'a str], ChangeOp, &'a Value, &'a Value) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     match (old, new) {
         (Value::Object(a), Value::Object(b)) => {
             if Map::ptr_eq(a, b) {
-                return;
+                return ControlFlow::Continue(());
             }
             for (k, va) in a {
                 keys.push(k);
-                match b.get(k) {
-                    Some(vb) => walk(keys, va, vb, out),
-                    None => out.push(change(keys, ChangeOp::Removed, va.clone(), Value::Null)),
-                }
+                let flow = match b.get(k) {
+                    Some(vb) => walk(keys, va, vb, visit),
+                    None => visit(keys, ChangeOp::Removed, va, &Value::Null),
+                };
                 keys.pop();
+                flow?;
             }
             for (k, vb) in b {
                 if !a.contains_key(k) {
                     keys.push(k);
-                    out.push(change(keys, ChangeOp::Added, Value::Null, vb.clone()));
+                    let flow = visit(keys, ChangeOp::Added, &Value::Null, vb);
                     keys.pop();
+                    flow?;
                 }
             }
+            ControlFlow::Continue(())
         }
-        (a, b) if a == b => {}
-        (a, b) => out.push(change(keys, ChangeOp::Updated, a.clone(), b.clone())),
-    }
-}
-
-fn change(keys: &[&str], op: ChangeOp, old: Value, new: Value) -> Change {
-    Change {
-        path: Path::keys(keys.iter().copied()),
-        op,
-        old,
-        new,
+        (a, b) if a == b => ControlFlow::Continue(()),
+        (a, b) => visit(keys, ChangeOp::Updated, a, b),
     }
 }
 

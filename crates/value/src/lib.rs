@@ -36,7 +36,7 @@ pub mod schema;
 pub mod value;
 pub mod yaml;
 
-pub use diff::{diff, Change, ChangeOp};
+pub use diff::{changed_paths, diff, Change, ChangeOp};
 pub use path::{Path, Segment};
 pub use schema::{AttrType, KindSchema, SchemaError};
 pub use value::{Map, Value, ValueError};

@@ -16,6 +16,16 @@ pub enum Segment {
     Index(usize),
 }
 
+impl Segment {
+    /// This segment as the token the path grammar reads.
+    pub(crate) fn token(&self) -> Token<'_> {
+        match self {
+            Segment::Key(k) => Token::Key(k),
+            Segment::Index(i) => Token::Index(*i),
+        }
+    }
+}
+
 impl fmt::Display for Segment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -163,66 +173,101 @@ impl FromStr for Path {
     /// Parses paths like `.control.power.intent`, `control.power`, or
     /// `obs.objects[2]`. A bare `.` is the root path.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s.is_empty() || s == "." {
-            return Ok(Path::root());
-        }
-        let mut segments = Vec::new();
-        let mut chars = s.chars().peekable();
-        // Accept an optional leading dot (jq style).
-        if let Some('.') = chars.peek() {
-            chars.next();
-        }
-        let mut cur = String::new();
-        let flush = |cur: &mut String, segments: &mut Vec<Segment>| -> Result<(), PathParseError> {
-            if !cur.is_empty() {
-                segments.push(Segment::Key(std::mem::take(cur)));
-            }
-            Ok(())
-        };
-        while let Some(c) = chars.next() {
-            match c {
-                '.' => {
-                    if cur.is_empty() {
-                        return Err(PathParseError(s.to_string()));
-                    }
-                    flush(&mut cur, &mut segments)?;
-                }
-                '[' => {
-                    flush(&mut cur, &mut segments)?;
-                    let mut num = String::new();
-                    for d in chars.by_ref() {
-                        if d == ']' {
-                            break;
-                        }
-                        num.push(d);
-                    }
-                    let idx: usize = num
-                        .trim()
-                        .parse()
-                        .map_err(|_| PathParseError(s.to_string()))?;
-                    segments.push(Segment::Index(idx));
-                    // After `]` the next char must be `.`, `[`, or end.
-                    match chars.peek() {
-                        None | Some('.') | Some('[') => {
-                            if let Some('.') = chars.peek() {
-                                chars.next();
-                            }
-                        }
-                        Some(_) => return Err(PathParseError(s.to_string())),
-                    }
-                }
-                c if c.is_alphanumeric() || c == '_' || c == '-' || c == '/' || c == ':' => {
-                    cur.push(c)
-                }
-                _ => return Err(PathParseError(s.to_string())),
-            }
-        }
-        flush(&mut cur, &mut segments)?;
-        if segments.is_empty() {
-            return Err(PathParseError(s.to_string()));
-        }
+        let segments = tokens(s)
+            .map(|t| match t? {
+                Token::Key(k) => Ok(Segment::Key(k.to_string())),
+                Token::Index(i) => Ok(Segment::Index(i)),
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|Malformed| PathParseError(s.trim().to_string()))?;
         Ok(Path { segments })
+    }
+}
+
+/// One segment of a path string, borrowed from it: what [`tokens`] yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Token<'a> {
+    Key(&'a str),
+    Index(usize),
+}
+
+/// The error [`tokens`] yields where a path string leaves the grammar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Malformed;
+
+/// Returns `true` for a character a key segment may hold: a letter or
+/// digit, `_`, `-`, `/` or `:`.
+fn is_key_char(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '-' | '/' | ':')
+}
+
+/// Returns `true` if `s` is exactly one key segment, so that a path can
+/// spell it: non-empty, and only characters a key may hold.
+pub fn is_key(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(is_key_char)
+}
+
+/// The path grammar, defined once: splits a path string into its segments
+/// in place, without allocating. [`Path::from_str`] collects the tokens;
+/// [`Value::get_path`](crate::Value::get_path) walks them. The string is
+/// trimmed; an empty string or a bare `.` has no segments (the root). A
+/// leading `.` is optional; keys are separated by `.`; `[n]` is an index,
+/// which may be followed by `.`, `[` or the end. At the first spot that
+/// leaves the grammar the tokens end with [`Malformed`].
+pub(crate) fn tokens(s: &str) -> Tokens<'_> {
+    let s = s.trim();
+    Tokens {
+        rest: s.strip_prefix('.').unwrap_or(s),
+    }
+}
+
+/// The iterator [`tokens`] returns.
+pub(crate) struct Tokens<'a> {
+    /// The unread tail of the path; emptied once a token is malformed.
+    rest: &'a str,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Result<Token<'a>, Malformed>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let s = self.rest;
+        if s.is_empty() {
+            return None;
+        }
+        let end = s.find(|c| !is_key_char(c)).unwrap_or(s.len());
+        let (key, tail) = s.split_at(end);
+        let token = match tail.chars().next() {
+            None => Ok((Token::Key(key), tail)),
+            Some('.') if !key.is_empty() => Ok((Token::Key(key), &tail[1..])),
+            // A key ends where an index opens; the index is the next token.
+            Some('[') if !key.is_empty() => Ok((Token::Key(key), tail)),
+            Some('[') => index(&tail[1..]),
+            Some(_) => Err(Malformed),
+        };
+        Some(match token {
+            Ok((token, rest)) => {
+                self.rest = rest;
+                Ok(token)
+            }
+            Err(Malformed) => {
+                self.rest = "";
+                Err(Malformed)
+            }
+        })
+    }
+}
+
+/// Reads an index from `s`, which follows its `[`: everything up to the
+/// next `]` (or the end) is the number, trimmed; a `.` after the `]` is
+/// consumed, and anything but a `.`, a `[` or the end is malformed.
+fn index(s: &str) -> Result<(Token<'_>, &str), Malformed> {
+    let (num, rest) = s.split_once(']').unwrap_or((s, ""));
+    let i = num.trim().parse().map_err(|_| Malformed)?;
+    match rest.chars().next() {
+        None | Some('[') => Ok((Token::Index(i), rest)),
+        Some('.') => Ok((Token::Index(i), &rest[1..])),
+        Some(_) => Err(Malformed),
     }
 }
 

@@ -335,9 +335,10 @@ impl KindSchema {
                 }
             }
         }
+        let data = model.get_path("data").and_then(Value::as_object);
         for (section, decls) in [("input", &self.input), ("output", &self.output)] {
-            if let Some(map) = model
-                .get_path(&format!("data.{section}"))
+            if let Some(map) = data
+                .and_then(|data| data.get(section))
                 .and_then(Value::as_object)
             {
                 for (attr, v) in map {

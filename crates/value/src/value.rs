@@ -5,7 +5,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use crate::path::{Path, Segment};
+use crate::path::{Malformed, Path, Segment, Token};
 
 /// A JSON-like value with deterministic object ordering.
 ///
@@ -252,23 +252,34 @@ impl Value {
     /// Looks up a value by [`Path`], returning `None` if any segment is
     /// missing or mismatched.
     pub fn get(&self, path: &Path) -> Option<&Value> {
-        let mut cur = self;
-        for seg in path.segments() {
-            match (seg, cur) {
-                (Segment::Key(k), Value::Object(map)) => cur = map.get(k)?,
-                (Segment::Index(i), Value::Array(arr)) => cur = arr.get(*i)?,
-                _ => return None,
-            }
-        }
-        Some(cur)
+        self.walk(path.segments().iter().map(|seg| Ok(seg.token())))
     }
 
     /// Looks up a value by a dotted path string, e.g. `"control.power.intent"`.
     ///
     /// Leading dots are accepted, so jq-style `.control.power` works too.
+    /// The string is read in place, segment by segment, with the grammar
+    /// [`Path`] parses: it allocates nothing, and a malformed path reads as
+    /// `None`, exactly as `path.parse().ok().and_then(|p| self.get(&p))`.
     pub fn get_path(&self, path: &str) -> Option<&Value> {
-        let p: Path = path.parse().ok()?;
-        self.get(&p)
+        self.walk(crate::path::tokens(path))
+    }
+
+    /// Follows `tokens` down from this value; `None` at the first missing or
+    /// mismatched segment, or at a malformed one.
+    fn walk<'p>(
+        &self,
+        tokens: impl Iterator<Item = Result<Token<'p>, Malformed>>,
+    ) -> Option<&Value> {
+        let mut cur = self;
+        for token in tokens {
+            cur = match (token.ok()?, cur) {
+                (Token::Key(k), Value::Object(map)) => map.get(k)?,
+                (Token::Index(i), Value::Array(arr)) => arr.get(i)?,
+                _ => return None,
+            };
+        }
+        Some(cur)
     }
 
     /// Mutable lookup by [`Path`]; copies the shared maps along the path.
@@ -305,15 +316,24 @@ impl Value {
                     if cur.is_null() {
                         *cur = Value::Object(Map::new());
                     }
-                    let map = match cur {
+                    let map: &mut BTreeMap<String, Value> = match cur {
                         Value::Object(m) => m,
                         _ => return Err(ValueError::NotAContainer(path.prefix(i).to_string())),
                     };
+                    // The key is copied only when it is new to the map.
                     if last {
-                        map.insert(k.clone(), value);
+                        match map.get_mut(k) {
+                            Some(slot) => *slot = value,
+                            None => {
+                                map.insert(k.clone(), value);
+                            }
+                        }
                         return Ok(());
                     }
-                    cur = map.entry(k.clone()).or_insert(Value::Null);
+                    if !map.contains_key(k) {
+                        map.insert(k.clone(), Value::Null);
+                    }
+                    cur = map.get_mut(k).expect("present or inserted above");
                 }
                 Segment::Index(idx) => {
                     let arr = match cur {

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use dspace_value::{diff, json, yaml, Path, Value};
+use dspace_value::{changed_paths, diff, json, yaml, Path, Value};
 
 /// Strategy producing arbitrary JSON-like values of bounded depth.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -50,6 +50,19 @@ fn arb_doc() -> impl Strategy<Value = Value> {
 /// Key paths over [`arb_doc`]'s alphabet; the root path when empty.
 fn arb_doc_path() -> impl Strategy<Value = Path> {
     prop::collection::vec("[a-c]", 0..4).prop_map(Path::keys)
+}
+
+/// Path strings over an alphabet heavy in the grammar's delimiters, digits,
+/// whitespace, the key punctuation and a non-ASCII letter, with whole
+/// index and key pieces mixed in so that many strings are well formed and
+/// reach into [`arb_doc`]'s keys and arrays.
+fn arb_path_str() -> impl Strategy<Value = String> {
+    const PIECES: &[&str] = &[
+        ".", ".", ".", "[", "]", "0", "1", "2", " ", "-", ":", "/", "_", "é", "a", "b", "c", ".a",
+        ".b", "[0]", "[1]", "[ 2 ]",
+    ];
+    prop::collection::vec(0..PIECES.len(), 0..10)
+        .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
 }
 
 /// One in-place edit of a document.
@@ -183,6 +196,44 @@ proptest! {
         let shown = p.to_string();
         let back: Path = shown.parse().unwrap();
         prop_assert_eq!(p, back);
+    }
+
+    /// Reading a path string in place agrees with parsing it and reading
+    /// the parsed path, a malformed string included (both read `None`).
+    #[test]
+    fn get_path_reads_as_parse_then_get(v in arb_doc(), s in arb_path_str()) {
+        let parsed = s.parse::<Path>().ok();
+        prop_assert_eq!(v.get_path(&s), parsed.and_then(|p| v.get(&p)), "path {:?}", s);
+    }
+
+    /// The rendered change summary is the first `limit` paths of `diff`,
+    /// `;`-joined, on documents that share subtrees or replace the root
+    /// (rendered `.`), and it is allocated at exactly its length.
+    #[test]
+    fn changed_paths_render_the_first_diff_paths(
+        a in arb_doc(),
+        sets in prop::collection::vec((arb_doc_path(), arb_doc()), 0..6),
+        replace_root in 0u8..4,
+        root in arb_value(),
+        limit in 0usize..10,
+    ) {
+        let mut b = a.clone();
+        for (p, v) in sets {
+            let _ = b.set(&p, v);
+        }
+        if replace_root == 0 {
+            b = root;
+        }
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let expected: Vec<String> = diff(from, to)
+                .iter()
+                .take(limit)
+                .map(|c| c.path.to_string())
+                .collect();
+            let rendered = changed_paths(from, to, limit);
+            prop_assert_eq!(&rendered, &expected.join(";"));
+            prop_assert_eq!(rendered.capacity(), rendered.len());
+        }
     }
 
     /// merge(a, b) makes every leaf of b present in the result.
