@@ -118,7 +118,7 @@ impl ImitateEngine {
         let map = occ.as_object()?;
         let occupancy: BTreeMap<String, u64> = map
             .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|n| (k.clone(), n as u64)))
+            .filter_map(|(k, v)| v.as_f64().map(|n| (k.to_string(), n as u64)))
             .collect();
         Some(BehaviorCloner::signature(&occupancy))
     }

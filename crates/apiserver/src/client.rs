@@ -6,7 +6,7 @@
 //! operates in is visible at the point the handle is created, not spread
 //! across string literals.
 
-use dspace_value::Value;
+use dspace_value::{Name, Value};
 
 use crate::error::ApiError;
 use crate::object::{Object, ObjectRef};
@@ -33,7 +33,7 @@ impl<'a> Client<'a> {
     }
 
     /// Scopes the handle to one namespace.
-    pub fn namespace(self, namespace: impl Into<String>) -> NamespacedClient<'a> {
+    pub fn namespace(self, namespace: impl Into<Name>) -> NamespacedClient<'a> {
         NamespacedClient {
             api: self.api,
             subject: self.subject,
@@ -57,7 +57,7 @@ impl<'a> Client<'a> {
 pub struct NamespacedClient<'a> {
     api: &'a mut ApiServer,
     subject: String,
-    namespace: String,
+    namespace: Name,
 }
 
 impl NamespacedClient<'_> {

@@ -2,26 +2,25 @@
 
 use std::fmt;
 
-use dspace_value::Value;
+use dspace_value::{Name, Value};
 
 /// Uniquely identifies an API object: `(kind, namespace, name)`.
+///
+/// The parts are shared [`Name`]s, so cloning a reference (and every event,
+/// object or mount edge that holds one) copies no text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectRef {
     /// The object's kind, e.g. `Room` or `Sync`.
-    pub kind: String,
+    pub kind: Name,
     /// Namespace, usually `default`.
-    pub namespace: String,
+    pub namespace: Name,
     /// Object name, e.g. `lvroom`.
-    pub name: String,
+    pub name: Name,
 }
 
 impl ObjectRef {
     /// Creates a reference.
-    pub fn new(
-        kind: impl Into<String>,
-        namespace: impl Into<String>,
-        name: impl Into<String>,
-    ) -> Self {
+    pub fn new(kind: impl Into<Name>, namespace: impl Into<Name>, name: impl Into<Name>) -> Self {
         ObjectRef {
             kind: kind.into(),
             namespace: namespace.into(),
@@ -30,7 +29,7 @@ impl ObjectRef {
     }
 
     /// Shorthand for the `default` namespace.
-    pub fn default_ns(kind: impl Into<String>, name: impl Into<String>) -> Self {
+    pub fn default_ns(kind: impl Into<Name>, name: impl Into<Name>) -> Self {
         Self::new(kind, "default", name)
     }
 

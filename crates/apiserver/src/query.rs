@@ -485,17 +485,17 @@ impl Query {
     /// with.
     pub fn matches(&self, oref: &ObjectRef, model: &Value) -> bool {
         if let Some(k) = &self.kind {
-            if oref.kind != *k {
+            if oref.kind != k.as_str() {
                 return false;
             }
         }
         if let Some(ns) = &self.namespace {
-            if oref.namespace != *ns {
+            if oref.namespace != ns.as_str() {
                 return false;
             }
         }
         if let Some(n) = &self.name {
-            if oref.name != *n {
+            if oref.name != n.as_str() {
                 return false;
             }
         }
@@ -527,7 +527,11 @@ impl Query {
             }));
         }
         match (&self.kind, &self.namespace, &self.name) {
-            (Some(k), Some(ns), Some(n)) => Ok(WatchSelector::Object(ObjectRef::new(k, ns, n))),
+            (Some(k), Some(ns), Some(n)) => Ok(WatchSelector::Object(ObjectRef::new(
+                k.as_str(),
+                ns.as_str(),
+                n.as_str(),
+            ))),
             (Some(k), Some(ns), None) => Ok(WatchSelector::KindInNamespace {
                 kind: k.clone(),
                 namespace: ns.clone(),

@@ -117,11 +117,11 @@ impl ApiServer {
     }
 
     fn validate(&self, oref: &ObjectRef, model: &Value) -> Result<(), ApiError> {
-        match self.schemas.get(&oref.kind) {
+        match self.schemas.get(oref.kind.as_str()) {
             Some(schema) => schema
                 .validate(model)
                 .map_err(|e| ApiError::Invalid(e.to_string())),
-            None if self.strict_kinds => Err(ApiError::UnknownKind(oref.kind.clone())),
+            None if self.strict_kinds => Err(ApiError::UnknownKind(oref.kind.to_string())),
             None => Ok(()),
         }
     }
@@ -398,12 +398,14 @@ impl ApiServer {
     fn authorize_watch(&self, subject: &str, selector: &WatchSelector) -> Result<(), ApiError> {
         let probe = match selector {
             WatchSelector::All => ObjectRef::new("*", "*", "*"),
-            WatchSelector::Kind(k) => ObjectRef::new(k, "*", "*"),
+            WatchSelector::Kind(k) => ObjectRef::new(k.as_str(), "*", "*"),
             WatchSelector::KindInNamespace { kind, namespace } => {
-                ObjectRef::new(kind, namespace, "*")
+                ObjectRef::new(kind.as_str(), namespace.as_str(), "*")
             }
             WatchSelector::Object(r) => r.clone(),
-            WatchSelector::Predicate(p) => ObjectRef::new(&p.kind, &p.namespace, "*"),
+            WatchSelector::Predicate(p) => {
+                ObjectRef::new(p.kind.as_str(), p.namespace.as_str(), "*")
+            }
         };
         if self.rbac.authorize(subject, Verb::Watch, &probe) {
             Ok(())

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use dspace_value::{json, Path, Value};
+use dspace_value::{json, Name, Path, Value};
 
 use crate::error::ApiError;
 use crate::object::{Object, ObjectRef};
@@ -116,12 +116,14 @@ impl WatchSelector {
     pub fn matches(&self, oref: &ObjectRef) -> bool {
         match self {
             WatchSelector::All => true,
-            WatchSelector::Kind(k) => *k == oref.kind,
+            WatchSelector::Kind(k) => oref.kind == k.as_str(),
             WatchSelector::Object(r) => r == oref,
             WatchSelector::KindInNamespace { kind, namespace } => {
-                *kind == oref.kind && *namespace == oref.namespace
+                oref.kind == kind.as_str() && oref.namespace == namespace.as_str()
             }
-            WatchSelector::Predicate(p) => p.kind == oref.kind && p.namespace == oref.namespace,
+            WatchSelector::Predicate(p) => {
+                oref.kind == p.kind.as_str() && oref.namespace == p.namespace.as_str()
+            }
         }
     }
 
@@ -132,7 +134,9 @@ impl WatchSelector {
     pub fn event_matches(&self, oref: &ObjectRef, model: &Value) -> bool {
         match self {
             WatchSelector::Predicate(p) => {
-                p.kind == oref.kind && p.namespace == oref.namespace && p.pred.matches(model)
+                oref.kind == p.kind.as_str()
+                    && oref.namespace == p.namespace.as_str()
+                    && p.pred.matches(model)
             }
             _ => self.matches(oref),
         }
@@ -183,7 +187,7 @@ struct Slot {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum SlotKey {
     All,
-    Kind(String),
+    Kind(Name),
     Object(ObjectRef),
 }
 
@@ -307,7 +311,7 @@ struct Shard {
     /// touching unrelated subscriptions, plus the charge cell their
     /// single-slot members derive pending counts from.
     all_watchers: Slot,
-    kind_watchers: BTreeMap<String, Slot>,
+    kind_watchers: BTreeMap<Name, Slot>,
     object_watchers: BTreeMap<ObjectRef, Slot>,
     /// Member watchers with their cursors and pending accounting.
     members: BTreeMap<WatchId, ShardMember>,
@@ -405,7 +409,7 @@ impl Shard {
         match selector {
             WatchSelector::All => Some(SlotKey::All),
             WatchSelector::Kind(k) | WatchSelector::KindInNamespace { kind: k, .. } => {
-                Some(SlotKey::Kind(k.clone()))
+                Some(SlotKey::Kind(k.as_str().into()))
             }
             WatchSelector::Object(r) => Some(SlotKey::Object(r.clone())),
             WatchSelector::Predicate(_) => None,
@@ -926,7 +930,7 @@ impl Store {
 
     /// Returns the stored object, if present.
     pub fn get(&self, oref: &ObjectRef) -> Option<&Object> {
-        self.shards.get(&oref.namespace)?.objects.get(oref)
+        self.shards.get(oref.namespace.as_str())?.objects.get(oref)
     }
 
     /// Runs a [`Query`] by brute force: no index, the filter evaluated on
@@ -1631,7 +1635,7 @@ fn shard_append(
     // new keys. Replay performs these identical updates, and the predicate
     // matching below rides the delta instead of re-deriving it.
     let mut new_keys: Vec<(Arc<Path>, IndexKey)> = Vec::new();
-    if let Some(paths) = shard.indexes.get_mut(&oref.kind) {
+    if let Some(paths) = shard.indexes.get_mut(oref.kind.as_str()) {
         for (path, idx) in paths.iter_mut() {
             if kind == WatchEventKind::Deleted {
                 idx.remove(&oref.name);
@@ -1665,7 +1669,7 @@ fn shard_append(
     // key the plan refuses proves a non-match without evaluating, and
     // only events that truly match go pending anywhere. (Deletes carry no
     // key delta and are judged on their final model.)
-    if let Some(slots) = shard.pred_watchers.get(&oref.kind) {
+    if let Some(slots) = shard.pred_watchers.get(oref.kind.as_str()) {
         for w in slots {
             if !exact_hit.contains(&w.id) && w.pred.matches_indexed(&model, &new_keys) {
                 exact_hit.insert(w.id);
@@ -1787,7 +1791,7 @@ impl EntryFilter for MemberFilter<'_> {
             .any(|s| e.revision >= s.since && s.key.covers(&e.oref))
             || self
                 .preds
-                .and_then(|p| p.get(&e.oref.kind))
+                .and_then(|p| p.get(e.oref.kind.as_str()))
                 .into_iter()
                 .flatten()
                 .any(|w| w.id == self.id && e.revision >= w.since && w.pred.matches(&e.model))
@@ -1951,7 +1955,7 @@ fn query_shard(shard: &mut Shard, ns: &str, q: &Query, out: &mut Vec<Object>) {
     match planned {
         Some((kind, names)) => {
             for name in names {
-                let oref = ObjectRef::new(&kind, ns, &name);
+                let oref = ObjectRef::new(kind.as_str(), ns, name.as_str());
                 let Some(obj) = shard.objects.get(&oref) else {
                     continue;
                 };

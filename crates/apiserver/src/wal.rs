@@ -43,7 +43,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use dspace_value::{json, Value};
+use dspace_value::{json, Name, Value};
 
 /// The log's file name inside the durability directory.
 const LOG: &str = "wal.log";
@@ -560,7 +560,7 @@ fn load_checkpoint(dir: &Path) -> Result<Checkpoint, WalError> {
             let Value::Object(mut om) = doc else {
                 return Err(corrupt("object entry is not an object"));
             };
-            let take_str = |m: &mut BTreeMap<String, Value>, k: &str| match m.remove(k) {
+            let take_str = |m: &mut BTreeMap<Name, Value>, k: &str| match m.remove(k) {
                 Some(Value::Str(s)) => Some(s),
                 _ => None,
             };

@@ -81,7 +81,7 @@ proptest! {
         let drain = |api: &mut ApiServer, w: usize, seen: &mut Vec<Vec<Vec<Vec<u64>>>>| {
             let mut last_rev_by_ns = [0u64; 3];
             for ev in api.poll(watchers[w]) {
-                let ns = NS.iter().position(|n| *n == ev.oref.namespace).unwrap();
+                let ns = NS.iter().position(|n| ev.oref.namespace == *n).unwrap();
                 if w > 0 {
                     prop_assert_eq!(w - 1, ns, "event leaked across namespaces");
                 }

@@ -305,7 +305,7 @@ impl HomeService {
             let b = v
                 .as_f64()
                 .ok_or_else(|| SetupError::BadConfig(format!("mode {mode} needs a number")))?;
-            mode_table.insert(mode.clone(), b.clamp(0.0, 1.0));
+            mode_table.insert(mode.to_string(), b.clamp(0.0, 1.0));
         }
         if mode_table.is_empty() {
             return Err(SetupError::BadConfig("home.modes empty".into()));

@@ -77,7 +77,7 @@ fn build(
     };
     for i in 0..digis {
         let ns = format!("ns{}", i % namespaces);
-        let oref = ObjectRef::new("Lamp", &ns, format!("l{i}"));
+        let oref = ObjectRef::new("Lamp", ns.as_str(), format!("l{i}"));
         api.create(ApiServer::ADMIN, &oref, model(&ns, &format!("l{i}")))
             .unwrap();
     }

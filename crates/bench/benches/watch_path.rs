@@ -82,7 +82,7 @@ fn build_ns(namespaces: usize, digis: usize) -> (ApiServer, Vec<WatchId>) {
     let mut api = ApiServer::new();
     for i in 0..digis {
         let ns = format!("ns{}", i % namespaces);
-        let oref = ObjectRef::new("Lamp", &ns, format!("l{i}"));
+        let oref = ObjectRef::new("Lamp", ns.as_str(), format!("l{i}"));
         api.create(ApiServer::ADMIN, &oref, model_in(&ns, &format!("l{i}")))
             .unwrap();
     }
@@ -266,7 +266,7 @@ fn build_space_wide(namespaces: usize) -> (ApiServer, [WatchId; 2]) {
         let ns = format!("ns{k}");
         api.create(
             ApiServer::ADMIN,
-            &ObjectRef::new("Lamp", &ns, "l0"),
+            &ObjectRef::new("Lamp", ns.as_str(), "l0"),
             model_in(&ns, "l0"),
         )
         .unwrap();

@@ -281,7 +281,7 @@ impl Driver {
                 .and_then(Value::as_f64)
                 .unwrap_or(0.0) as i64;
             // Skip recompilation when the existing handler is identical.
-            if let Some(existing) = self.handlers.iter().find(|h| h.name == *name) {
+            if let Some(existing) = self.handlers.iter().find(|h| h.name == name.as_str()) {
                 if existing.priority == priority {
                     if let Body::Reflex(p) = &existing.body {
                         if p.source == policy {
@@ -292,7 +292,7 @@ impl Driver {
             }
             match Program::compile(policy) {
                 Ok(program) => self.upsert(Handler {
-                    name: name.clone(),
+                    name: name.to_string(),
                     priority,
                     filter: Filter::any(),
                     body: Body::Reflex(program),

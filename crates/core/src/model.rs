@@ -14,7 +14,7 @@
 //! [`DigiModel`] wraps a [`Value`] and exposes typed accessors for these
 //! conventions; it is used by drivers and controllers alike.
 
-use dspace_value::{Path, Value};
+use dspace_value::{Name, Path, Value};
 
 /// Mount reference status values: the parent currently holds write access.
 pub const MOUNT_ACTIVE: &str = "active";
@@ -112,7 +112,7 @@ impl<'a> DigiModel<'a> {
     }
 
     /// Lists `(kind, name)` of every mount reference in this model.
-    pub fn mounts(&self) -> Vec<(String, String)> {
+    pub fn mounts(&self) -> Vec<(Name, Name)> {
         let mut out = Vec::new();
         if let Some(kinds) = self.model.get_path(".mount").and_then(Value::as_object) {
             for (kind, names) in kinds {
@@ -146,7 +146,7 @@ impl<'a> DigiModel<'a> {
     }
 
     /// Lists names of children of `kind` currently mounted.
-    pub fn mounted_names(&self, kind: &str) -> Vec<String> {
+    pub fn mounted_names(&self, kind: &str) -> Vec<Name> {
         at(self.model, &["mount", kind])
             .and_then(Value::as_object)
             .map(|m| m.keys().cloned().collect())
@@ -261,9 +261,9 @@ mod tests {
         assert_eq!(
             mounts,
             vec![
-                ("Scene".to_string(), "sc1".to_string()),
-                ("UniLamp".to_string(), "ul1".to_string()),
-                ("UniLamp".to_string(), "ul2".to_string()),
+                ("Scene".into(), "sc1".into()),
+                ("UniLamp".into(), "ul1".into()),
+                ("UniLamp".into(), "ul2".into()),
             ]
         );
         assert_eq!(

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent, WriteOp};
 use dspace_simnet::Time;
-use dspace_value::{Map, Path, Value};
+use dspace_value::{Map, Name, Path, Value};
 
 use crate::batch::WriteBatch;
 use crate::graph::{DigiGraph, EdgeState, MountEdge, MountMode};
@@ -181,25 +181,30 @@ impl Mounter {
         drop(parent_model);
         let key = (parent.clone(), child.clone());
 
+        let shadow = self.shadows.get(&key);
+        if in_sync(&edge, &replica_cur, shadow, &child_model) {
+            return;
+        }
+
         // --- Northbound: build the replica candidate from the child. -----
-        // Generations are compared exactly as u64: an f64 round-trip
-        // collapses adjacent versions past 2^53 and mis-orders the gate.
-        let child_gen = at(&child_model, &["meta", "gen"])
-            .and_then(Value::as_exact_u64)
-            .unwrap_or(0);
-        let status = match edge.state {
-            EdgeState::Active => MOUNT_ACTIVE,
-            EdgeState::Yielded => MOUNT_YIELDED,
+        let child_gen = gen_of(&child_model);
+        // Keys come from the replica and the child where they have them,
+        // so building the candidate copies no key text.
+        let replica_map = replica_cur.as_object();
+        let name = |k: &str| {
+            replica_map
+                .and_then(|m| m.get_key_value(k))
+                .map_or_else(|| Name::from(k), |(n, _)| n.clone())
         };
         let mut fields = BTreeMap::from([
-            ("mode".to_string(), Value::from(edge.mode.as_str())),
-            ("status".to_string(), Value::from(status)),
-            ("gen".to_string(), Value::from_exact_u64(child_gen)),
+            (name("mode"), Value::from(edge.mode.as_str())),
+            (name("status"), Value::from(status_of(edge.state))),
+            (name("gen"), Value::from_exact_u64(child_gen)),
         ]);
-        let exposed = (edge.mode == MountMode::Expose).then_some("mount");
-        for section in ["control", "obs", "data"].into_iter().chain(exposed) {
-            if let Some(v) = at(&child_model, &[section]) {
-                fields.insert(section.to_string(), v.clone());
+        let child_map = child_model.as_object();
+        for section in sections(edge.mode) {
+            if let Some((k, v)) = child_map.and_then(|m| m.get_key_value(section)) {
+                fields.insert(k.clone(), v.clone());
             }
         }
         let mut candidate = Value::Object(fields.into());
@@ -211,7 +216,7 @@ impl Mounter {
         // Three-way merge: parent writes pending since the last mounter
         // write survive the refresh.
         let mut pending: Vec<(Path, Value)> = Vec::new();
-        southbound_diffs(&replica_cur, self.shadows.get(&key), &mut |path, v| {
+        southbound_diffs(&replica_cur, shadow, &mut |path, v| {
             if !v.is_null() {
                 pending.push((path, v.clone()));
             }
@@ -220,7 +225,8 @@ impl Mounter {
             let _ = candidate.set(path, v.clone());
         }
 
-        if candidate != replica_cur {
+        let unchanged = candidate == replica_cur;
+        if !unchanged {
             // Errors are ignored (as before): no effect rides on this op.
             let set = WriteOp::Set(Path::keys(replica_keys), candidate.clone());
             let _ = batch.write(api, parent, set);
@@ -264,10 +270,69 @@ impl Mounter {
         }
         // Only a southbound-synced candidate becomes the new shadow; when
         // the gate (or a yielded edge) blocked, the pending parent writes
-        // must be re-detected on the next round.
-        self.shadows
-            .insert(key, if synced_south { candidate } else { fresh });
+        // must be re-detected on the next round. A shadow equal to the
+        // stored replica keeps the replica's map, so that the next sync of
+        // this edge can return early.
+        let next = if synced_south { candidate } else { fresh };
+        let next = if unchanged && next == replica_cur {
+            replica_cur
+        } else {
+            next
+        };
+        self.shadows.insert(key, next);
     }
+}
+
+/// Returns `true` when a full sync of `edge` would queue no write and
+/// store an equal shadow, so that it can return at once: the stored
+/// `replica` is the `shadow` itself, its `mode`, `status` and `gen` are the
+/// edge's mode and state and the `child`'s generation, each section the
+/// child contributes is equal in the replica or absent from both, and the
+/// replica holds no other key.
+fn in_sync(edge: &MountEdge, replica: &Value, shadow: Option<&Value>, child: &Value) -> bool {
+    let (Value::Object(r), Some(Value::Object(s))) = (replica, shadow) else {
+        return false;
+    };
+    if !Map::ptr_eq(r, s)
+        || r.get("mode").and_then(Value::as_str) != Some(edge.mode.as_str())
+        || r.get("status").and_then(Value::as_str) != Some(status_of(edge.state))
+        || r.get("gen") != Some(&Value::from_exact_u64(gen_of(child)))
+    {
+        return false;
+    }
+    let mut keys = 3;
+    for section in sections(edge.mode) {
+        let theirs = at(child, &[section]);
+        if r.get(section) != theirs {
+            return false;
+        }
+        keys += usize::from(theirs.is_some());
+    }
+    r.len() == keys
+}
+
+/// The child's model version (`meta.gen`, 0 when missing). Generations are
+/// compared exactly as u64: an f64 round-trip collapses adjacent versions
+/// past 2^53 and mis-orders the gate.
+fn gen_of(model: &Value) -> u64 {
+    at(model, &["meta", "gen"])
+        .and_then(Value::as_exact_u64)
+        .unwrap_or(0)
+}
+
+/// The replica's `status` for an edge in `state`.
+fn status_of(state: EdgeState) -> &'static str {
+    match state {
+        EdgeState::Active => MOUNT_ACTIVE,
+        EdgeState::Yielded => MOUNT_YIELDED,
+    }
+}
+
+/// The child's sections a replica carries: `control`, `obs` and `data`,
+/// and the child's own `mount` under expose.
+fn sections(mode: MountMode) -> impl Iterator<Item = &'static str> {
+    let exposed = (mode == MountMode::Expose).then_some("mount");
+    ["control", "obs", "data"].into_iter().chain(exposed)
 }
 
 /// Visits every *southbound-capable* leaf of `doc` — `control.<attr>.intent`
@@ -467,5 +532,298 @@ mod tests {
         }
         assert!(diffs(&doc, Some(&base)).is_empty());
         assert!(diffs(&base, Some(&doc)).is_empty());
+    }
+
+    /// One `Lamp` child mounted under one `Room` parent on a bare server,
+    /// its edge synced one call at a time.
+    struct Edge {
+        api: ApiServer,
+        graph: RefCell<DigiGraph>,
+        mounter: Mounter,
+        parent: ObjectRef,
+        child: ObjectRef,
+    }
+
+    impl Edge {
+        /// An active edge in `mode` over a child with every replica
+        /// section, synced until a sync writes nothing.
+        fn settled(mode: MountMode) -> Edge {
+            Edge::settled_over(
+                mode,
+                r#"{"control": {"power": {"intent": "on", "status": "on"}},
+                    "obs": {"note": "ok"}, "data": {"input": {"url": "a"}},
+                    "mount": {"Bulb": {"b": {"gen": 1}}}}"#,
+            )
+        }
+
+        /// An active edge in `mode` over a child with the `model` given in
+        /// JSON, synced until a sync writes nothing.
+        fn settled_over(mode: MountMode, model: &str) -> Edge {
+            let mut api = ApiServer::new();
+            api.rbac_mut().bind(SUBJECT, "cluster-admin");
+            let parent = ObjectRef::default_ns("Room", "p");
+            let child = ObjectRef::default_ns("Lamp", "c");
+            api.create(ApiServer::ADMIN, &child, parse(model).unwrap())
+                .unwrap();
+            let replica = parse(r#"{"mount": {"Lamp": {"c": {"mode": "hide"}}}}"#);
+            api.create(ApiServer::ADMIN, &parent, replica.unwrap())
+                .unwrap();
+            let mut graph = DigiGraph::new();
+            graph.mount(&child, &parent, mode).unwrap();
+            let mut edge = Edge {
+                api,
+                graph: RefCell::new(graph),
+                mounter: Mounter::new(),
+                parent,
+                child,
+            };
+            edge.settle();
+            edge
+        }
+
+        /// Syncs until a sync writes nothing, then checks that the next
+        /// sync returns early and leaves the shadow on the stored replica.
+        fn settle(&mut self) {
+            for _ in 0..4 {
+                if self.sync() == (0, 0) {
+                    assert!(self.in_sync(), "a sync that wrote nothing settles");
+                    assert_eq!(self.sync(), (0, 0));
+                    assert!(self.shadow_is_replica());
+                    return;
+                }
+            }
+            panic!("the edge did not settle");
+        }
+
+        /// Runs one inline sync of the edge; returns how many writes it
+        /// committed to the parent and to the child.
+        fn sync(&mut self) -> (u64, u64) {
+            let before = (self.rv(&self.parent), self.rv(&self.child));
+            let edge = self.edge();
+            let mut batch = WriteBatch::new(SUBJECT, false);
+            self.mounter
+                .sync_edge(&mut self.api, &mut batch, edge, &mut Vec::new());
+            (
+                self.rv(&self.parent) - before.0,
+                self.rv(&self.child) - before.1,
+            )
+        }
+
+        /// Whether the next sync returns early.
+        fn in_sync(&self) -> bool {
+            let child = self.model(&self.child);
+            in_sync(&self.edge(), &self.replica(), self.shadow(), &child)
+        }
+
+        /// Whether the shadow is the stored replica's own map.
+        fn shadow_is_replica(&self) -> bool {
+            match (self.replica(), self.shadow()) {
+                (Value::Object(r), Some(Value::Object(s))) => Map::ptr_eq(&r, s),
+                _ => false,
+            }
+        }
+
+        fn edge(&self) -> MountEdge {
+            self.graph.borrow().edge(&self.parent, &self.child).unwrap()
+        }
+
+        fn shadow(&self) -> Option<&Value> {
+            let key = (self.parent.clone(), self.child.clone());
+            self.mounter.shadows.get(&key)
+        }
+
+        fn replica(&self) -> Value {
+            let parent = self.model(&self.parent);
+            at(&parent, &["mount", "Lamp", "c"]).cloned().unwrap()
+        }
+
+        fn model(&self, oref: &ObjectRef) -> Value {
+            self.api.get(ApiServer::ADMIN, oref).unwrap().model
+        }
+
+        fn rv(&self, oref: &ObjectRef) -> u64 {
+            self.api
+                .get(ApiServer::ADMIN, oref)
+                .unwrap()
+                .resource_version
+        }
+
+        fn write(&mut self, oref: &ObjectRef, path: &str, v: Value) {
+            self.api
+                .patch_path(ApiServer::ADMIN, oref, path, v)
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_settled_edge_returns_early_and_keeps_its_shadow() {
+        for mode in [MountMode::Hide, MountMode::Expose] {
+            let mut e = Edge::settled(mode);
+            assert!(e.in_sync(), "{mode:?}");
+            assert!(e.shadow_is_replica(), "{mode:?}");
+            assert_eq!(e.sync(), (0, 0), "{mode:?}");
+            assert!(e.shadow_is_replica(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_sync_that_writes_nothing_keeps_the_replica_as_shadow() {
+        let mut e = Edge::settled(MountMode::Expose);
+        // A new Mounter has no shadow: its first sync is a full one.
+        e.mounter = Mounter::new();
+        assert!(!e.in_sync());
+        assert_eq!(e.sync(), (0, 0));
+        assert!(e.shadow_is_replica());
+        assert!(e.in_sync());
+    }
+
+    #[test]
+    fn in_sync_needs_every_condition() {
+        let e = Edge::settled(MountMode::Expose);
+        let (edge, child, replica) = (e.edge(), e.model(&e.child), e.replica());
+        assert!(in_sync(&edge, &replica, Some(&replica), &child));
+        // An equal shadow that is not the replica's own map, or none.
+        let copy = parse(&replica.to_string()).unwrap();
+        assert!(!in_sync(&edge, &replica, Some(&copy), &child));
+        assert!(!in_sync(&edge, &replica, None, &child));
+        // One edit each, the edited replica being its own shadow.
+        for (path, v) in [
+            (".mode", Value::from("hide")),
+            (".status", MOUNT_YIELDED.into()),
+            (".gen", 0.0.into()),
+            (".control.power.intent", "off".into()),
+            (".obs.note", "moved".into()),
+            (".data.input.url", "b".into()),
+            (".mount.Bulb.b.gen", 2.0.into()),
+            (".extra", 1.0.into()),
+        ] {
+            let mut edited = replica.clone();
+            edited.set(&path.parse().unwrap(), v).unwrap();
+            assert!(!in_sync(&edge, &edited, Some(&edited), &child), "{path}");
+        }
+        // A section absent from both sides is in sync, from one side not.
+        let data: Path = ".data".parse().unwrap();
+        let (mut bare_replica, mut bare_child) = (replica.clone(), child.clone());
+        bare_replica.remove(&data);
+        bare_child.remove(&data);
+        assert!(in_sync(
+            &edge,
+            &bare_replica,
+            Some(&bare_replica),
+            &bare_child
+        ));
+        assert!(!in_sync(&edge, &replica, Some(&replica), &bare_child));
+        assert!(!in_sync(&edge, &bare_replica, Some(&bare_replica), &child));
+    }
+
+    #[test]
+    fn a_child_change_refreshes_the_replica() {
+        for mode in [MountMode::Hide, MountMode::Expose] {
+            for (path, v) in [
+                (".control.power.intent", Value::from("off")),
+                (".control.power.status", Value::from("off")),
+                (".obs.note", Value::from("moved")),
+                (".data.input.url", Value::from("b")),
+                (".mount.Bulb.b.gen", Value::from(2.0)),
+                // Rewriting a value it holds bumps only `meta.gen`.
+                (".control.power.intent", Value::from("on")),
+            ] {
+                let mut e = Edge::settled(mode);
+                let child = e.child.clone();
+                e.write(&child, path, v.clone());
+                assert!(!e.in_sync(), "{mode:?} {path}");
+                assert_eq!(e.sync(), (1, 0), "{mode:?} {path}");
+                let carried = e.replica().get_path(path) == Some(&v);
+                let hidden = mode == MountMode::Hide && path.starts_with(".mount");
+                assert_eq!(carried, !hidden, "{mode:?} {path}");
+                e.settle();
+            }
+        }
+    }
+
+    #[test]
+    fn a_parent_intent_write_syncs_southbound() {
+        let mut e = Edge::settled(MountMode::Hide);
+        let parent = e.parent.clone();
+        e.write(&parent, ".mount.Lamp.c.control.power.intent", "off".into());
+        assert!(!e.in_sync());
+        assert_eq!(e.sync(), (0, 1));
+        // The candidate equalled the stored replica: the shadow keeps its map.
+        assert!(e.shadow_is_replica());
+        let intent = e.model(&e.child).get_path(".control.power.intent").cloned();
+        assert_eq!(intent, Some(Value::from("off")));
+        // The child's write bumped its generation: the replica catches up.
+        assert_eq!(e.sync(), (1, 0));
+        e.settle();
+    }
+
+    #[test]
+    fn mode_and_state_changes_refresh_the_replica() {
+        // A child without a `mount` section differs between the modes
+        // only in the replica's `mode`.
+        let mut e = Edge::settled_over(MountMode::Hide, r#"{"obs": {"note": "ok"}}"#);
+        for mode in [MountMode::Expose, MountMode::Hide] {
+            let edge = e.edge();
+            e.graph.borrow_mut().restore(MountEdge { mode, ..edge });
+            assert!(!e.in_sync(), "{mode:?}");
+            assert_eq!(e.sync(), (1, 0), "{mode:?}");
+            assert_eq!(e.replica().get_path(".mode"), Some(&mode.as_str().into()));
+            e.settle();
+        }
+        let mut e = Edge::settled(MountMode::Hide);
+        let edge = e.edge();
+        e.graph.borrow_mut().restore(MountEdge {
+            mode: MountMode::Expose,
+            ..edge
+        });
+        assert!(!e.in_sync());
+        assert_eq!(e.sync(), (1, 0));
+        assert!(e.replica().get_path(".mount.Bulb.b").is_some());
+        e.settle();
+        let (child, parent) = (e.child.clone(), e.parent.clone());
+        e.graph.borrow_mut().yield_edge(&child, &parent).unwrap();
+        assert!(!e.in_sync());
+        assert_eq!(e.sync(), (1, 0));
+        assert_eq!(e.replica().get_path(".status"), Some(&MOUNT_YIELDED.into()));
+        e.settle();
+        e.graph.borrow_mut().unyield_edge(&child, &parent).unwrap();
+        assert!(!e.in_sync());
+        assert_eq!(e.sync(), (1, 0));
+        assert_eq!(e.replica().get_path(".status"), Some(&MOUNT_ACTIVE.into()));
+        e.settle();
+    }
+
+    #[test]
+    fn an_extra_replica_key_is_dropped() {
+        let mut e = Edge::settled(MountMode::Hide);
+        let parent = e.parent.clone();
+        e.write(&parent, ".mount.Lamp.c.extra", 1.0.into());
+        assert!(!e.in_sync());
+        assert_eq!(e.sync(), (1, 0));
+        assert!(e.replica().get_path(".extra").is_none());
+        e.settle();
+    }
+
+    #[test]
+    fn a_stale_replica_gen_blocks_the_southbound_write() {
+        let mut e = Edge::settled(MountMode::Hide);
+        let (parent, child) = (e.parent.clone(), e.child.clone());
+        e.write(&parent, ".mount.Lamp.c.control.power.intent", "off".into());
+        e.write(&child, ".obs.note", "moved".into());
+        assert!(!e.in_sync());
+        // The gate blocks: only the northbound refresh lands, keeping the
+        // parent's pending intent.
+        assert_eq!(e.sync(), (1, 0));
+        let replica = e.replica();
+        assert_eq!(
+            replica.get_path(".control.power.intent"),
+            Some(&"off".into())
+        );
+        assert_eq!(replica.get_path(".obs.note"), Some(&"moved".into()));
+        // With the replica's gen caught up, the pending intent goes south.
+        assert!(!e.in_sync());
+        assert_eq!(e.sync(), (0, 1));
+        assert_eq!(e.sync(), (1, 0));
+        e.settle();
     }
 }

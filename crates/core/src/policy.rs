@@ -28,7 +28,7 @@ use std::fmt;
 
 use dspace_apiserver::ObjectRef;
 use dspace_reflex::Program;
-use dspace_value::Value;
+use dspace_value::{Name, Value};
 
 use crate::graph::MountMode;
 
@@ -269,7 +269,7 @@ impl Policy {
     }
 
     /// Builds the condition context: `{<digi name>: <model>}`.
-    pub fn context(&self, models: &[(String, Value)]) -> Value {
+    pub fn context(&self, models: &[(Name, Value)]) -> Value {
         dspace_value::object(models.iter().map(|(n, m)| (n.clone(), m.clone())))
     }
 }

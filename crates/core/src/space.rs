@@ -5,7 +5,7 @@
 
 use dspace_apiserver::{ApiError, ApiServer, DurabilityOptions, ObjectRef, WalError};
 use dspace_simnet::{millis, LatencyModel, Sim, Time};
-use dspace_value::{KindSchema, Value};
+use dspace_value::{KindSchema, Name, Value};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -110,7 +110,7 @@ pub struct Space {
     pub sim: Sim<World>,
     /// The runtime state.
     pub world: World,
-    names: BTreeMap<String, ObjectRef>,
+    names: BTreeMap<Name, ObjectRef>,
 }
 
 impl Default for Space {
@@ -198,7 +198,7 @@ impl Space {
         self.world.ensure_namespace(namespace);
         self.world.api.create(ApiServer::ADMIN, &oref, model)?;
         self.world.add_driver(oref.clone(), driver);
-        self.names.insert(name.to_string(), oref.clone());
+        self.names.insert(oref.name.clone(), oref.clone());
         self.pump();
         Ok(oref)
     }

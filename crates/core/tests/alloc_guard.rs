@@ -1,20 +1,23 @@
-//! Allocation guard for model reads on the intent path.
+//! Allocation guard for model reads and copies on the intent path.
 //!
 //! Drivers read a model by attribute path on every reconcile, and the
 //! Mounter reads each child's replica on every edge sync. Those reads walk
 //! the document in place: a path string is read segment by segment without
 //! building a `Path`, and the `DigiModel` accessors address
-//! `control.<attr>.intent` and the rest by key. This binary counts the
-//! heap allocations the calling thread makes (its global allocator keeps
-//! one counter per thread, so other test threads do not disturb it) and
-//! pins the count of each read at zero. Counts repeat exactly, so the guard
-//! pins the behaviour without timing it.
+//! `control.<attr>.intent` and the rest by key. Identities and map keys
+//! are shared `Name`s, so copying a reference, an object or an event, or a
+//! map on write, copies no text. This binary counts the heap allocations
+//! the calling thread makes (its global allocator keeps one counter per
+//! thread, so other test threads do not disturb it) and pins the count of
+//! each read and copy. Counts repeat exactly, so the guard pins the
+//! behaviour without timing it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dspace_apiserver::{Object, ObjectRef, WatchEvent, WatchEventKind};
 use dspace_core::model::DigiModel;
-use dspace_value::{json, Value};
+use dspace_value::{json, Path, Value};
 
 struct Counting;
 
@@ -103,4 +106,47 @@ fn model_reads_on_the_intent_path_allocate_nothing() {
         assert!(value.as_f64().is_some(), "{name} read {value}");
         assert_eq!(n, 0, "DigiModel::{name} allocated {n} times");
     }
+}
+
+#[test]
+fn copying_an_identity_an_object_or_an_event_allocates_nothing() {
+    let oref = ObjectRef::new("Room", "h1", "lvroom");
+    let object = Object {
+        oref: oref.clone(),
+        model: room(),
+        resource_version: 7,
+    };
+    let event = WatchEvent {
+        revision: 3,
+        kind: WatchEventKind::Modified,
+        oref: oref.clone(),
+        model: room(),
+        resource_version: 7,
+    };
+    let copies = [
+        ("ObjectRef", allocations(|| oref.clone())),
+        ("Object", allocations(|| object.clone())),
+        ("WatchEvent", allocations(|| event.clone())),
+    ];
+    for (name, n) in copies {
+        assert_eq!(n, 0, "{name}::clone allocated {n} times");
+    }
+}
+
+#[test]
+fn a_shared_map_copy_copies_no_key_text() {
+    let path: Path = ".k0".parse().unwrap();
+    // Writes an existing key of a `keys`-entry map another handle shares.
+    let set_in_shared = |keys: usize| {
+        let mut doc = dspace_value::object((0..keys).map(|i| (format!("k{i}"), Value::from(i))));
+        let held = doc.clone();
+        let n = allocations(|| doc.set(&path, Value::from(-1.0)).unwrap());
+        assert_eq!(held.get(&path), Some(&Value::from(0usize)));
+        n
+    };
+    let (one, eight) = (set_in_shared(1), set_in_shared(8));
+    assert_eq!(
+        eight, one,
+        "a shared 8-key map's copy allocated {eight} times, a 1-key map's {one}"
+    );
 }

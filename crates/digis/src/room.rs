@@ -14,7 +14,7 @@
 //! intent and correspondingly adjust the intents of the other lamps".
 
 use dspace_core::driver::{Driver, Filter, ReconcileCtx};
-use dspace_value::Value;
+use dspace_value::{Name, Value};
 
 use crate::lamps::{from_vendor_brightness, to_vendor_brightness};
 
@@ -29,7 +29,7 @@ pub fn mode_brightness(mode: &str) -> Option<f64> {
     }
 }
 
-fn lamp_children(ctx: &mut ReconcileCtx<'_>) -> Vec<(String, String)> {
+fn lamp_children(ctx: &mut ReconcileCtx<'_>) -> Vec<(Name, Name)> {
     ctx.digi()
         .mounts()
         .into_iter()
@@ -192,7 +192,7 @@ pub fn room_driver() -> Driver {
     // --- s5 begin ---
     // Scene objects → room observations, occupancy, and activity.
     d.on(Filter::on_mount(), 3, "scene", |ctx| {
-        let scenes: Vec<String> = ctx.digi().mounted_names("Scene");
+        let scenes: Vec<Name> = ctx.digi().mounted_names("Scene");
         let Some(scene) = scenes.first().cloned() else {
             return;
         };

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dspace_value::{Path, Segment, Value};
+use dspace_value::{Name, Path, Segment, Value};
 
 use crate::ast::{AssignOp, BinOp, Expr, PathStep};
 
@@ -170,7 +170,7 @@ pub fn eval(expr: &Expr, input: &Value, env: &Env) -> Result<Value, EvalError> {
         Expr::ObjectCons(fields) => {
             let mut map = BTreeMap::new();
             for (k, e) in fields {
-                map.insert(k.clone(), eval(e, input, env)?);
+                map.insert(Name::from(k.as_str()), eval(e, input, env)?);
             }
             Ok(Value::Object(map.into()))
         }
@@ -334,7 +334,7 @@ fn call(name: &str, args: &[Expr], input: &Value, env: &Env) -> Result<Value, Ev
             arity(0)?;
             match input {
                 Value::Object(o) => Ok(Value::Array(
-                    o.keys().map(|k| Value::Str(k.clone())).collect(),
+                    o.keys().map(|k| Value::Str(k.to_string())).collect(),
                 )),
                 Value::Array(a) => Ok(Value::Array(
                     (0..a.len()).map(|i| Value::Num(i as f64)).collect(),
@@ -360,7 +360,7 @@ fn call(name: &str, args: &[Expr], input: &Value, env: &Env) -> Result<Value, Ev
             arity(1)?;
             let key = eval(&args[0], input, env)?;
             match (input, key) {
-                (Value::Object(o), Value::Str(k)) => Ok(Value::Bool(o.contains_key(&k))),
+                (Value::Object(o), Value::Str(k)) => Ok(Value::Bool(o.contains_key(k.as_str()))),
                 (Value::Array(a), Value::Num(i)) => {
                     Ok(Value::Bool(i >= 0.0 && (i as usize) < a.len()))
                 }
@@ -675,7 +675,7 @@ fn call(name: &str, args: &[Expr], input: &Value, env: &Env) -> Result<Value, Ev
                     .and_then(Value::as_str)
                     .ok_or_else(|| EvalError::TypeError("entry missing string key".into()))?;
                 let value = entry.get_path("value").cloned().unwrap_or(Value::Null);
-                map.insert(key.to_string(), value);
+                map.insert(Name::from(key), value);
             }
             Ok(Value::Object(map.into()))
         }

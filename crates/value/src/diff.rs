@@ -7,6 +7,7 @@
 
 use std::ops::ControlFlow;
 
+use crate::name::Name;
 use crate::path::Path;
 use crate::value::{Map, Value};
 
@@ -127,22 +128,27 @@ fn walk<'a>(
             if Map::ptr_eq(a, b) {
                 return ControlFlow::Continue(());
             }
+            // One merge pass over both sorted entry sequences: removals and
+            // recursion in `a`'s order, then additions in `b`'s order.
+            let mut added: Vec<(&'a Name, &'a Value)> = Vec::new();
+            let mut bs = b.iter().peekable();
             for (k, va) in a {
+                while let Some(entry) = bs.next_if(|(kb, _)| *kb < k) {
+                    added.push(entry);
+                }
                 keys.push(k);
-                let flow = match b.get(k) {
-                    Some(vb) => walk(keys, va, vb, visit),
+                let flow = match bs.next_if(|(kb, _)| *kb == k) {
+                    Some((_, vb)) => walk(keys, va, vb, visit),
                     None => visit(keys, ChangeOp::Removed, va, &Value::Null),
                 };
                 keys.pop();
                 flow?;
             }
-            for (k, vb) in b {
-                if !a.contains_key(k) {
-                    keys.push(k);
-                    let flow = visit(keys, ChangeOp::Added, &Value::Null, vb);
-                    keys.pop();
-                    flow?;
-                }
+            for (k, vb) in added.into_iter().chain(bs) {
+                keys.push(k);
+                let flow = visit(keys, ChangeOp::Added, &Value::Null, vb);
+                keys.pop();
+                flow?;
             }
             ControlFlow::Continue(())
         }

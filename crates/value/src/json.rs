@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
+use crate::name::Name;
 use crate::value::Value;
 
 /// Error produced when parsing malformed JSON.
@@ -107,7 +108,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             let value = self.parse_value()?;
-            map.insert(key, value);
+            map.insert(Name::from(key), value);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,

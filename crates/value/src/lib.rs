@@ -31,12 +31,14 @@
 
 pub mod diff;
 pub mod json;
+pub mod name;
 pub mod path;
 pub mod schema;
 pub mod value;
 pub mod yaml;
 
 pub use diff::{changed_paths, diff, Change, ChangeOp};
+pub use name::Name;
 pub use path::{Path, Segment};
 pub use schema::{AttrType, KindSchema, SchemaError};
 pub use value::{Map, Value, ValueError};
@@ -57,7 +59,7 @@ pub fn obj() -> Value {
 pub fn object<I, K>(pairs: I) -> Value
 where
     I: IntoIterator<Item = (K, Value)>,
-    K: Into<String>,
+    K: Into<Name>,
 {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::name::Name;
 use crate::value::{Map, Value};
 
 /// The declared type of a model attribute.
@@ -249,43 +250,36 @@ impl KindSchema {
     /// populated, every declared attribute present as `intent`/`status`
     /// pairs (digivice) or `input`/`output` maps (digidata).
     pub fn new_model(&self, name: &str, namespace: &str) -> Value {
-        let mut root = BTreeMap::new();
-        let mut meta = BTreeMap::new();
-        meta.insert("group".to_string(), Value::from(self.group.as_str()));
-        meta.insert("version".to_string(), Value::from(self.version.as_str()));
-        meta.insert("kind".to_string(), Value::from(self.kind.as_str()));
-        meta.insert("name".to_string(), Value::from(name));
-        meta.insert("namespace".to_string(), Value::from(namespace));
-        meta.insert("gen".to_string(), Value::from(0.0));
-        root.insert("meta".to_string(), Value::Object(meta.into()));
+        // An object with one entry per declared attribute, each `value()`.
+        let entries = |attrs: &BTreeMap<String, AttrType>, value: fn() -> Value| {
+            crate::object(attrs.keys().map(|k| (k.as_str(), value())))
+        };
+        let meta = crate::object([
+            ("group", Value::from(self.group.as_str())),
+            ("version", Value::from(self.version.as_str())),
+            ("kind", Value::from(self.kind.as_str())),
+            ("name", Value::from(name)),
+            ("namespace", Value::from(namespace)),
+            ("gen", Value::from(0.0)),
+        ]);
+        let mut root: BTreeMap<Name, Value> = BTreeMap::new();
+        root.insert("meta".into(), meta);
         match self.class {
             DigiClass::Digivice => {
-                let mut control = BTreeMap::new();
-                for attr in self.control.keys() {
-                    let mut pair = BTreeMap::new();
-                    pair.insert("intent".to_string(), Value::Null);
-                    pair.insert("status".to_string(), Value::Null);
-                    control.insert(attr.clone(), Value::Object(pair.into()));
-                }
-                root.insert("control".to_string(), Value::Object(control.into()));
-                root.insert("mount".to_string(), Value::Object(Map::new()));
+                let pair = || crate::object([("intent", Value::Null), ("status", Value::Null)]);
+                root.insert("control".into(), entries(&self.control, pair));
+                root.insert("mount".into(), Value::Object(Map::new()));
             }
             DigiClass::Digidata => {
-                let mut data = BTreeMap::new();
-                let mk = |attrs: &BTreeMap<String, AttrType>| {
-                    Value::Object(attrs.keys().map(|k| (k.clone(), Value::Null)).collect())
-                };
-                data.insert("input".to_string(), mk(&self.input));
-                data.insert("output".to_string(), mk(&self.output));
-                root.insert("data".to_string(), Value::Object(data.into()));
+                let data = crate::object([
+                    ("input", entries(&self.input, || Value::Null)),
+                    ("output", entries(&self.output, || Value::Null)),
+                ]);
+                root.insert("data".into(), data);
             }
         }
-        let mut obs = BTreeMap::new();
-        for attr in self.obs.keys() {
-            obs.insert(attr.clone(), Value::Null);
-        }
-        root.insert("obs".to_string(), Value::Object(obs.into()));
-        root.insert("reflex".to_string(), Value::Object(Map::new()));
+        root.insert("obs".into(), entries(&self.obs, || Value::Null));
+        root.insert("reflex".into(), Value::Object(Map::new()));
         Value::Object(root.into())
     }
 
@@ -320,7 +314,7 @@ impl KindSchema {
             for (attr, pair) in control {
                 let ty = self
                     .control
-                    .get(attr)
+                    .get(attr.as_str())
                     .ok_or_else(|| SchemaError::UnknownAttribute(format!(".control.{attr}")))?;
                 for field in ["intent", "status"] {
                     if let Some(v) = pair.get_path(field) {
@@ -342,7 +336,7 @@ impl KindSchema {
                 .and_then(Value::as_object)
             {
                 for (attr, v) in map {
-                    let ty = decls.get(attr).ok_or_else(|| {
+                    let ty = decls.get(attr.as_str()).ok_or_else(|| {
                         SchemaError::UnknownAttribute(format!(".data.{section}.{attr}"))
                     })?;
                     if !ty.admits(v) {

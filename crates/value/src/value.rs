@@ -5,6 +5,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
+use crate::name::Name;
 use crate::path::{Malformed, Path, Segment, Token};
 
 /// A JSON-like value with deterministic object ordering.
@@ -43,12 +44,13 @@ pub enum Value {
 ///
 /// Cloning is O(1). A write through [`DerefMut`] copies this one map if
 /// another handle still shares it, and leaves its entries shared, so a
-/// write to a path copies only the maps along that path. Two handles to
+/// write to a path copies only the maps along that path. Keys are
+/// [`Name`]s, so that copy copies no key text. Two handles to
 /// the same allocation compare equal without a walk (see [`Value`] on
 /// `NaN`), and [`diff`](crate::diff()) and [`Value::merge`] skip such
 /// subtrees.
 #[derive(Clone, Default)]
-pub struct Map(Arc<BTreeMap<String, Value>>);
+pub struct Map(Arc<BTreeMap<Name, Value>>);
 
 impl Map {
     /// An empty map.
@@ -70,7 +72,7 @@ impl Map {
 }
 
 impl Deref for Map {
-    type Target = BTreeMap<String, Value>;
+    type Target = BTreeMap<Name, Value>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
@@ -95,21 +97,21 @@ impl PartialEq for Map {
     }
 }
 
-impl From<BTreeMap<String, Value>> for Map {
-    fn from(map: BTreeMap<String, Value>) -> Self {
+impl From<BTreeMap<Name, Value>> for Map {
+    fn from(map: BTreeMap<Name, Value>) -> Self {
         Map(Arc::new(map))
     }
 }
 
-impl FromIterator<(String, Value)> for Map {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
+impl FromIterator<(Name, Value)> for Map {
+    fn from_iter<I: IntoIterator<Item = (Name, Value)>>(iter: I) -> Self {
         Map::from(iter.into_iter().collect::<BTreeMap<_, _>>())
     }
 }
 
 impl<'a> IntoIterator for &'a Map {
-    type Item = (&'a String, &'a Value);
-    type IntoIter = btree_map::Iter<'a, String, Value>;
+    type Item = (&'a Name, &'a Value);
+    type IntoIter = btree_map::Iter<'a, Name, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()
@@ -117,8 +119,8 @@ impl<'a> IntoIterator for &'a Map {
 }
 
 impl IntoIterator for Map {
-    type Item = (String, Value);
-    type IntoIter = btree_map::IntoIter<String, Value>;
+    type Item = (Name, Value);
+    type IntoIter = btree_map::IntoIter<Name, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
         Arc::unwrap_or_clone(self.0).into_iter()
@@ -227,7 +229,7 @@ impl Value {
     }
 
     /// Returns the object map if this value is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&BTreeMap<Name, Value>> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,
@@ -236,7 +238,7 @@ impl Value {
 
     /// Returns the mutable object map if this value is an object, copying
     /// it first if it is shared.
-    pub fn as_object_mut(&mut self) -> Option<&mut BTreeMap<String, Value>> {
+    pub fn as_object_mut(&mut self) -> Option<&mut BTreeMap<Name, Value>> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,
@@ -287,7 +289,7 @@ impl Value {
         let mut cur = self;
         for seg in path.segments() {
             match (seg, cur) {
-                (Segment::Key(k), Value::Object(map)) => cur = map.get_mut(k)?,
+                (Segment::Key(k), Value::Object(map)) => cur = map.get_mut(k.as_str())?,
                 (Segment::Index(i), Value::Array(arr)) => cur = arr.get_mut(*i)?,
                 _ => return None,
             }
@@ -316,24 +318,24 @@ impl Value {
                     if cur.is_null() {
                         *cur = Value::Object(Map::new());
                     }
-                    let map: &mut BTreeMap<String, Value> = match cur {
+                    let map: &mut BTreeMap<Name, Value> = match cur {
                         Value::Object(m) => m,
                         _ => return Err(ValueError::NotAContainer(path.prefix(i).to_string())),
                     };
                     // The key is copied only when it is new to the map.
                     if last {
-                        match map.get_mut(k) {
+                        match map.get_mut(k.as_str()) {
                             Some(slot) => *slot = value,
                             None => {
-                                map.insert(k.clone(), value);
+                                map.insert(Name::from(k.as_str()), value);
                             }
                         }
                         return Ok(());
                     }
-                    if !map.contains_key(k) {
-                        map.insert(k.clone(), Value::Null);
+                    if !map.contains_key(k.as_str()) {
+                        map.insert(Name::from(k.as_str()), Value::Null);
                     }
-                    cur = map.get_mut(k).expect("present or inserted above");
+                    cur = map.get_mut(k.as_str()).expect("present or inserted above");
                 }
                 Segment::Index(idx) => {
                     let arr = match cur {
@@ -360,7 +362,7 @@ impl Value {
         let (parent_path, last) = path.split_last()?;
         let parent = self.get_mut(&parent_path)?;
         match (last, parent) {
-            (Segment::Key(k), Value::Object(map)) => map.remove(&k),
+            (Segment::Key(k), Value::Object(map)) => map.remove(k.as_str()),
             (Segment::Index(i), Value::Array(arr)) if i < arr.len() => Some(arr.remove(i)),
             _ => None,
         }

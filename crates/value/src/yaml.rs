@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::name::Name;
 use crate::value::Value;
 
 /// Error produced when parsing unsupported or malformed YAML.
@@ -223,7 +224,7 @@ fn parse_mapping(lines: &[Line], pos: &mut usize, indent: usize) -> Result<Value
         } else {
             parse_scalar(rest, number)?
         };
-        map.insert(key, value);
+        map.insert(Name::from(key), value);
     }
     Ok(Value::Object(map.into()))
 }
@@ -427,7 +428,7 @@ impl FlowParser {
             }
             self.pos += 1;
             let v = self.value()?;
-            map.insert(key, v);
+            map.insert(Name::from(key), v);
             self.skip_ws();
             match self.chars.get(self.pos) {
                 Some(',') => {

@@ -52,8 +52,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(3, 48, 5, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-            prop::collection::btree_map(HOSTILE_STRING, inner, 0..4)
-                .prop_map(|m| Value::Object(m.into())),
+            prop::collection::btree_map(HOSTILE_STRING, inner, 0..4).prop_map(dspace_value::object),
         ]
     })
 }

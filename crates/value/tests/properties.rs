@@ -1,8 +1,12 @@
 //! Property-based tests for the document substrate.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+
 use proptest::prelude::*;
 
-use dspace_value::{changed_paths, diff, json, yaml, Path, Value};
+use dspace_value::{changed_paths, diff, json, yaml, Change, ChangeOp, Map, Name, Path, Value};
 
 /// Strategy producing arbitrary JSON-like values of bounded depth.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -18,7 +22,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..5).prop_map(Value::Array),
             prop::collection::btree_map("[a-z][a-z0-9_-]{0,6}", inner, 0..5)
-                .prop_map(|m| Value::Object(m.into())),
+                .prop_map(dspace_value::object),
         ]
     })
 }
@@ -41,10 +45,10 @@ fn arb_doc() -> impl Strategy<Value = Value> {
     let value = leaf.prop_recursive(3, 32, 3, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..3).prop_map(Value::Array),
-            prop::collection::btree_map("[a-c]", inner, 0..4).prop_map(|m| Value::Object(m.into())),
+            prop::collection::btree_map("[a-c]", inner, 0..4).prop_map(dspace_value::object),
         ]
     });
-    prop::collection::btree_map("[a-c]", value, 0..4).prop_map(|m| Value::Object(m.into()))
+    prop::collection::btree_map("[a-c]", value, 0..4).prop_map(dspace_value::object)
 }
 
 /// Key paths over [`arb_doc`]'s alphabet; the root path when empty.
@@ -96,7 +100,7 @@ fn apply(doc: &mut Value, edit: &Edit) {
         }
         Edit::Insert(p, k, v) => {
             if let Some(map) = doc.get_mut(p).and_then(Value::as_object_mut) {
-                map.insert(k.clone(), v.clone());
+                map.insert(k.as_str().into(), v.clone());
             }
         }
     }
@@ -130,12 +134,77 @@ fn patched(from: &Value, to: &Value) -> Value {
     let mut out = from.clone();
     for change in diff(from, to) {
         match change.op {
-            dspace_value::ChangeOp::Removed => {
+            ChangeOp::Removed => {
                 out.remove(&change.path);
             }
             _ => out.set(&change.path, change.new).unwrap(),
         }
     }
+    out
+}
+
+/// Strings over a small alphabet with ASCII, two-byte, three-byte and
+/// four-byte letters, each followed by all of its prefixes: the set holds
+/// empty strings, strings that are prefixes of one another and strings
+/// that differ only past a shared prefix.
+fn arb_names() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec("[abZ é中𝄞]{0,5}", 1..6).prop_map(|words| {
+        let mut out = Vec::new();
+        for w in &words {
+            out.extend(w.char_indices().map(|(i, _)| w[..i].to_string()));
+            out.push(w.clone());
+        }
+        out
+    })
+}
+
+fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+/// The lookup walk `diff` made before its merge pass, kept as the order
+/// reference: removals and recursion in the old map's key order, each key
+/// looked up in the new map, then additions in the new map's order, each
+/// key looked up in the old map; a shared map is skipped.
+fn diff_by_lookup(old: &Value, new: &Value) -> Vec<Change> {
+    fn change(keys: &[String], op: ChangeOp, old: &Value, new: &Value) -> Change {
+        Change {
+            path: Path::keys(keys.iter().map(String::as_str)),
+            op,
+            old: old.clone(),
+            new: new.clone(),
+        }
+    }
+    fn walk(keys: &mut Vec<String>, a: &Value, b: &Value, out: &mut Vec<Change>) {
+        match (a, b) {
+            (Value::Object(x), Value::Object(y)) => {
+                if Map::ptr_eq(x, y) {
+                    return;
+                }
+                for (k, va) in x {
+                    keys.push(k.to_string());
+                    match y.get(k.as_str()) {
+                        Some(vb) => walk(keys, va, vb, out),
+                        None => out.push(change(keys, ChangeOp::Removed, va, &Value::Null)),
+                    }
+                    keys.pop();
+                }
+                for (k, vb) in y {
+                    if !x.contains_key(k.as_str()) {
+                        keys.push(k.to_string());
+                        out.push(change(keys, ChangeOp::Added, &Value::Null, vb));
+                        keys.pop();
+                    }
+                }
+            }
+            (a, b) if a == b => {}
+            (a, b) => out.push(change(keys, ChangeOp::Updated, a, b)),
+        }
+    }
+    let mut out = Vec::new();
+    walk(&mut Vec::new(), old, new, &mut out);
     out
 }
 
@@ -164,8 +233,8 @@ proptest! {
         a in prop::collection::btree_map("[a-z][a-z0-9]{0,4}", arb_value(), 0..5),
         b in prop::collection::btree_map("[a-z][a-z0-9]{0,4}", arb_value(), 0..5),
     ) {
-        let a = Value::Object(a.into());
-        let b = Value::Object(b.into());
+        let a = dspace_value::object(a);
+        let b = dspace_value::object(b);
         let patched = patched(&a, &b);
         prop_assert!(same(&patched, &b), "patched={patched} b={b}");
     }
@@ -183,7 +252,7 @@ proptest! {
     fn yaml_roundtrip(
         doc in prop::collection::btree_map("[a-z][a-z0-9_-]{0,6}", arb_value(), 0..5)
     ) {
-        let v = Value::Object(doc.into());
+        let v = dspace_value::object(doc);
         let text = yaml::to_string(&v);
         let back = yaml::parse(&text);
         prop_assert!(back.is_ok(), "parse failed: {:?}\n{}", back, text);
@@ -242,14 +311,14 @@ proptest! {
         a in prop::collection::btree_map("[a-z][a-z0-9]{0,4}", arb_value(), 0..4),
         b in prop::collection::btree_map("[a-z][a-z0-9]{0,4}", arb_value(), 0..4),
     ) {
-        let a = Value::Object(a.into());
-        let b = Value::Object(b.into());
+        let a = dspace_value::object(a);
+        let b = dspace_value::object(b);
         let mut merged = a.clone();
         merged.merge(&b);
         // Every change between merged and b must come from `a`'s extra keys,
         // i.e. diffing b against merged only reports additions.
         for change in diff(&b, &merged) {
-            prop_assert_eq!(change.op, dspace_value::ChangeOp::Added);
+            prop_assert_eq!(change.op, ChangeOp::Added);
         }
     }
 
@@ -301,5 +370,64 @@ proptest! {
         merged.merge(&b);
         umerged.merge(&ub);
         prop_assert!(same(&merged, &umerged), "merged={merged} unshared={umerged}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Name` compares, orders and hashes exactly as `str`; a clone and a
+    /// separately built name are equal; and a `Name`-keyed map iterates in
+    /// the order a `String`-keyed one of the same strings does, and looks
+    /// up by `&str`.
+    #[test]
+    fn names_compare_order_and_hash_as_str(words in arb_names()) {
+        let names: Vec<Name> = words.iter().map(|w| Name::from(w.as_str())).collect();
+        for (a, na) in words.iter().zip(&names) {
+            let rebuilt = Name::from(a.clone());
+            prop_assert_eq!(na.clone(), rebuilt.clone());
+            prop_assert_eq!(na.cmp(&rebuilt), std::cmp::Ordering::Equal);
+            prop_assert_eq!(hash_of(na), hash_of(&rebuilt));
+            prop_assert_eq!(na.as_str(), a.as_str());
+            prop_assert!(*na == *a.as_str());
+            prop_assert_eq!(hash_of(na), hash_of(a.as_str()));
+            for (b, nb) in words.iter().zip(&names) {
+                prop_assert_eq!(na == nb, a == b, "{:?} == {:?}", a, b);
+                prop_assert_eq!(na.cmp(nb), a.cmp(b), "{:?} cmp {:?}", a, b);
+                prop_assert_eq!(na.partial_cmp(nb), a.partial_cmp(b));
+            }
+        }
+        let by_name: BTreeMap<Name, usize> = names.iter().cloned().zip(0..).collect();
+        let by_string: BTreeMap<String, usize> = words.iter().cloned().zip(0..).collect();
+        prop_assert!(by_name.keys().map(Name::as_str).eq(by_string.keys().map(String::as_str)));
+        prop_assert!(by_name.values().eq(by_string.values()));
+        for w in &words {
+            prop_assert_eq!(by_name.get(w.as_str()), by_string.get(w));
+        }
+    }
+
+    /// `diff`'s merge pass lists the same paths, ops and values in the
+    /// same order as the lookup walk it replaced, on pairs with added,
+    /// removed and changed keys at several depths: a document against an
+    /// edited clone that shares its untouched subtrees, against an
+    /// unshared copy of that clone, and against an unrelated document.
+    #[test]
+    fn diff_matches_the_lookup_walk_in_order(
+        a in arb_doc(),
+        edits in prop::collection::vec(arb_edit(), 0..8),
+        other in arb_doc(),
+        pick in 0u8..4,
+    ) {
+        let mut b = a.clone();
+        for edit in &edits {
+            apply(&mut b, edit);
+        }
+        match pick {
+            0 => b = unshared(&b),
+            1 => b = other,
+            _ => {}
+        }
+        prop_assert_eq!(diff(&a, &b), diff_by_lookup(&a, &b));
+        prop_assert_eq!(diff(&b, &a), diff_by_lookup(&b, &a));
     }
 }

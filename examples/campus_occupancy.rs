@@ -24,7 +24,7 @@ fn zone_driver() -> Driver {
         let children: Vec<String> = mounts
             .iter()
             .filter(|(k, _)| k == "Zone")
-            .map(|(_, n)| n.clone())
+            .map(|(_, n)| n.to_string())
             .collect();
         // Southbound: split the limit evenly among child zones.
         if let Some(limit) = ctx.digi().intent("occupancy_limit").as_f64() {
